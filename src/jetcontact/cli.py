@@ -23,6 +23,7 @@ from .contact import (
     check_problem,
     classify,
     combine_verdicts,
+    worst_residual,
     INCONCLUSIVE,
     REFUTED,
     VERIFIED,
@@ -271,7 +272,6 @@ def _run_recursions(cfg: RunConfig) -> tuple[dict, str]:
     spec.validate(cfg.points)
     n = cfg.order
     results = []
-    worst = 0.0
     for point in cfg.points:
         h = spec.gram_jet(point, n + 2, n + 2)
         entry = {"point": [_cnum(c) for c in point], "residuals": {}}
@@ -316,8 +316,8 @@ def _run_recursions(cfg: RunConfig) -> tuple[dict, str]:
             entry["residuals"][f"adjoint-derivative(i={i})"] = float(
                 np.max(np.abs(lhs - rhs)) / scale
             )
-        worst = max(worst, max(entry["residuals"].values()))
         results.append(entry)
+    worst = worst_residual(r for e in results for r in e["residuals"].values())
     return {"points": results, "max_residual": worst}, classify(worst, cfg.tolerance)
 
 

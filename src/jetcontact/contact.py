@@ -64,6 +64,7 @@ __all__ = [
     "geometric_conditions",
     "alongZ_check",
     "check_problem",
+    "worst_residual",
     "VERIFIED",
     "REFUTED",
     "INCONCLUSIVE",
@@ -79,11 +80,25 @@ def _e1(dim: int, times: int) -> tuple:
 
 
 def classify(residual: float, tol: float) -> str:
+    if not np.isfinite(residual):
+        return INCONCLUSIVE
     if residual < tol:
         return VERIFIED
     if residual > 10.0 * tol:
         return REFUTED
     return INCONCLUSIVE
+
+
+def worst_residual(residuals) -> float:
+    """The largest residual, or NaN if any is not finite.
+
+    Python's ``max`` drops a NaN that follows a finite value, which would let
+    an unevaluated residual pass as verified; NaN classifies as inconclusive.
+    """
+    values = [float(v) for v in residuals]
+    if not all(np.isfinite(values)):
+        return float("nan")
+    return max(values, default=0.0)
 
 
 def combine_verdicts(verdicts) -> str:
@@ -474,8 +489,8 @@ def _alongz_at(problem: ContactProblem, point) -> PointReport:
     geometric = geometric_conditions(h, ht, a0, n)
     geometric.update(shared)
 
-    analytic_verdict = classify(max(analytic.values()), tol)
-    geometric_verdict = classify(max(geometric.values()), tol)
+    analytic_verdict = classify(worst_residual(analytic.values()), tol)
+    geometric_verdict = classify(worst_residual(geometric.values()), tol)
 
     residuals.update(analytic)
     residuals.update(geometric)

@@ -29,7 +29,6 @@ import numpy as np
 from .jetcore import HermJet, HoloJet, OrderError, index_table
 
 __all__ = [
-    "MapJet",
     "CurvatureRequest",
     "connection",
     "curvature",
@@ -47,11 +46,6 @@ __all__ = [
     "normalized_defect",
     "hermitian_sqrt",
 ]
-
-
-# a bundle map travels as the jet of its representing matrix in the working
-# frame; the alias marks that role at call sites
-MapJet = HermJet
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,24 @@ Multi-indices are plain tuples of non-negative ints.  All tables enumerate
 them in graded order (total degree first, then z1-major within a degree),
 which makes truncation to a lower order a prefix slice.
 
+One graded kernel does all the arithmetic:
+
+* Products.  A single cached plan per (dim, p, q) and operand layout lists
+  the flat positions, in each operand's (Na * Nb) coefficient axis, of every
+  pair of coefficients whose multi-index pairs add up to an output position,
+  grouped by output.  Both operands are gathered straight from their own
+  coefficients into a pair-last (r, r, pairs) layout, the r x r blocks are
+  contracted with r^3 vector multiply-adds (one elementwise product at rank
+  1), and the groups are segment-summed.  :class:`HoloJet` products are the
+  same kernel at anti order 0.
+* Inverse, exp, log and real powers.  Each is a forward substitution over
+  the total degree d = |alpha| + |beta|: the coefficients of degree d follow
+  from those of lower degree through the product plan restricted to the
+  pairs whose output has degree d and whose left factor is not the constant
+  term -- about one product's work.  The recurrences are the Taylor-mode
+  ones (Griewank & Walther, *Evaluating Derivatives*, ch. 13), read off the
+  Euler derivation D f = sum deg(k) f_k.
+
 All jets are immutable after construction; every operation returns a new jet.
 Binary operations truncate to the minimum operand orders.
 """
@@ -39,10 +57,6 @@ __all__ = [
     "multi_index_order",
     "multi_index_factorial",
     "multi_index_binom",
-    "jet_mul",
-    "jet_inv",
-    "jet_func",
-    "jet_extract",
 ]
 
 
@@ -98,43 +112,111 @@ def index_positions(dim: int, order: int) -> dict:
     return {i: k for k, i in enumerate(index_table(dim, order))}
 
 
+@lru_cache(maxsize=None)
 def table_size(dim: int, order: int) -> int:
     return comb(order + dim, dim)
 
 
-@lru_cache(maxsize=None)
-def _mul_plan(dim: int, order: int):
-    """Index triples (k, i, j) with table[i] + table[j] = table[k]."""
-    table = index_table(dim, order)
-    pos = index_positions(dim, order)
-    ks, is_, js = [], [], []
-    for i, a in enumerate(table):
-        for j, b in enumerate(table):
-            c = tuple(x + y for x, y in zip(a, b))
-            if sum(c) <= order:
-                ks.append(pos[c])
-                is_.append(i)
-                js.append(j)
-    return np.asarray(ks), np.asarray(is_), np.asarray(js)
+def _axis_sums(dim: int, order: int):
+    """(k, i, j) for all table positions with table[i] + table[j] = table[k]."""
+    table = np.array(index_table(dim, order)).reshape(-1, dim)
+    sums = table[:, None, :] + table[None, :, :]
+    i, j = np.nonzero(sums.sum(axis=2) <= order)
+    # mixed-radix code of a multi-index -> its table position
+    radix = (order + 1) ** np.arange(dim)
+    lookup = np.zeros((order + 1) ** dim, dtype=np.intp)
+    lookup[table @ radix] = np.arange(len(table))
+    return lookup[sums[i, j] @ radix], i, j
 
 
 @lru_cache(maxsize=None)
-def _mul_plan_pair(dim: int, holo_order: int, anti_order: int):
-    """Flattened convolution plan over both index axes, grouped by output
-    position for segment summation."""
-    kh, ih, jh = _mul_plan(dim, holo_order)
-    ka, ia, ja = _mul_plan(dim, anti_order)
-    IH = np.repeat(ih, len(ka))
-    JH = np.repeat(jh, len(ka))
-    KH = np.repeat(kh, len(ka))
-    IA = np.tile(ia, len(kh))
-    JA = np.tile(ja, len(kh))
-    KA = np.tile(ka, len(kh))
-    key = KH * table_size(dim, anti_order) + KA
+def _mul_plan(dim: int, holo_order: int, anti_order: int, left_nb: int, right_nb: int):
+    """Convolution plan of a product truncated to orders (p, q).
+
+    An operand's coefficient (alpha, beta) sits at flat position
+    pos(alpha) * Nb + pos(beta) of its (Na * Nb) axis, where Nb is the size
+    of its own anti table (``left_nb``, ``right_nb``), so the plan reads
+    straight from operands of higher orders.  Returns flat positions ``I``
+    into the left operand and ``J`` into the right one, one entry per pair
+    of positions whose indices add up to an output position, grouped by
+    output position in table order, and the ``starts`` of the groups for a
+    segment sum.  Every output position k has at least the pair (0, k), so
+    group g is output position g.
+    """
+    kh, ih, jh = _axis_sums(dim, holo_order)
+    ka, ia, ja = _axis_sums(dim, anti_order)
+    nb = table_size(dim, anti_order)
+    key = (kh[:, None] * nb + ka[None, :]).ravel()
+    left = (ih[:, None] * left_nb + ia[None, :]).ravel()
+    right = (jh[:, None] * right_nb + ja[None, :]).ravel()
     order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    return IH[order], IA[order], JH[order], JA[order], key[starts], starts
+    starts = np.searchsorted(key[order], np.arange(table_size(dim, holo_order) * nb))
+    return left[order], right[order], starts
+
+
+@lru_cache(maxsize=None)
+def _graded_plan(dim: int, holo_order: int, anti_order: int):
+    """The product plan of two (p, q) jets split by the total degree
+    d = |alpha| + |beta| of the output, for d = 1..p+q, without the pairs
+    whose left factor is the constant term.  The right factors of degree-d
+    outputs then all have degree < d, which is what forward substitution in
+    graded order needs.  Each level is (I, J, K, starts, deg I, deg J) with
+    K the flat output positions of degree d."""
+    nb = table_size(dim, anti_order)
+    left, right, starts = _mul_plan(dim, holo_order, anti_order, nb, nb)
+    deg_h = np.array([sum(a) for a in index_table(dim, holo_order)])
+    deg_a = np.array([sum(b) for b in index_table(dim, anti_order)])
+    deg = (deg_h[:, None] + deg_a[None, :]).ravel()
+    out = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(left))))
+    levels = []
+    for d in range(1, holo_order + anti_order + 1):
+        sel = (deg[out] == d) & (left != 0)
+        i, j, k = left[sel], right[sel], out[sel]
+        first = np.flatnonzero(np.append(True, k[1:] != k[:-1]))
+        levels.append((i, j, k[first], first, deg[i].astype(float), deg[j].astype(float)))
+    return tuple(levels)
+
+
+def _pair_last(coeffs: np.ndarray) -> np.ndarray:
+    """(Na, Nb, r, r) coefficients as an (r, r, Na * Nb) array."""
+    r = coeffs.shape[-1]
+    return np.ascontiguousarray(coeffs.reshape(-1, r, r).transpose(1, 2, 0))
+
+
+def _contract(left, right, I, J, starts, weight=None) -> np.ndarray:
+    """Segment sums of weight * left[I] @ right[J] over pair-last operands.
+
+    The r x r blocks are contracted with r^3 vector multiply-adds of length
+    ``len(I)``; at rank 1 that is one elementwise product.  Returns the
+    (r, r, len(starts)) sums.
+    """
+    a = np.take(left, I, axis=2)
+    b = np.take(right, J, axis=2)
+    if weight is not None:
+        a *= weight
+    r = a.shape[0]
+    if r == 1:
+        prod = a * b
+    else:
+        prod = np.empty_like(a)
+        tmp = np.empty(a.shape[2], dtype=a.dtype)
+        for row in range(r):
+            for col in range(r):
+                acc = prod[row, col]
+                np.multiply(a[row, 0], b[0, col], out=acc)
+                for k in range(1, r):
+                    np.multiply(a[row, k], b[k, col], out=tmp)
+                    acc += tmp
+    return np.add.reduceat(prod, starts, axis=2)
+
+
+def _product(a: np.ndarray, b: np.ndarray, dim: int, p: int, q: int) -> np.ndarray:
+    """Coefficients (Na(p), Nb(q), r, r) of the truncated product of two
+    coefficient arrays (Na, Nb, r, r) of orders at least (p, q)."""
+    r = a.shape[-1]
+    I, J, starts = _mul_plan(dim, p, q, a.shape[1], b.shape[1])
+    sums = _contract(_pair_last(a), _pair_last(b), I, J, starts)
+    return sums.transpose(2, 0, 1).reshape(table_size(dim, p), table_size(dim, q), r, r)
 
 
 @lru_cache(maxsize=None)
@@ -177,16 +259,18 @@ class HermJet:
     Attributes
     ----------
     center : tuple of complex, length ``dim``
+    dim : ambient dimension
     holo_order, anti_order : truncation orders in z and conj(z)
     rank : matrix size
     coeffs : ndarray of shape (Na, Nb, rank, rank) with the normalized
         coefficient of (alpha, beta) at position (pos(alpha), pos(beta)).
     """
 
-    __slots__ = ("center", "holo_order", "anti_order", "rank", "coeffs", "_inv_cache")
+    __slots__ = ("center", "dim", "holo_order", "anti_order", "rank", "coeffs", "_inv_cache")
 
     def __init__(self, center, holo_order, anti_order, rank, coeffs):
         self.center = tuple(complex(c) for c in center)
+        self.dim = len(self.center)
         self.holo_order = int(holo_order)
         self.anti_order = int(anti_order)
         self.rank = int(rank)
@@ -205,10 +289,6 @@ class HermJet:
         self.coeffs = _freeze(coeffs)
 
     # -- constructors -------------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return len(self.center)
 
     @classmethod
     def constant(cls, value, center, holo_order, anti_order) -> "HermJet":
@@ -271,56 +351,67 @@ class HermJet:
                 coeffs[:, :, p, q] = e.coeffs[:, :, 0, 0]
         return cls(first.center, first.holo_order, first.anti_order, rows, coeffs)
 
+    def _like(self, holo_order: int, anti_order: int, coeffs) -> "HermJet":
+        """A jet on this one's center and rank with coefficients an operation
+        has already shaped (Na, Nb, rank, rank); skips the constructor's checks."""
+        out = object.__new__(HermJet)
+        out.center, out.dim, out.rank = self.center, self.dim, self.rank
+        out.holo_order, out.anti_order = holo_order, anti_order
+        out._inv_cache = None
+        out.coeffs = _freeze(coeffs)
+        return out
+
     # -- ring operations ----------------------------------------------------
 
     def truncate(self, holo_order=None, anti_order=None) -> "HermJet":
         p = self.holo_order if holo_order is None else min(holo_order, self.holo_order)
         q = self.anti_order if anti_order is None else min(anti_order, self.anti_order)
+        if (p, q) == (self.holo_order, self.anti_order):
+            return self
         na, nb = table_size(self.dim, p), table_size(self.dim, q)
-        return HermJet(self.center, p, q, self.rank, self.coeffs[:na, :nb])
+        return self._like(p, q, self.coeffs[:na, :nb])
+
+    def _common_orders(self, other):
+        _check_same_frame(self, other)
+        return min(self.holo_order, other.holo_order), min(self.anti_order, other.anti_order)
 
     def __add__(self, other) -> "HermJet":
-        _check_same_frame(self, other)
-        p = min(self.holo_order, other.holo_order)
-        q = min(self.anti_order, other.anti_order)
-        a, b = self.truncate(p, q), other.truncate(p, q)
-        return HermJet(self.center, p, q, self.rank, a.coeffs + b.coeffs)
+        p, q = self._common_orders(other)
+        na, nb = table_size(self.dim, p), table_size(self.dim, q)
+        return self._like(p, q, self.coeffs[:na, :nb] + other.coeffs[:na, :nb])
 
     def __sub__(self, other) -> "HermJet":
         return self + (-other)
 
     def __neg__(self) -> "HermJet":
-        return HermJet(
-            self.center, self.holo_order, self.anti_order, self.rank, -self.coeffs
-        )
+        return self._like(self.holo_order, self.anti_order, -self.coeffs)
 
     def scale(self, scalar) -> "HermJet":
-        return HermJet(
-            self.center,
-            self.holo_order,
-            self.anti_order,
-            self.rank,
-            self.coeffs * complex(scalar),
-        )
+        return self._like(self.holo_order, self.anti_order, self.coeffs * complex(scalar))
 
     def __mul__(self, other) -> "HermJet":
         """Truncated Cauchy product (matrix product on the values)."""
-        _check_same_frame(self, other)
-        p = min(self.holo_order, other.holo_order)
-        q = min(self.anti_order, other.anti_order)
-        a, b = self.truncate(p, q), other.truncate(p, q)
-        IH, IA, JH, JA, out_keys, starts = _mul_plan_pair(self.dim, p, q)
-        prod = a.coeffs[IH, IA] @ b.coeffs[JH, JA]
-        sums = np.add.reduceat(prod, starts, axis=0)
-        na, nb = table_size(self.dim, p), table_size(self.dim, q)
-        out = np.zeros((na * nb, self.rank, self.rank), dtype=np.complex128)
-        out[out_keys] = sums
-        return HermJet(
-            self.center, p, q, self.rank, out.reshape(na, nb, self.rank, self.rank)
-        )
+        p, q = self._common_orders(other)
+        return self._like(p, q, _product(self.coeffs, other.coeffs, self.dim, p, q))
+
+    def _graded_solve(self, x0, solve, weight=None) -> "HermJet":
+        """Jet x with constant term x0 whose coefficients of total degree
+        d = 1..p+q follow from the earlier ones: x_k = solve(d, K, S) with
+        S_k = sum over i + j = k, i != 0 of weight(deg i, deg j) * u_i x_j,
+        u = self, for the degree-d positions K (pair-last arrays)."""
+        u = _pair_last(self.coeffs)
+        x = np.zeros_like(u)
+        x[:, :, 0] = x0
+        levels = _graded_plan(self.dim, self.holo_order, self.anti_order)
+        for d, (I, J, K, starts, deg_i, deg_j) in enumerate(levels, start=1):
+            w = None if weight is None else weight(deg_i, deg_j)
+            x[:, :, K] = solve(d, K, _contract(u, x, I, J, starts, w))
+        coeffs = x.transpose(2, 0, 1).reshape(self.coeffs.shape)
+        return self._like(self.holo_order, self.anti_order, coeffs)
 
     def inv(self) -> "HermJet":
-        """Multiplicative inverse by Newton iteration on the truncated ring.
+        """Multiplicative inverse by forward substitution in graded order:
+        c0 X_k = -sum_{i+j=k, i != 0} H_i X_j.
 
         The result is memoized; jets are immutable so the cache is sound.
         """
@@ -333,55 +424,47 @@ class HermJet:
             raise SingularityError("constant term is singular") from exc
         if np.linalg.cond(c0) > 1e13:
             raise SingularityError("constant term is numerically singular")
-        ident = HermJet.identity(
-            self.center, self.holo_order, self.anti_order, self.rank
-        )
-        x = HermJet.constant(c0inv, self.center, self.holo_order, self.anti_order)
-        # error valuation doubles each step; nilpotency index is p+q+1
-        steps = max(1, (self.holo_order + self.anti_order + 1).bit_length())
-        for _ in range(steps):
-            x = x * (ident.scale(2.0) - self * x)
+
+        def solve(d, K, s):
+            return -(c0inv @ s.reshape(self.rank, -1)).reshape(s.shape)
+
+        x = self._graded_solve(c0inv, solve)
         object.__setattr__(self, "_inv_cache", x)
         return x
 
     # -- analytic functions (scalar jets only) ------------------------------
+    # Taylor-mode recurrences from the Euler derivation D f = sum deg(k) f_k
+    # (D(fg) = Df g + f Dg): D exp(u) = exp(u) Du, u D log(u) = Du and
+    # u D u^p = p u^p Du, read off coefficient by coefficient.
 
-    def compose_series(self, derivs_at_c0) -> "HermJet":
-        """Evaluate sum_k derivs_at_c0[k]/k! * (self - c0)^k by Horner."""
+    def _scalar_constant(self, what: str, positive: bool) -> complex:
         if self.rank != 1:
-            raise DimensionError("analytic functions apply to scalar jets only")
-        shifted = np.array(self.coeffs)
-        shifted[0, 0] = 0.0
-        u = HermJet(self.center, self.holo_order, self.anti_order, 1, shifted)
-        coefs = [d / factorial(k) for k, d in enumerate(derivs_at_c0)]
-        acc = HermJet.constant(
-            coefs[-1], self.center, self.holo_order, self.anti_order
-        )
-        for c in reversed(coefs[:-1]):
-            acc = acc * u + HermJet.constant(
-                c, self.center, self.holo_order, self.anti_order
-            )
-        return acc
+            raise DimensionError(f"{what} applies to scalar jets only")
+        c0 = complex(self.coeffs[0, 0, 0, 0])
+        if positive and c0.real <= 0.0:
+            raise SingularityError(f"{what} needs a constant term with positive real part")
+        return c0
 
     def exp(self) -> "HermJet":
-        k = self.holo_order + self.anti_order
-        e0 = np.exp(complex(self.coeffs[0, 0, 0, 0]))
-        return self.compose_series([e0] * (k + 1))
+        """d w_k = sum_{i+j=k} deg(i) u_i w_j."""
+        u0 = self._scalar_constant("exp", positive=False)
+        return self._graded_solve(
+            np.exp(u0), lambda d, K, s: s / d, lambda deg_i, deg_j: deg_i
+        )
 
     def log(self) -> "HermJet":
-        c0 = complex(self.coeffs[0, 0, 0, 0])
-        if c0.real <= 0.0:
-            raise SingularityError(
-                "log needs a constant term with positive real part"
-            )
-        k = self.holo_order + self.anti_order
-        derivs = [np.log(c0)]
-        for j in range(1, k + 1):
-            derivs.append((-1.0) ** (j - 1) * factorial(j - 1) / c0**j)
-        return self.compose_series(derivs)
+        """u0 d L_k = d u_k - sum_{i+j=k, i != 0} deg(j) u_i L_j."""
+        u0 = self._scalar_constant("log", positive=True)
+        u = self.coeffs.reshape(-1)
+
+        def solve(d, K, s):
+            return (d * u[K] - s) / (u0 * d)
+
+        return self._graded_solve(np.log(u0), solve, lambda deg_i, deg_j: deg_j)
 
     def power(self, exponent) -> "HermJet":
-        """Integer powers for any jet; real powers for scalar jets (principal branch)."""
+        """Integer powers for any jet; real powers for scalar jets (principal
+        branch) by u0 d w_k = sum_{i+j=k, i != 0} (p deg(i) - deg(j)) u_i w_j."""
         if isinstance(exponent, (int, np.integer)) or (
             isinstance(exponent, float) and exponent.is_integer()
         ):
@@ -398,20 +481,13 @@ class HermJet:
                 base = base * base if n > 1 else base
                 n >>= 1
             return out
-        c0 = complex(self.coeffs[0, 0, 0, 0]) if self.rank == 1 else None
-        if c0 is None:
-            raise DimensionError("real powers apply to scalar jets only")
-        if c0.real <= 0.0:
-            raise SingularityError(
-                "real power needs a constant term with positive real part"
-            )
+        u0 = self._scalar_constant("real power", positive=True)
         p = float(exponent)
-        k = self.holo_order + self.anti_order
-        derivs, fall = [], 1.0
-        for j in range(k + 1):
-            derivs.append(fall * c0 ** complex(p - j))
-            fall *= p - j
-        return self.compose_series(derivs)
+        return self._graded_solve(
+            u0 ** complex(p),
+            lambda d, K, s: s / (u0 * d),
+            lambda deg_i, deg_j: p * deg_i - deg_j,
+        )
 
     # -- calculus ------------------------------------------------------------
 
@@ -424,16 +500,12 @@ class HermJet:
                 raise OrderError("anti-holomorphic order exhausted")
             src, mult = _deriv_plan(self.dim, self.anti_order, var)
             coeffs = self.coeffs[:, src] * mult[None, :, None, None]
-            return HermJet(
-                self.center, self.holo_order, self.anti_order - 1, self.rank, coeffs
-            )
+            return self._like(self.holo_order, self.anti_order - 1, coeffs)
         if self.holo_order < 1:
             raise OrderError("holomorphic order exhausted")
         src, mult = _deriv_plan(self.dim, self.holo_order, var)
         coeffs = self.coeffs[src] * mult[:, None, None, None]
-        return HermJet(
-            self.center, self.holo_order - 1, self.anti_order, self.rank, coeffs
-        )
+        return self._like(self.holo_order - 1, self.anti_order, coeffs)
 
     def extract(self, alpha, beta=None) -> np.ndarray:
         """Derivative value d^alpha dbar^beta at the center (factorials restored)."""
@@ -464,11 +536,9 @@ class HermJet:
         square = self.truncate(
             min(self.holo_order, self.anti_order), min(self.holo_order, self.anti_order)
         )
-        return HermJet(
-            self.center,
+        return self._like(
             square.holo_order,
             square.anti_order,
-            self.rank,
             np.conj(square.coeffs.transpose(1, 0, 3, 2)),
         )
 
@@ -484,7 +554,7 @@ class HermJet:
             [idx[var] == 0 for idx in index_table(self.dim, self.anti_order)]
         )
         coeffs = self.coeffs * mask_h[:, None, None, None] * mask_a[None, :, None, None]
-        return HermJet(self.center, self.holo_order, self.anti_order, self.rank, coeffs)
+        return self._like(self.holo_order, self.anti_order, coeffs)
 
     def hermitian_defect(self) -> float:
         """Max coefficient deviation from Gram symmetry c[b,a] = c[a,b]^*."""
@@ -563,6 +633,8 @@ class HoloJet:
 
     def truncate(self, order) -> "HoloJet":
         p = min(order, self.order)
+        if p == self.order:
+            return self
         return HoloJet(self.center, p, self.rank, self.coeffs[: table_size(self.dim, p)])
 
     def __add__(self, other) -> "HoloJet":
@@ -582,16 +654,11 @@ class HoloJet:
         return self + (-other)
 
     def __mul__(self, other) -> "HoloJet":
+        """The HermJet product at anti order 0."""
         _check_same_frame(self, other)
         p = min(self.order, other.order)
-        a, b = self.truncate(p), other.truncate(p)
-        ks, is_, js = _mul_plan(self.dim, p)
-        prod = a.coeffs[is_] @ b.coeffs[js]
-        out = np.zeros(
-            (table_size(self.dim, p), self.rank, self.rank), dtype=np.complex128
-        )
-        np.add.at(out, ks, prod)
-        return HoloJet(self.center, p, self.rank, out)
+        coeffs = _product(self.coeffs[:, None], other.coeffs[:, None], self.dim, p, 0)
+        return HoloJet(self.center, p, self.rank, coeffs[:, 0])
 
     def inv(self) -> "HoloJet":
         herm = self.as_herm(anti_order=0)
@@ -648,30 +715,3 @@ class HoloJet:
 
     def __repr__(self):
         return f"HoloJet(center={self.center}, order={self.order}, rank={self.rank})"
-
-
-# ---------------------------------------------------------------------------
-# functional aliases for the operation surface
-
-
-def jet_mul(a: HermJet, b: HermJet) -> HermJet:
-    return a * b
-
-
-def jet_inv(a: HermJet) -> HermJet:
-    return a.inv()
-
-
-def jet_func(a: HermJet, f) -> HermJet:
-    """Apply exp, log, or a real power (f = ('pow', p)) to a scalar jet."""
-    if f == "exp":
-        return a.exp()
-    if f == "log":
-        return a.log()
-    if isinstance(f, tuple) and f[0] == "pow":
-        return a.power(f[1])
-    raise ValueError(f"unsupported function {f!r}")
-
-
-def jet_extract(a: HermJet, alpha, beta) -> np.ndarray:
-    return a.extract(alpha, beta)

@@ -164,6 +164,37 @@ class TestRun:
         doc = run(cfg)
         assert doc["verdict"] == "verified"
 
+    @pytest.mark.parametrize("bad_order", [0, 1])
+    def test_recursions_nan_residual_is_inconclusive(self, monkeypatch, bad_order):
+        import numpy as np
+
+        import jetcontact.cli as cli
+
+        real = cli.Q_recursion
+
+        def q_with_nan(h, j, order):
+            out = real(h, j, order)
+            return np.full_like(out, np.nan) if (j, order) == (1, bad_order) else out
+
+        monkeypatch.setattr(cli, "Q_recursion", q_with_nan)
+        cfg = build_config(
+            {
+                "task": "verify-recursions",
+                "order": 2,
+                "points": [[0.1, -0.2]],
+                "tolerance": 1e-9,
+                "bundles": [
+                    {
+                        "label": "c",
+                        "dimension": 2,
+                        "gram": [["exp(z1*zb1 + 0.5*z2*zb2) + 0.2*z1*z2*zb1*zb2"]],
+                    }
+                ],
+            }
+        )
+        doc = run(cfg)
+        assert doc["verdict"] == "inconclusive"
+
     def test_curvature_task_values(self):
         cfg = build_config(
             {

@@ -424,6 +424,46 @@ class TestVerdictBands:
         assert classify(5e-8, 1e-8) == "inconclusive"
         assert classify(2e-7, 1e-8) == "refuted"
 
+    @pytest.mark.parametrize(
+        "residuals",
+        [[1e-15, float("nan")], [float("nan"), 1e-15], [1e-15, float("inf")]],
+    )
+    def test_non_finite_residual_is_inconclusive(self, residuals):
+        # max() keeps the first of NaN and a finite value, so a NaN after a
+        # small residual used to classify as verified
+        from jetcontact.contact import classify, worst_residual
+
+        worst = worst_residual(dict(zip("ab", residuals)).values())
+        assert np.isnan(worst)
+        assert classify(worst, 1e-8) == "inconclusive"
+
+    def test_worst_residual_of_finite_values(self):
+        from jetcontact.contact import worst_residual
+
+        assert worst_residual([1e-15, 3e-9, 2e-12]) == 3e-9
+        assert worst_residual([]) == 0.0
+
+    @pytest.mark.parametrize("nan_first", [True, False])
+    def test_nan_route_residual_is_inconclusive(self, monkeypatch, nan_first):
+        import jetcontact.contact as contact
+
+        real = contact.geometric_conditions
+
+        def with_nan(*args):
+            res = real(*args)
+            bad = {"unevaluated": float("nan")}
+            return {**bad, **res} if nan_first else {**res, **bad}
+
+        monkeypatch.setattr(contact, "geometric_conditions", with_nan)
+        spec = [["exp(z1*zb1 + z2*zb2)"]]
+        prob = ContactProblem(
+            BundleSpec("a", 2, spec), BundleSpec("b", 2, spec), 2, "along-z", Z_POINTS[:1]
+        )
+        point = alongZ_check(prob).points[0]
+        assert point.route_verdicts["analytic"] == "verified"
+        assert point.route_verdicts["geometric"] == "inconclusive"
+        assert point.verdict == "inconclusive"
+
     def test_near_threshold_pair_is_inconclusive(self):
         # a misfit sized inside the (tol, 10 tol) guard band must not flap
         # into either definite verdict
