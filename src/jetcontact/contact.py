@@ -28,6 +28,7 @@ tolerance, anything else is "inconclusive".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -42,11 +43,12 @@ from .geometry import (
 from .jetcore import (
     HermJet,
     HoloJet,
+    OrderError,
     index_positions,
     index_table,
     multi_index_factorial,
 )
-from .kernelexpr import BundleSpec, eval_holo_jet, parse_kernel
+from .kernelexpr import BundleSpec, JetProgram, check_holomorphic, parse_kernel
 from .pascal import multi_lambda_from_jet, pascal_expand, pascal_from_column
 from .simeq import unitary_intertwiner
 
@@ -119,6 +121,23 @@ def _rel(diff: np.ndarray, *refs) -> float:
 # jet Gram matrices
 
 
+@lru_cache(maxsize=None)
+def _jet_gram_plan(dim: int, n: int, variables: str):
+    """Table positions of the jet-Gram blocks and the factorial weights
+    alpha! beta! that turn normalized coefficients into derivatives."""
+    if variables == "z1":
+        blocks = [_e1(dim, k) for k in range(n + 1)]
+    elif variables == "all":
+        blocks = index_table(dim, n)
+    else:
+        raise ValueError(f"unknown variable selection {variables!r}")
+    positions = index_positions(dim, n)
+    pos = np.array([positions[b] for b in blocks], dtype=np.intp)
+    # products in Python ints, rounded once: fixed-width ints would wrap
+    fact = [multi_index_factorial(b) for b in blocks]
+    return pos, np.array([[fa * fb for fb in fact] for fa in fact], dtype=float)
+
+
 def jet_gram(H: HermJet, n: int, variables: str = "all") -> np.ndarray:
     """Block Gram matrix of the n-jet frame.
 
@@ -126,19 +145,16 @@ def jet_gram(H: HermJet, n: int, variables: str = "all") -> np.ndarray:
     fixed graded order (z1-major within a degree); variables="z1": only
     transverse derivatives 0..n.  Block (I, J) is d^I dbar^J H at the center.
     """
-    l = H.rank
-    if variables == "z1":
-        blocks = [_e1(H.dim, k) for k in range(n + 1)]
-    elif variables == "all":
-        blocks = list(index_table(H.dim, n))
-    else:
-        raise ValueError(f"unknown variable selection {variables!r}")
-    size = len(blocks)
-    out = np.empty((size * l, size * l), dtype=np.complex128)
-    for p, alpha in enumerate(blocks):
-        for q, beta in enumerate(blocks):
-            out[p * l : (p + 1) * l, q * l : (q + 1) * l] = H.extract(alpha, beta)
-    return out
+    pos, weight = _jet_gram_plan(H.dim, n, variables)
+    if n > min(H.holo_order, H.anti_order):
+        raise OrderError(
+            f"jet Gram of order {n} needs jet orders >= {n}, "
+            f"got ({H.holo_order}, {H.anti_order})"
+        )
+    # graded tables make the order-n table a prefix of the jet's own tables
+    blocks = H.coeffs[np.ix_(pos, pos)] * weight[:, :, None, None]
+    size = len(pos) * H.rank
+    return blocks.transpose(0, 2, 1, 3).reshape(size, size)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +340,8 @@ class ContactProblem:
     candidate: object = None  # expression grid, constant matrix, or None
     tolerance: float = 1e-8
     seed: int = 0
+    # the candidate grid compiled once, evaluated at every point
+    _candidate_program: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bundle_a.dimension != self.bundle_b.dimension:
@@ -342,6 +360,10 @@ class ContactProblem:
                 if abs(p[0]) > 1e-12:
                     raise ValueError(f"point {p} does not lie on the slice z1 = 0")
         object.__setattr__(self, "candidate", _normalize_candidate(self.candidate))
+        if isinstance(self.candidate, list):
+            program = JetProgram([e for row in self.candidate for e in row])
+            check_holomorphic(program, self.dim)
+            object.__setattr__(self, "_candidate_program", program)
 
     @property
     def dim(self) -> int:
@@ -357,10 +379,7 @@ class ContactProblem:
             return None
         if isinstance(cand, np.ndarray):
             return HoloJet.constant(cand, center, order)
-        grid = [
-            [eval_holo_jet(e, center, order, self.dim) for e in row] for row in cand
-        ]
-        return HoloJet.from_entries(grid)
+        return self._candidate_program.matrix_jet(len(cand), center, order, 0).holo_part()
 
 
 def _normalize_candidate(cand):

@@ -332,25 +332,6 @@ class HermJet:
             return cls(center, holo_order, anti_order, 1, c)
         return jet
 
-    @classmethod
-    def from_entries(cls, entries) -> "HermJet":
-        """Assemble a matrix jet from an l x l grid of scalar jets."""
-        rows = len(entries)
-        first = entries[0][0]
-        coeffs = np.zeros(first.coeffs.shape[:2] + (rows, rows), dtype=np.complex128)
-        for p in range(rows):
-            if len(entries[p]) != rows:
-                raise DimensionError("entry grid is not square")
-            for q in range(rows):
-                e = entries[p][q]
-                _check_same_frame(first, e)
-                if e.rank != 1:
-                    raise DimensionError("entries must be scalar jets")
-                if (e.holo_order, e.anti_order) != (first.holo_order, first.anti_order):
-                    raise DimensionError("entry jets must share truncation orders")
-                coeffs[:, :, p, q] = e.coeffs[:, :, 0, 0]
-        return cls(first.center, first.holo_order, first.anti_order, rows, coeffs)
-
     def _like(self, holo_order: int, anti_order: int, coeffs) -> "HermJet":
         """A jet on this one's center and rank with coefficients an operation
         has already shaped (Na, Nb, rank, rank); skips the constructor's checks."""
@@ -388,6 +369,12 @@ class HermJet:
 
     def scale(self, scalar) -> "HermJet":
         return self._like(self.holo_order, self.anti_order, self.coeffs * complex(scalar))
+
+    def shift(self, scalar) -> "HermJet":
+        """Jet of f + scalar * I: only the constant term changes."""
+        coeffs = np.array(self.coeffs)
+        coeffs[0, 0] += complex(scalar) * np.eye(self.rank)
+        return self._like(self.holo_order, self.anti_order, coeffs)
 
     def __mul__(self, other) -> "HermJet":
         """Truncated Cauchy product (matrix product on the values)."""
@@ -471,13 +458,14 @@ class HermJet:
             n = int(exponent)
             if n < 0:
                 return self.inv().power(-n)
-            out = HermJet.identity(
-                self.center, self.holo_order, self.anti_order, self.rank
-            )
-            base = self
+            if n == 0:
+                return HermJet.identity(
+                    self.center, self.holo_order, self.anti_order, self.rank
+                )
+            out, base = None, self
             while n:
                 if n & 1:
-                    out = out * base
+                    out = base if out is None else out * base
                 base = base * base if n > 1 else base
                 n >>= 1
             return out

@@ -16,8 +16,12 @@ Complex literals are written as sums, e.g. ``1+2i``.  ``^`` takes an integer
 exponent; arbitrary real exponents go through ``pow(expr, r)`` and use the
 principal branch (the evaluated constant term must have positive real part).
 
-Evaluation is exact truncated Taylor arithmetic over the AST; there are no
-finite differences anywhere.
+Evaluation is exact truncated Taylor arithmetic; there are no finite
+differences anywhere.  The entries of a Gram matrix (or of a candidate frame
+change) are compiled once into a :class:`JetProgram`, a straight-line
+program with scalar literals in which every distinct subtree is one op, and
+the program runs at each evaluation point.  :meth:`BundleSpec.gram_jet`
+checks each Gram jet it makes, at the orders the caller asked for.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Union
 
 import numpy as np
 
-from .jetcore import HermJet, HoloJet
+from .jetcore import HermJet, HoloJet, table_size
 
 __all__ = [
     "ParseError",
@@ -45,6 +49,7 @@ __all__ = [
     "Exp",
     "Log",
     "parse_kernel",
+    "JetProgram",
     "eval_herm_jet",
     "eval_holo_jet",
     "BundleSpec",
@@ -310,36 +315,7 @@ def parse_kernel(text: str) -> ExprNode:
 
 
 # ---------------------------------------------------------------------------
-# jet evaluation
-
-def _max_var(node: ExprNode) -> int:
-    if isinstance(node, Var):
-        return node.index
-    if isinstance(node, Lit):
-        return 0
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        return max(_max_var(node.left), _max_var(node.right))
-    if isinstance(node, (Neg, Exp, Log)):
-        return max_variable_index(node.arg)
-    return _max_var(node.base) if isinstance(node, (IntPow, RealPow)) else 0
-
-
-def max_variable_index(node: ExprNode) -> int:
-    if isinstance(node, (Neg, Exp, Log)):
-        return max_variable_index(node.arg)
-    return _max_var(node)
-
-
-def has_conjugated_var(node: ExprNode) -> bool:
-    if isinstance(node, Var):
-        return node.conjugated
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        return has_conjugated_var(node.left) or has_conjugated_var(node.right)
-    if isinstance(node, (Neg, Exp, Log)):
-        return has_conjugated_var(node.arg)
-    if isinstance(node, (IntPow, RealPow)):
-        return has_conjugated_var(node.base)
-    return False
+# compiled jet programs
 
 
 def conjugate_expr(node: ExprNode) -> ExprNode:
@@ -374,32 +350,122 @@ def conjugate_expr(node: ExprNode) -> ExprNode:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _eval(node: ExprNode, make_var, make_const):
-    if isinstance(node, Lit):
-        return make_const(node.value)
-    if isinstance(node, Var):
-        return make_var(node)
-    if isinstance(node, Add):
-        return _eval(node.left, make_var, make_const) + _eval(node.right, make_var, make_const)
-    if isinstance(node, Sub):
-        return _eval(node.left, make_var, make_const) - _eval(node.right, make_var, make_const)
-    if isinstance(node, Mul):
-        return _eval(node.left, make_var, make_const) * _eval(node.right, make_var, make_const)
-    if isinstance(node, Div):
-        return _eval(node.left, make_var, make_const) * _eval(
-            node.right, make_var, make_const
-        ).inv()
-    if isinstance(node, Neg):
-        return -_eval(node.arg, make_var, make_const)
-    if isinstance(node, IntPow):
-        return _eval(node.base, make_var, make_const).power(node.exponent)
-    if isinstance(node, RealPow):
-        return _eval(node.base, make_var, make_const).power(node.exponent)
-    if isinstance(node, Exp):
-        return _eval(node.arg, make_var, make_const).exp()
-    if isinstance(node, Log):
-        return _eval(node.arg, make_var, make_const).log()
-    raise TypeError(f"not an expression node: {node!r}")
+# op codes that combine two jets; every code but these, "var" and "const"
+# names the HermJet method the op calls, with its parameter if it has one
+_BINARY = ("__add__", "__sub__", "__mul__")
+
+
+class JetProgram:
+    """Expressions compiled once into one straight-line jet program.
+
+    Compilation hash-conses the trees bottom up: each distinct (op,
+    operands, parameter) becomes one op, so a subtree shared by several
+    expressions, or repeated inside one, is evaluated once per :meth:`run`.
+
+    Literals stay Python scalars.  ``+``, ``-``, ``*`` and negation of
+    scalars fold at compile time; a scalar times a jet is a ``scale``, a
+    scalar plus a jet a constant-term ``shift``.  Any other op on a
+    literal-only operand (``/``, ``^``, ``pow``, ``exp``, ``log``) promotes
+    it to a constant jet and calls the jet method, so every singularity and
+    branch guard stays in :mod:`jetcore`.
+
+    ``ops`` holds ``(code, a, b)`` in evaluation order: for ``var`` the
+    0-based variable index and the conjugation flag, for ``const`` the
+    value, otherwise ``a`` indexes an earlier op and ``b`` is a second one
+    (``__add__``, ``__sub__``, ``__mul__``), a parameter or None.
+    ``outputs`` holds, per expression, an op index (int) or a complex
+    scalar.  ``max_var`` (largest variable index, 0 if none) and
+    ``conjugated`` (some ``zb`` occurs) are facts of the expressions
+    recorded while compiling.
+    """
+
+    def __init__(self, nodes):
+        self.ops: list = []
+        self.max_var = 0
+        self.conjugated = False
+        slots: dict = {}
+
+        def emit(code, a, b=None) -> int:
+            key = (code, a, b)
+            if key not in slots:
+                slots[key] = len(self.ops)
+                self.ops.append(key)
+            return slots[key]
+
+        def as_jet(x) -> int:
+            return emit("const", x) if isinstance(x, complex) else x
+
+        def compile_node(node):
+            if isinstance(node, Lit):
+                return complex(node.value)
+            if isinstance(node, Var):
+                self.max_var = max(self.max_var, node.index)
+                self.conjugated |= node.conjugated
+                return emit("var", node.index - 1, node.conjugated)
+            if isinstance(node, Neg):
+                x = compile_node(node.arg)
+                return -x if isinstance(x, complex) else emit("__neg__", x)
+            if isinstance(node, (Add, Sub, Mul, Div)):
+                x, y = compile_node(node.left), compile_node(node.right)
+                return binary(type(node), x, y)
+            if isinstance(node, (IntPow, RealPow)):
+                return emit("power", as_jet(compile_node(node.base)), node.exponent)
+            if isinstance(node, Exp):
+                return emit("exp", as_jet(compile_node(node.arg)))
+            if isinstance(node, Log):
+                return emit("log", as_jet(compile_node(node.arg)))
+            raise TypeError(f"not an expression node: {node!r}")
+
+        def binary(kind, x, y):
+            sx, sy = isinstance(x, complex), isinstance(y, complex)
+            if kind is Div:
+                inverse = emit("inv", as_jet(y))
+                return emit("scale", inverse, x) if sx else emit("__mul__", x, inverse)
+            if sx and sy:
+                return x + y if kind is Add else x - y if kind is Sub else x * y
+            if kind is Sub:
+                if sx:
+                    return emit("shift", emit("__neg__", y), x)
+                return emit("shift", x, -y) if sy else emit("__sub__", x, y)
+            if sx:  # + and * with one scalar commute: put the jet first
+                x, y, sy = y, x, True
+            if sy:
+                return emit("scale" if kind is Mul else "shift", x, y)
+            return emit("__mul__" if kind is Mul else "__add__", x, y)
+
+        self.outputs = [compile_node(node) for node in nodes]
+
+    def run(self, center, holo_order: int, anti_order: int) -> list:
+        """The outputs at `center`: a scalar HermJet of orders (holo_order,
+        anti_order), or a complex for a literal-only expression."""
+        jets = []
+        for code, a, b in self.ops:
+            if code == "var":
+                make = HermJet.conj_coordinate if b else HermJet.coordinate
+                jets.append(make(a, center, holo_order, anti_order))
+            elif code == "const":
+                jets.append(HermJet.constant(a, center, holo_order, anti_order))
+            elif code in _BINARY:
+                jets.append(getattr(jets[a], code)(jets[b]))
+            else:
+                method = getattr(jets[a], code)
+                jets.append(method() if b is None else method(b))
+        return [jets[out] if isinstance(out, int) else out for out in self.outputs]
+
+    def matrix_jet(self, size: int, center, holo_order: int, anti_order: int) -> HermJet:
+        """The outputs, row-major, as the entries of a size x size matrix jet."""
+        dim = len(center)
+        coeffs = np.zeros(
+            (table_size(dim, holo_order), table_size(dim, anti_order), size, size),
+            dtype=np.complex128,
+        )
+        for k, out in enumerate(self.run(center, holo_order, anti_order)):
+            p, q = divmod(k, size)
+            if isinstance(out, HermJet):
+                coeffs[:, :, p, q] = out.coeffs[:, :, 0, 0]
+            else:
+                coeffs[0, 0, p, q] = out
+        return HermJet(center, holo_order, anti_order, size, coeffs)
 
 
 def eval_herm_jet(
@@ -407,42 +473,42 @@ def eval_herm_jet(
 ) -> HermJet:
     """Jet of the expression at `center` in (z - z0, conj(z) - conj(z0))."""
     dim = len(center) if dim is None else dim
-    if max_variable_index(node) > dim:
+    program = JetProgram([node])
+    if program.max_var > dim:
         raise ParseError(f"variable index exceeds dimension {dim}", 0)
-
-    def make_var(v: Var):
-        if v.conjugated:
-            return HermJet.conj_coordinate(v.index - 1, center, holo_order, anti_order)
-        return HermJet.coordinate(v.index - 1, center, holo_order, anti_order)
-
-    def make_const(value):
-        return HermJet.constant(value, center, holo_order, anti_order)
-
-    return _eval(node, make_var, make_const)
+    return program.matrix_jet(1, center, holo_order, anti_order)
 
 
 def eval_holo_jet(node: ExprNode, center, order: int, dim=None) -> HoloJet:
     """Jet of a purely holomorphic expression (no zb variables allowed)."""
     dim = len(center) if dim is None else dim
-    if has_conjugated_var(node):
+    program = JetProgram([node])
+    check_holomorphic(program, dim)
+    return program.matrix_jet(1, center, order, 0).holo_part()
+
+
+def check_holomorphic(program: JetProgram, dim: int) -> None:
+    """Reject a program with conjugated variables or variables beyond z`dim`."""
+    if program.conjugated:
         raise ParseError("conjugated variable in a holomorphic expression", 0)
-    if max_variable_index(node) > dim:
+    if program.max_var > dim:
         raise ParseError(f"variable index exceeds dimension {dim}", 0)
-    # evaluate through the Hermitian ring with anti-order 0, then project
-    herm = eval_herm_jet(node, center, order, 0, dim)
-    return herm.holo_part()
 
 
 # ---------------------------------------------------------------------------
 # bundle specifications
 
+# Hermitian defect allowed in a Gram jet, relative to 1 + its largest coefficient
+_SYMMETRY_TOL = 1e-12
+
 
 class BundleSpec:
     """A rank-l Hermitian bundle given by its Gram matrix in a global frame.
 
-    Entries are scalar expressions in z1..zm, zb1..zbm; the grid must be
-    Hermitian-symmetric (entry (q,p) is the conjugate of entry (p,q) under
-    z <-> zb), which is validated numerically at sample points.
+    Entries are scalar expressions in z1..zm, zb1..zbm, compiled together
+    into one :class:`JetProgram`.  The grid must be Hermitian-symmetric
+    (entry (q,p) is the conjugate of entry (p,q) under z <-> zb) and
+    positive definite; every Gram jet is checked for both when it is made.
     """
 
     def __init__(self, label: str, dimension: int, entries):
@@ -458,40 +524,38 @@ class BundleSpec:
         for row in self.entries:
             if len(row) != self.rank:
                 raise ValueError(f"bundle {label!r}: Gram entry grid is not square")
-        for row in self.entries:
-            for e in row:
-                if max_variable_index(e) > self.dimension:
-                    raise ValueError(
-                        f"bundle {label!r}: entry uses a variable beyond z{self.dimension}"
-                    )
+        self._program = JetProgram([e for row in self.entries for e in row])
+        if self._program.max_var > self.dimension:
+            raise ValueError(
+                f"bundle {label!r}: entry uses a variable beyond z{self.dimension}"
+            )
 
     def gram_jet(self, center, holo_order: int, anti_order: int) -> HermJet:
-        """HermJet of the Gram matrix at `center`."""
+        """HermJet of the Gram matrix at `center`, checked before it is
+        returned: the Hermitian defect over all its coefficients with a
+        symmetric partner, and a positive definite value."""
         if len(center) != self.dimension:
             raise ValueError(
                 f"bundle {self.label!r} has dimension {self.dimension}, "
                 f"center has {len(center)}"
             )
-        grid = [
-            [eval_herm_jet(e, center, holo_order, anti_order) for e in row]
-            for row in self.entries
-        ]
-        return HermJet.from_entries(grid)
+        jet = self._program.matrix_jet(self.rank, center, holo_order, anti_order)
+        defect = jet.hermitian_defect()
+        if defect > _SYMMETRY_TOL * (1.0 + float(np.max(np.abs(jet.coeffs)))):
+            raise ValueError(
+                f"bundle {self.label!r}: Gram expression is not Hermitian-symmetric "
+                f"at {center} (defect {defect:.2e})"
+            )
+        eigs = np.linalg.eigvalsh(jet.value())
+        if eigs.min() <= 0.0:
+            raise ValueError(
+                f"bundle {self.label!r}: Gram matrix not positive definite at "
+                f"{center} (min eigenvalue {eigs.min():.2e})"
+            )
+        return jet
 
-    def validate(self, centers, tol: float = 1e-12) -> None:
-        """Check Hermitian symmetry and positive definiteness at sample centers."""
+    def validate(self, centers) -> None:
+        """Check Hermitian symmetry and positive definiteness at sample
+        centers, through the checked Gram jets of orders (2, 2)."""
         for center in centers:
-            jet = self.gram_jet(center, 2, 2)
-            defect = jet.hermitian_defect()
-            scale = 1.0 + float(np.max(np.abs(jet.coeffs)))
-            if defect > tol * scale:
-                raise ValueError(
-                    f"bundle {self.label!r}: Gram expression is not Hermitian-symmetric "
-                    f"at {center} (defect {defect:.2e})"
-                )
-            eigs = np.linalg.eigvalsh(jet.value())
-            if eigs.min() <= 0.0:
-                raise ValueError(
-                    f"bundle {self.label!r}: Gram matrix not positive definite at "
-                    f"{center} (min eigenvalue {eigs.min():.2e})"
-                )
+            self.gram_jet(center, 2, 2)

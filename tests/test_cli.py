@@ -1,6 +1,7 @@
 """Config ingestion, report emission, exit codes, determinism."""
 
 import json
+import pathlib
 
 import pytest
 import yaml
@@ -14,6 +15,8 @@ from jetcontact.cli import (
     main,
     run,
 )
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 FOCK_PAIR = {
     "bundles": [
@@ -238,9 +241,7 @@ class TestShippedConfigs:
 
     @pytest.mark.parametrize("name,expected", CONFIG_CODES)
     def test_sample_config(self, name, expected, tmp_path):
-        import pathlib
-
-        config = pathlib.Path(__file__).resolve().parent.parent / "configs" / name
+        config = CONFIG_DIR / name
         out = tmp_path / "report.json"
         assert main(["--config", str(config), "--out", str(out)]) == expected
         assert json.loads(out.read_text())["schema_version"] == "1"
@@ -311,3 +312,41 @@ class TestMain:
         main(["--config", path, "--out", str(out1)])
         main(["--config", path, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_asymmetry_beyond_order_two_is_input_error(self, tmp_path, capsys):
+        # the asymmetry sits at degree 3, so a Gram checked only at orders
+        # (2, 2) would pass; the order-3 task evaluates orders (4, 4)
+        bad = {"label": "g", "dimension": 1, "gram": [["2", "z1^3"], ["0", "2"]]}
+        path = write_config(
+            tmp_path,
+            {"task": "pointwise", "order": 3, "points": [[0.0]], "bundles": [bad, bad]},
+        )
+        assert main(["--config", path]) == EXIT_INPUT_ERROR
+        assert "not Hermitian-symmetric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "expr,message",
+        [
+            ("log(-1)", "log needs a constant term with positive real part"),
+            ("pow(-2, 0.5)", "real power needs a constant term with positive real part"),
+            ("log(0)", "log needs a constant term with positive real part"),
+            ("exp(z1*zb1)/0", "constant term is singular"),
+            ("0^-1*exp(z1*zb1)", "constant term is singular"),
+            ("exp(z1*zb1)/(1-1)", "constant term is singular"),
+        ],
+    )
+    def test_literal_only_operand_guards(self, tmp_path, capsys, expr, message):
+        bundle = {"label": "g", "dimension": 1, "gram": [[expr]]}
+        path = write_config(
+            tmp_path,
+            {"task": "pointwise", "order": 1, "points": [[0.0]], "bundles": [bundle, bundle]},
+        )
+        assert main(["--config", path]) == EXIT_INPUT_ERROR
+        assert f"input error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.yaml")))
+def test_libyaml_and_python_loaders_agree(name):
+    text = (CONFIG_DIR / name).read_text(encoding="utf-8")
+    loaded = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    assert loaded == yaml.load(text, Loader=yaml.SafeLoader)

@@ -15,7 +15,7 @@ from jetcontact.contact import (
     pointwise_rank1_decide,
     pointwise_verify,
 )
-from jetcontact.jetcore import HoloJet
+from jetcontact.jetcore import HoloJet, index_table
 from jetcontact.kernelexpr import BundleSpec, eval_holo_jet, parse_kernel
 from jetcontact.pascal import lambda_from_jet
 
@@ -40,6 +40,19 @@ def gram_jets(entries_a, entries_b, point, orders, dim=2):
 
 
 class TestJetGram:
+    @pytest.mark.parametrize("dim,rank", [(1, 1), (2, 2), (3, 2), (2, 3)])
+    def test_equals_blockwise_extraction(self, rng, dim, rank):
+        # reference: one extract() per block, as d^I dbar^J H at the center
+        h = random_herm_jet(dim, rank, 4, 3, rng, scale=3.0)
+        for variables in ("all", "z1"):
+            for n in range(4):
+                if variables == "z1":
+                    blocks = [(k,) + (0,) * (dim - 1) for k in range(n + 1)]
+                else:
+                    blocks = index_table(dim, n)
+                want = np.block([[h.extract(a, b) for b in blocks] for a in blocks])
+                assert jet_gram(h, n, variables).tobytes() == want.tobytes()
+
     def test_order_zero_is_value(self, rng):
         h = random_herm_jet(2, 2, 2, 2, rng)
         np.testing.assert_array_equal(jet_gram(h, 0), h.value())

@@ -1,5 +1,6 @@
 """Expression grammar, evaluation, and bundle specifications."""
 
+from collections import Counter
 from math import factorial
 
 import numpy as np
@@ -8,7 +9,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetcontact.jetcore import SingularityError
+from jetcontact.jetcore import HermJet, SingularityError
 from jetcontact.kernelexpr import (
     Add,
     BundleSpec,
@@ -16,6 +17,7 @@ from jetcontact.kernelexpr import (
     IntPow,
     Lit,
     Mul,
+    JetProgram,
     ParseError,
     RealPow,
     Var,
@@ -107,6 +109,20 @@ class TestParser:
         assert parse_kernel(text).text() == text
 
 
+def assert_matches_sympy(text, expr, center=0.3 + 0.1j):
+    """The jet of `text` at `center` against sympy derivatives of `expr` in
+    the symbols z, zb, for orders (p, q) up to (2, 2)."""
+    z, zb = sp.symbols("z zb")
+    jet = eval_herm_jet(parse_kernel(text), (center,), 3, 3)
+    for p in range(3):
+        for q in range(3):
+            want = complex(
+                sp.diff(expr, z, p, zb, q).subs({z: center, zb: np.conj(center)}).evalf()
+            )
+            got = complex(jet.extract((p,), (q,))[0, 0])
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
 class TestEval:
     def test_geometric_series(self):
         jet = eval_herm_jet(parse_kernel("pow(1 - z1*zb1, -1)"), (0.0,), 3, 3)
@@ -155,23 +171,25 @@ class TestEval:
 
     def test_against_sympy_at_offcenter_point(self):
         z, zb = sp.symbols("z zb")
-        expr = (1 + z * zb / 4) ** -2 * sp.exp(z / 10 + zb / 10)
-        center = 0.3 + 0.1j
-        jet = eval_herm_jet(
-            parse_kernel("pow(1 + 0.25*z1*zb1, -2) * exp(0.1*z1 + 0.1*zb1)"),
-            (center,),
-            3,
-            3,
+        assert_matches_sympy(
+            "pow(1 + 0.25*z1*zb1, -2) * exp(0.1*z1 + 0.1*zb1)",
+            (1 + z * zb / 4) ** -2 * sp.exp(z / 10 + zb / 10),
         )
-        for p in range(3):
-            for q in range(3):
-                want = complex(
-                    sp.diff(expr, z, p, zb, q).subs(
-                        {z: center, zb: np.conj(center)}
-                    ).evalf()
-                )
-                got = complex(jet.extract((p,), (q,))[0, 0])
-                assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+    def test_shared_subtrees_and_literals_against_sympy(self):
+        # repeated subtrees (evaluated once), complex literal sums, a
+        # literal-only quotient and negated literals
+        z, zb = sp.symbols("z zb")
+        e = sp.exp(z * zb / 5)
+        assert_matches_sympy(
+            "exp(0.2*z1*zb1) * (exp(0.2*z1*zb1) + (1 - 2i)*z1)"
+            " - (0.5 + 0.25i)*zb1*exp(0.2*z1*zb1) + -3*pow(1 + 0.5*z1*zb1, -1.5)"
+            " / pow(1 + 0.5*z1*zb1, -1.5) * (-(2 - 1i)) + (1 + 1i)/(2 - 1i)*z1*zb1",
+            e * (e + (1 - 2 * sp.I) * z)
+            - (sp.Rational(1, 2) + sp.I / 4) * zb * e
+            + 3 * (2 - sp.I)
+            + (1 + sp.I) / (2 - sp.I) * z * zb,
+        )
 
     def test_differentiation_consistency(self):
         # jet of d_z1 e, for polynomial e, matches deriv of the jet of e
@@ -200,6 +218,13 @@ class TestBundleSpec:
         with pytest.raises(ValueError, match="positive definite"):
             spec.validate([(0.0,)])
 
+    def test_asymmetry_checked_at_requested_orders(self):
+        # entry (0,1) has a degree-3 term that entry (1,0) does not mirror
+        spec = BundleSpec("bad", 1, [["2", "z1^3"], ["0", "2"]])
+        spec.gram_jet((0.0,), 2, 2)
+        with pytest.raises(ValueError, match="not Hermitian-symmetric"):
+            spec.gram_jet((0.0,), 3, 3)
+
     def test_matrix_gram(self):
         spec = BundleSpec(
             "m", 1, [["exp(z1*zb1)", "0.5*z1*zb1"], ["0.5*z1*zb1", "pow(1 - z1*zb1, -1)"]]
@@ -213,3 +238,46 @@ class TestBundleSpec:
         node = parse_kernel("(1+2i)*z1*zb2 + exp(z2)")
         twice = conjugate_expr(conjugate_expr(node))
         assert twice == node
+
+
+def count_calls(monkeypatch, names) -> Counter:
+    """Count calls of the named HermJet methods and classmethods."""
+    counts = Counter()
+    for name in names:
+        original = HermJet.__dict__[name]
+        fn = original.__func__ if isinstance(original, classmethod) else original
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        wrapped = classmethod(counted) if isinstance(original, classmethod) else counted
+        monkeypatch.setattr(HermJet, name, wrapped)
+    return counts
+
+
+class TestJetProgram:
+    def test_shared_subtrees_compile_to_one_op(self):
+        text = "exp(z1*zb2) * pow(1 + z1*zb2, -1.5)"
+        program = JetProgram([parse_kernel(text), parse_kernel(f"2*{text} + exp(z1*zb2)")])
+        assert [code for code, _, _ in program.ops].count("exp") == 1
+        assert program.max_var == 2 and program.conjugated
+        assert not JetProgram([parse_kernel("z1 + 1")]).conjugated
+
+    def test_shared_kernels_evaluated_once_per_gram_jet(self, monkeypatch):
+        e, p = "exp(z1*zb1)", "pow(1 + 0.5*z1*zb1, -1.5)"
+        spec = BundleSpec("s", 1, [[f"{e}*{p}", f"0.2*{e}"], [f"0.2*{e}", f"{p} + {e}"]])
+        counts = count_calls(monkeypatch, ["exp", "power"])
+        for k in range(1, 3):
+            spec.gram_jet((0.1,), 3, 3)
+            assert counts == {"exp": k, "power": k}
+
+    def test_literal_coefficient_makes_no_constant_or_product(self, monkeypatch):
+        counts = count_calls(monkeypatch, ["constant", "__mul__"])
+        plain = eval_herm_jet(parse_kernel("exp(z1*zb1)"), (0.1,), 3, 3)
+        without = dict(counts)
+        counts.clear()
+        text = "2*exp(z1*zb1)*0.5 + (1 + 0.5i) - (1 + 0.5i) + 0*zb1 - -0.0"
+        scaled = eval_herm_jet(parse_kernel(text), (0.1,), 3, 3)
+        assert dict(counts) == without
+        np.testing.assert_allclose(scaled.coeffs, plain.coeffs, rtol=0, atol=1e-15)
