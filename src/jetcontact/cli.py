@@ -38,7 +38,7 @@ from .geometry import (
     map_adjoint_jet,
 )
 from .kernelexpr import BundleSpec, ParseError
-from .rkhs import quotient_model, unitary_equiv_check
+from .rkhs import check_direct_size, quotient_model, unitary_equiv_check
 from .wordcalc import verify_appendix
 
 SCHEMA_VERSION = "1"
@@ -327,6 +327,7 @@ def _run_appendix(cfg: RunConfig) -> tuple[dict, str]:
 def _run_rkhs(cfg: RunConfig) -> tuple[dict, str]:
     if len(cfg.points) != 1:
         raise ConfigError("rkhs-quotient expects exactly one base point")
+    check_direct_size(cfg.bundle_a, cfg.order)
     z0 = cfg.points[0]
     a = quotient_model(cfg.bundle_a, z0, cfg.order)
     b = quotient_model(cfg.bundle_b, z0, cfg.order)

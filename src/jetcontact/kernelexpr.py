@@ -290,6 +290,10 @@ class _Parser:
                 return RealPow(base, float(exponent))
             m = _VAR_RE.match(val)
             if m:
+                if int(m.group(2)) == 0:
+                    raise ParseError(
+                        f"variable {val!r}: variable indices start at 1", pos
+                    )
                 return Var(int(m.group(2)), m.group(1) == "zb")
             raise ParseError(f"unknown identifier {val!r}", pos)
         if val == "(":

@@ -25,12 +25,18 @@ from .contact import (
     jet_gram,
     pointwise_normalized_decide,
 )
-from .jetcore import table_size
+from .jetcore import HermJet, table_size
 from .kernelexpr import BundleSpec
 from .pascal import multi_pascal_generator
 from .simeq import unitary_intertwiner
 
-__all__ = ["QuotientModel", "quotient_model", "unitary_equiv_check", "EquivReport"]
+__all__ = [
+    "QuotientModel",
+    "quotient_model",
+    "check_direct_size",
+    "unitary_equiv_check",
+    "EquivReport",
+]
 
 _MAX_DIRECT_DIM = 64
 
@@ -39,13 +45,16 @@ _MAX_DIRECT_DIM = 64
 class QuotientModel:
     """Jet-basis model of the quotient space at a point.
 
-    gram is the jet Gram of the kernel derivatives; shifts[j-1] represents the
-    compressed adjoint of the j-th shift in the same basis.
+    jet is the kernel's Gram jet at orders (order+1, order+1), the orders the
+    contact verdict reads; gram is the jet Gram of the kernel derivatives
+    taken from it; shifts[j-1] represents the compressed adjoint of the j-th
+    shift in the same basis.
     """
 
     kernel: BundleSpec
     center: tuple
     order: int
+    jet: HermJet
     gram: np.ndarray
     shifts: tuple
 
@@ -65,7 +74,7 @@ class QuotientModel:
 def quotient_model(kernel: BundleSpec, center, order: int) -> QuotientModel:
     """Build the quotient model of the kernel at `center` to jet order `order`."""
     center = tuple(complex(c) for c in center)
-    h = kernel.gram_jet(center, order, order)
+    h = kernel.gram_jet(center, order + 1, order + 1)
     gram = jet_gram(h, order)
     eigs = np.linalg.eigvalsh(gram)
     if eigs.min() <= 0.0:
@@ -79,7 +88,7 @@ def quotient_model(kernel: BundleSpec, center, order: int) -> QuotientModel:
         + multi_pascal_generator(kernel.dimension, order, j, kernel.rank)
         for j in range(1, kernel.dimension + 1)
     )
-    return QuotientModel(kernel, center, order, gram, shifts)
+    return QuotientModel(kernel, center, order, h, gram, shifts)
 
 
 @dataclass
@@ -100,12 +109,20 @@ class EquivReport:
         }
 
 
+def check_direct_size(kernel: BundleSpec, order: int) -> None:
+    """Refuse a direct check on more than _MAX_DIRECT_DIM basis jets.  The
+    size follows from the kernel's dimension and rank and the jet order, so
+    a caller can check it before any Gram is evaluated."""
+    if table_size(kernel.dimension, order) * kernel.rank > _MAX_DIRECT_DIM:
+        raise ValueError(f"direct check limited to dimension {_MAX_DIRECT_DIM}")
+
+
 def direct_equiv_check(a: QuotientModel, b: QuotientModel, tol: float,
                        seed: int = 0) -> tuple[str, float]:
     """Whiten both Grams and search for a unitary intertwining the shift
     tuples; returns (verdict, residual)."""
-    if a.size > _MAX_DIRECT_DIM or b.size > _MAX_DIRECT_DIM:
-        raise ValueError(f"direct check limited to dimension {_MAX_DIRECT_DIM}")
+    for model in (a, b):
+        check_direct_size(model.kernel, model.order)
     la = np.linalg.cholesky(a.gram)
     lb = np.linalg.cholesky(b.gram)
     lai, lbi = np.linalg.inv(la), np.linalg.inv(lb)
@@ -124,10 +141,9 @@ def unitary_equiv_check(a: QuotientModel, b: QuotientModel, tol: float = 1e-8,
     if a.center != b.center:
         raise ValueError("models sit at different base points")
 
-    n = a.order
-    ha = a.kernel.gram_jet(a.center, n + 1, n + 1)
-    hb = b.kernel.gram_jet(b.center, n + 1, n + 1)
-    contact_verdict, contact_res = pointwise_normalized_decide(ha, hb, n, tol, seed)
+    contact_verdict, contact_res = pointwise_normalized_decide(
+        a.jet, b.jet, a.order, tol, seed
+    )
     direct_verdict, direct_res = direct_equiv_check(a, b, tol, seed)
 
     residuals = dict(contact_res)

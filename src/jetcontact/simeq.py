@@ -7,6 +7,17 @@ caller passes adjoint pairs along, or the family is already closed under
 conjugate transpose in the matching order) the polar factor of any invertible
 intertwiner is itself an intertwiner, so a small number of randomized
 combinations decides the question at these sizes.
+
+The null space comes from the triangular factor alone (Chan's R-SVD): the
+tall system S (2k s^2 rows, s^2 columns) has the same singular values and
+right singular vectors as R in S = QR, so only R (s^2 x s^2) goes through
+an SVD.  Neither Q nor the left singular vectors of S are ever formed; LAPACK
+takes the same QR-first path inside its own SVD of a tall matrix, so the
+singular values and right vectors are those of a thin SVD of S.  The system
+is built once, in place.  Peak memory is about three times the system (it,
+numpy's working copy for the QR and LAPACK's column-major buffer) instead
+of about six times with Kronecker blocks, their stack, a scaled copy and
+the left vectors of a thin SVD.
 """
 
 from __future__ import annotations
@@ -16,16 +27,28 @@ import numpy as np
 __all__ = ["unitary_intertwiner"]
 
 
-def _polar_unitary(X: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(X)
-    return u @ vh
+def _sylvester_system(mats_a: np.ndarray, mats_b: np.ndarray, scale: float) -> np.ndarray:
+    """The stacked rows (A_m kron I - I kron B_m^T) / scale, as a
+    (2k s^2, s^2) array, for stacks of shape (2k, s, s).
+
+    Entry ((m, i, j), (p, l)) is A_m[i, p] delta_jl - delta_ip B_m[l, j], so
+    row-major vec(X) solves A_m X = X B_m.
+    """
+    blocks, size = mats_a.shape[0], mats_a.shape[1]
+    system = np.zeros((blocks, size, size, size, size), dtype=np.complex128)
+    # writeable diagonal views: [m, i, j, p, j] and [m, i, j, i, l]
+    np.einsum("mijpj->mijp", system)[...] += mats_a[:, :, None, :]
+    np.einsum("mijil->mijl", system)[...] -= mats_b.transpose(0, 2, 1)[:, None, :, :]
+    system /= scale
+    return system.reshape(blocks * size * size, size * size)
 
 
-def _residual(U, pairs, scale) -> float:
-    worst = 0.0
-    for a, b in pairs:
-        worst = max(worst, float(np.max(np.abs(a @ U - U @ b))))
-    return worst / scale
+def _first_finite_min(scores: np.ndarray) -> int | None:
+    """Index of the first smallest finite score, None if none is finite."""
+    finite = np.isfinite(scores)
+    if not finite.any():
+        return None
+    return int(np.argmin(np.where(finite, scores, np.inf)))
 
 
 def unitary_intertwiner(
@@ -36,19 +59,19 @@ def unitary_intertwiner(
     Returns (U, residual); the residual is relative to the matrix scale.  The
     adjoint equations A_k^* U = U B_k^* are appended automatically so that the
     intertwiner space is a *-bimodule and polar decomposition stays inside it.
+    Candidates are scored in order and the first smallest finite score wins;
+    when no score is finite the result is (None, inf).
     """
-    pairs = [(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
-             for a, b in zip(mats_a, mats_b)]
-    pairs += [(np.conj(a.T), np.conj(b.T)) for a, b in pairs]
-    size = pairs[0][0].shape[0]
-    scale = 1.0 + max(float(np.max(np.abs(a))) + float(np.max(np.abs(b)))
-                      for a, b in pairs)
+    a = np.asarray(mats_a, dtype=np.complex128)
+    b = np.asarray(mats_b, dtype=np.complex128)
+    a = np.concatenate([a, np.conj(a.transpose(0, 2, 1))])
+    b = np.concatenate([b, np.conj(b.transpose(0, 2, 1))])
+    size = a.shape[1]
+    scale = 1.0 + float(np.max(np.max(np.abs(a), axis=(1, 2))
+                               + np.max(np.abs(b), axis=(1, 2))))
 
-    eye = np.eye(size)
-    rows = [np.kron(a, eye) - np.kron(eye, b.T) for a, b in pairs]
-    system = np.vstack(rows) / scale
-    _, svals, vh = np.linalg.svd(system, full_matrices=False)
-    svals = np.concatenate([svals, np.zeros(vh.shape[0] - len(svals))])
+    r = np.linalg.qr(_sylvester_system(a, b, scale), mode="r")
+    _, svals, vh = np.linalg.svd(r)
     null_vectors = [vh[k].conj().reshape(size, size)
                     for k in range(vh.shape[0]) if svals[k] <= null_tol]
 
@@ -66,10 +89,12 @@ def unitary_intertwiner(
         # no intertwiner subspace: report the least-violating unitary
         candidates.append(vh[-1].conj().reshape(size, size))
 
-    best_u, best_r = None, np.inf
-    for x in candidates:
-        u = _polar_unitary(x)
-        r = _residual(u, pairs, scale)
-        if r < best_r:
-            best_u, best_r = u, r
-    return best_u, best_r
+    u, _, wh = np.linalg.svd(np.stack(candidates))
+    unitaries = (u @ wh)[:, None]
+    diffs = a @ unitaries
+    diffs -= unitaries @ b
+    scores = np.max(np.abs(diffs), axis=(1, 2, 3)) / scale
+    best = _first_finite_min(scores)
+    if best is None:
+        return None, np.inf
+    return unitaries[best, 0], float(scores[best])

@@ -15,6 +15,7 @@ from jetcontact.cli import (
     main,
     run,
 )
+from jetcontact.kernelexpr import BundleSpec
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -312,6 +313,38 @@ class TestMain:
         main(["--config", path, "--out", str(out1)])
         main(["--config", path, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.yaml")))
+    def test_byte_identical_shipped_configs(self, tmp_path, name):
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        config = str(CONFIG_DIR / name)
+        main(["--config", config, "--out", str(out1)])
+        main(["--config", config, "--out", str(out2)])
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_direct_check_size_refused_before_evaluation(self, tmp_path, capsys,
+                                                         monkeypatch):
+        calls = []
+        monkeypatch.setattr(BundleSpec, "gram_jet", lambda *args: calls.append(args))
+        bundle = {"label": "g", "dimension": 2,
+                  "gram": [["exp(z1*zb1 + z2*zb2)", "0"], ["0", "exp(z1*zb1)"]]}
+        path = write_config(
+            tmp_path,  # table_size(2, 7) * 2 = 72 basis jets
+            {"task": "rkhs-quotient", "order": 7, "points": [[0.0, 0.0]],
+             "bundles": [bundle, bundle]},
+        )
+        assert main(["--config", path]) == EXIT_INPUT_ERROR
+        assert "direct check limited to dimension 64" in capsys.readouterr().err
+        assert calls == []
+
+    def test_variable_index_zero_is_input_error(self, tmp_path, capsys):
+        bundle = {"label": "g", "dimension": 1, "gram": [["exp(z1*zb0)"]]}
+        path = write_config(
+            tmp_path,
+            {"task": "pointwise", "order": 1, "points": [[0.0]], "bundles": [bundle, bundle]},
+        )
+        assert main(["--config", path]) == EXIT_INPUT_ERROR
+        assert "indices start at 1" in capsys.readouterr().err
 
     def test_asymmetry_beyond_order_two_is_input_error(self, tmp_path, capsys):
         # the asymmetry sits at degree 3, so a Gram checked only at orders

@@ -62,6 +62,11 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_kernel("sin(z1)")
 
+    @pytest.mark.parametrize("text", ["z0", "1 + zb0*z1"])
+    def test_variable_index_zero_rejected(self, text):
+        with pytest.raises(ParseError, match="indices start at 1"):
+            parse_kernel(text)
+
     def test_trailing_input(self):
         with pytest.raises(ParseError):
             parse_kernel("z1 z2")

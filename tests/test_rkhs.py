@@ -43,6 +43,21 @@ class TestQuotientModel:
         h = BERGMAN2.gram_jet(z0, 2, 2)
         np.testing.assert_array_equal(model.gram, jet_gram(h, 2))
 
+    def test_one_gram_evaluation_per_model(self, monkeypatch):
+        calls = []
+        gram_jet = BundleSpec.gram_jet
+
+        def spy(spec, center, p, q):
+            calls.append((spec.label, p, q))
+            return gram_jet(spec, center, p, q)
+
+        monkeypatch.setattr(BundleSpec, "gram_jet", spy)
+        a = quotient_model(HARDY, (0.2,), 2)
+        b = quotient_model(FOCK, (0.2,), 2)
+        assert (a.jet.holo_order, a.jet.anti_order) == (3, 3)
+        unitary_equiv_check(a, b)
+        assert calls == [("hardy", 3, 3), ("fock", 3, 3)]
+
     def test_rejects_indefinite_kernel(self):
         bad = BundleSpec("bad", 1, [["1 - z1*zb1"]])
         # the kernel value is positive at 0 but the jet Gram is not PD
