@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -396,8 +397,21 @@ def _config_echo(cfg: RunConfig) -> dict:
     return echo
 
 
+def _strict_json(value):
+    """The document with every non-finite float written as the string "nan",
+    "inf" or "-inf": strict JSON has no token for them."""
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    return value
+
+
 def _emit(document: dict, out_path) -> None:
-    text = json.dumps(document, indent=2, sort_keys=True)
+    text = json.dumps(_strict_json(document), indent=2, sort_keys=True,
+                      allow_nan=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -138,13 +138,9 @@ def _jet_gram_plan(dim: int, n: int, variables: str):
     return pos, np.array([[fa * fb for fb in fact] for fa in fact], dtype=float)
 
 
-def jet_gram(H: HermJet, n: int, variables: str = "all") -> np.ndarray:
-    """Block Gram matrix of the n-jet frame.
-
-    variables="all": rows/columns run over all multi-indices |I| <= n in the
-    fixed graded order (z1-major within a degree); variables="z1": only
-    transverse derivatives 0..n.  Block (I, J) is d^I dbar^J H at the center.
-    """
+def _jet_blocks(H: HermJet, n: int, variables: str = "all") -> np.ndarray:
+    """The blocks d^I dbar^J H at the center, shape (N, N, rank, rank), with
+    I and J in the order of `jet_gram`'s rows and columns."""
     pos, weight = _jet_gram_plan(H.dim, n, variables)
     if n > min(H.holo_order, H.anti_order):
         raise OrderError(
@@ -152,8 +148,18 @@ def jet_gram(H: HermJet, n: int, variables: str = "all") -> np.ndarray:
             f"got ({H.holo_order}, {H.anti_order})"
         )
     # graded tables make the order-n table a prefix of the jet's own tables
-    blocks = H.coeffs[np.ix_(pos, pos)] * weight[:, :, None, None]
-    size = len(pos) * H.rank
+    return H.coeffs[np.ix_(pos, pos)] * weight[:, :, None, None]
+
+
+def jet_gram(H: HermJet, n: int, variables: str = "all") -> np.ndarray:
+    """Block Gram matrix of the n-jet frame.
+
+    variables="all": rows/columns run over all multi-indices |I| <= n in the
+    fixed graded order (z1-major within a degree); variables="z1": only
+    transverse derivatives 0..n.  Block (I, J) is d^I dbar^J H at the center.
+    """
+    blocks = _jet_blocks(H, n, variables)
+    size = blocks.shape[0] * H.rank
     return blocks.transpose(0, 2, 1, 3).reshape(size, size)
 
 
@@ -198,12 +204,8 @@ def pointwise_normalized_decide(
         return pointwise_rank1_decide(H, Ht, n, tol)
     _, hn = normalize_frame(H, n)
     _, htn = normalize_frame(Ht, n)
-    blocks = list(index_table(H.dim, n))
-    mats_a, mats_b = [], []
-    for alpha in blocks:
-        for beta in blocks:
-            mats_a.append(hn.extract(alpha, beta))
-            mats_b.append(htn.extract(alpha, beta))
+    mats_a = _jet_blocks(hn, n).reshape(-1, H.rank, H.rank)
+    mats_b = _jet_blocks(htn, n).reshape(-1, H.rank, H.rank)
     _, resid = unitary_intertwiner(mats_a, mats_b, seed=seed)
     return classify(resid, tol), {f"normalized-block-similarity(n={n})": resid}
 

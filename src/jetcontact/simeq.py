@@ -1,23 +1,30 @@
 """Simultaneous unitary similarity of matrix tuples.
 
-Decides whether a unitary U exists with A_k U = U B_k for all k, by computing
-the nullspace of the stacked Sylvester system and extracting a unitary from
-the polar factor of an invertible intertwiner.  For *-closed families (the
-caller passes adjoint pairs along, or the family is already closed under
-conjugate transpose in the matching order) the polar factor of any invertible
-intertwiner is itself an intertwiner, so a small number of randomized
-combinations decides the question at these sizes.
+Decides whether a unitary U exists with A_k U = U B_k for all k.  The
+adjoint equations are appended, so the intertwiners form a *-bimodule and
+the polar factor of an invertible intertwiner is a unitary intertwiner.
 
-The null space comes from the triangular factor alone (Chan's R-SVD): the
-tall system S (2k s^2 rows, s^2 columns) has the same singular values and
-right singular vectors as R in S = QR, so only R (s^2 x s^2) goes through
-an SVD.  Neither Q nor the left singular vectors of S are ever formed; LAPACK
-takes the same QR-first path inside its own SVD of a tall matrix, so the
-singular values and right vectors are those of a thin SVD of S.  The system
-is built once, in place.  Peak memory is about three times the system (it,
-numpy's working copy for the QR and LAPACK's column-major buffer) instead
-of about six times with Kronecker blocks, their stack, a scaled copy and
-the left vectors of a thin SVD.
+The solve splits by the spectrum of one random self-adjoint element (the
+random-element step of numerical *-algebra block-diagonalization; Murota,
+Kanno, Kojima & Kojima, Japan J. Indust. Appl. Math. 27, 2010): with seeded
+complex weights c, H_A = sum c_k A_k + h.c., and H_B likewise.  An
+intertwiner X has H_A X = X H_B, so Y = P_A^* X P_B in the two eigenbases
+obeys (lambda_i(H_A) - lambda_j(H_B)) Y_ij = 0; for similar families the
+ascending spectra agree and Y is block diagonal over their clusters.  Only
+those sum m_i^2 unknowns of the stacked Sylvester system, not all s^2, go
+through a thin SVD: O(k s^3) while the clusters stay small, and 2k s^2
+sum m_i^2 complex numbers for the system (0.7 MB at k = 2, s = 20 with 26
+unknowns, against 10 MB for the full system).  A cluster ends where both
+spectra rise by more than null_tol^(1/4) of the spectral radius.  The gap is
+generous because merging clusters only adds unknowns while a wrong cut can
+lose the intertwiner; a spectrum that is one cluster gives the full system,
+so degenerate families take the same code.  Candidates are mapped back and
+their polar factors scored on the original equations, so every residual is
+the misfit of an actual unitary, whatever the split.
+
+By Weyl's inequality, for any weights c and unitary U, the returned
+residual times scale * 2 sum |c_k| * s is at least
+max_i |lambda_i(H_A) - lambda_i(H_B)|, a bound continuous in the input.
 """
 
 from __future__ import annotations
@@ -25,22 +32,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["unitary_intertwiner"]
-
-
-def _sylvester_system(mats_a: np.ndarray, mats_b: np.ndarray, scale: float) -> np.ndarray:
-    """The stacked rows (A_m kron I - I kron B_m^T) / scale, as a
-    (2k s^2, s^2) array, for stacks of shape (2k, s, s).
-
-    Entry ((m, i, j), (p, l)) is A_m[i, p] delta_jl - delta_ip B_m[l, j], so
-    row-major vec(X) solves A_m X = X B_m.
-    """
-    blocks, size = mats_a.shape[0], mats_a.shape[1]
-    system = np.zeros((blocks, size, size, size, size), dtype=np.complex128)
-    # writeable diagonal views: [m, i, j, p, j] and [m, i, j, i, l]
-    np.einsum("mijpj->mijp", system)[...] += mats_a[:, :, None, :]
-    np.einsum("mijil->mijl", system)[...] -= mats_b.transpose(0, 2, 1)[:, None, :, :]
-    system /= scale
-    return system.reshape(blocks * size * size, size * size)
 
 
 def _first_finite_min(scores: np.ndarray) -> int | None:
@@ -51,6 +42,32 @@ def _first_finite_min(scores: np.ndarray) -> int | None:
     return int(np.argmin(np.where(finite, scores, np.inf)))
 
 
+def _block_unknowns(eig_a: np.ndarray, eig_b: np.ndarray, null_tol: float):
+    """Row and column indices of the block-diagonal unknowns over the
+    clusters of two ascending spectra; a cluster ends where both rise by
+    more than the gap."""
+    radius = float(np.max(np.abs(np.concatenate([eig_a, eig_b]))))
+    gaps = np.minimum(np.diff(eig_a), np.diff(eig_b))
+    labels = np.concatenate([[0], np.cumsum(gaps > radius * null_tol ** 0.25)])
+    return np.nonzero(labels[:, None] == labels[None, :])
+
+
+def _block_system(rot_a, rot_b, rows, cols, scale: float) -> np.ndarray:
+    """Columns Y[rows[j], cols[j]] of the stacked rows (A_m kron I - I kron
+    B_m^T) / scale, for the rotated stacks of shape (2k, s, s).
+
+    Entry ((m, p, q), j) is A_m[p, rows[j]] delta(q, cols[j]) - delta(p,
+    rows[j]) B_m[cols[j], q], so the columns solve A_m Y = Y B_m.
+    """
+    blocks, size = rot_a.shape[:2]
+    unknowns = np.arange(len(rows))
+    system = np.zeros((blocks, size, size, len(rows)), dtype=np.complex128)
+    system[:, :, cols, unknowns] = rot_a[:, :, rows]
+    system[:, rows, :, unknowns] -= rot_b[:, cols, :].transpose(1, 0, 2)
+    system /= scale
+    return system.reshape(blocks * size * size, len(rows))
+
+
 def unitary_intertwiner(
     mats_a, mats_b, seed: int = 0, tries: int = 6, null_tol: float = 1e-10
 ):
@@ -59,42 +76,57 @@ def unitary_intertwiner(
     Returns (U, residual); the residual is relative to the matrix scale.  The
     adjoint equations A_k^* U = U B_k^* are appended automatically so that the
     intertwiner space is a *-bimodule and polar decomposition stays inside it.
-    Candidates are scored in order and the first smallest finite score wins;
-    when no score is finite the result is (None, inf).
+    Up to `tries` seeded draws of the self-adjoint element are made; each
+    draw's candidates are its null vectors and `tries` random combinations of
+    them, or else its least-violating vector.  Draws stop at the first whose
+    best score is at most null_tol.  Candidates are scored in order and the
+    first smallest finite score wins; when no score is finite the result is
+    (None, inf).
     """
     a = np.asarray(mats_a, dtype=np.complex128)
     b = np.asarray(mats_b, dtype=np.complex128)
+    count = a.shape[0]
     a = np.concatenate([a, np.conj(a.transpose(0, 2, 1))])
     b = np.concatenate([b, np.conj(b.transpose(0, 2, 1))])
     size = a.shape[1]
     scale = 1.0 + float(np.max(np.max(np.abs(a), axis=(1, 2))
                                + np.max(np.abs(b), axis=(1, 2))))
 
-    r = np.linalg.qr(_sylvester_system(a, b, scale), mode="r")
-    _, svals, vh = np.linalg.svd(r)
-    null_vectors = [vh[k].conj().reshape(size, size)
-                    for k in range(vh.shape[0]) if svals[k] <= null_tol]
-
-    candidates = []
-    if null_vectors:
-        candidates.extend(null_vectors)
-        rng = np.random.default_rng(seed)
-        basis = np.stack(null_vectors)
-        for _ in range(tries):
-            w = rng.standard_normal(len(null_vectors)) + 1j * rng.standard_normal(
-                len(null_vectors)
+    rng = np.random.default_rng(seed)
+    unitaries, scores = [], []
+    for _ in range(tries):
+        c = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        weights = np.concatenate([c, np.conj(c)])
+        eig_a, vec_a = np.linalg.eigh(np.tensordot(weights, a, axes=1))
+        eig_b, vec_b = np.linalg.eigh(np.tensordot(weights, b, axes=1))
+        rows, cols = _block_unknowns(eig_a, eig_b, null_tol)
+        rot_a = np.conj(vec_a.T) @ a @ vec_a
+        rot_b = np.conj(vec_b.T) @ b @ vec_b
+        _, svals, vh = np.linalg.svd(
+            _block_system(rot_a, rot_b, rows, cols, scale), full_matrices=False
+        )
+        null = vh[svals <= null_tol].conj()
+        if len(null):
+            w = rng.standard_normal((tries, len(null))) + 1j * rng.standard_normal(
+                (tries, len(null))
             )
-            candidates.append(np.tensordot(w, basis, axes=1))
-    else:
-        # no intertwiner subspace: report the least-violating unitary
-        candidates.append(vh[-1].conj().reshape(size, size))
+            vectors = np.concatenate([null, w @ null])
+        else:
+            # no intertwiner subspace: the least-violating unitary
+            vectors = vh[-1:].conj()
+        blocks = np.zeros((len(vectors), size, size), dtype=np.complex128)
+        blocks[:, rows, cols] = vectors
+        u, _, wh = np.linalg.svd(vec_a @ blocks @ np.conj(vec_b.T))
+        draw = (u @ wh)[:, None]
+        diffs = a @ draw
+        diffs -= draw @ b
+        unitaries.append(draw[:, 0])
+        scores.append(np.max(np.abs(diffs), axis=(1, 2, 3)) / scale)
+        if np.any(scores[-1] <= null_tol):
+            break
 
-    u, _, wh = np.linalg.svd(np.stack(candidates))
-    unitaries = (u @ wh)[:, None]
-    diffs = a @ unitaries
-    diffs -= unitaries @ b
-    scores = np.max(np.abs(diffs), axis=(1, 2, 3)) / scale
+    scores = np.concatenate(scores)
     best = _first_finite_min(scores)
     if best is None:
         return None, np.inf
-    return unitaries[best, 0], float(scores[best])
+    return np.concatenate(unitaries)[best], float(scores[best])

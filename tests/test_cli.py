@@ -322,6 +322,25 @@ class TestMain:
         main(["--config", config, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_non_finite_residual_is_named_in_strict_json(self, tmp_path, monkeypatch):
+        import math
+
+        import jetcontact.rkhs as rkhs
+
+        monkeypatch.setattr(rkhs, "unitary_intertwiner",
+                            lambda a, b, seed: (None, math.inf))
+        out = tmp_path / "report.json"
+        code = main(["--config", str(CONFIG_DIR / "rkhs-hardy-vs-fock.yaml"),
+                     "--out", str(out)])
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)
+        assert doc["results"]["residuals"]["shift-intertwiner"] == "inf"
+        assert doc["results"]["direct_verdict"] == "inconclusive"
+        assert code == doc["exit_code"]
+
     def test_direct_check_size_refused_before_evaluation(self, tmp_path, capsys,
                                                          monkeypatch):
         calls = []

@@ -15,6 +15,7 @@ from jetcontact.contact import (
     pointwise_rank1_decide,
     pointwise_verify,
 )
+from jetcontact.geometry import normalize_frame
 from jetcontact.jetcore import HoloJet, index_table
 from jetcontact.kernelexpr import BundleSpec, eval_holo_jet, parse_kernel
 from jetcontact.pascal import lambda_from_jet
@@ -150,6 +151,24 @@ class TestPointwise:
         other, _ = gram_jets(PAIR_GRAMS_M2[0], PAIR_GRAMS_M2[0], (0.1, -0.05), 3)
         verdict, _ = pointwise_normalized_decide(h, other, 2, 1e-8)
         assert verdict == "refuted"
+
+    def test_normalized_decide_block_stack(self, monkeypatch):
+        # the stack handed to the solver equals the extract loop bitwise
+        import jetcontact.contact as contact
+
+        seen = []
+        monkeypatch.setattr(contact, "unitary_intertwiner",
+                            lambda a, b, seed: seen.append((a, b)) or (None, 0.0))
+        _, a_inv = unitriangular_pair(PAIR_CORNERS_M2[1])
+        ht_grid = conjugated_gram(PAIR_GRAMS_M2[1], a_inv)
+        h, ht = gram_jets(PAIR_GRAMS_M2[1], ht_grid, (0.1, -0.05), 4)
+        pointwise_normalized_decide(h, ht, 3, 1e-8)
+        table = index_table(2, 3)
+        for got, jet in zip(seen[0], (h, ht)):
+            _, normalized = normalize_frame(jet, 3)
+            want = [normalized.extract(alpha, beta) for alpha in table for beta in table]
+            assert got.shape == (100, 2, 2)
+            np.testing.assert_array_equal(got, np.array(want))
 
     @pytest.mark.parametrize("corner", PAIR_CORNERS_M2)
     def test_rank2_decide_agrees_with_candidate_route(self, corner):

@@ -1,10 +1,16 @@
-"""Simultaneous unitary similarity: the stacked system, its null space and
-the unitary the solver picks."""
+"""Simultaneous unitary similarity: the solver against the full stacked
+system, the block-diagonal split and the unitary the solver picks."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jetcontact.simeq import _first_finite_min, _sylvester_system, unitary_intertwiner
+from jetcontact.kernelexpr import BundleSpec
+from jetcontact.rkhs import direct_equiv_check, quotient_model
+from jetcontact.simeq import _first_finite_min, unitary_intertwiner
 
 
 def random_complex(rng, *shape):
@@ -24,6 +30,66 @@ def kron_system(mats_a, mats_b, scale):
     return np.vstack(rows) / scale
 
 
+def sylvester_system(mats_a: np.ndarray, mats_b: np.ndarray, scale: float) -> np.ndarray:
+    """The stacked rows (A_m kron I - I kron B_m^T) / scale, as a
+    (2k s^2, s^2) array, for stacks of shape (2k, s, s), built in place.
+
+    Entry ((m, i, j), (p, l)) is A_m[i, p] delta_jl - delta_ip B_m[l, j], so
+    row-major vec(X) solves A_m X = X B_m.
+    """
+    blocks, size = mats_a.shape[0], mats_a.shape[1]
+    system = np.zeros((blocks, size, size, size, size), dtype=np.complex128)
+    # writeable diagonal views: [m, i, j, p, j] and [m, i, j, i, l]
+    np.einsum("mijpj->mijp", system)[...] += mats_a[:, :, None, :]
+    np.einsum("mijil->mijl", system)[...] -= mats_b.transpose(0, 2, 1)[:, None, :, :]
+    system /= scale
+    return system.reshape(blocks * size * size, size * size)
+
+
+def rsvd_reference(mats_a, mats_b, seed=0, tries=6, null_tol=1e-10):
+    """The reference solver on the full system: the null space from an SVD
+    of the triangular factor R of the stacked Sylvester system (Chan's
+    R-SVD), all candidates scored at once; returns (U, residual)."""
+    a = np.asarray(mats_a, dtype=np.complex128)
+    b = np.asarray(mats_b, dtype=np.complex128)
+    a = np.concatenate([a, np.conj(a.transpose(0, 2, 1))])
+    b = np.concatenate([b, np.conj(b.transpose(0, 2, 1))])
+    size = a.shape[1]
+    scale = 1.0 + float(np.max(np.max(np.abs(a), axis=(1, 2))
+                               + np.max(np.abs(b), axis=(1, 2))))
+    r = np.linalg.qr(sylvester_system(a, b, scale), mode="r")
+    _, svals, vh = np.linalg.svd(r)
+    null_vectors = [vh[k].conj().reshape(size, size)
+                    for k in range(vh.shape[0]) if svals[k] <= null_tol]
+    candidates = []
+    if null_vectors:
+        candidates.extend(null_vectors)
+        rng = np.random.default_rng(seed)
+        basis = np.stack(null_vectors)
+        for _ in range(tries):
+            w = rng.standard_normal(len(null_vectors)) + 1j * rng.standard_normal(
+                len(null_vectors)
+            )
+            candidates.append(np.tensordot(w, basis, axes=1))
+    else:
+        candidates.append(vh[-1].conj().reshape(size, size))
+    u, _, wh = np.linalg.svd(np.stack(candidates))
+    unitaries = (u @ wh)[:, None]
+    diffs = a @ unitaries
+    diffs -= unitaries @ b
+    scores = np.max(np.abs(diffs), axis=(1, 2, 3)) / scale
+    best = _first_finite_min(scores)
+    if best is None:
+        return None, np.inf
+    return unitaries[best, 0], float(scores[best])
+
+
+def scale_of(mats_a, mats_b):
+    """The solver's matrix scale (an adjoint has the same largest entry)."""
+    return 1.0 + max(np.max(np.abs(a)) + np.max(np.abs(b))
+                     for a, b in zip(mats_a, mats_b))
+
+
 def assert_unitary(u, size):
     np.testing.assert_allclose(np.conj(u.T) @ u, np.eye(size), atol=1e-12)
 
@@ -35,7 +101,7 @@ def test_system_equals_kron_stack(size):
         a = random_complex(rng, blocks, size, size)
         b = random_complex(rng, blocks, size, size)
         scale = 1.0 + float(rng.uniform(1, 5))
-        got = _sylvester_system(a, b, scale)
+        got = sylvester_system(a, b, scale)
         want = kron_system(a, b, scale)
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
@@ -47,14 +113,14 @@ def test_triangular_factor_keeps_singular_values(size):
     a = random_complex(rng, 4, size, size)
     w = random_unitary(rng, size)
     b = np.conj(w.T) @ a @ w  # a genuine null space among the small values
-    system = _sylvester_system(a, b, 3.0)
+    system = sylvester_system(a, b, 3.0)
     r = np.linalg.qr(system, mode="r")
     want = np.linalg.svd(system, compute_uv=False)
     got = np.linalg.svd(r, compute_uv=False)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * want[0])
 
 
-@pytest.mark.parametrize("size,k", [(1, 1), (2, 2), (4, 3), (6, 2)])
+@pytest.mark.parametrize("size,k", [(1, 1), (2, 2), (4, 3), (6, 2), (4, 1)])
 def test_similar_family_gives_its_intertwiner(size, k):
     rng = np.random.default_rng(20 + size)
     mats_a = list(random_complex(rng, k, size, size))
@@ -74,7 +140,7 @@ def test_degenerate_null_space():
     mats_a = [np.diag([d, d, e]) for d, e in random_complex(rng, 3, 2)]
     w = random_unitary(rng, 3)
     mats_b = [np.conj(w.T) @ a @ w for a in mats_a]
-    system = _sylvester_system(np.array(mats_a), np.array(mats_b), 1.0)
+    system = sylvester_system(np.array(mats_a), np.array(mats_b), 1.0)
     assert np.sum(np.linalg.svd(system, compute_uv=False) <= 1e-10) == 5
     u, resid = unitary_intertwiner(mats_a, mats_b, seed=2)
     assert resid < 1e-12
@@ -143,12 +209,126 @@ def loop_reference(mats_a, mats_b, seed=0, tries=6, null_tol=1e-10):
 
 @pytest.mark.parametrize("size", [2, 3, 5])
 def test_residual_matches_loop_reference(size):
+    # the split solver picks a different unitary than the full-system
+    # references, so refuted residuals differ in value; verdicts must agree
     rng = np.random.default_rng(60 + size)
     mats_a = list(random_complex(rng, 2, size, size))
     w = random_unitary(rng, size)
     similar = [np.conj(w.T) @ a @ w for a in mats_a]
     unrelated = list(random_complex(rng, 2, size, size))
-    for mats_b in (similar, unrelated):
+    for mats_b, similar_pair in ((similar, True), (unrelated, False)):
         _, resid = unitary_intertwiner(mats_a, mats_b, seed=3)
-        assert resid == pytest.approx(loop_reference(mats_a, mats_b, seed=3),
-                                      rel=1e-10, abs=1e-12)
+        want = loop_reference(mats_a, mats_b, seed=3)
+        assert rsvd_reference(mats_a, mats_b, seed=3)[1] == pytest.approx(
+            want, rel=1e-10, abs=1e-12)
+        if similar_pair:
+            assert resid < 1e-12 and want < 1e-12
+        else:
+            assert resid > 1e-6 and want > 1e-6
+
+
+def direct_sum(*mats):
+    out = np.zeros((sum(m.shape[0] for m in mats),) * 2, dtype=np.complex128)
+    at = 0
+    for m in mats:
+        out[at:at + m.shape[0], at:at + m.shape[0]] = m
+        at += m.shape[0]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_reducible_similar_families(seed):
+    # repeated summands make every eigenvalue of H_A a cluster of two
+    rng = np.random.default_rng(100 + seed)
+    fam_a = random_complex(rng, 2, 3, 3)
+    fam_b = random_complex(rng, 2, 2, 2)
+    for family in ([direct_sum(a, a) for a in fam_a],
+                   [direct_sum(a, a, b) for a, b in zip(fam_a, fam_b)]):
+        size = family[0].shape[0]
+        w = random_unitary(rng, size)
+        conjugated = [np.conj(w.T) @ a @ w for a in family]
+        u, resid = unitary_intertwiner(family, conjugated, seed=seed)
+        assert resid < 1e-12
+        assert_unitary(u, size)
+        assert rsvd_reference(family, conjugated, seed=seed)[1] < 1e-12
+
+
+def test_one_unrelated_matrix():
+    rng = np.random.default_rng(70)
+    u, resid = unitary_intertwiner(random_complex(rng, 1, 4, 4),
+                                   random_complex(rng, 1, 4, 4))
+    assert resid > 1e-6
+    assert_unitary(u, 4)
+
+
+def test_scalars():
+    a, b = np.array([[[2.0 - 1.0j]]]), np.array([[[0.5 + 0.25j]]])
+    u, resid = unitary_intertwiner(a, a)
+    assert resid == 0.0
+    assert_unitary(u, 1)
+    # every unitary of size one misses by |a - b| exactly
+    _, resid = unitary_intertwiner(a, b)
+    assert resid == pytest.approx(abs(a - b).item() / scale_of(a, b), rel=1e-14)
+
+
+@pytest.mark.parametrize("split", [1e-12, 1e-8, 1e-4, 3e-3, 1e-2])
+def test_near_degenerate_spectra(split):
+    # two eigenvalues of every combination lie about `split` apart, below,
+    # near or above the cluster gap: the intertwiner is found either way
+    rng = np.random.default_rng(80)
+    size = 5
+    base = random_unitary(rng, size)
+    diags = rng.uniform(-1, 1, (2, size)) + 1j * rng.uniform(-1, 1, (2, size))
+    diags[:, 1] = diags[:, 0] + split
+    family = [base @ np.diag(d) @ np.conj(base.T) for d in diags]
+    w = random_unitary(rng, size)
+    u, resid = unitary_intertwiner(family, [np.conj(w.T) @ a @ w for a in family])
+    assert resid < 1e-12
+    assert_unitary(u, size)
+
+
+complex_weights = st.lists(
+    st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+    min_size=2, max_size=2,
+)
+
+
+@given(seed=st.integers(0, 2**31 - 1), size=st.integers(1, 5),
+       noise=st.sampled_from([0.0, 1e-6, 1e-2, 1.0]), c=complex_weights)
+@settings(max_examples=40, deadline=None)
+def test_residual_bounds_eigenvalue_distance(seed, size, noise, c):
+    # Weyl: max_i |lambda_i(H_A) - lambda_i(H_B)| <= ||H_A U - U H_B||_2
+    # <= s * max|H_A U - U H_B| <= s * 2 sum|c_k| * residual * scale
+    rng = np.random.default_rng(seed)
+    mats_a = random_complex(rng, 2, size, size)
+    w = random_unitary(rng, size)
+    mats_b = np.conj(w.T) @ mats_a @ w + noise * random_complex(rng, 2, size, size)
+    u, resid = unitary_intertwiner(mats_a, mats_b, seed=seed)
+    assert_unitary(u, size)
+
+    def hermitian(mats):
+        h = np.tensordot(c, mats, axes=1)
+        return h + np.conj(h.T)
+
+    h_a, h_b = hermitian(mats_a), hermitian(mats_b)
+    distance = np.max(np.abs(np.linalg.eigvalsh(h_a) - np.linalg.eigvalsh(h_b)))
+    bound = resid * scale_of(mats_a, mats_b) * 2 * np.sum(np.abs(c)) * size
+    rounding = 1e-12 * (1.0 + np.max(np.abs(h_a)) + np.max(np.abs(h_b)))
+    assert bound >= distance - rounding
+
+
+def test_perturbed_refuted_pair_stays_refuted():
+    rank2 = [["exp(z1*zb1 + 0.5*z2*zb2)", "0.1*z1*exp(z1*zb1 + 0.5*z2*zb2)"],
+             ["0.1*zb1*exp(z1*zb1 + 0.5*z2*zb2)",
+              "pow(1 - 0.5*z1*zb1 - 0.3*z2*zb2, -1)"]]
+    twin = [row[:] for row in rank2]
+    twin[1][1] = "pow(1 - 0.6*z1*zb1 - 0.3*z2*zb2, -1)"
+    z0 = (0.1, -0.05j)
+    a = quotient_model(BundleSpec("a", 2, rank2), z0, 2)
+    b = quotient_model(BundleSpec("b", 2, twin), z0, 2)
+    assert direct_equiv_check(a, b, 1e-8)[0] == "refuted"
+    rng = np.random.default_rng(90)
+    for _ in range(6):
+        shifts = tuple(s + 1e-14 * random_complex(rng, *s.shape) for s in a.shifts)
+        perturbed = dataclasses.replace(a, shifts=shifts)
+        assert direct_equiv_check(perturbed, b, 1e-8)[0] == "refuted"
