@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
+from operator import matmul, mul
 
 import numpy as np
 
@@ -49,7 +50,12 @@ from .jetcore import (
     multi_index_factorial,
 )
 from .kernelexpr import BundleSpec, JetProgram, check_holomorphic, parse_kernel
-from .pascal import multi_lambda_from_jet, pascal_expand, pascal_from_column
+from .pascal import (
+    binomial_solve,
+    multi_lambda_from_jet,
+    pascal_expand,
+    pascal_from_column,
+)
 from .simeq import unitary_intertwiner
 
 __all__ = [
@@ -223,15 +229,10 @@ def extend_A_sequence(H: HermJet, Ht: HermJet, A0: np.ndarray, n: int) -> list[n
     dim = H.dim
     h0inv = np.linalg.inv(H.value())
     ht0inv = np.linalg.inv(Ht.value())
-    dh = [H.extract(_e1(dim, i)) @ h0inv for i in range(n + 1)]
-    dht = [Ht.extract(_e1(dim, i)) @ ht0inv for i in range(n + 1)]
-    seq = [np.asarray(A0, dtype=np.complex128)]
-    for l in range(1, n + 1):
-        acc = dh[l] @ seq[0]
-        for i in range(1, l + 1):
-            acc = acc - comb(l, i) * (seq[l - i] @ dht[i])
-        seq.append(acc)
-    return seq[1:]
+    a0 = np.asarray(A0, dtype=np.complex128)
+    b = [H.extract(_e1(dim, i)) @ h0inv @ a0 for i in range(1, n + 1)]
+    dht = [Ht.extract(_e1(dim, i)) @ ht0inv for i in range(1, n + 1)]
+    return binomial_solve(b, dht, matmul, x0=a0)
 
 
 def extend_A_sequence_jets(
@@ -239,25 +240,18 @@ def extend_A_sequence_jets(
 ) -> list[HermJet]:
     """Tangential jets (along Z) of A_1..A_n from the same recursion; inputs
     are restricted to the slice so the arithmetic happens in functions on Z."""
-    hz = H.freeze_variable(0)
-    htz = Ht.freeze_variable(0)
-    hzinv = hz.inv()
-    htzinv = htz.inv()
+    hzinv = H.freeze_variable(0).inv()
+    htzinv = Ht.freeze_variable(0).inv()
+    a0 = A0.freeze_variable(0)
 
     def transverse(jet, i):
         for _ in range(i):
             jet = jet.deriv(0)
         return jet.freeze_variable(0)
 
-    dh = [None] + [transverse(H, i) * hzinv for i in range(1, n + 1)]
-    dht = [None] + [transverse(Ht, i) * htzinv for i in range(1, n + 1)]
-    seq = [A0.freeze_variable(0)]
-    for l in range(1, n + 1):
-        acc = dh[l] * seq[0]
-        for i in range(1, l + 1):
-            acc = acc - (seq[l - i] * dht[i]).scale(comb(l, i))
-        seq.append(acc)
-    return seq[1:]
+    b = [transverse(H, i) * hzinv * a0 for i in range(1, n + 1)]
+    dht = [transverse(Ht, i) * htzinv for i in range(1, n + 1)]
+    return binomial_solve(b, dht, mul, x0=a0)
 
 
 def holomorphy_conditions(

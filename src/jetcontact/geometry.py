@@ -22,11 +22,12 @@ the expression grammar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from operator import matmul
 
 import numpy as np
 
 from .jetcore import HermJet, HoloJet, OrderError, index_table
+from .pascal import binomial_solve
 
 __all__ = [
     "CurvatureRequest",
@@ -118,15 +119,19 @@ def map_adjoint_jet(Phi: HermJet, H: HermJet) -> HermJet:
     return H * Phi.adjoint() * H.inv()
 
 
+def _mixed_tensor(H: HermJet, alpha: tuple, beta: tuple) -> np.ndarray:
+    """Value at the center of
+    (d^alpha dbar^beta H - d^alpha H * H^-1 * dbar^beta H) * H^-1."""
+    zero = _zero(H.dim)
+    h0inv = np.linalg.inv(H.value())
+    mixed = H.extract(alpha, beta)
+    return (mixed - H.extract(alpha, zero) @ h0inv @ H.extract(zero, beta)) @ h0inv
+
+
 def L_tensor(H: HermJet, j: int, l: int) -> np.ndarray:
     """Value at the center of
     (d_{z1}^l dbar_j H - d_{z1}^l H * H^-1 * dbar_j H) * H^-1."""
-    dim = H.dim
-    h0inv = np.linalg.inv(H.value())
-    mixed = H.extract(_e(dim, 1, l), _e(dim, j))
-    pure = H.extract(_e(dim, 1, l), _zero(dim))
-    bar = H.extract(_zero(dim), _e(dim, j))
-    return (mixed - pure @ h0inv @ bar) @ h0inv
+    return _mixed_tensor(H, _e(H.dim, 1, l), _e(H.dim, j))
 
 
 def K1j_recursion(H: HermJet, j: int, n: int) -> np.ndarray:
@@ -136,26 +141,14 @@ def K1j_recursion(H: HermJet, j: int, n: int) -> np.ndarray:
         raise ValueError("recursion order must be >= 1")
     dim = H.dim
     h0inv = np.linalg.inv(H.value())
-    g = [None] + [
-        H.extract(_e(dim, 1, i), _zero(dim)) @ h0inv for i in range(1, n)
-    ]
-    js = [L_tensor(H, j, 1)]
-    for k in range(2, n + 1):
-        acc = L_tensor(H, j, k)
-        for i in range(1, k):
-            acc = acc - comb(k, i) * (g[i] @ js[k - i - 1])
-        js.append(acc)
-    return js[-1]
+    g = [H.extract(_e(dim, 1, i), _zero(dim)) @ h0inv for i in range(1, n)]
+    b = [L_tensor(H, j, k) for k in range(1, n + 1)]
+    return binomial_solve(b, g, matmul, left=True)[-1]
 
 
 def Q_value(H: HermJet, j: int, n: int = 1) -> np.ndarray:
     """Value of (dbar_{z1}^n d_j H - d_j H * H^-1 * dbar_{z1}^n H) * H^-1."""
-    dim = H.dim
-    h0inv = np.linalg.inv(H.value())
-    mixed = H.extract(_e(dim, j), _e(dim, 1, n))
-    holo = H.extract(_e(dim, j), _zero(dim))
-    anti = H.extract(_zero(dim), _e(dim, 1, n))
-    return (mixed - holo @ h0inv @ anti) @ h0inv
+    return _mixed_tensor(H, _e(H.dim, j), _e(H.dim, 1, n))
 
 
 def Q_jet(H: HermJet, j: int) -> HermJet:
@@ -173,16 +166,9 @@ def Q_recursion(H: HermJet, j: int, n: int) -> np.ndarray:
         raise ValueError("derivative order must be >= 0")
     dim = H.dim
     h0inv = np.linalg.inv(H.value())
-    hbar = [None] + [
-        H.extract(_zero(dim), _e(dim, 1, i)) @ h0inv for i in range(1, n + 1)
-    ]
-    qs = [Q_value(H, j, 1)]
-    for k in range(1, n + 1):
-        acc = Q_value(H, j, k + 1)
-        for i in range(1, k + 1):
-            acc = acc - comb(k + 1, i) * (qs[k - i] @ hbar[i])
-        qs.append(acc)
-    return qs[n]
+    hbar = [H.extract(_zero(dim), _e(dim, 1, i)) @ h0inv for i in range(1, n + 1)]
+    b = [Q_value(H, j, k) for k in range(1, n + 2)]
+    return binomial_solve(b, hbar, matmul)[n]
 
 
 def hermitian_sqrt(M: np.ndarray) -> np.ndarray:

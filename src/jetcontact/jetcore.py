@@ -370,6 +370,8 @@ class HermJet:
     def scale(self, scalar) -> "HermJet":
         return self._like(self.holo_order, self.anti_order, self.coeffs * complex(scalar))
 
+    __rmul__ = scale
+
     def shift(self, scalar) -> "HermJet":
         """Jet of f + scalar * I: only the constant term changes."""
         coeffs = np.array(self.coeffs)

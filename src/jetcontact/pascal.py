@@ -5,9 +5,14 @@ A block Pascal matrix of order n and block size l is the lower triangular
 (0-based), so it is determined by its first block column A[0..n].  The jet of
 a holomorphic frame change A(z) produces exactly such a matrix, and the whole
 family is the commutant of the weighted shift generator with subdiagonal
-blocks I, 2I, ..., nI.
+blocks I, 2I, ..., nI.  Division in the algebra by an element with identity
+leading block is the forward substitution :func:`binomial_solve`, which every
+"X_l = B_l - sum binom(l, i) ..." recursion of the package runs through.
 
-Binomials are exact 64-bit integers; orders are guarded at n <= 60.
+Binomials are exact Python ints, but scaling a complex128 block rounds them to
+double precision.  binom(n, n/2) exceeds 2^53 from n = 57 on (binom(60, 30) is
+about 1.18e17), and 24 of the binomials with n <= 60, the first binom(57, 25),
+are not doubles, so they round.  Orders are guarded at n <= 60.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ __all__ = [
     "pascal_generator",
     "pascal_expand",
     "pascal_multiply",
+    "binomial_solve",
     "lambda_from_jet",
     "pascal_from_column",
     "commutant_basis",
@@ -93,6 +99,27 @@ def pascal_multiply(a: PascalBlock, b: PascalBlock) -> PascalBlock:
         for i in range(k + 1):
             col[k] += comb(k, i) * (a.first_column[i] @ b.first_column[k - i])
     return PascalBlock(n, a.block_size, col)
+
+
+def binomial_solve(b, g, mul, x0=None, left=False) -> list:
+    """Forward substitution in the Pascal algebra: x_1..x_n from
+
+        x_l = b_l - sum_i binom(l, i) x_{l-i} g_i     (g_i x_{l-i} if left)
+
+    with b[l-1] = b_l and g[i-1] = g_i.  The sum runs over i = 1..l with
+    x_0 = x0, or over i = 1..l-1 when x0 is None (x_0 = 0).  In first
+    columns this solves X G = B (G X = B if left) for G = (1, g_1, ...) and
+    B = (x_0, b_1, ...).  The terms need only `-`, integer scaling and the
+    product `mul`: arrays, jets and polynomials all qualify.
+    """
+    x = [x0]
+    for l in range(1, len(b) + 1):
+        acc = b[l - 1]
+        for i in range(1, l if x0 is None else l + 1):
+            term = mul(g[i - 1], x[l - i]) if left else mul(x[l - i], g[i - 1])
+            acc = acc - comb(l, i) * term
+        x.append(acc)
+    return x[1:]
 
 
 def pascal_from_column(column) -> PascalBlock:

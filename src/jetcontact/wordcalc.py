@@ -19,13 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
+from operator import matmul, mul
 
 import numpy as np
+
+from .pascal import binomial_solve
 
 __all__ = [
     "Symbol",
     "NCPoly",
-    "nc_mul",
     "build_sequences",
     "coefficient_of_word",
     "binom_product_leading",
@@ -164,11 +166,6 @@ class NCPoly:
         return " + ".join(parts)
 
 
-def nc_mul(a: NCPoly, b: NCPoly) -> NCPoly:
-    """Distributive word concatenation with Z0-inverse reduction."""
-    return a * b
-
-
 def _sym(family, index) -> NCPoly:
     return NCPoly.symbol(family, index)
 
@@ -185,46 +182,22 @@ def build_sequences(rule: str, length: int, n: int = None, k: int = None,
       * "ruuu-I"   I_1 = 1,  I_l = -sum binom(n-k+l-1, i) I_{l-i} G_i (needs n, k)
 
     `families` renames the (F, G) families, e.g. ("Ft", "Gt") for the tilde
-    system in "recur1".
+    system in "recur1".  Every rule but "ruuu-I" is one `binomial_solve`;
+    "recur19" and "recur199" become its left and right forms under i -> l-i.
     """
     if length < 1:
         raise ValueError("sequence length must be >= 1")
     fam_f, fam_g = families if families else ("F", "G")
+    weights = range(1, length + 1)
+    gs = [_sym(fam_g, l) for l in weights]
     if rule == "recur1":
-        seq = [_sym(fam_f, 1)]
-        for l in range(2, length + 1):
-            acc = _sym(fam_f, l)
-            for i in range(1, l):
-                acc = acc - comb(l, i) * (_sym(fam_g, i) * seq[l - i - 1])
-            seq.append(acc)
-        return seq
-    if rule == "recur19":
-        seq = [-_sym(fam_g, 1)]
-        for l in range(2, length + 1):
-            acc = -_sym(fam_g, l)
-            for i in range(1, l):
-                acc = acc - comb(l, i) * (_sym(fam_g, l - i) * seq[i - 1])
-            seq.append(acc)
-        return seq
-    if rule == "recur199":
-        seq = [-_sym(fam_g, 1)]
-        for l in range(2, length + 1):
-            acc = -_sym(fam_g, l)
-            for i in range(1, l):
-                acc = acc - comb(l, i) * (seq[i - 1] * _sym(fam_g, l - i))
-            seq.append(acc)
-        return seq
+        return binomial_solve([_sym(fam_f, l) for l in weights], gs, mul, left=True)
+    if rule in ("recur19", "recur199"):
+        return binomial_solve([-g for g in gs], gs, mul, left=rule == "recur19")
     if rule == "r01":
         z0 = _sym("Z0", 0)
-        seq = []
-        full = [z0]  # full[l] = Z_l with Z_0 included at position 0
-        for l in range(1, length + 1):
-            acc = _sym("G", l) * z0
-            for i in range(1, l + 1):
-                acc = acc - comb(l, i) * (full[l - i] * _sym("Gt", i))
-            full.append(acc)
-            seq.append(acc)
-        return seq
+        return binomial_solve([_sym("G", l) * z0 for l in weights],
+                              [_sym("Gt", l) for l in weights], mul, x0=z0)
     if rule == "ruuu-I":
         if n is None or k is None:
             raise ValueError("rule 'ruuu-I' needs parameters n and k")
@@ -236,7 +209,7 @@ def build_sequences(rule: str, length: int, n: int = None, k: int = None,
         for l in range(2, length + 1):
             acc = NCPoly.zero()
             for i in range(1, l):
-                acc = acc - comb(n - k + l - 1, i) * (seq[l - i - 1] * _sym(fam_g, i))
+                acc = acc - comb(n - k + l - 1, i) * (seq[l - i - 1] * gs[i - 1])
             seq.append(acc)
         return seq
     raise ValueError(f"unknown sequence rule {rule!r}")
@@ -247,15 +220,9 @@ def _class_sequences(length: int) -> tuple[list[NCPoly], list[NCPoly]]:
     X_l collects words starting with G_k Z0, Y_l those starting with Z0 Gt_k;
     X_l + Y_l equals the full Z_l."""
     z0 = _sym("Z0", 0)
-    xs, ys = [], []
-    for l in range(1, length + 1):
-        x = _sym("G", l) * z0
-        y = -(z0 * _sym("Gt", l))
-        for i in range(1, l):
-            x = x - comb(l, i) * (xs[i - 1] * _sym("Gt", l - i))
-            y = y - comb(l, i) * (ys[i - 1] * _sym("Gt", l - i))
-        xs.append(x)
-        ys.append(y)
+    gt = [_sym("Gt", l) for l in range(1, length + 1)]
+    xs = binomial_solve([_sym("G", l) * z0 for l in range(1, length + 1)], gt, mul)
+    ys = binomial_solve([-(z0 * g) for g in gt], gt, mul)
     return xs, ys
 
 
@@ -351,23 +318,11 @@ def _conditioned_invertible(rng, size, min_sv=0.2, max_tries=1000) -> np.ndarray
 
 
 def _h_from(f, g, n) -> list[np.ndarray]:
-    hs = [f[1]]
-    for l in range(2, n + 1):
-        acc = np.array(f[l])
-        for i in range(1, l):
-            acc -= comb(l, i) * (g[i] @ hs[l - i - 1])
-        hs.append(acc)
-    return hs
+    return binomial_solve(f[1 : n + 1], g[1:], matmul, left=True)
 
 
 def _z_from(g, gt, z0, n) -> list[np.ndarray]:
-    zs = [z0]
-    for l in range(1, n + 1):
-        acc = g[l] @ z0
-        for i in range(1, l + 1):
-            acc = acc - comb(l, i) * (zs[l - i] @ gt[i])
-        zs.append(acc)
-    return zs
+    return [z0] + binomial_solve([g[l] @ z0 for l in range(1, n + 1)], gt[1:], matmul, x0=z0)
 
 
 def _relmax(diff, *refs) -> float:
@@ -411,7 +366,8 @@ def _numeric_equivalence(report: AppendixReport, n: int, size: int, rng, tol: fl
 
     def eval_poly(poly: NCPoly) -> np.ndarray:
         total = np.zeros_like(one)
-        for word, coef in poly.terms.items():
+        # a fixed order, so the float sum does not depend on how poly was built
+        for word, coef in sorted(poly.terms.items()):
             m = one
             for fam, idx in word:
                 if fam == "Z0":

@@ -1,5 +1,7 @@
 """Pascal algebra: generator, expansion, jet transitions, commutant."""
 
+from operator import matmul, mul
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from jetcontact.jetcore import HoloJet, index_table, table_size
 from jetcontact.kernelexpr import eval_holo_jet, parse_kernel
 from jetcontact.pascal import (
     PascalBlock,
+    binomial_solve,
     commutant_basis,
     lambda_from_jet,
     multi_lambda_from_jet,
@@ -17,8 +20,9 @@ from jetcontact.pascal import (
     pascal_multiply,
     pascal_pattern_defect,
 )
+from jetcontact.wordcalc import NCPoly, build_sequences
 
-from conftest import random_holo_jet
+from conftest import random_herm_jet, random_holo_jet
 
 
 class TestGenerator:
@@ -65,6 +69,69 @@ class TestExpand:
         convolved = pascal_expand(pascal_multiply(a, b))
         assert np.max(np.abs(dense - convolved)) < 1e-12
         assert pascal_pattern_defect(dense, n, l) < 1e-12
+
+
+class TestBinomialSolve:
+    """The kernel divides in the Pascal algebra: multiplying its solution
+    back by G = (1, g_1, ..., g_n) must rebuild B = (x_0, b_1, ..., b_n)."""
+
+    @pytest.mark.parametrize("left", [False, True])
+    @pytest.mark.parametrize("with_x0", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_round_trip(self, rng, n, with_x0, left):
+        l = 3
+        blocks = rng.standard_normal((3, n + 1, l, l)) + 1j * rng.standard_normal((3, n + 1, l, l))
+        b, g = list(blocks[0, 1:]), list(blocks[1, 1:])
+        x0 = blocks[2, 0] if with_x0 else None
+        xs = binomial_solve(b, g, matmul, x0=x0, left=left)
+        assert len(xs) == n
+        head = x0 if with_x0 else np.zeros((l, l))
+        x_col = PascalBlock(n, l, np.stack([head] + xs))
+        g_col = PascalBlock(n, l, np.stack([np.eye(l)] + g))
+        b_col = np.stack([head] + b)
+        product = pascal_multiply(g_col, x_col) if left else pascal_multiply(x_col, g_col)
+        assert np.max(np.abs(product.first_column - b_col)) < 1e-10
+        # the same product through the dense expansion
+        dense = pascal_expand(g_col if left else x_col) @ pascal_expand(x_col if left else g_col)
+        np.testing.assert_allclose(dense[:, :l], b_col.reshape(-1, l), atol=1e-10)
+
+    def test_x0_none_equals_zero_x0(self, rng):
+        n, l = 4, 2
+        blocks = rng.standard_normal((2, n, l, l)) + 1j * rng.standard_normal((2, n, l, l))
+        b, g = list(blocks[0]), list(blocks[1])
+        for left in (False, True):
+            # with x_0 = 0 the last g is never read
+            free = binomial_solve(b, g[:-1], matmul, left=left)
+            zero = binomial_solve(b, g, matmul, x0=np.zeros((l, l)), left=left)
+            np.testing.assert_allclose(np.stack(free), np.stack(zero), atol=1e-13)
+
+    def test_jets_solve_on_their_values(self, rng):
+        # the constant term of a jet product is the product of constant terms
+        jets = [random_herm_jet(2, 2, 2, 2, rng) for _ in range(7)]
+        b, g, x0 = jets[:3], jets[3:6], jets[6]
+        for left in (False, True):
+            xs = binomial_solve(b, g, mul, x0=x0, left=left)
+            values = binomial_solve([j.value() for j in b], [j.value() for j in g],
+                                    matmul, x0=x0.value(), left=left)
+            for x, v in zip(xs, values):
+                np.testing.assert_allclose(x.value(), v, atol=1e-12)
+
+    def test_scalar_solve_is_series_division(self):
+        # B = (1, 0, 0, ...) and g_i = 1 in exponential generating functions:
+        # X = B / e^z = e^{-z}, so x_l = (-1)^l
+        xs = binomial_solve([0.0] * 5, [1.0] * 5, mul, x0=1.0)
+        assert xs == [(-1.0) ** l for l in range(1, 6)]
+
+    def test_exact_ncpoly_left_equals_right(self):
+        # K = -G (1 + G)^-1 = -(1 + G)^-1 G: the two divisions agree exactly
+        g = [NCPoly.symbol("G", i) for i in range(1, 7)]
+        left = binomial_solve([-x for x in g], g, mul, left=True)
+        right = binomial_solve([-x for x in g], g, mul)
+        assert left == right
+        assert left == build_sequences("recur19", 6)
+        assert right == build_sequences("recur199", 6)
+        assert left[0] == -g[0]
+        assert left[1] == -g[1] + 2 * (g[0] * g[0])
 
 
 class TestLambdaFromJet:
