@@ -30,13 +30,14 @@ from .contact import (
     VERIFIED,
 )
 from .geometry import (
-    K1j_recursion,
+    K1j_tower,
+    L_tensor,
     Q_jet,
     Q_recursion,
     cov_deriv,
-    cov_deriv_mixed,
     curvature,
     map_adjoint_jet,
+    transverse_tower,
 )
 from .kernelexpr import BundleSpec, ParseError
 from .rkhs import check_direct_size, quotient_model, unitary_equiv_check
@@ -244,24 +245,21 @@ def _run_curvature(cfg: RunConfig) -> tuple[dict, str]:
     n = cfg.order
     out = []
     for point in cfg.points:
-        h = spec.gram_jet(point, n + 1, n + 1)
+        # the towers read derivatives of orders <= n in z and in zbar
+        h = spec.gram_jet(point, n, n)
         entry = {"point": [_cnum(c) for c in point], "curvature": {}, "covariant": {}}
         for i in range(1, spec.dimension + 1):
             for j in range(1, spec.dimension + 1):
                 entry["curvature"][f"K({i},{j}bar)"] = _cmat(
                     curvature(h, i, j).value()
                 )
-        k11 = curvature(h, 1, 1)
-        for r in range(n):
-            for t in range(n):
-                entry["covariant"][f"K(1,1bar)_z1^{r}_zb1^{t}"] = _cmat(
-                    cov_deriv_mixed(k11, h, 1, r, 1, t).value()
-                )
+        for r, row in enumerate(transverse_tower(h, n)):
+            for t, value in enumerate(row):
+                entry["covariant"][f"K(1,1bar)_z1^{r}_zb1^{t}"] = _cmat(value)
         for j in range(2, spec.dimension + 1):
-            for r in range(n):
-                entry["covariant"][f"K(1,{j}bar)_z1^{r}"] = _cmat(
-                    K1j_recursion(h, j, r + 1)
-                )
+            mixed = K1j_tower(h, [L_tensor(h, j, l) for l in range(1, n + 1)])
+            for r, value in enumerate(mixed):
+                entry["covariant"][f"K(1,{j}bar)_z1^{r}"] = _cmat(value)
         out.append(entry)
     return {"points": out}, "completed"
 
@@ -271,15 +269,17 @@ def _run_recursions(cfg: RunConfig) -> tuple[dict, str]:
     n = cfg.order
     results = []
     for point in cfg.points:
-        h = spec.gram_jet(point, n + 2, n + 2)
+        # orders (n+1, n+1): the adjoint-derivative check takes a z-derivative
+        # of the curvature, which is one order short of the jet
+        h = spec.gram_jet(point, n + 1, n + 1)
         entry = {"point": [_cnum(c) for c in point], "residuals": {}}
         h0 = h.value()
         h0inv = np.linalg.inv(h0)
         for j in range(1, spec.dimension + 1):
-            k1j = curvature(h, 1, j)
-            iterated = k1j
+            tower = K1j_tower(h, [L_tensor(h, j, l) for l in range(1, n + 1)])
+            iterated = curvature(h, 1, j)
             for order in range(1, n + 1):
-                rec = K1j_recursion(h, j, order)
+                rec = tower[order - 1]
                 direct = iterated.value()
                 scale = 1.0 + max(np.max(np.abs(rec)), np.max(np.abs(direct)))
                 entry["residuals"][f"curvature-tower(j={j},n={order})"] = float(

@@ -20,6 +20,11 @@ Two settings are covered, both driven by Gram jets:
     covariant derivatives (orders r, t <= n-1) and the mixed components
     (K_{1 jbar})_{z1^r} for the tangential directions j >= 2.
 
+  Both routes and the point-wise spot check run once per grid, on Gram jets
+  with a leading point axis (see :mod:`jetcore`); every residual below is
+  then an array with one value per point, and a verdict list has one entry
+  per point.
+
 Verdicts are grid-based: "verified" means every residual is below tolerance
 at every requested point, "refuted" means some residual exceeds 10x the
 tolerance, anything else is "inconclusive".
@@ -35,11 +40,11 @@ from operator import matmul, mul
 import numpy as np
 
 from .geometry import (
-    K1j_recursion,
+    K1j_tower,
     L_tensor,
-    cov_deriv_mixed,
     curvature,
     normalize_frame,
+    transverse_tower,
 )
 from .jetcore import (
     HermJet,
@@ -88,6 +93,9 @@ def _e1(dim: int, times: int) -> tuple:
 
 
 def classify(residual: float, tol: float) -> str:
+    """The verdict of one residual; a list of them for an array of residuals."""
+    if np.ndim(residual):
+        return [classify(r, tol) for r in residual]
     if not np.isfinite(residual):
         return INCONCLUSIVE
     if residual < tol:
@@ -118,9 +126,16 @@ def combine_verdicts(verdicts) -> str:
     return VERIFIED
 
 
-def _rel(diff: np.ndarray, *refs) -> float:
-    scale = 1.0 + max((float(np.max(np.abs(r))) for r in refs), default=0.0)
-    return float(np.max(np.abs(diff))) / scale
+def _rel(diff: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """max |diff| relative to 1 + the largest entry of a or b, over the matrix
+    axes: one value per point for stacks of matrices."""
+    scale = 1.0 + np.maximum(np.max(np.abs(a), axis=(-2, -1)), np.max(np.abs(b), axis=(-2, -1)))
+    return np.max(np.abs(diff), axis=(-2, -1)) / scale
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.conj(np.swapaxes(m, -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +160,8 @@ def _jet_gram_plan(dim: int, n: int, variables: str):
 
 
 def _jet_blocks(H: HermJet, n: int, variables: str = "all") -> np.ndarray:
-    """The blocks d^I dbar^J H at the center, shape (N, N, rank, rank), with
-    I and J in the order of `jet_gram`'s rows and columns."""
+    """The blocks d^I dbar^J H at the center, shape (*P, N, N, rank, rank),
+    with I and J in the order of `jet_gram`'s rows and columns."""
     pos, weight = _jet_gram_plan(H.dim, n, variables)
     if n > min(H.holo_order, H.anti_order):
         raise OrderError(
@@ -154,7 +169,7 @@ def _jet_blocks(H: HermJet, n: int, variables: str = "all") -> np.ndarray:
             f"got ({H.holo_order}, {H.anti_order})"
         )
     # graded tables make the order-n table a prefix of the jet's own tables
-    return H.coeffs[np.ix_(pos, pos)] * weight[:, :, None, None]
+    return H.coeffs[..., pos[:, None], pos[None, :], :, :] * weight[:, :, None, None]
 
 
 def jet_gram(H: HermJet, n: int, variables: str = "all") -> np.ndarray:
@@ -165,8 +180,8 @@ def jet_gram(H: HermJet, n: int, variables: str = "all") -> np.ndarray:
     transverse derivatives 0..n.  Block (I, J) is d^I dbar^J H at the center.
     """
     blocks = _jet_blocks(H, n, variables)
-    size = blocks.shape[0] * H.rank
-    return blocks.transpose(0, 2, 1, 3).reshape(size, size)
+    size = blocks.shape[-3] * H.rank
+    return np.swapaxes(blocks, -3, -2).reshape(blocks.shape[:-4] + (size, size))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +196,7 @@ def pointwise_verify(
     lam = multi_lambda_from_jet(candidate.truncate(n), n)
     g = jet_gram(H, n)
     gt = jet_gram(Ht, n)
-    resid = _rel(g - lam @ gt @ np.conj(lam.T), g, gt)
+    resid = _rel(g - lam @ gt @ _adjoint(lam), g, gt)
     residuals = {f"jet-gram-isometry(n={n})": resid}
     return classify(resid, tol), residuals
 
@@ -254,21 +269,28 @@ def extend_A_sequence_jets(
     return binomial_solve(b, dht, mul, x0=a0)
 
 
+def _L_tables(H: HermJet, n: int) -> dict:
+    """{j: [L_j^1, ..., L_j^n]} for the tangential directions j = 2..m."""
+    return {j: [L_tensor(H, j, l) for l in range(1, n + 1)] for j in range(2, H.dim + 1)}
+
+
 def holomorphy_conditions(
-    H: HermJet, Ht: HermJet, A_seq: list[np.ndarray], n: int
+    H: HermJet, Ht: HermJet, A_seq: list[np.ndarray], n: int, tensors=None
 ) -> dict:
     """Residuals of the gluing conditions that make the extension holomorphic:
 
         L_j^l = sum_{i=1}^l binom(l,i) A_{l-i} Lt_j^i A0^-1
 
     for 1 <= l <= n and every tangential direction 2 <= j <= m.  A_seq is
-    (A0, A1, ..., An)."""
+    (A0, A1, ..., An); `tensors` is the pair of :func:`_L_tables` of
+    H and Ht to order n, made here unless the caller has them."""
+    lh, lht = tensors or (_L_tables(H, n), _L_tables(Ht, n))
     a0inv = np.linalg.inv(A_seq[0])
     out = {}
-    for j in range(2, H.dim + 1):
-        lt = [None] + [L_tensor(Ht, j, i) for i in range(1, n + 1)]
+    for j in lh:
+        lt = [None] + lht[j]
         for l in range(1, n + 1):
-            lhs = L_tensor(H, j, l)
+            lhs = lh[j][l - 1]
             rhs = np.zeros_like(lhs)
             for i in range(1, l + 1):
                 rhs = rhs + comb(l, i) * (A_seq[l - i] @ lt[i] @ a0inv)
@@ -276,7 +298,9 @@ def holomorphy_conditions(
     return out
 
 
-def geometric_conditions(H: HermJet, Ht: HermJet, A0: np.ndarray, n: int) -> dict:
+def geometric_conditions(
+    H: HermJet, Ht: HermJet, A0: np.ndarray, n: int, tensors=None
+) -> dict:
     """Residuals of the curvature conditions intertwined by the corner map:
 
     * isometry of A0 itself: H = A0 Ht A0^*;
@@ -284,26 +308,26 @@ def geometric_conditions(H: HermJet, Ht: HermJet, A0: np.ndarray, n: int) -> dic
       for r, t <= n-1;
     * mixed tower: (K_{1 jbar})_{z1^r} A0 = A0 (Kt_{1 jbar})_{z1^r} for
       r <= n-1 and tangential j >= 2.
+
+    `tensors` is as for :func:`holomorphy_conditions`; each tower is built
+    once per bundle.
     """
+    lh, lht = tensors or (_L_tables(H, n), _L_tables(Ht, n))
     A0 = np.asarray(A0, dtype=np.complex128)
     out = {}
     h0, ht0 = H.value(), Ht.value()
-    out["isometry"] = _rel(h0 - A0 @ ht0 @ np.conj(A0.T), h0, ht0)
-    k = curvature(H, 1, 1)
-    kt = curvature(Ht, 1, 1)
+    out["isometry"] = _rel(h0 - A0 @ ht0 @ _adjoint(A0), h0, ht0)
+    tower, tower_t = transverse_tower(H, n), transverse_tower(Ht, n)
     for r in range(n):
-        kr = cov_deriv_mixed(k, H, 1, r, 1, 0)
-        ktr = cov_deriv_mixed(kt, Ht, 1, r, 1, 0)
         for t in range(n):
-            lhs = cov_deriv_mixed(kr, H, 1, 0, 1, t).value()
-            rhs = cov_deriv_mixed(ktr, Ht, 1, 0, 1, t).value()
+            lhs, rhs = tower[r][t], tower_t[r][t]
             out[f"transverse-curvature(r={r},t={t})"] = _rel(
                 lhs @ A0 - A0 @ rhs, lhs, rhs
             )
-    for j in range(2, H.dim + 1):
+    for j in lh:
+        mixed, mixed_t = K1j_tower(H, lh[j]), K1j_tower(Ht, lht[j])
         for r in range(n):
-            lhs = K1j_recursion(H, j, r + 1)
-            rhs = K1j_recursion(Ht, j, r + 1)
+            lhs, rhs = mixed[r], mixed_t[r]
             out[f"mixed-curvature(j={j},r={r})"] = _rel(lhs @ A0 - A0 @ rhs, lhs, rhs)
     return out
 
@@ -370,6 +394,7 @@ class ContactProblem:
         return self.bundle_a.rank
 
     def candidate_jet(self, center, order: int) -> HoloJet | None:
+        """The candidate's jet at `center`, one point or P points."""
         cand = self.candidate
         if cand is None:
             return None
@@ -441,9 +466,9 @@ def _assemble(mode, order, tol, point_reports) -> ContactReport:
 def _pointwise_at(problem: ContactProblem, point) -> PointReport:
     n = problem.order
     tol = problem.tolerance
-    orders = n + 1
-    h = problem.bundle_a.gram_jet(point, orders, orders)
-    ht = problem.bundle_b.gram_jet(point, orders, orders)
+    # both routes read derivatives of orders <= n in z and in zbar only
+    h = problem.bundle_a.gram_jet(point, n, n)
+    ht = problem.bundle_b.gram_jet(point, n, n)
     residuals = {}
     routes = {}
 
@@ -468,64 +493,72 @@ def _pointwise_at(problem: ContactProblem, point) -> PointReport:
     return PointReport(tuple(point), verdict, residuals, routes, agreement)
 
 
-def _alongz_at(problem: ContactProblem, point) -> PointReport:
+def _alongz_at(problem: ContactProblem, points) -> list[PointReport]:
+    """Both routes and the spot check at every point of the grid `points` on
+    Z, each as one pass over the whole grid; one report per point."""
     n = problem.order
     tol = problem.tolerance
-    dim = problem.dim
-    orders = n + 1
-    h = problem.bundle_a.gram_jet(point, orders, orders)
-    ht = problem.bundle_b.gram_jet(point, orders, orders)
+    # every quantity below reads derivatives of orders <= n in z and in zbar
+    h = problem.bundle_a.gram_jet(points, n, n)
+    ht = problem.bundle_b.gram_jet(points, n, n)
 
-    residuals = {}
     shared = {}  # existence conditions for the corner map, counted in both routes
 
     if problem.rank == 1:
-        a0 = np.array([[np.sqrt(h.value()[0, 0].real / ht.value()[0, 0].real)]])
+        a0 = np.sqrt(h.value()[..., :1, :1].real / ht.value()[..., :1, :1].real)
         shared.update(tangential_curvature_conditions(h, ht))
         cand_jet = None
     else:
-        cand_jet = problem.candidate_jet(point, n)
+        cand_jet = problem.candidate_jet(points, n)
         if cand_jet is None:
             raise ValueError(
                 "a candidate corner map A0 is required for rank >= 2 bundles"
             )
         a0 = cand_jet.value()
+    tensors = (_L_tables(h, n), _L_tables(ht, n))
 
     # analytic route: unique extension + transverse block-Gram isometry + gluing
     a_seq = [a0] + extend_A_sequence(h, ht, a0, n)
-    lam = pascal_expand(pascal_from_column(np.stack(a_seq)))
+    lam = pascal_expand(pascal_from_column(np.stack(a_seq, axis=-3)))
     g = jet_gram(h, n, "z1")
     gt = jet_gram(ht, n, "z1")
-    analytic = {f"jet-gram-isometry(n={n})": _rel(g - lam @ gt @ np.conj(lam.T), g, gt)}
-    analytic.update(holomorphy_conditions(h, ht, a_seq, n))
+    analytic = {f"jet-gram-isometry(n={n})": _rel(g - lam @ gt @ _adjoint(lam), g, gt)}
+    analytic.update(holomorphy_conditions(h, ht, a_seq, n, tensors))
     analytic.update(shared)
 
     # geometric route: curvature towers intertwined by the corner map
-    geometric = geometric_conditions(h, ht, a0, n)
+    geometric = geometric_conditions(h, ht, a0, n, tensors)
     geometric.update(shared)
-
-    analytic_verdict = classify(worst_residual(analytic.values()), tol)
-    geometric_verdict = classify(worst_residual(geometric.values()), tol)
-
-    residuals.update(analytic)
-    residuals.update(geometric)
 
     # spot-check: contact along Z implies point-wise contact here (full jets)
     if problem.rank == 1:
-        spot_verdict, spot_res = pointwise_rank1_decide(h, ht, n, tol)
+        spot_verdicts, spot_res = pointwise_rank1_decide(h, ht, n, tol)
     else:
         full_cand = _full_candidate_from_slice(h, ht, cand_jet, n)
-        spot_verdict, spot_res = pointwise_verify(h, ht, full_cand, n, tol)
-    residuals.update({f"pointwise-spot-check:{k}": v for k, v in spot_res.items()})
+        spot_verdicts, spot_res = pointwise_verify(h, ht, full_cand, n, tol)
+    spot = {f"pointwise-spot-check:{k}": v for k, v in spot_res.items()}
 
-    routes = {
-        "analytic": analytic_verdict,
-        "geometric": geometric_verdict,
-        "pointwise-spot-check": spot_verdict,
-    }
-    verdict = combine_verdicts([analytic_verdict, geometric_verdict, spot_verdict])
-    agreement = analytic_verdict == geometric_verdict
-    return PointReport(tuple(point), verdict, residuals, routes, agreement)
+    reports = []
+    for k, point in enumerate(points):
+        analytic_k = _at_point(analytic, k)
+        geometric_k = _at_point(geometric, k)
+        analytic_verdict = classify(worst_residual(analytic_k.values()), tol)
+        geometric_verdict = classify(worst_residual(geometric_k.values()), tol)
+        residuals = {**analytic_k, **geometric_k, **_at_point(spot, k)}
+        routes = {
+            "analytic": analytic_verdict,
+            "geometric": geometric_verdict,
+            "pointwise-spot-check": spot_verdicts[k],
+        }
+        verdict = combine_verdicts(routes.values())
+        agreement = analytic_verdict == geometric_verdict
+        reports.append(PointReport(tuple(point), verdict, residuals, routes, agreement))
+    return reports
+
+
+def _at_point(residuals: dict, k: int) -> dict:
+    """The residuals of grid point k; a scalar residual holds at every point."""
+    return {name: float(v[k] if np.ndim(v) else v) for name, v in residuals.items()}
 
 
 def _full_candidate_from_slice(
@@ -537,18 +570,18 @@ def _full_candidate_from_slice(
     a_jets = [a0_jet.as_herm(h.anti_order).freeze_variable(0)]
     a_jets += extend_A_sequence_jets(h, ht, a_jets[0], n)
     table = index_table(dim, n)
-    coeffs = np.zeros((len(table), h.rank, h.rank), dtype=np.complex128)
+    coeffs = np.zeros(h.points + (len(table), h.rank, h.rank), dtype=np.complex128)
     pos = index_positions(dim, n)
     for idx in table:
         k = idx[0]
         tang = (0,) + idx[1:]
-        coeffs[pos[idx]] = a_jets[k].extract(tang) / multi_index_factorial(idx)
+        coeffs[..., pos[idx], :, :] = a_jets[k].extract(tang) / multi_index_factorial(idx)
     return HoloJet(h.center, n, h.rank, coeffs)
 
 
 def alongZ_check(problem: ContactProblem) -> ContactReport:
     """Run both verification routes at every grid point on Z."""
-    reports = [_alongz_at(problem, p) for p in problem.points]
+    reports = _alongz_at(problem, problem.points)
     return _assemble("along-z", problem.order, problem.tolerance, reports)
 
 

@@ -16,7 +16,9 @@ evaluated in the fixed order "all z_i first, then all zbar_j" (the order
 matters and no symmetrization is performed).
 
 Direction arguments are 1-based throughout, matching the z1..zm naming of
-the expression grammar.
+the expression grammar.  Everything here runs on jets at one point or, with
+a leading point axis, at a grid of points; values then carry the point axis
+too.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ __all__ = [
     "map_adjoint_jet",
     "L_tensor",
     "K1j_recursion",
+    "K1j_tower",
+    "transverse_tower",
     "Q_value",
     "Q_jet",
     "Q_recursion",
@@ -109,6 +113,23 @@ def cov_deriv_mixed(Phi: HermJet, H: HermJet, i: int, r: int, j: int, t: int) ->
     return out
 
 
+def transverse_tower(H: HermJet, n: int) -> list:
+    """Values of (K_{1 1bar})_{z1^r zbar1^t} for r, t = 0..n-1, as rows r of
+    columns t; each covariant step is taken once, from the previous one."""
+    rows = []
+    step = curvature(H, 1, 1)
+    for r in range(n):
+        if r:
+            step = cov_deriv(step, H, 1)
+        col = step
+        row = [col.value()]
+        for _ in range(1, n):
+            col = cov_deriv(col, H, 1, conjugate=True)
+            row.append(col.value())
+        rows.append(row)
+    return rows
+
+
 def adjoint_map(M: np.ndarray, H_value: np.ndarray) -> np.ndarray:
     """Representing matrix of the adjoint bundle map: H M^* H^-1."""
     return H_value @ np.conj(M.T) @ np.linalg.inv(H_value)
@@ -139,11 +160,16 @@ def K1j_recursion(H: HermJet, j: int, n: int) -> np.ndarray:
     by the recursion J_1 = L_j^1, J_n = L_j^n - sum binom(n,i) d^i H H^-1 J_{n-i}."""
     if n < 1:
         raise ValueError("recursion order must be >= 1")
+    return K1j_tower(H, [L_tensor(H, j, k) for k in range(1, n + 1)])[-1]
+
+
+def K1j_tower(H: HermJet, ls: list) -> list:
+    """Values of (K_{1 jbar})_{z_1^r} for r = 0..n-1 from ls = [L_j^1, ..., L_j^n]
+    by one binomial solve of the recursion of :func:`K1j_recursion`."""
     dim = H.dim
     h0inv = np.linalg.inv(H.value())
-    g = [H.extract(_e(dim, 1, i), _zero(dim)) @ h0inv for i in range(1, n)]
-    b = [L_tensor(H, j, k) for k in range(1, n + 1)]
-    return binomial_solve(b, g, matmul, left=True)[-1]
+    g = [H.extract(_e(dim, 1, i), _zero(dim)) @ h0inv for i in range(1, len(ls))]
+    return binomial_solve(ls, g, matmul, left=True)
 
 
 def Q_value(H: HermJet, j: int, n: int = 1) -> np.ndarray:
@@ -172,11 +198,12 @@ def Q_recursion(H: HermJet, j: int, n: int) -> np.ndarray:
 
 
 def hermitian_sqrt(M: np.ndarray) -> np.ndarray:
-    """Positive square root of a Hermitian positive-definite matrix."""
+    """Positive square root of a Hermitian positive-definite matrix (of each
+    matrix of a stack)."""
     w, v = np.linalg.eigh(M)
     if w.min() <= 0.0:
         raise ValueError(f"matrix not positive definite (min eigenvalue {w.min():.2e})")
-    return (v * np.sqrt(w)) @ np.conj(v.T)
+    return (v * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
 def normalize_frame(H: HermJet, n: int) -> tuple[HoloJet, HermJet]:
@@ -193,20 +220,23 @@ def normalize_frame(H: HermJet, n: int) -> tuple[HoloJet, HermJet]:
     frozen = H.holo_part()  # H(z, zbar0) as a holomorphic jet
     A = HoloJet.constant(root, H.center, frozen.order) * frozen.inv()
     Hnorm = A.as_herm(H.anti_order) * H * A.adjoint_as_herm(H.holo_order)
-    defect = normalized_defect(Hnorm, n)
-    scale = 1.0 + float(np.max(np.abs(H.coeffs)))
-    if defect > 1e-8 * scale:
+    defect = np.ravel(normalized_defect(Hnorm, n))
+    scale = 1.0 + np.ravel(np.max(np.abs(H.coeffs), axis=(-4, -3, -2, -1)))
+    failing = np.flatnonzero(defect > 1e-8 * scale)
+    if failing.size:
         raise ArithmeticError(
-            f"frame normalization failed (defect {defect:.2e}); "
+            f"frame normalization failed (defect {defect[failing[0]]:.2e}); "
             "Gram jet is likely ill-conditioned"
         )
     return A, Hnorm
 
 
 def normalized_defect(Hnorm: HermJet, n: int) -> float:
-    """Max violation of the normalized-frame conditions up to order n."""
-    worst = float(np.max(np.abs(Hnorm.value() - np.eye(Hnorm.rank))))
+    """Max violation of the normalized-frame conditions up to order n (one
+    per point at P centers)."""
+    worst = np.max(np.abs(Hnorm.value() - np.eye(Hnorm.rank)), axis=(-2, -1))
     for alpha in index_table(Hnorm.dim, min(n, Hnorm.holo_order)):
         if 0 < sum(alpha):
-            worst = max(worst, float(np.max(np.abs(Hnorm.extract(alpha)))))
+            value = np.max(np.abs(Hnorm.extract(alpha)), axis=(-2, -1))
+            worst = np.where(value > worst, value, worst)  # as max(): keeps a NaN
     return worst

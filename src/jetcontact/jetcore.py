@@ -34,6 +34,15 @@ One graded kernel does all the arithmetic:
   ones (Griewank & Walther, *Evaluating Derivatives*, ch. 13), read off the
   Euler derivation D f = sum deg(k) f_k.
 
+A jet may also hold one expansion per point of a grid: its center is then a
+tuple of P centers and its coefficients carry a leading point axis,
+``(P, Na, Nb, r, r)`` for :class:`HermJet` and ``(P, Na, r, r)`` for
+:class:`HoloJet`.  Every operation runs over all P points in one numpy pass
+(the vector mode of Taylor arithmetic): the plans depend only on the shape,
+the point axis rides inside each gathered block, and the per-point matrix
+operations are stacked.  The arithmetic per point is the same as for a jet
+at that point alone, bit for bit.  Jets at one point have no point axis.
+
 All jets are immutable after construction; every operation returns a new jet.
 Binary operations truncate to the minimum operand orders.
 """
@@ -54,6 +63,7 @@ __all__ = [
     "HoloJet",
     "index_table",
     "index_positions",
+    "point_axis",
     "multi_index_order",
     "multi_index_factorial",
     "multi_index_binom",
@@ -178,45 +188,56 @@ def _graded_plan(dim: int, holo_order: int, anti_order: int):
 
 
 def _pair_last(coeffs: np.ndarray) -> np.ndarray:
-    """(Na, Nb, r, r) coefficients as an (r, r, Na * Nb) array."""
+    """(*P, Na, Nb, r, r) coefficients as an (r, r, *P, Na * Nb) array."""
     r = coeffs.shape[-1]
-    return np.ascontiguousarray(coeffs.reshape(-1, r, r).transpose(1, 2, 0))
+    flat = coeffs.reshape(coeffs.shape[:-4] + (-1, r, r))
+    lead = tuple(range(flat.ndim - 2))
+    return np.ascontiguousarray(flat.transpose((flat.ndim - 2, flat.ndim - 1) + lead))
+
+
+def _from_pair_last(x: np.ndarray, na: int, nb: int) -> np.ndarray:
+    """(r, r, *P, Na * Nb) pair-last sums as (*P, Na, Nb, r, r) coefficients."""
+    r = x.shape[0]
+    moved = x.transpose(tuple(range(2, x.ndim)) + (0, 1))
+    return moved.reshape(x.shape[2:-1] + (na, nb, r, r))
 
 
 def _contract(left, right, I, J, starts, weight=None) -> np.ndarray:
     """Segment sums of weight * left[I] @ right[J] over pair-last operands.
 
-    The r x r blocks are contracted with r^3 vector multiply-adds of length
-    ``len(I)``; at rank 1 that is one elementwise product.  Returns the
-    (r, r, len(starts)) sums.
+    Output block (row, col) is the sum over k of r vector products over
+    ``(*P, len(I))`` gathered blocks, segment-summed as soon as it is formed;
+    at rank 1 that is one elementwise product.  The left operand is gathered
+    one row at a time and the right one column by column, so the gathered
+    blocks held at once are two rows' worth, not two whole r x r gathers.
+    Returns the (r, r, *P, len(starts)) sums.
     """
-    a = np.take(left, I, axis=2)
-    b = np.take(right, J, axis=2)
-    if weight is not None:
-        a *= weight
-    r = a.shape[0]
+    r = left.shape[0]
     if r == 1:
-        prod = a * b
-    else:
-        prod = np.empty_like(a)
-        tmp = np.empty(a.shape[2], dtype=a.dtype)
-        for row in range(r):
-            for col in range(r):
-                acc = prod[row, col]
-                np.multiply(a[row, 0], b[0, col], out=acc)
-                for k in range(1, r):
-                    np.multiply(a[row, k], b[k, col], out=tmp)
-                    acc += tmp
-    return np.add.reduceat(prod, starts, axis=2)
+        a = np.take(left, I, axis=-1)
+        if weight is not None:
+            a *= weight
+        return np.add.reduceat(np.multiply(a, np.take(right, J, axis=-1), out=a), starts, axis=-1)
+    out = np.empty(left.shape[:-1] + (len(starts),), dtype=left.dtype)
+    for row in range(r):
+        a = np.take(left[row], I, axis=-1)
+        if weight is not None:
+            a *= weight
+        for col in range(r):
+            b = np.take(right[:, col], J, axis=-1)
+            acc = np.multiply(a[0], b[0])
+            for k in range(1, r):
+                acc += np.multiply(a[k], b[k], out=b[k])
+            np.add.reduceat(acc, starts, axis=-1, out=out[row, col])
+    return out
 
 
 def _product(a: np.ndarray, b: np.ndarray, dim: int, p: int, q: int) -> np.ndarray:
-    """Coefficients (Na(p), Nb(q), r, r) of the truncated product of two
-    coefficient arrays (Na, Nb, r, r) of orders at least (p, q)."""
-    r = a.shape[-1]
-    I, J, starts = _mul_plan(dim, p, q, a.shape[1], b.shape[1])
+    """Coefficients (*P, Na(p), Nb(q), r, r) of the truncated product of two
+    coefficient arrays (*P, Na, Nb, r, r) of orders at least (p, q)."""
+    I, J, starts = _mul_plan(dim, p, q, a.shape[-3], b.shape[-3])
     sums = _contract(_pair_last(a), _pair_last(b), I, J, starts)
-    return sums.transpose(2, 0, 1).reshape(table_size(dim, p), table_size(dim, q), r, r)
+    return _from_pair_last(sums, table_size(dim, p), table_size(dim, q))
 
 
 @lru_cache(maxsize=None)
@@ -232,6 +253,54 @@ def _deriv_plan(dim: int, order: int, var: int):
         src[k] = pos_in[tuple(up)]
         mult[k] = a[var] + 1
     return src, mult
+
+
+_POINT_TYPES = (tuple, list, np.ndarray)
+
+
+def point_axis(center) -> tuple:
+    """() for one center (a sequence of coordinates), (P,) for a sequence of
+    P centers."""
+    return (len(center),) if len(center) and isinstance(center[0], _POINT_TYPES) else ()
+
+
+def _center(center) -> tuple:
+    """The center as a tuple of complex coordinates, or P centers as a tuple
+    of such tuples, and the ambient dimension.  A center already in that
+    form is returned as it is, so the jets of one computation share it."""
+    if not point_axis(center):
+        if not _is_point(center):
+            center = tuple(complex(c) for c in center)
+        return center, len(center)
+    if not (type(center) is tuple and all(map(_is_point, center))):
+        center = tuple(tuple(complex(c) for c in point) for point in center)
+    dims = {len(point) for point in center}
+    if len(dims) != 1:
+        raise DimensionError(f"centers of different dimensions {sorted(dims)}")
+    return center, dims.pop()
+
+
+def _is_point(center) -> bool:
+    return type(center) is tuple and all(type(c) is complex for c in center)
+
+
+def _point_values(center, var: int):
+    """Coordinate z_var of the center, or per point as a (P, 1, 1) array."""
+    if point_axis(center):
+        return np.array([point[var] for point in center]).reshape(-1, 1, 1)
+    return center[var]
+
+
+def _constant_coeffs(value, center, shape: tuple) -> np.ndarray:
+    """Zero coefficients of table `shape` with ``value`` (an r x r matrix, or
+    one per point) as every point's constant term."""
+    value = np.asarray(value, dtype=np.complex128)
+    if value.ndim < 2:
+        value = value.reshape(1, 1)
+    rank = value.shape[-1]
+    coeffs = np.zeros(point_axis(center) + shape + (rank, rank), dtype=np.complex128)
+    coeffs[(Ellipsis,) + (0,) * len(shape) + (slice(None), slice(None))] = value
+    return coeffs
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -258,25 +327,25 @@ class HermJet:
 
     Attributes
     ----------
-    center : tuple of complex, length ``dim``
+    center : tuple of complex, length ``dim``; or a tuple of P such centers
     dim : ambient dimension
     holo_order, anti_order : truncation orders in z and conj(z)
     rank : matrix size
     coeffs : ndarray of shape (Na, Nb, rank, rank) with the normalized
-        coefficient of (alpha, beta) at position (pos(alpha), pos(beta)).
+        coefficient of (alpha, beta) at position (pos(alpha), pos(beta));
+        (P, Na, Nb, rank, rank) at P centers.
     """
 
     __slots__ = ("center", "dim", "holo_order", "anti_order", "rank", "coeffs", "_inv_cache")
 
     def __init__(self, center, holo_order, anti_order, rank, coeffs):
-        self.center = tuple(complex(c) for c in center)
-        self.dim = len(self.center)
+        self.center, self.dim = _center(center)
         self.holo_order = int(holo_order)
         self.anti_order = int(anti_order)
         self.rank = int(rank)
         self._inv_cache = None
         coeffs = np.asarray(coeffs, dtype=np.complex128)
-        expected = (
+        expected = point_axis(self.center) + (
             table_size(self.dim, self.holo_order),
             table_size(self.dim, self.anti_order),
             self.rank,
@@ -292,15 +361,12 @@ class HermJet:
 
     @classmethod
     def constant(cls, value, center, holo_order, anti_order) -> "HermJet":
-        value = np.atleast_2d(np.asarray(value, dtype=np.complex128))
-        rank = value.shape[0]
-        dim = len(center)
-        coeffs = np.zeros(
-            (table_size(dim, holo_order), table_size(dim, anti_order), rank, rank),
-            dtype=np.complex128,
-        )
-        coeffs[0, 0] = value
-        return cls(center, holo_order, anti_order, rank, coeffs)
+        """The constant `value`: a scalar or an r x r matrix, or one per
+        point at P centers."""
+        center, dim = _center(center)
+        shape = (table_size(dim, holo_order), table_size(dim, anti_order))
+        coeffs = _constant_coeffs(value, center, shape)
+        return cls(center, holo_order, anti_order, coeffs.shape[-1], coeffs)
 
     @classmethod
     def zero(cls, center, holo_order, anti_order, rank=1) -> "HermJet":
@@ -313,34 +379,41 @@ class HermJet:
     @classmethod
     def coordinate(cls, var: int, center, holo_order, anti_order) -> "HermJet":
         """Scalar jet of the coordinate function z_var (0-based)."""
-        jet = cls.constant(center[var], center, holo_order, anti_order)
+        jet = cls.constant(_point_values(center, var), center, holo_order, anti_order)
         if holo_order >= 1:
             c = np.array(jet.coeffs)
-            e = tuple(1 if k == var else 0 for k in range(len(center)))
-            c[index_positions(len(center), holo_order)[e], 0, 0, 0] = 1.0
-            return cls(center, holo_order, anti_order, 1, c)
+            e = tuple(1 if k == var else 0 for k in range(jet.dim))
+            c[..., index_positions(jet.dim, holo_order)[e], 0, 0, 0] = 1.0
+            return jet._like(holo_order, anti_order, c)
         return jet
 
     @classmethod
     def conj_coordinate(cls, var: int, center, holo_order, anti_order) -> "HermJet":
         """Scalar jet of conj(z_var)."""
-        jet = cls.constant(np.conj(center[var]), center, holo_order, anti_order)
+        value = np.conj(_point_values(center, var))
+        jet = cls.constant(value, center, holo_order, anti_order)
         if anti_order >= 1:
             c = np.array(jet.coeffs)
-            e = tuple(1 if k == var else 0 for k in range(len(center)))
-            c[0, index_positions(len(center), anti_order)[e], 0, 0] = 1.0
-            return cls(center, holo_order, anti_order, 1, c)
+            e = tuple(1 if k == var else 0 for k in range(jet.dim))
+            c[..., 0, index_positions(jet.dim, anti_order)[e], 0, 0] = 1.0
+            return jet._like(holo_order, anti_order, c)
         return jet
 
     def _like(self, holo_order: int, anti_order: int, coeffs) -> "HermJet":
         """A jet on this one's center and rank with coefficients an operation
-        has already shaped (Na, Nb, rank, rank); skips the constructor's checks."""
+        has already shaped (*P, Na, Nb, rank, rank); skips the constructor's
+        checks."""
         out = object.__new__(HermJet)
         out.center, out.dim, out.rank = self.center, self.dim, self.rank
         out.holo_order, out.anti_order = holo_order, anti_order
         out._inv_cache = None
         out.coeffs = _freeze(coeffs)
         return out
+
+    @property
+    def points(self) -> tuple:
+        """The leading point axis of ``coeffs``: (P,) at P centers, else ()."""
+        return self.coeffs.shape[:-4]
 
     # -- ring operations ----------------------------------------------------
 
@@ -350,7 +423,7 @@ class HermJet:
         if (p, q) == (self.holo_order, self.anti_order):
             return self
         na, nb = table_size(self.dim, p), table_size(self.dim, q)
-        return self._like(p, q, self.coeffs[:na, :nb])
+        return self._like(p, q, self.coeffs[..., :na, :nb, :, :])
 
     def _common_orders(self, other):
         _check_same_frame(self, other)
@@ -359,7 +432,8 @@ class HermJet:
     def __add__(self, other) -> "HermJet":
         p, q = self._common_orders(other)
         na, nb = table_size(self.dim, p), table_size(self.dim, q)
-        return self._like(p, q, self.coeffs[:na, :nb] + other.coeffs[:na, :nb])
+        part = (Ellipsis, slice(na), slice(nb), slice(None), slice(None))
+        return self._like(p, q, self.coeffs[part] + other.coeffs[part])
 
     def __sub__(self, other) -> "HermJet":
         return self + (-other)
@@ -375,7 +449,7 @@ class HermJet:
     def shift(self, scalar) -> "HermJet":
         """Jet of f + scalar * I: only the constant term changes."""
         coeffs = np.array(self.coeffs)
-        coeffs[0, 0] += complex(scalar) * np.eye(self.rank)
+        coeffs[..., 0, 0, :, :] += complex(scalar) * np.eye(self.rank)
         return self._like(self.holo_order, self.anti_order, coeffs)
 
     def __mul__(self, other) -> "HermJet":
@@ -384,19 +458,20 @@ class HermJet:
         return self._like(p, q, _product(self.coeffs, other.coeffs, self.dim, p, q))
 
     def _graded_solve(self, x0, solve, weight=None) -> "HermJet":
-        """Jet x with constant term x0 whose coefficients of total degree
-        d = 1..p+q follow from the earlier ones: x_k = solve(d, K, S) with
-        S_k = sum over i + j = k, i != 0 of weight(deg i, deg j) * u_i x_j,
-        u = self, for the degree-d positions K (pair-last arrays)."""
+        """Jet x with constant term x0 (pair-last, (r, r, *P)) whose
+        coefficients of total degree d = 1..p+q follow from the earlier ones:
+        x_k = solve(d, K, S) with S_k = sum over i + j = k, i != 0 of
+        weight(deg i, deg j) * u_i x_j, u = self, for the degree-d positions
+        K (pair-last arrays)."""
         u = _pair_last(self.coeffs)
         x = np.zeros_like(u)
-        x[:, :, 0] = x0
+        x[..., 0] = x0
         levels = _graded_plan(self.dim, self.holo_order, self.anti_order)
         for d, (I, J, K, starts, deg_i, deg_j) in enumerate(levels, start=1):
             w = None if weight is None else weight(deg_i, deg_j)
-            x[:, :, K] = solve(d, K, _contract(u, x, I, J, starts, w))
-        coeffs = x.transpose(2, 0, 1).reshape(self.coeffs.shape)
-        return self._like(self.holo_order, self.anti_order, coeffs)
+            x[..., K] = solve(d, K, _contract(u, x, I, J, starts, w))
+        na, nb = self.coeffs.shape[-4:-2]
+        return self._like(self.holo_order, self.anti_order, _from_pair_last(x, na, nb))
 
     def inv(self) -> "HermJet":
         """Multiplicative inverse by forward substitution in graded order:
@@ -406,18 +481,23 @@ class HermJet:
         """
         if self._inv_cache is not None:
             return self._inv_cache
-        c0 = self.coeffs[0, 0]
+        r = self.rank
+        c0 = self.coeffs[..., 0, 0, :, :]
         try:
             c0inv = np.linalg.inv(c0)
         except np.linalg.LinAlgError as exc:
             raise SingularityError("constant term is singular") from exc
-        if np.linalg.cond(c0) > 1e13:
+        if np.any(np.linalg.cond(c0) > 1e13):
             raise SingularityError("constant term is numerically singular")
+        stack = c0inv.reshape(-1, r, r)
 
         def solve(d, K, s):
-            return -(c0inv @ s.reshape(self.rank, -1)).reshape(s.shape)
+            # per point, c0^-1 times the (r, r * len(K)) block of its sums
+            rows = s.reshape(r, r, -1, len(K)).transpose(2, 0, 1, 3)
+            out = -(stack @ rows.reshape(-1, r, r * len(K)))
+            return out.reshape(-1, r, r, len(K)).transpose(1, 2, 0, 3).reshape(s.shape)
 
-        x = self._graded_solve(c0inv, solve)
+        x = self._graded_solve(np.moveaxis(c0inv, (-2, -1), (0, 1)), solve)
         object.__setattr__(self, "_inv_cache", x)
         return x
 
@@ -426,11 +506,12 @@ class HermJet:
     # (D(fg) = Df g + f Dg): D exp(u) = exp(u) Du, u D log(u) = Du and
     # u D u^p = p u^p Du, read off coefficient by coefficient.
 
-    def _scalar_constant(self, what: str, positive: bool) -> complex:
+    def _scalar_constant(self, what: str, positive: bool) -> np.ndarray:
+        """The constant term, shaped (*P, 1) to scale pair-last sums."""
         if self.rank != 1:
             raise DimensionError(f"{what} applies to scalar jets only")
-        c0 = complex(self.coeffs[0, 0, 0, 0])
-        if positive and c0.real <= 0.0:
+        c0 = self.coeffs[..., 0, 0, 0, 0, None]
+        if positive and np.any(c0.real <= 0.0):
             raise SingularityError(f"{what} needs a constant term with positive real part")
         return c0
 
@@ -438,18 +519,18 @@ class HermJet:
         """d w_k = sum_{i+j=k} deg(i) u_i w_j."""
         u0 = self._scalar_constant("exp", positive=False)
         return self._graded_solve(
-            np.exp(u0), lambda d, K, s: s / d, lambda deg_i, deg_j: deg_i
+            np.exp(u0[..., 0]), lambda d, K, s: s / d, lambda deg_i, deg_j: deg_i
         )
 
     def log(self) -> "HermJet":
         """u0 d L_k = d u_k - sum_{i+j=k, i != 0} deg(j) u_i L_j."""
         u0 = self._scalar_constant("log", positive=True)
-        u = self.coeffs.reshape(-1)
+        u = _pair_last(self.coeffs)
 
         def solve(d, K, s):
-            return (d * u[K] - s) / (u0 * d)
+            return (d * u[..., K] - s) / (u0 * d)
 
-        return self._graded_solve(np.log(u0), solve, lambda deg_i, deg_j: deg_j)
+        return self._graded_solve(np.log(u0[..., 0]), solve, lambda deg_i, deg_j: deg_j)
 
     def power(self, exponent) -> "HermJet":
         """Integer powers for any jet; real powers for scalar jets (principal
@@ -473,8 +554,10 @@ class HermJet:
             return out
         u0 = self._scalar_constant("real power", positive=True)
         p = float(exponent)
+        # Python's complex power, point by point: numpy's differs in the last bits
+        w0 = np.array([complex(c) ** complex(p) for c in u0.ravel()]).reshape(u0.shape[:-1])
         return self._graded_solve(
-            u0 ** complex(p),
+            w0,
             lambda d, K, s: s / (u0 * d),
             lambda deg_i, deg_j: p * deg_i - deg_j,
         )
@@ -489,12 +572,12 @@ class HermJet:
             if self.anti_order < 1:
                 raise OrderError("anti-holomorphic order exhausted")
             src, mult = _deriv_plan(self.dim, self.anti_order, var)
-            coeffs = self.coeffs[:, src] * mult[None, :, None, None]
+            coeffs = self.coeffs[..., src, :, :] * mult[None, :, None, None]
             return self._like(self.holo_order, self.anti_order - 1, coeffs)
         if self.holo_order < 1:
             raise OrderError("holomorphic order exhausted")
         src, mult = _deriv_plan(self.dim, self.holo_order, var)
-        coeffs = self.coeffs[src] * mult[:, None, None, None]
+        coeffs = self.coeffs[..., src, :, :, :] * mult[:, None, None, None]
         return self._like(self.holo_order - 1, self.anti_order, coeffs)
 
     def extract(self, alpha, beta=None) -> np.ndarray:
@@ -510,12 +593,12 @@ class HermJet:
         pa = index_positions(self.dim, self.holo_order)[alpha]
         pb = index_positions(self.dim, self.anti_order)[beta]
         return np.array(
-            self.coeffs[pa, pb]
+            self.coeffs[..., pa, pb, :, :]
             * (multi_index_factorial(alpha) * multi_index_factorial(beta))
         )
 
     def value(self) -> np.ndarray:
-        return np.array(self.coeffs[0, 0])
+        return np.array(self.coeffs[..., 0, 0, :, :])
 
     def adjoint(self) -> "HermJet":
         """Jet of the pointwise conjugate transpose z -> f(z)^*.
@@ -529,7 +612,7 @@ class HermJet:
         return self._like(
             square.holo_order,
             square.anti_order,
-            np.conj(square.coeffs.transpose(1, 0, 3, 2)),
+            np.conj(np.swapaxes(np.swapaxes(square.coeffs, -4, -3), -2, -1)),
         )
 
     def freeze_variable(self, var: int) -> "HermJet":
@@ -547,14 +630,15 @@ class HermJet:
         return self._like(self.holo_order, self.anti_order, coeffs)
 
     def hermitian_defect(self) -> float:
-        """Max coefficient deviation from Gram symmetry c[b,a] = c[a,b]^*."""
-        return float(np.max(np.abs((self - self.adjoint()).coeffs)))
+        """Max coefficient deviation from Gram symmetry c[b,a] = c[a,b]^*;
+        one per point at P centers."""
+        return np.max(np.abs((self - self.adjoint()).coeffs), axis=(-4, -3, -2, -1))
 
     def holo_part(self, order=None) -> "HoloJet":
         """The beta = 0 slice as a holomorphic jet."""
         order = self.holo_order if order is None else order
         j = self.truncate(order, self.anti_order)
-        return HoloJet(self.center, order, self.rank, j.coeffs[:, 0])
+        return HoloJet(self.center, order, self.rank, j.coeffs[..., :, 0, :, :])
 
     def __repr__(self):
         return (
@@ -568,16 +652,19 @@ class HermJet:
 
 
 class HoloJet:
-    """Jet of a matrix-valued holomorphic function; coefficients (Na, rank, rank)."""
+    """Jet of a matrix-valued holomorphic function; coefficients (Na, rank,
+    rank), or (P, Na, rank, rank) at P centers."""
 
-    __slots__ = ("center", "order", "rank", "coeffs")
+    __slots__ = ("center", "dim", "order", "rank", "coeffs")
 
     def __init__(self, center, order, rank, coeffs):
-        self.center = tuple(complex(c) for c in center)
+        self.center, self.dim = _center(center)
         self.order = int(order)
         self.rank = int(rank)
         coeffs = np.asarray(coeffs, dtype=np.complex128)
-        expected = (table_size(self.dim, self.order), self.rank, self.rank)
+        expected = point_axis(self.center) + (
+            table_size(self.dim, self.order), self.rank, self.rank
+        )
         if coeffs.shape != expected:
             raise DimensionError(
                 f"coefficient array has shape {coeffs.shape}, expected {expected}"
@@ -585,47 +672,36 @@ class HoloJet:
         self.coeffs = _freeze(coeffs)
 
     @property
-    def dim(self) -> int:
-        return len(self.center)
+    def points(self) -> tuple:
+        """The leading point axis of ``coeffs``: (P,) at P centers, else ()."""
+        return self.coeffs.shape[:-3]
 
     @classmethod
     def constant(cls, value, center, order) -> "HoloJet":
-        value = np.atleast_2d(np.asarray(value, dtype=np.complex128))
-        rank = value.shape[0]
-        coeffs = np.zeros(
-            (table_size(len(center), order), rank, rank), dtype=np.complex128
-        )
-        coeffs[0] = value
-        return cls(center, order, rank, coeffs)
-
-    @classmethod
-    def coordinate(cls, var: int, center, order) -> "HoloJet":
-        jet = cls.constant(center[var], center, order)
-        if order >= 1:
-            c = np.array(jet.coeffs)
-            e = tuple(1 if k == var else 0 for k in range(len(center)))
-            c[index_positions(len(center), order)[e], 0, 0] = 1.0
-            return cls(center, order, 1, c)
-        return jet
+        center, dim = _center(center)
+        coeffs = _constant_coeffs(value, center, (table_size(dim, order),))
+        return cls(center, order, coeffs.shape[-1], coeffs)
 
     @classmethod
     def from_entries(cls, entries) -> "HoloJet":
         rows = len(entries)
         first = entries[0][0]
-        coeffs = np.zeros(first.coeffs.shape[:1] + (rows, rows), dtype=np.complex128)
+        coeffs = np.zeros(first.coeffs.shape[:-2] + (rows, rows), dtype=np.complex128)
         for p in range(rows):
             for q in range(rows):
                 e = entries[p][q]
                 if e.order != first.order or e.center != first.center:
                     raise DimensionError("entry jets must share center and order")
-                coeffs[:, p, q] = e.coeffs[:, 0, 0]
+                coeffs[..., p, q] = e.coeffs[..., 0, 0]
         return cls(first.center, first.order, rows, coeffs)
 
     def truncate(self, order) -> "HoloJet":
         p = min(order, self.order)
         if p == self.order:
             return self
-        return HoloJet(self.center, p, self.rank, self.coeffs[: table_size(self.dim, p)])
+        return HoloJet(
+            self.center, p, self.rank, self.coeffs[..., : table_size(self.dim, p), :, :]
+        )
 
     def __add__(self, other) -> "HoloJet":
         _check_same_frame(self, other)
@@ -647,38 +723,29 @@ class HoloJet:
         """The HermJet product at anti order 0."""
         _check_same_frame(self, other)
         p = min(self.order, other.order)
-        coeffs = _product(self.coeffs[:, None], other.coeffs[:, None], self.dim, p, 0)
-        return HoloJet(self.center, p, self.rank, coeffs[:, 0])
+        anti = (Ellipsis, slice(None), None, slice(None), slice(None))
+        coeffs = _product(self.coeffs[anti], other.coeffs[anti], self.dim, p, 0)
+        return HoloJet(self.center, p, self.rank, coeffs[..., :, 0, :, :])
 
     def inv(self) -> "HoloJet":
         herm = self.as_herm(anti_order=0)
         return herm.inv().holo_part()
-
-    def deriv(self, var: int) -> "HoloJet":
-        if self.order < 1:
-            raise OrderError("holomorphic order exhausted")
-        src, mult = _deriv_plan(self.dim, self.order, var)
-        return HoloJet(
-            self.center,
-            self.order - 1,
-            self.rank,
-            self.coeffs[src] * mult[:, None, None],
-        )
 
     def extract(self, alpha) -> np.ndarray:
         alpha = tuple(alpha)
         if multi_index_order(alpha) > self.order:
             raise OrderError(f"index {alpha} beyond order {self.order}")
         pa = index_positions(self.dim, self.order)[alpha]
-        return np.array(self.coeffs[pa] * multi_index_factorial(alpha))
+        return np.array(self.coeffs[..., pa, :, :] * multi_index_factorial(alpha))
 
     def value(self) -> np.ndarray:
-        return np.array(self.coeffs[0])
+        return np.array(self.coeffs[..., 0, :, :])
 
     def as_herm(self, anti_order: int) -> "HermJet":
         """Promote to a HermJet that is constant in the conjugate variables."""
         coeffs = np.zeros(
-            (
+            self.points
+            + (
                 table_size(self.dim, self.order),
                 table_size(self.dim, anti_order),
                 self.rank,
@@ -686,13 +753,14 @@ class HoloJet:
             ),
             dtype=np.complex128,
         )
-        coeffs[:, 0] = self.coeffs
+        coeffs[..., :, 0, :, :] = self.coeffs
         return HermJet(self.center, self.order, anti_order, self.rank, coeffs)
 
     def adjoint_as_herm(self, holo_order: int) -> "HermJet":
         """HermJet of z -> A(z)^*, an anti-holomorphic function."""
         coeffs = np.zeros(
-            (
+            self.points
+            + (
                 table_size(self.dim, holo_order),
                 table_size(self.dim, self.order),
                 self.rank,
@@ -700,7 +768,7 @@ class HoloJet:
             ),
             dtype=np.complex128,
         )
-        coeffs[0] = np.conj(self.coeffs.transpose(0, 2, 1))
+        coeffs[..., 0, :, :, :] = np.conj(np.swapaxes(self.coeffs, -2, -1))
         return HermJet(self.center, holo_order, self.order, self.rank, coeffs)
 
     def __repr__(self):

@@ -20,8 +20,10 @@ Evaluation is exact truncated Taylor arithmetic; there are no finite
 differences anywhere.  The entries of a Gram matrix (or of a candidate frame
 change) are compiled once into a :class:`JetProgram`, a straight-line
 program with scalar literals in which every distinct subtree is one op, and
-the program runs at each evaluation point.  :meth:`BundleSpec.gram_jet`
-checks each Gram jet it makes, at the orders the caller asked for.
+the program runs once per call, at one point or at a whole grid of points
+(jets with a leading point axis, see :mod:`jetcore`).
+:meth:`BundleSpec.gram_jet` checks each Gram jet it makes, at the orders the
+caller asked for, point by point.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .jetcore import HermJet, HoloJet, table_size
+from .jetcore import HermJet, HoloJet, point_axis
 
 __all__ = [
     "ParseError",
@@ -380,7 +382,9 @@ class JetProgram:
     ``outputs`` holds, per expression, an op index (int) or a complex
     scalar.  ``max_var`` (largest variable index, 0 if none) and
     ``conjugated`` (some ``zb`` occurs) are facts of the expressions
-    recorded while compiling.
+    recorded while compiling.  ``dead[k]`` lists the ops whose jets no op
+    after op k reads and no output is; :meth:`run` drops them there, so a
+    run over a grid holds only the jets it still needs.
     """
 
     def __init__(self, nodes):
@@ -438,10 +442,24 @@ class JetProgram:
             return emit("__mul__" if kind is Mul else "__add__", x, y)
 
         self.outputs = [compile_node(node) for node in nodes]
+        last_read = {}
+        for k, (code, a, b) in enumerate(self.ops):
+            if code not in ("var", "const"):
+                last_read[a] = k
+            if code in _BINARY:
+                last_read[b] = k
+        for out in self.outputs:
+            if isinstance(out, int):
+                last_read[out] = len(self.ops)
+        self.dead = [[] for _ in self.ops]
+        for op, k in last_read.items():
+            if k < len(self.ops):
+                self.dead[k].append(op)
 
     def run(self, center, holo_order: int, anti_order: int) -> list:
-        """The outputs at `center`: a scalar HermJet of orders (holo_order,
-        anti_order), or a complex for a literal-only expression."""
+        """The outputs at `center` (one point, or P points at once): a scalar
+        HermJet of orders (holo_order, anti_order), or a complex for a
+        literal-only expression."""
         jets = []
         for code, a, b in self.ops:
             if code == "var":
@@ -454,22 +472,21 @@ class JetProgram:
             else:
                 method = getattr(jets[a], code)
                 jets.append(method() if b is None else method(b))
+            for op in self.dead[len(jets) - 1]:
+                jets[op] = None
         return [jets[out] if isinstance(out, int) else out for out in self.outputs]
 
     def matrix_jet(self, size: int, center, holo_order: int, anti_order: int) -> HermJet:
         """The outputs, row-major, as the entries of a size x size matrix jet."""
-        dim = len(center)
-        coeffs = np.zeros(
-            (table_size(dim, holo_order), table_size(dim, anti_order), size, size),
-            dtype=np.complex128,
-        )
-        for k, out in enumerate(self.run(center, holo_order, anti_order)):
+        zero = HermJet.zero(center, holo_order, anti_order, size)
+        coeffs = np.array(zero.coeffs)
+        for k, out in enumerate(self.run(zero.center, holo_order, anti_order)):
             p, q = divmod(k, size)
             if isinstance(out, HermJet):
-                coeffs[:, :, p, q] = out.coeffs[:, :, 0, 0]
+                coeffs[..., p, q] = out.coeffs[..., 0, 0]
             else:
-                coeffs[0, 0, p, q] = out
-        return HermJet(center, holo_order, anti_order, size, coeffs)
+                coeffs[..., 0, 0, p, q] = out
+        return HermJet(zero.center, holo_order, anti_order, size, coeffs)
 
 
 def eval_herm_jet(
@@ -537,24 +554,35 @@ class BundleSpec:
     def gram_jet(self, center, holo_order: int, anti_order: int) -> HermJet:
         """HermJet of the Gram matrix at `center`, checked before it is
         returned: the Hermitian defect over all its coefficients with a
-        symmetric partner, and a positive definite value."""
-        if len(center) != self.dimension:
-            raise ValueError(
-                f"bundle {self.label!r} has dimension {self.dimension}, "
-                f"center has {len(center)}"
-            )
+        symmetric partner, and a positive definite value.
+
+        `center` is one point, or a sequence of P points for a jet with a
+        leading point axis made by one run of the program.  The checks run
+        per point; an error names the first failing point and is the one
+        that point alone would raise."""
+        points = list(center) if point_axis(center) else [center]
+        for point in points:
+            if len(point) != self.dimension:
+                raise ValueError(
+                    f"bundle {self.label!r} has dimension {self.dimension}, "
+                    f"center has {len(point)}"
+                )
         jet = self._program.matrix_jet(self.rank, center, holo_order, anti_order)
-        defect = jet.hermitian_defect()
-        if defect > _SYMMETRY_TOL * (1.0 + float(np.max(np.abs(jet.coeffs)))):
-            raise ValueError(
-                f"bundle {self.label!r}: Gram expression is not Hermitian-symmetric "
-                f"at {center} (defect {defect:.2e})"
-            )
-        eigs = np.linalg.eigvalsh(jet.value())
-        if eigs.min() <= 0.0:
+        defect = np.ravel(jet.hermitian_defect())
+        size = np.ravel(np.max(np.abs(jet.coeffs), axis=(-4, -3, -2, -1)))
+        asymmetric = defect > _SYMMETRY_TOL * (1.0 + size)
+        low = np.linalg.eigvalsh(jet.value()).reshape(len(points), -1).min(axis=1)
+        failing = np.flatnonzero(asymmetric | (low <= 0.0))
+        if failing.size:
+            k = failing[0]
+            if asymmetric[k]:
+                raise ValueError(
+                    f"bundle {self.label!r}: Gram expression is not Hermitian-symmetric "
+                    f"at {points[k]} (defect {defect[k]:.2e})"
+                )
             raise ValueError(
                 f"bundle {self.label!r}: Gram matrix not positive definite at "
-                f"{center} (min eigenvalue {eigs.min():.2e})"
+                f"{points[k]} (min eigenvalue {low[k]:.2e})"
             )
         return jet
 

@@ -53,15 +53,16 @@ def _check_order(n: int) -> None:
 
 @dataclass(frozen=True)
 class PascalBlock:
-    """Element of the block Pascal algebra, stored by its first block column."""
+    """Element of the block Pascal algebra, stored by its first block column;
+    a leading point axis holds one element per point of a grid."""
 
     order: int
     block_size: int
-    first_column: np.ndarray  # (order+1, block_size, block_size)
+    first_column: np.ndarray  # (*P, order+1, block_size, block_size)
 
     def __post_init__(self):
         col = np.asarray(self.first_column, dtype=np.complex128)
-        expected = (self.order + 1, self.block_size, self.block_size)
+        expected = col.shape[:-3] + (self.order + 1, self.block_size, self.block_size)
         if col.shape != expected:
             raise ValueError(f"first column has shape {col.shape}, expected {expected}")
         object.__setattr__(self, "first_column", col)
@@ -80,12 +81,11 @@ def pascal_generator(n: int, l: int = 1) -> np.ndarray:
 def pascal_expand(block: PascalBlock) -> np.ndarray:
     """Dense (n+1)l x (n+1)l expansion: block (i, j) = binom(i, j) A[i-j]."""
     n, l = block.order, block.block_size
-    out = np.zeros(((n + 1) * l, (n + 1) * l), dtype=np.complex128)
+    col = block.first_column
+    out = np.zeros(col.shape[:-3] + ((n + 1) * l, (n + 1) * l), dtype=np.complex128)
     for i in range(n + 1):
         for j in range(i + 1):
-            out[i * l : (i + 1) * l, j * l : (j + 1) * l] = (
-                comb(i, j) * block.first_column[i - j]
-            )
+            out[..., i * l : (i + 1) * l, j * l : (j + 1) * l] = comb(i, j) * col[..., i - j, :, :]
     return out
 
 
@@ -94,10 +94,11 @@ def pascal_multiply(a: PascalBlock, b: PascalBlock) -> PascalBlock:
     if (a.order, a.block_size) != (b.order, b.block_size):
         raise ValueError("Pascal blocks differ in order or block size")
     n = a.order
-    col = np.zeros_like(a.first_column)
+    x, y = a.first_column, b.first_column
+    col = np.zeros_like(x)
     for k in range(n + 1):
         for i in range(k + 1):
-            col[k] += comb(k, i) * (a.first_column[i] @ b.first_column[k - i])
+            col[..., k, :, :] += comb(k, i) * (x[..., i, :, :] @ y[..., k - i, :, :])
     return PascalBlock(n, a.block_size, col)
 
 
@@ -123,10 +124,12 @@ def binomial_solve(b, g, mul, x0=None, left=False) -> list:
 
 
 def pascal_from_column(column) -> PascalBlock:
+    """The element with first column A[0..n], (n+1, l, l) or scalars (n+1,),
+    or one per point, (P, n+1, l, l)."""
     column = np.asarray(column, dtype=np.complex128)
     if column.ndim == 1:
         column = column[:, None, None]
-    return PascalBlock(column.shape[0] - 1, column.shape[1], column)
+    return PascalBlock(column.shape[-3] - 1, column.shape[-1], column)
 
 
 def lambda_from_jet(jet: HoloJet, order=None) -> PascalBlock:
@@ -193,18 +196,19 @@ def multi_pascal_generator(dim: int, n: int, direction: int, l: int = 1) -> np.n
 
 def multi_lambda_from_jet(jet: HoloJet, n=None) -> np.ndarray:
     """Full multi-index jet transition matrix of a holomorphic frame change:
-    block (I, J) = prod_k binom(I_k, J_k) * d^(I-J) A(z0) for J <= I."""
+    block (I, J) = prod_k binom(I_k, J_k) * d^(I-J) A(z0) for J <= I (one
+    per point for a jet at P centers)."""
     n = jet.order if n is None else n
     table = index_table(jet.dim, n)
     size = len(table)
     l = jet.rank
-    out = np.zeros((size * l, size * l), dtype=np.complex128)
+    out = np.zeros(jet.points + (size * l, size * l), dtype=np.complex128)
     for row, bigidx in enumerate(table):
         for col, smallidx in enumerate(table):
             weight = multi_index_binom(bigidx, smallidx)
             if weight:
                 diff = tuple(a - b for a, b in zip(bigidx, smallidx))
-                out[row * l : (row + 1) * l, col * l : (col + 1) * l] = (
+                out[..., row * l : (row + 1) * l, col * l : (col + 1) * l] = (
                     weight * jet.extract(diff)
                 )
     return out

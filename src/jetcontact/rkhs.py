@@ -45,8 +45,8 @@ _MAX_DIRECT_DIM = 64
 class QuotientModel:
     """Jet-basis model of the quotient space at a point.
 
-    jet is the kernel's Gram jet at orders (order+1, order+1), the orders the
-    contact verdict reads; gram is the jet Gram of the kernel derivatives
+    jet is the kernel's Gram jet at orders (order+1, order+1), one more than
+    the contact verdict reads; gram is the jet Gram of the kernel derivatives
     taken from it; shifts[j-1] represents the compressed adjoint of the j-th
     shift in the same basis.
     """

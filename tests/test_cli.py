@@ -367,14 +367,16 @@ class TestMain:
 
     def test_asymmetry_beyond_order_two_is_input_error(self, tmp_path, capsys):
         # the asymmetry sits at degree 3, so a Gram checked only at orders
-        # (2, 2) would pass; the order-3 task evaluates orders (4, 4)
+        # (2, 2) would pass; the order-3 tasks evaluate orders (3, 3)
         bad = {"label": "g", "dimension": 1, "gram": [["2", "z1^3"], ["0", "2"]]}
-        path = write_config(
-            tmp_path,
-            {"task": "pointwise", "order": 3, "points": [[0.0]], "bundles": [bad, bad]},
-        )
-        assert main(["--config", path]) == EXIT_INPUT_ERROR
-        assert "not Hermitian-symmetric" in capsys.readouterr().err
+        for task in ("pointwise", "along-z"):
+            path = write_config(
+                tmp_path,
+                {"task": task, "order": 3, "points": [[0.0]], "bundles": [bad, bad],
+                 "candidate": [["1", "0"], ["0", "1"]]},
+            )
+            assert main(["--config", path]) == EXIT_INPUT_ERROR, task
+            assert "not Hermitian-symmetric" in capsys.readouterr().err, task
 
     @pytest.mark.parametrize(
         "expr,message",
@@ -402,3 +404,77 @@ def test_libyaml_and_python_loaders_agree(name):
     text = (CONFIG_DIR / name).read_text(encoding="utf-8")
     loaded = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     assert loaded == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def _text_grid(grid):
+    return [[e.text() for e in row] for row in grid]
+
+
+def _task_configs() -> dict:
+    """Small configs of every task that evaluates Gram jets, at order 2."""
+    from conftest import PAIR_GRAMS_M2, conjugated_gram, unitriangular_pair
+
+    corner = "0.3*z1 + 0.1*z2"
+    _, a_inv = unitriangular_pair(corner)
+    rank2 = [
+        {"label": "h", "dimension": 2, "gram": PAIR_GRAMS_M2[0]},
+        {"label": "ht", "dimension": 2,
+         "gram": _text_grid(conjugated_gram(PAIR_GRAMS_M2[0], a_inv))},
+    ]
+    pair = {"bundles": rank2, "candidate": [["1", corner], ["0", "1"]]}
+    line = {"bundles": [
+        {"label": "a", "dimension": 2, "gram": [["exp(z1*zb1 + z2*zb2)"]]},
+        {"label": "b", "dimension": 2, "gram": [["pow(1 - 0.5*z1*zb1 - 0.4*z2*zb2, -1)"]]},
+    ]}
+    grid = {"points": [[0.0, 0.1], [0.0, [-0.2, 0.1]], [0.0, 0.0]]}
+    point = {"points": [[0.1, [0.0, -0.2]]]}
+    single = {"bundles": rank2[:1], **point}
+    hardy_fock = {"points": [[0.0]], "bundles": [
+        {"label": "hardy", "dimension": 1, "gram": [["pow(1 - z1*zb1, -1)"]]},
+        {"label": "fock", "dimension": 1, "gram": [["exp(z1*zb1)"]]},
+    ]}
+    configs = {
+        "along-z": {"task": "along-z", **pair, **grid},
+        "along-z-line": {"task": "along-z", **line, **grid},
+        "pointwise": {"task": "pointwise", **pair, **point},
+        "pointwise-line": {"task": "pointwise", **line, **point},
+        "curvature": {"task": "curvature", **single},
+        "verify-recursions": {"task": "verify-recursions", **single},
+        "rkhs-quotient": {"task": "rkhs-quotient", **hardy_fock},
+    }
+    return {name: {**cfg, "order": 2} for name, cfg in configs.items()}
+
+
+class TestJetOrders:
+    """Each task evaluates Gram jets at the orders it reads.  Jets are exact
+    up to their orders, so longer jets give the same report; a shorter one
+    would raise OrderError rather than a wrong value."""
+
+    # extra order over the contact order n that each task asks for
+    EXTRA = {"along-z": 0, "along-z-line": 0, "pointwise": 0, "pointwise-line": 0,
+             "curvature": 0, "verify-recursions": 1, "rkhs-quotient": 1}
+
+    @pytest.mark.parametrize("name", sorted(EXTRA))
+    def test_gram_jets_at_the_orders_read(self, monkeypatch, name):
+        asked = []
+        real = BundleSpec.gram_jet
+
+        def spy(self, center, holo_order, anti_order):
+            asked.append((holo_order, anti_order))
+            return real(self, center, holo_order, anti_order)
+
+        monkeypatch.setattr(BundleSpec, "gram_jet", spy)
+        cfg = _task_configs()[name]
+        run(build_config(cfg))
+        n = 2 + self.EXTRA[name]
+        assert asked and set(asked) == {(n, n)}
+
+    @pytest.mark.parametrize("name", sorted(set(EXTRA) - {"rkhs-quotient"}))
+    def test_longer_jets_give_the_same_report(self, monkeypatch, name):
+        cfg = _task_configs()[name]
+        want = json.dumps(run(build_config(cfg)), sort_keys=True)
+        real = BundleSpec.gram_jet
+        monkeypatch.setattr(
+            BundleSpec, "gram_jet", lambda self, c, p, q: real(self, c, p + 1, q + 1)
+        )
+        assert json.dumps(run(build_config(cfg)), sort_keys=True) == want

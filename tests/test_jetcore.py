@@ -323,3 +323,86 @@ class TestHoloJet:
         np.testing.assert_allclose(
             adj.extract((0,), (1,)), np.conj(a.extract((1,)).T), atol=1e-14
         )
+
+
+class TestPointAxis:
+    """A jet at P centers computes, per point, exactly what a jet at that
+    point alone computes: the same coefficients bit for bit."""
+
+    CENTERS = [(0.1, -0.2), (0.0, 0.3 + 0.1j), (-0.25, 0.05j), (0.2, 0.2)]
+
+    def at_points(self, singles):
+        first = singles[0]
+        return HermJet(
+            [j.center for j in singles], first.holo_order, first.anti_order, first.rank,
+            np.stack([j.coeffs for j in singles]),
+        )
+
+    def singles(self, rank, p, q, rng):
+        return [
+            HermJet(c, p, q, rank, random_jet(len(c), rank, p, q, rng).coeffs)
+            for c in self.CENTERS
+        ]
+
+    def assert_each_point(self, grid, singles):
+        assert grid.points == (len(singles),)
+        assert grid.center == tuple(j.center for j in singles)
+        for k, single in enumerate(singles):
+            assert (grid.holo_order, grid.anti_order) == (single.holo_order, single.anti_order)
+            assert grid.coeffs[k].tobytes() == single.coeffs.tobytes()
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_product_and_inverse(self, rng, rank):
+        a, b = self.singles(rank, 3, 2, rng), self.singles(rank, 2, 3, rng)
+        ga, gb = self.at_points(a), self.at_points(b)
+        self.assert_each_point(ga * gb, [x * y for x, y in zip(a, b)])
+        self.assert_each_point(ga.inv(), [x.inv() for x in a])
+        self.assert_each_point(ga.power(-2), [x.power(-2) for x in a])
+
+    def test_series(self, rng):
+        a = self.singles(1, 3, 3, rng)
+        grid = self.at_points(a)
+        self.assert_each_point(grid.exp(), [x.exp() for x in a])
+        self.assert_each_point(grid.log(), [x.log() for x in a])
+        self.assert_each_point(grid.power(-1.5), [x.power(-1.5) for x in a])
+        self.assert_each_point(grid.power(0.5), [x.power(0.5) for x in a])
+
+    def test_calculus_and_holomorphic_part(self, rng):
+        a = self.singles(2, 3, 3, rng)
+        grid = self.at_points(a)
+        self.assert_each_point(grid.deriv(1), [x.deriv(1) for x in a])
+        self.assert_each_point(grid.deriv(0, conjugate=True), [x.deriv(0, True) for x in a])
+        self.assert_each_point(grid.adjoint(), [x.adjoint() for x in a])
+        self.assert_each_point(grid.freeze_variable(0), [x.freeze_variable(0) for x in a])
+        for k, x in enumerate(a):
+            assert grid.extract((1, 1), (0, 1))[k].tobytes() == x.extract((1, 1), (0, 1)).tobytes()
+        holo = grid.holo_part()
+        prod, inv = holo * holo, holo.inv()
+        for k, x in enumerate(a):
+            single = x.holo_part()
+            assert prod.coeffs[k].tobytes() == (single * single).coeffs.tobytes()
+            assert inv.coeffs[k].tobytes() == single.inv().coeffs.tobytes()
+
+    def test_constructors_broadcast_over_points(self):
+        grid = HermJet.coordinate(1, self.CENTERS, 2, 1)
+        for k, c in enumerate(self.CENTERS):
+            single = HermJet.coordinate(1, c, 2, 1)
+            assert grid.coeffs[k].tobytes() == single.coeffs.tobytes()
+        const = HoloJet.constant(np.eye(2), self.CENTERS, 2)
+        assert const.points == (4,) and const.dim == 2
+        assert np.array_equal(const.value(), np.broadcast_to(np.eye(2), (4, 2, 2)))
+
+    def test_mixing_grid_and_single_point_is_refused(self, rng):
+        a = self.singles(1, 2, 2, rng)
+        with pytest.raises(DimensionError):
+            self.at_points(a) * a[0]
+
+    def test_singular_point_raises_the_single_point_error(self, rng):
+        a = self.singles(2, 2, 2, rng)
+        c = np.array(a[2].coeffs)
+        c[0, 0] = 0.0
+        a[2] = HermJet(a[2].center, 2, 2, 2, c)
+        with pytest.raises(SingularityError, match="constant term is singular"):
+            a[2].inv()
+        with pytest.raises(SingularityError, match="constant term is singular"):
+            self.at_points(a).inv()

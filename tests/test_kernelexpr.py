@@ -277,6 +277,20 @@ class TestJetProgram:
             spec.gram_jet((0.1,), 3, 3)
             assert counts == {"exp": k, "power": k}
 
+    def test_run_drops_each_intermediate_after_its_last_read(self):
+        texts = ["exp(z1*zb1) * pow(1 + z1*zb1, -1.5)", "2*exp(z1*zb1) + z1/(1 + zb1)"]
+        program = JetProgram([parse_kernel(t) for t in texts])
+        freed = [op for ops in program.dead for op in ops]
+        outputs = {out for out in program.outputs if isinstance(out, int)}
+        assert len(freed) == len(set(freed)) and not outputs & set(freed)
+        assert set(freed) | outputs == set(range(len(program.ops)))
+        for k, ops in enumerate(program.dead):
+            assert all(op <= k for op in ops)
+        jets = program.run((0.1,), 2, 2)
+        single = [JetProgram([parse_kernel(t)]).run((0.1,), 2, 2)[0] for t in texts]
+        for jet, alone in zip(jets, single):
+            assert jet.coeffs.tobytes() == alone.coeffs.tobytes()
+
     def test_literal_coefficient_makes_no_constant_or_product(self, monkeypatch):
         counts = count_calls(monkeypatch, ["constant", "__mul__"])
         plain = eval_herm_jet(parse_kernel("exp(z1*zb1)"), (0.1,), 3, 3)
@@ -286,3 +300,32 @@ class TestJetProgram:
         scaled = eval_herm_jet(parse_kernel(text), (0.1,), 3, 3)
         assert dict(counts) == without
         np.testing.assert_allclose(scaled.coeffs, plain.coeffs, rtol=0, atol=1e-15)
+
+
+class TestGramJetAtPoints:
+    GRID = [(0.0, 0.1), (0.0, -0.2 + 0.1j), (0.1, 0.3j)]
+
+    @pytest.mark.parametrize("orders", [(1, 1), (3, 3), (3, 2)])
+    def test_one_program_run_per_grid(self, monkeypatch, orders):
+        spec = BundleSpec("g", 2, [
+            ["exp(z1*zb1 + z2*zb2)", "0.2*z1*zb2"],
+            ["0.2*z2*zb1", "pow(1 - 0.25*(z1*zb1 + z2*zb2), -2.5)"],
+        ])
+        singles = [spec.gram_jet(c, *orders) for c in self.GRID]
+        counts = count_calls(monkeypatch, ["exp", "power"])
+        grid = spec.gram_jet(self.GRID, *orders)
+        assert counts == {"exp": 1, "power": 1}
+        assert grid.points == (3,)
+        for k, single in enumerate(singles):
+            assert grid.coeffs[k].tobytes() == single.coeffs.tobytes()
+
+    def test_failing_point_named_as_alone(self):
+        # the Gram [[1, z2], [zb2, 1]] is singular at |z2| = 1 and indefinite beyond
+        spec = BundleSpec("s", 2, [["1", "z2"], ["zb2", "1"]])
+        grid = [(0.0, 0.1), (0.0, 1.5), (0.0, 2.0)]
+        with pytest.raises(ValueError) as alone:
+            spec.gram_jet(grid[1], 2, 2)
+        with pytest.raises(ValueError) as together:
+            spec.gram_jet(grid, 2, 2)
+        assert str(together.value) == str(alone.value)
+        assert "not positive definite at (0.0, 1.5)" in str(together.value)
