@@ -275,16 +275,15 @@ def _L_tables(H: HermJet, n: int) -> dict:
 
 
 def holomorphy_conditions(
-    H: HermJet, Ht: HermJet, A_seq: list[np.ndarray], n: int, tensors=None
+    H: HermJet, Ht: HermJet, A_seq: list[np.ndarray], n: int
 ) -> dict:
     """Residuals of the gluing conditions that make the extension holomorphic:
 
         L_j^l = sum_{i=1}^l binom(l,i) A_{l-i} Lt_j^i A0^-1
 
     for 1 <= l <= n and every tangential direction 2 <= j <= m.  A_seq is
-    (A0, A1, ..., An); `tensors` is the pair of :func:`_L_tables` of
-    H and Ht to order n, made here unless the caller has them."""
-    lh, lht = tensors or (_L_tables(H, n), _L_tables(Ht, n))
+    (A0, A1, ..., An)."""
+    lh, lht = _L_tables(H, n), _L_tables(Ht, n)
     a0inv = np.linalg.inv(A_seq[0])
     out = {}
     for j in lh:
@@ -298,9 +297,7 @@ def holomorphy_conditions(
     return out
 
 
-def geometric_conditions(
-    H: HermJet, Ht: HermJet, A0: np.ndarray, n: int, tensors=None
-) -> dict:
+def geometric_conditions(H: HermJet, Ht: HermJet, A0: np.ndarray, n: int) -> dict:
     """Residuals of the curvature conditions intertwined by the corner map:
 
     * isometry of A0 itself: H = A0 Ht A0^*;
@@ -309,10 +306,9 @@ def geometric_conditions(
     * mixed tower: (K_{1 jbar})_{z1^r} A0 = A0 (Kt_{1 jbar})_{z1^r} for
       r <= n-1 and tangential j >= 2.
 
-    `tensors` is as for :func:`holomorphy_conditions`; each tower is built
-    once per bundle.
+    Each tower is built once per bundle.
     """
-    lh, lht = tensors or (_L_tables(H, n), _L_tables(Ht, n))
+    lh, lht = _L_tables(H, n), _L_tables(Ht, n)
     A0 = np.asarray(A0, dtype=np.complex128)
     out = {}
     h0, ht0 = H.value(), Ht.value()
@@ -515,7 +511,6 @@ def _alongz_at(problem: ContactProblem, points) -> list[PointReport]:
                 "a candidate corner map A0 is required for rank >= 2 bundles"
             )
         a0 = cand_jet.value()
-    tensors = (_L_tables(h, n), _L_tables(ht, n))
 
     # analytic route: unique extension + transverse block-Gram isometry + gluing
     a_seq = [a0] + extend_A_sequence(h, ht, a0, n)
@@ -523,11 +518,11 @@ def _alongz_at(problem: ContactProblem, points) -> list[PointReport]:
     g = jet_gram(h, n, "z1")
     gt = jet_gram(ht, n, "z1")
     analytic = {f"jet-gram-isometry(n={n})": _rel(g - lam @ gt @ _adjoint(lam), g, gt)}
-    analytic.update(holomorphy_conditions(h, ht, a_seq, n, tensors))
+    analytic.update(holomorphy_conditions(h, ht, a_seq, n))
     analytic.update(shared)
 
     # geometric route: curvature towers intertwined by the corner map
-    geometric = geometric_conditions(h, ht, a0, n, tensors)
+    geometric = geometric_conditions(h, ht, a0, n)
     geometric.update(shared)
 
     # spot-check: contact along Z implies point-wise contact here (full jets)
@@ -579,9 +574,27 @@ def _full_candidate_from_slice(
     return HoloJet(h.center, n, h.rank, coeffs)
 
 
+# Grid points per pass of `_alongz_at`.  A pass holds jets for each of its
+# points, so a grid runs in slices of this many: memory stays that of one
+# slice whatever the grid size, and the per-pass Python work is still paid
+# once per slice, not once per point.
+_GRID_SLICE = 4
+
+
 def alongZ_check(problem: ContactProblem) -> ContactReport:
-    """Run both verification routes at every grid point on Z."""
-    reports = _alongz_at(problem, problem.points)
+    """Run both verification routes at every grid point on Z, a slice of
+    grid points per pass.  An error is the one the first failing point raises
+    when the points run one at a time, in grid order."""
+    reports = []
+    points = problem.points
+    for start in range(0, len(points), _GRID_SLICE):
+        part = points[start : start + _GRID_SLICE]
+        try:
+            reports += _alongz_at(problem, part)
+        except Exception:
+            for point in part:
+                _alongz_at(problem, (point,))
+            raise
     return _assemble("along-z", problem.order, problem.tolerance, reports)
 
 

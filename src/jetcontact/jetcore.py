@@ -205,31 +205,28 @@ def _from_pair_last(x: np.ndarray, na: int, nb: int) -> np.ndarray:
 def _contract(left, right, I, J, starts, weight=None) -> np.ndarray:
     """Segment sums of weight * left[I] @ right[J] over pair-last operands.
 
-    Output block (row, col) is the sum over k of r vector products over
-    ``(*P, len(I))`` gathered blocks, segment-summed as soon as it is formed;
-    at rank 1 that is one elementwise product.  The left operand is gathered
-    one row at a time and the right one column by column, so the gathered
-    blocks held at once are two rows' worth, not two whole r x r gathers.
-    Returns the (r, r, *P, len(starts)) sums.
+    The r x r blocks are contracted with r^3 vector multiply-adds over the
+    ``(*P, len(I))`` gathered blocks; at rank 1 that is one elementwise
+    product.  Returns the (r, r, *P, len(starts)) sums.
     """
-    r = left.shape[0]
+    a = np.take(left, I, axis=-1)
+    b = np.take(right, J, axis=-1)
+    if weight is not None:
+        a *= weight
+    r = a.shape[0]
     if r == 1:
-        a = np.take(left, I, axis=-1)
-        if weight is not None:
-            a *= weight
-        return np.add.reduceat(np.multiply(a, np.take(right, J, axis=-1), out=a), starts, axis=-1)
-    out = np.empty(left.shape[:-1] + (len(starts),), dtype=left.dtype)
-    for row in range(r):
-        a = np.take(left[row], I, axis=-1)
-        if weight is not None:
-            a *= weight
-        for col in range(r):
-            b = np.take(right[:, col], J, axis=-1)
-            acc = np.multiply(a[0], b[0])
-            for k in range(1, r):
-                acc += np.multiply(a[k], b[k], out=b[k])
-            np.add.reduceat(acc, starts, axis=-1, out=out[row, col])
-    return out
+        prod = a * b
+    else:
+        prod = np.empty_like(a)
+        tmp = np.empty(a.shape[2:], dtype=a.dtype)
+        for row in range(r):
+            for col in range(r):
+                acc = prod[row, col]
+                np.multiply(a[row, 0], b[0, col], out=acc)
+                for k in range(1, r):
+                    np.multiply(a[row, k], b[k, col], out=tmp)
+                    acc += tmp
+    return np.add.reduceat(prod, starts, axis=-1)
 
 
 def _product(a: np.ndarray, b: np.ndarray, dim: int, p: int, q: int) -> np.ndarray:
@@ -266,22 +263,15 @@ def point_axis(center) -> tuple:
 
 def _center(center) -> tuple:
     """The center as a tuple of complex coordinates, or P centers as a tuple
-    of such tuples, and the ambient dimension.  A center already in that
-    form is returned as it is, so the jets of one computation share it."""
+    of such tuples, and the ambient dimension."""
     if not point_axis(center):
-        if not _is_point(center):
-            center = tuple(complex(c) for c in center)
+        center = tuple(complex(c) for c in center)
         return center, len(center)
-    if not (type(center) is tuple and all(map(_is_point, center))):
-        center = tuple(tuple(complex(c) for c in point) for point in center)
+    center = tuple(tuple(complex(c) for c in point) for point in center)
     dims = {len(point) for point in center}
     if len(dims) != 1:
         raise DimensionError(f"centers of different dimensions {sorted(dims)}")
     return center, dims.pop()
-
-
-def _is_point(center) -> bool:
-    return type(center) is tuple and all(type(c) is complex for c in center)
 
 
 def _point_values(center, var: int):

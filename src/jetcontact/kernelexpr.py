@@ -382,9 +382,7 @@ class JetProgram:
     ``outputs`` holds, per expression, an op index (int) or a complex
     scalar.  ``max_var`` (largest variable index, 0 if none) and
     ``conjugated`` (some ``zb`` occurs) are facts of the expressions
-    recorded while compiling.  ``dead[k]`` lists the ops whose jets no op
-    after op k reads and no output is; :meth:`run` drops them there, so a
-    run over a grid holds only the jets it still needs.
+    recorded while compiling.
     """
 
     def __init__(self, nodes):
@@ -442,19 +440,6 @@ class JetProgram:
             return emit("__mul__" if kind is Mul else "__add__", x, y)
 
         self.outputs = [compile_node(node) for node in nodes]
-        last_read = {}
-        for k, (code, a, b) in enumerate(self.ops):
-            if code not in ("var", "const"):
-                last_read[a] = k
-            if code in _BINARY:
-                last_read[b] = k
-        for out in self.outputs:
-            if isinstance(out, int):
-                last_read[out] = len(self.ops)
-        self.dead = [[] for _ in self.ops]
-        for op, k in last_read.items():
-            if k < len(self.ops):
-                self.dead[k].append(op)
 
     def run(self, center, holo_order: int, anti_order: int) -> list:
         """The outputs at `center` (one point, or P points at once): a scalar
@@ -472,8 +457,6 @@ class JetProgram:
             else:
                 method = getattr(jets[a], code)
                 jets.append(method() if b is None else method(b))
-            for op in self.dead[len(jets) - 1]:
-                jets[op] = None
         return [jets[out] if isinstance(out, int) else out for out in self.outputs]
 
     def matrix_jet(self, size: int, center, holo_order: int, anti_order: int) -> HermJet:

@@ -378,6 +378,37 @@ class TestMain:
             assert main(["--config", path]) == EXIT_INPUT_ERROR, task
             assert "not Hermitian-symmetric" in capsys.readouterr().err, task
 
+    # positive definite for |z2| < 5: fails at the last grid point only
+    WIDE = [["1", "0.2*z2"], ["0.2*zb2", "1"]]
+
+    @pytest.mark.parametrize(
+        "b_gram,corner,message",
+        [
+            # bundle b fails at the first point, bundle a only at the last
+            ([["1", "z2"], ["zb2", "1"]], "1",
+             "bundle 'b': Gram matrix not positive definite at (0j, (1.5+0j)) "
+             "(min eigenvalue -5.00e-01)"),
+            # both Grams hold at the first point, where the corner map is
+            # singular; both fail at the last point
+            (WIDE, "z2 - 1.5", "Singular matrix"),
+        ],
+    )
+    def test_along_z_error_of_the_first_failing_point(self, tmp_path, capsys,
+                                                      b_gram, corner, message):
+        # the error is the one the points give one at a time, in grid order:
+        # at a point, bundle a's Gram, then bundle b's, then both routes
+        bundles = [
+            {"label": "a", "dimension": 2, "gram": self.WIDE},
+            {"label": "b", "dimension": 2, "gram": b_gram},
+        ]
+        path = write_config(
+            tmp_path,
+            {"task": "along-z", "order": 1, "points": [[0.0, 1.5], [0.0, 0.5], [0.0, 6.0]],
+             "bundles": bundles, "candidate": [[corner, "0"], ["0", "1"]]},
+        )
+        assert main(["--config", path]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"jetcontact: input error: {message}\n"
+
     @pytest.mark.parametrize(
         "expr,message",
         [

@@ -313,6 +313,38 @@ class TestAlongZ:
         assert report.verdict == "verified"
         assert report.route_agreement
 
+    def test_grid_runs_in_slices_each_point_as_alone(self, monkeypatch):
+        # a grid of two whole slices and one point more: each pass carries at
+        # most one slice, and every point's report is the one it gets alone
+        import jetcontact.contact as contact
+
+        size = 2 * contact._GRID_SLICE + 1
+        grid = [(0.0, complex(0.05 * k - 0.2, 0.03 * k)) for k in range(size)]
+        a_grid, a_inv = unitriangular_pair(PAIR_CORNERS_M2[0])
+        ht_grid = conjugated_gram(PAIR_GRAMS_M2[0], a_inv)
+
+        def problem(points):
+            return ContactProblem(
+                BundleSpec("h", 2, PAIR_GRAMS_M2[0]),
+                BundleSpec("ht", 2, ht_grid),
+                3,
+                "along-z",
+                points,
+                candidate=a_grid,
+            )
+
+        passes = []
+        real = contact._alongz_at
+        monkeypatch.setattr(
+            contact, "_alongz_at", lambda prob, pts: passes.append(len(pts)) or real(prob, pts)
+        )
+        report = alongZ_check(problem(grid))
+        assert passes == [contact._GRID_SLICE, contact._GRID_SLICE, 1]
+        assert report.verdict == "verified"
+        for got, point in zip(report.points, grid):
+            alone = alongZ_check(problem([point])).points[0]
+            assert got.as_dict() == alone.as_dict()
+
     def test_rank2_requires_candidate(self):
         prob = ContactProblem(
             BundleSpec("h", 2, PAIR_GRAMS_M2[0]),

@@ -277,20 +277,6 @@ class TestJetProgram:
             spec.gram_jet((0.1,), 3, 3)
             assert counts == {"exp": k, "power": k}
 
-    def test_run_drops_each_intermediate_after_its_last_read(self):
-        texts = ["exp(z1*zb1) * pow(1 + z1*zb1, -1.5)", "2*exp(z1*zb1) + z1/(1 + zb1)"]
-        program = JetProgram([parse_kernel(t) for t in texts])
-        freed = [op for ops in program.dead for op in ops]
-        outputs = {out for out in program.outputs if isinstance(out, int)}
-        assert len(freed) == len(set(freed)) and not outputs & set(freed)
-        assert set(freed) | outputs == set(range(len(program.ops)))
-        for k, ops in enumerate(program.dead):
-            assert all(op <= k for op in ops)
-        jets = program.run((0.1,), 2, 2)
-        single = [JetProgram([parse_kernel(t)]).run((0.1,), 2, 2)[0] for t in texts]
-        for jet, alone in zip(jets, single):
-            assert jet.coeffs.tobytes() == alone.coeffs.tobytes()
-
     def test_literal_coefficient_makes_no_constant_or_product(self, monkeypatch):
         counts = count_calls(monkeypatch, ["constant", "__mul__"])
         plain = eval_herm_jet(parse_kernel("exp(z1*zb1)"), (0.1,), 3, 3)
