@@ -81,11 +81,16 @@ __all__ = [
     "VERIFIED",
     "REFUTED",
     "INCONCLUSIVE",
+    "REFUTE_FACTOR",
 ]
 
 VERIFIED = "verified"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
+
+# a residual above REFUTE_FACTOR * tol refutes; the similarity solves stop
+# their draws once a certificate proves every residual is above it
+REFUTE_FACTOR = 10.0
 
 
 def _e1(dim: int, times: int) -> tuple:
@@ -100,7 +105,7 @@ def classify(residual: float, tol: float) -> str:
         return INCONCLUSIVE
     if residual < tol:
         return VERIFIED
-    if residual > 10.0 * tol:
+    if residual > REFUTE_FACTOR * tol:
         return REFUTED
     return INCONCLUSIVE
 
@@ -227,7 +232,8 @@ def pointwise_normalized_decide(
     _, htn = normalize_frame(Ht, n)
     mats_a = _jet_blocks(hn, n).reshape(-1, H.rank, H.rank)
     mats_b = _jet_blocks(htn, n).reshape(-1, H.rank, H.rank)
-    _, resid = unitary_intertwiner(mats_a, mats_b, seed=seed)
+    _, resid = unitary_intertwiner(mats_a, mats_b, seed=seed,
+                                   refuted_above=REFUTE_FACTOR * tol)
     return classify(resid, tol), {f"normalized-block-similarity(n={n})": resid}
 
 

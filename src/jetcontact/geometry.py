@@ -88,10 +88,14 @@ def connection(H: HermJet, i: int) -> HermJet:
     return H.deriv(i - 1) * H.inv()
 
 
-def curvature(H: HermJet, i: int, j: int) -> HermJet:
-    """Jet of the curvature component K_{i jbar} = dbar_j(d_i H * H^-1)."""
+def _check_curvature_orders(H: HermJet) -> None:
     if H.holo_order < 1 or H.anti_order < 1:
         raise OrderError("curvature needs jet orders >= (1, 1)")
+
+
+def curvature(H: HermJet, i: int, j: int) -> HermJet:
+    """Jet of the curvature component K_{i jbar} = dbar_j(d_i H * H^-1)."""
+    _check_curvature_orders(H)
     return connection(H, i).deriv(j - 1, conjugate=True)
 
 
@@ -99,7 +103,11 @@ def cov_deriv(Phi: HermJet, H: HermJet, direction: int, conjugate: bool = False)
     """Covariant derivative of the bundle map represented by Phi."""
     if conjugate:
         return Phi.deriv(direction - 1, conjugate=True)
-    conn = connection(H, direction)
+    return _cov_step(Phi, connection(H, direction), direction)
+
+
+def _cov_step(Phi: HermJet, conn: HermJet, direction: int) -> HermJet:
+    """Holomorphic covariant derivative of Phi given the connection jet."""
     return Phi.deriv(direction - 1) - conn * Phi + Phi * conn
 
 
@@ -115,12 +123,15 @@ def cov_deriv_mixed(Phi: HermJet, H: HermJet, i: int, r: int, j: int, t: int) ->
 
 def transverse_tower(H: HermJet, n: int) -> list:
     """Values of (K_{1 1bar})_{z1^r zbar1^t} for r, t = 0..n-1, as rows r of
-    columns t; each covariant step is taken once, from the previous one."""
+    columns t; each covariant step is taken once, from the previous one, and
+    the connection is formed once for the curvature and every step."""
+    _check_curvature_orders(H)
+    conn = connection(H, 1)
     rows = []
-    step = curvature(H, 1, 1)
+    step = conn.deriv(0, conjugate=True)
     for r in range(n):
         if r:
-            step = cov_deriv(step, H, 1)
+            step = _cov_step(step, conn, 1)
         col = step
         row = [col.value()]
         for _ in range(1, n):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact import (
+    REFUTE_FACTOR,
     classify,
     combine_verdicts,
     jet_gram,
@@ -128,7 +129,8 @@ def direct_equiv_check(a: QuotientModel, b: QuotientModel, tol: float,
     lai, lbi = np.linalg.inv(la), np.linalg.inv(lb)
     whitened_a = [lai @ s @ la for s in a.shifts]
     whitened_b = [lbi @ s @ lb for s in b.shifts]
-    _, resid = unitary_intertwiner(whitened_a, whitened_b, seed=seed)
+    _, resid = unitary_intertwiner(whitened_a, whitened_b, seed=seed,
+                                   refuted_above=REFUTE_FACTOR * tol)
     return classify(resid, tol), resid
 
 

@@ -22,9 +22,17 @@ so degenerate families take the same code.  Candidates are mapped back and
 their polar factors scored on the original equations, so every residual is
 the misfit of an actual unitary, whatever the split.
 
-By Weyl's inequality, for any weights c and unitary U, the returned
-residual times scale * 2 sum |c_k| * s is at least
-max_i |lambda_i(H_A) - lambda_i(H_B)|, a bound continuous in the input.
+By Weyl's inequality (Horn & Johnson, Matrix Analysis, Thm 4.3.1), for
+any weights c and unitary U, scale * 2 sum |c_k| * s times the residual of U
+is at least max_i |lambda_i(H_A) - lambda_i(H_B)|, a bound continuous in the
+input.  Each draw therefore certifies, less a rounding slack, a lower bound
+on the residual of every unitary.  A caller that reads any residual above a
+threshold as a refutation passes it as refuted_above: draws stop at the
+first one whose certificate exceeds it, since no later draw can change that
+verdict.  The residual is then the best misfit of the draws made so far, an
+upper bound on the minimum over all draws and above the threshold with it.
+A pair with some residual at or below the threshold has no certificate above
+it, so its draws, unitary and residual do not depend on the threshold.
 """
 
 from __future__ import annotations
@@ -40,6 +48,15 @@ def _first_finite_min(scores: np.ndarray) -> int | None:
     if not finite.any():
         return None
     return int(np.argmin(np.where(finite, scores, np.inf)))
+
+
+def _weyl_bound(h_a, h_b, eig_a, eig_b, weights, scale: float) -> float:
+    """Lower bound on the residual of every unitary from one draw's ascending
+    spectra: max_i |lambda_i(H_A) - lambda_i(H_B)| less a rounding slack of
+    1e-12 (1 + max|H_A| + max|H_B|), over scale * sum |weights| * s."""
+    slack = 1e-12 * (1.0 + np.max(np.abs(h_a)) + np.max(np.abs(h_b)))
+    distance = np.max(np.abs(eig_a - eig_b)) - slack
+    return float(distance / (scale * np.sum(np.abs(weights)) * len(eig_a)))
 
 
 def _block_unknowns(eig_a: np.ndarray, eig_b: np.ndarray, null_tol: float):
@@ -69,7 +86,8 @@ def _block_system(rot_a, rot_b, rows, cols, scale: float) -> np.ndarray:
 
 
 def unitary_intertwiner(
-    mats_a, mats_b, seed: int = 0, tries: int = 6, null_tol: float = 1e-10
+    mats_a, mats_b, seed: int = 0, tries: int = 6, null_tol: float = 1e-10,
+    refuted_above: float = np.inf,
 ):
     """Best unitary U for the system {A_k U = U B_k} and its residual.
 
@@ -79,7 +97,9 @@ def unitary_intertwiner(
     Up to `tries` seeded draws of the self-adjoint element are made; each
     draw's candidates are its null vectors and `tries` random combinations of
     them, or else its least-violating vector.  Draws stop at the first whose
-    best score is at most null_tol.  Candidates are scored in order and the
+    best score is at most null_tol or whose eigenvalue-distance certificate
+    (a lower bound on every unitary's residual) exceeds refuted_above; a NaN
+    certificate never stops them.  Candidates are scored in order and the
     first smallest finite score wins; when no score is finite the result is
     (None, inf).
     """
@@ -97,8 +117,10 @@ def unitary_intertwiner(
     for _ in range(tries):
         c = rng.standard_normal(count) + 1j * rng.standard_normal(count)
         weights = np.concatenate([c, np.conj(c)])
-        eig_a, vec_a = np.linalg.eigh(np.tensordot(weights, a, axes=1))
-        eig_b, vec_b = np.linalg.eigh(np.tensordot(weights, b, axes=1))
+        h_a = np.tensordot(weights, a, axes=1)
+        h_b = np.tensordot(weights, b, axes=1)
+        eig_a, vec_a = np.linalg.eigh(h_a)
+        eig_b, vec_b = np.linalg.eigh(h_b)
         rows, cols = _block_unknowns(eig_a, eig_b, null_tol)
         rot_a = np.conj(vec_a.T) @ a @ vec_a
         rot_b = np.conj(vec_b.T) @ b @ vec_b
@@ -123,6 +145,8 @@ def unitary_intertwiner(
         unitaries.append(draw[:, 0])
         scores.append(np.max(np.abs(diffs), axis=(1, 2, 3)) / scale)
         if np.any(scores[-1] <= null_tol):
+            break
+        if _weyl_bound(h_a, h_b, eig_a, eig_b, weights, scale) > refuted_above:
             break
 
     scores = np.concatenate(scores)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from jetcontact import simeq
 from jetcontact.jetcore import HermJet, table_size
 from jetcontact.kernelexpr import Add, Mul, Neg, conjugate_expr, parse_kernel
 
@@ -123,3 +124,18 @@ def constructed_scalar_pair(gram: str, factor: str):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def simeq_draws(monkeypatch):
+    """The draws of every similarity solve in the test: each builds one
+    block system."""
+    draws = []
+    block_system = simeq._block_system
+
+    def spy(*args):
+        draws.append(None)
+        return block_system(*args)
+
+    monkeypatch.setattr(simeq, "_block_system", spy)
+    return draws

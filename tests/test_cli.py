@@ -328,7 +328,7 @@ class TestMain:
         import jetcontact.rkhs as rkhs
 
         monkeypatch.setattr(rkhs, "unitary_intertwiner",
-                            lambda a, b, seed: (None, math.inf))
+                            lambda a, b, seed, **kw: (None, math.inf))
         out = tmp_path / "report.json"
         code = main(["--config", str(CONFIG_DIR / "rkhs-hardy-vs-fock.yaml"),
                      "--out", str(out)])

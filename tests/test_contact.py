@@ -152,13 +152,19 @@ class TestPointwise:
         verdict, _ = pointwise_normalized_decide(h, other, 2, 1e-8)
         assert verdict == "refuted"
 
+    def test_normalized_decide_stops_at_certified_refutation(self, simeq_draws):
+        h, other = gram_jets(PAIR_GRAMS_M2[1], PAIR_GRAMS_M2[0], (0.1, -0.05), 3)
+        verdict, _ = pointwise_normalized_decide(h, other, 2, 1e-8)
+        assert verdict == "refuted"
+        assert len(simeq_draws) == 1
+
     def test_normalized_decide_block_stack(self, monkeypatch):
         # the stack handed to the solver equals the extract loop bitwise
         import jetcontact.contact as contact
 
         seen = []
         monkeypatch.setattr(contact, "unitary_intertwiner",
-                            lambda a, b, seed: seen.append((a, b)) or (None, 0.0))
+                            lambda a, b, seed, **kw: seen.append((a, b)) or (None, 0.0))
         _, a_inv = unitriangular_pair(PAIR_CORNERS_M2[1])
         ht_grid = conjugated_gram(PAIR_GRAMS_M2[1], a_inv)
         h, ht = gram_jets(PAIR_GRAMS_M2[1], ht_grid, (0.1, -0.05), 4)

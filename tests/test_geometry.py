@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import jetcontact.geometry as geometry
 from jetcontact.geometry import (
+    CurvatureRequest,
     K1j_recursion,
     L_tensor,
     Q_jet,
@@ -15,11 +17,13 @@ from jetcontact.geometry import (
     cov_deriv,
     cov_deriv_mixed,
     curvature,
+    curvature_tower,
     map_adjoint_jet,
     normalize_frame,
     normalized_defect,
+    transverse_tower,
 )
-from jetcontact.jetcore import HermJet
+from jetcontact.jetcore import HermJet, OrderError
 from jetcontact.kernelexpr import BundleSpec, eval_herm_jet, parse_kernel
 
 from conftest import random_herm_jet
@@ -243,6 +247,26 @@ class TestRecursions:
                     )
                     if order < n:
                         iterated = cov_deriv(iterated, h, 1)
+
+    def test_transverse_tower_forms_one_connection(self, rng, monkeypatch):
+        h = random_herm_jet(2, 2, 4, 4, rng)
+        want = [[curvature_tower(h, CurvatureRequest(1, 1, r, t)).value()
+                 for t in range(3)] for r in range(3)]
+        calls = []
+        connection = geometry.connection
+
+        def spy(H, i):
+            calls.append(i)
+            return connection(H, i)
+
+        monkeypatch.setattr(geometry, "connection", spy)
+        got = transverse_tower(h, 3)
+        assert calls == [1]
+        for got_row, want_row in zip(got, want):
+            for value, expected in zip(got_row, want_row):
+                np.testing.assert_array_equal(value, expected)
+        with pytest.raises(OrderError):
+            transverse_tower(h.truncate(1, 0), 1)
 
     def test_q_recursion_matches_jet_derivative(self, rng):
         for dim, l, n in [(1, 2, 3), (2, 3, 3)]:

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetcontact import simeq
+from jetcontact.contact import REFUTE_FACTOR, classify
 from jetcontact.kernelexpr import BundleSpec
 from jetcontact.rkhs import direct_equiv_check, quotient_model
 from jetcontact.simeq import _first_finite_min, unitary_intertwiner
@@ -317,18 +319,71 @@ def test_residual_bounds_eigenvalue_distance(seed, size, noise, c):
     assert bound >= distance - rounding
 
 
-def test_perturbed_refuted_pair_stays_refuted():
+def refuted_quotient_pair():
     rank2 = [["exp(z1*zb1 + 0.5*z2*zb2)", "0.1*z1*exp(z1*zb1 + 0.5*z2*zb2)"],
              ["0.1*zb1*exp(z1*zb1 + 0.5*z2*zb2)",
               "pow(1 - 0.5*z1*zb1 - 0.3*z2*zb2, -1)"]]
     twin = [row[:] for row in rank2]
     twin[1][1] = "pow(1 - 0.6*z1*zb1 - 0.3*z2*zb2, -1)"
     z0 = (0.1, -0.05j)
-    a = quotient_model(BundleSpec("a", 2, rank2), z0, 2)
-    b = quotient_model(BundleSpec("b", 2, twin), z0, 2)
+    return (quotient_model(BundleSpec("a", 2, rank2), z0, 2),
+            quotient_model(BundleSpec("b", 2, twin), z0, 2))
+
+
+def test_perturbed_refuted_pair_stays_refuted():
+    a, b = refuted_quotient_pair()
     assert direct_equiv_check(a, b, 1e-8)[0] == "refuted"
     rng = np.random.default_rng(90)
     for _ in range(6):
         shifts = tuple(s + 1e-14 * random_complex(rng, *s.shape) for s in a.shifts)
         perturbed = dataclasses.replace(a, shifts=shifts)
         assert direct_equiv_check(perturbed, b, 1e-8)[0] == "refuted"
+
+
+@given(seed=st.integers(0, 2**31 - 1), size=st.integers(1, 5), k=st.integers(1, 3),
+       noise=st.sampled_from([0.0, 1e-13, 1e-10, 1e-8, 1e-6, 1e-2, 1.0]),
+       tol=st.sampled_from([1e-10, 1e-8, 1e-6]))
+@settings(max_examples=60, deadline=None)
+def test_certified_stop_keeps_verdict(seed, size, k, noise, tol):
+    rng = np.random.default_rng(seed)
+    mats_a = random_complex(rng, k, size, size)
+    w = random_unitary(rng, size)
+    mats_b = np.conj(w.T) @ mats_a @ w + noise * random_complex(rng, k, size, size)
+    u_all, r_all = unitary_intertwiner(mats_a, mats_b, seed=seed)
+    u, resid = unitary_intertwiner(mats_a, mats_b, seed=seed,
+                                   refuted_above=REFUTE_FACTOR * tol)
+    assert classify(resid, tol) == classify(r_all, tol)
+    # the stop keeps a prefix of the draws, so its minimum is no smaller
+    assert resid >= r_all
+    if r_all <= REFUTE_FACTOR * tol:
+        # no certificate exceeds a residual that is reached: same draws
+        assert resid == r_all
+        assert u.tobytes() == u_all.tobytes()
+
+
+def test_refuted_pair_stops_after_one_draw(simeq_draws):
+    draws = simeq_draws
+    rng = np.random.default_rng(110)
+    mats_a = random_complex(rng, 2, 4, 4)
+    mats_b = random_complex(rng, 2, 4, 4)
+    _, certified = unitary_intertwiner(mats_a, mats_b, refuted_above=1e-7)
+    assert len(draws) == 1
+    draws.clear()
+    _, resid = unitary_intertwiner(mats_a, mats_b)
+    assert len(draws) == 6
+    assert certified >= resid > 1e-7
+
+
+def test_nan_certificate_never_stops(simeq_draws, monkeypatch):
+    rng = np.random.default_rng(120)
+    mats_a = random_complex(rng, 2, 3, 3)
+    mats_b = random_complex(rng, 2, 3, 3)
+    monkeypatch.setattr(simeq, "_weyl_bound", lambda *args: np.nan)
+    unitary_intertwiner(mats_a, mats_b, refuted_above=1e-7)
+    assert len(simeq_draws) == 6
+
+
+def test_direct_check_stops_at_certified_refutation(simeq_draws):
+    a, b = refuted_quotient_pair()
+    assert direct_equiv_check(a, b, 1e-8)[0] == "refuted"
+    assert len(simeq_draws) == 1
