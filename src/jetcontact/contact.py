@@ -566,10 +566,16 @@ def _full_candidate_from_slice(
     h: HermJet, ht: HermJet, a0_jet: HoloJet, n: int
 ) -> HoloJet:
     """Assemble the full multi-index candidate jet at a point of Z from the
-    tangential jets of the extension sequence: d^(i1, I') A = d^I' A_{i1}."""
+    tangential jets of the extension sequence: d^(i1, I') A = d^I' A_{i1}.
+
+    Only the beta = 0 coefficients of the A_i jets are read, and the beta = 0
+    coefficients of products, inverses, z-derivatives and `freeze_variable`
+    depend only on the beta = 0 coefficients of their operands.  The
+    sequence therefore runs on the Gram jets truncated to orders (n, 0) and
+    on A0 at anti order 0: the same values, at the holomorphic orders read."""
     dim = h.dim
-    a_jets = [a0_jet.as_herm(h.anti_order).freeze_variable(0)]
-    a_jets += extend_A_sequence_jets(h, ht, a_jets[0], n)
+    a_jets = [a0_jet.as_herm(0).freeze_variable(0)]
+    a_jets += extend_A_sequence_jets(h.truncate(n, 0), ht.truncate(n, 0), a_jets[0], n)
     table = index_table(dim, n)
     coeffs = np.zeros(h.points + (len(table), h.rank, h.rank), dtype=np.complex128)
     pos = index_positions(dim, n)
@@ -582,9 +588,12 @@ def _full_candidate_from_slice(
 
 # Grid points per pass of `_alongz_at`.  A pass holds jets for each of its
 # points, so a grid runs in slices of this many: memory stays that of one
-# slice whatever the grid size, and the per-pass Python work is still paid
-# once per slice, not once per point.
-_GRID_SLICE = 4
+# slice whatever the grid size, and the per-pass Python work (the Gram
+# programs, the towers, the report loop) is paid once per slice, not once
+# per point.  8 covers a 4x2 grid in one pass; at dim 2, order 3, rank 2
+# such a pass allocates about 1.5 MB at its peak (tracemalloc), since the
+# product kernel holds no array beyond its two gathers and one block row.
+_GRID_SLICE = 8
 
 
 def alongZ_check(problem: ContactProblem) -> ContactReport:

@@ -24,8 +24,10 @@ One graded kernel does all the arithmetic:
   grouped by output.  Both operands are gathered straight from their own
   coefficients into a pair-last (r, r, pairs) layout, the r x r blocks are
   contracted with r^3 vector multiply-adds (one elementwise product at rank
-  1), and the groups are segment-summed.  :class:`HoloJet` products are the
-  same kernel at anti order 0.
+  1) written back into the left gather, and the groups are segment-summed.
+  A product thus allocates the two gathers plus one block row, not a third
+  gather-sized array.  :class:`HoloJet` products are the same kernel at
+  anti order 0.
 * Inverse, exp, log and real powers.  Each is a forward substitution over
   the total degree d = |alpha| + |beta|: the coefficients of degree d follow
   from those of lower degree through the product plan restricted to the
@@ -207,7 +209,9 @@ def _contract(left, right, I, J, starts, weight=None) -> np.ndarray:
 
     The r x r blocks are contracted with r^3 vector multiply-adds over the
     ``(*P, len(I))`` gathered blocks; at rank 1 that is one elementwise
-    product.  Returns the (r, r, *P, len(starts)) sums.
+    product.  The products overwrite the left gather, a block row at a time
+    through one row buffer, so the only arrays of ``r^2`` gathered blocks
+    are the two gathers.  Returns the (r, r, *P, len(starts)) sums.
     """
     a = np.take(left, I, axis=-1)
     b = np.take(right, J, axis=-1)
@@ -215,18 +219,20 @@ def _contract(left, right, I, J, starts, weight=None) -> np.ndarray:
         a *= weight
     r = a.shape[0]
     if r == 1:
-        prod = a * b
+        a *= b
     else:
-        prod = np.empty_like(a)
+        # a block row of products reads the whole block row of a
+        row_buf = np.empty(a.shape[1:], dtype=a.dtype)
         tmp = np.empty(a.shape[2:], dtype=a.dtype)
         for row in range(r):
             for col in range(r):
-                acc = prod[row, col]
+                acc = row_buf[col]
                 np.multiply(a[row, 0], b[0, col], out=acc)
                 for k in range(1, r):
                     np.multiply(a[row, k], b[k, col], out=tmp)
                     acc += tmp
-    return np.add.reduceat(prod, starts, axis=-1)
+            a[row] = row_buf
+    return np.add.reduceat(a, starts, axis=-1)
 
 
 def _product(a: np.ndarray, b: np.ndarray, dim: int, p: int, q: int) -> np.ndarray:

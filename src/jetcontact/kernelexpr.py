@@ -34,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .jetcore import HermJet, HoloJet, point_axis
+from .jetcore import HermJet, point_axis
 
 __all__ = [
     "ParseError",
@@ -52,8 +52,6 @@ __all__ = [
     "Log",
     "parse_kernel",
     "JetProgram",
-    "eval_herm_jet",
-    "eval_holo_jet",
     "BundleSpec",
 ]
 
@@ -324,38 +322,6 @@ def parse_kernel(text: str) -> ExprNode:
 # compiled jet programs
 
 
-def conjugate_expr(node: ExprNode) -> ExprNode:
-    """The expression of the complex conjugate: z <-> zb, literals conjugated.
-
-    Only valid structurally (exp/log/pow commute with conjugation on the
-    principal branch for the positive-real constant terms this grammar
-    enforces at evaluation time).
-    """
-    if isinstance(node, Var):
-        return Var(node.index, not node.conjugated)
-    if isinstance(node, Lit):
-        return Lit(node.value.conjugate())
-    if isinstance(node, Add):
-        return Add(conjugate_expr(node.left), conjugate_expr(node.right))
-    if isinstance(node, Sub):
-        return Sub(conjugate_expr(node.left), conjugate_expr(node.right))
-    if isinstance(node, Mul):
-        return Mul(conjugate_expr(node.left), conjugate_expr(node.right))
-    if isinstance(node, Div):
-        return Div(conjugate_expr(node.left), conjugate_expr(node.right))
-    if isinstance(node, Neg):
-        return Neg(conjugate_expr(node.arg))
-    if isinstance(node, IntPow):
-        return IntPow(conjugate_expr(node.base), node.exponent)
-    if isinstance(node, RealPow):
-        return RealPow(conjugate_expr(node.base), node.exponent)
-    if isinstance(node, Exp):
-        return Exp(conjugate_expr(node.arg))
-    if isinstance(node, Log):
-        return Log(conjugate_expr(node.arg))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 # op codes that combine two jets; every code but these, "var" and "const"
 # names the HermJet method the op calls, with its parameter if it has one
 _BINARY = ("__add__", "__sub__", "__mul__")
@@ -470,25 +436,6 @@ class JetProgram:
             else:
                 coeffs[..., 0, 0, p, q] = out
         return HermJet(zero.center, holo_order, anti_order, size, coeffs)
-
-
-def eval_herm_jet(
-    node: ExprNode, center, holo_order: int, anti_order: int, dim=None
-) -> HermJet:
-    """Jet of the expression at `center` in (z - z0, conj(z) - conj(z0))."""
-    dim = len(center) if dim is None else dim
-    program = JetProgram([node])
-    if program.max_var > dim:
-        raise ParseError(f"variable index exceeds dimension {dim}", 0)
-    return program.matrix_jet(1, center, holo_order, anti_order)
-
-
-def eval_holo_jet(node: ExprNode, center, order: int, dim=None) -> HoloJet:
-    """Jet of a purely holomorphic expression (no zb variables allowed)."""
-    dim = len(center) if dim is None else dim
-    program = JetProgram([node])
-    check_holomorphic(program, dim)
-    return program.matrix_jet(1, center, order, 0).holo_part()
 
 
 def check_holomorphic(program: JetProgram, dim: int) -> None:

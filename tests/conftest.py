@@ -6,8 +6,25 @@ import numpy as np
 import pytest
 
 from jetcontact import simeq
-from jetcontact.jetcore import HermJet, table_size
-from jetcontact.kernelexpr import Add, Mul, Neg, conjugate_expr, parse_kernel
+from jetcontact.jetcore import HermJet, HoloJet, table_size
+from jetcontact.kernelexpr import (
+    Add,
+    Div,
+    Exp,
+    ExprNode,
+    IntPow,
+    JetProgram,
+    Lit,
+    Log,
+    Mul,
+    Neg,
+    ParseError,
+    RealPow,
+    Sub,
+    Var,
+    check_holomorphic,
+    parse_kernel,
+)
 
 
 def random_herm_jet(dim, rank, holo_order, anti_order, rng, scale=0.2):
@@ -25,13 +42,51 @@ def random_herm_jet(dim, rank, holo_order, anti_order, rng, scale=0.2):
 
 def random_holo_jet(dim, rank, order, rng, scale=0.3):
     """Random holomorphic jet with a well-conditioned constant term."""
-    from jetcontact.jetcore import HoloJet
-
     na = table_size(dim, order)
     c = (rng.standard_normal((na, rank, rank))
          + 1j * rng.standard_normal((na, rank, rank))) * scale
     c[0] = np.eye(rank) + 0.2 * c[0]
     return HoloJet((0.0,) * dim, order, rank, c)
+
+
+# -- reference evaluation of single expressions ------------------------------
+
+
+def conjugate_expr(node: ExprNode) -> ExprNode:
+    """The expression of the complex conjugate: z <-> zb, literals conjugated.
+
+    Only valid structurally (exp/log/pow commute with conjugation on the
+    principal branch for the positive-real constant terms this grammar
+    enforces at evaluation time).
+    """
+    if isinstance(node, Var):
+        return Var(node.index, not node.conjugated)
+    if isinstance(node, Lit):
+        return Lit(node.value.conjugate())
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return type(node)(conjugate_expr(node.left), conjugate_expr(node.right))
+    if isinstance(node, (Neg, Exp, Log)):
+        return type(node)(conjugate_expr(node.arg))
+    if isinstance(node, (IntPow, RealPow)):
+        return type(node)(conjugate_expr(node.base), node.exponent)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def eval_herm_jet(node: ExprNode, center, holo_order: int, anti_order: int, dim=None) -> HermJet:
+    """Jet of the expression at `center` in (z - z0, conj(z) - conj(z0))."""
+    dim = len(center) if dim is None else dim
+    program = JetProgram([node])
+    if program.max_var > dim:
+        raise ParseError(f"variable index exceeds dimension {dim}", 0)
+    return program.matrix_jet(1, center, holo_order, anti_order)
+
+
+def eval_holo_jet(node: ExprNode, center, order: int, dim=None) -> HoloJet:
+    """Jet of a purely holomorphic expression (no zb variables allowed)."""
+    dim = len(center) if dim is None else dim
+    program = JetProgram([node])
+    check_holomorphic(program, dim)
+    return program.matrix_jet(1, center, order, 0).holo_part()
 
 
 # -- expression-level matrix algebra for building verified pairs ------------

@@ -5,9 +5,11 @@ import pytest
 
 from jetcontact.contact import (
     ContactProblem,
+    _full_candidate_from_slice,
     alongZ_check,
     check_problem,
     extend_A_sequence,
+    extend_A_sequence_jets,
     geometric_conditions,
     holomorphy_conditions,
     jet_gram,
@@ -16,8 +18,15 @@ from jetcontact.contact import (
     pointwise_verify,
 )
 from jetcontact.geometry import normalize_frame
-from jetcontact.jetcore import HoloJet, index_table
-from jetcontact.kernelexpr import BundleSpec, eval_holo_jet, parse_kernel
+from jetcontact.jetcore import (
+    HermJet,
+    HoloJet,
+    index_positions,
+    index_table,
+    multi_index_factorial,
+    table_size,
+)
+from jetcontact.kernelexpr import BundleSpec, parse_kernel
 from jetcontact.pascal import lambda_from_jet
 
 from conftest import (
@@ -27,6 +36,7 @@ from conftest import (
     SCALAR_GRAMS_M2,
     conjugated_gram,
     constructed_scalar_pair,
+    eval_holo_jet,
     random_herm_jet,
     unitriangular_pair,
 )
@@ -351,6 +361,30 @@ class TestAlongZ:
             alone = alongZ_check(problem([point])).points[0]
             assert got.as_dict() == alone.as_dict()
 
+    def test_eight_point_grid_runs_in_one_pass(self, monkeypatch):
+        # the benchmark's 4x2 grid on Z: one pass of `_alongz_at` for all of it
+        import jetcontact.contact as contact
+
+        grid = [(0.0, complex(0.1 * x - 0.15, 0.1 * y)) for x in range(4) for y in range(2)]
+        a_grid, a_inv = unitriangular_pair(PAIR_CORNERS_M2[2])
+        prob = ContactProblem(
+            BundleSpec("h", 2, PAIR_GRAMS_M2[1]),
+            BundleSpec("ht", 2, conjugated_gram(PAIR_GRAMS_M2[1], a_inv)),
+            3,
+            "along-z",
+            grid,
+            candidate=a_grid,
+        )
+        passes = []
+        real = contact._alongz_at
+        monkeypatch.setattr(
+            contact, "_alongz_at", lambda prob, pts: passes.append(len(pts)) or real(prob, pts)
+        )
+        report = alongZ_check(prob)
+        assert passes == [8]
+        assert report.verdict == "verified"
+        assert len(report.points) == 8
+
     def test_rank2_requires_candidate(self):
         prob = ContactProblem(
             BundleSpec("h", 2, PAIR_GRAMS_M2[0]),
@@ -484,6 +518,76 @@ class TestAlongZ:
             noisy = [np.array(m) for m in seq]
             noisy[k] = noisy[k] + 200 * tol * np.ones_like(noisy[k])
             assert isometry_residual(noisy) > 100 * tol
+
+
+def reference_full_candidate(h, ht, a0_jet, n):
+    """The spot-check candidate as it was assembled from the extension
+    sequence on the full (n, n) Gram jets."""
+    dim = h.dim
+    a_jets = [a0_jet.as_herm(h.anti_order).freeze_variable(0)]
+    a_jets += extend_A_sequence_jets(h, ht, a_jets[0], n)
+    table = index_table(dim, n)
+    coeffs = np.zeros(h.points + (len(table), h.rank, h.rank), dtype=np.complex128)
+    pos = index_positions(dim, n)
+    for idx in table:
+        tang = (0,) + idx[1:]
+        coeffs[..., pos[idx], :, :] = a_jets[idx[0]].extract(tang) / multi_index_factorial(idx)
+    return HoloJet(h.center, n, h.rank, coeffs)
+
+
+class TestSpotCheckCandidate:
+    """`_full_candidate_from_slice` reads only the beta = 0 coefficients of
+    the extension sequence, so it runs at anti order 0."""
+
+    @staticmethod
+    def slice_jets(dim, rank, n, points, rng):
+        """Gram-like jets H, Ht of orders (n, n) and a corner jet A0 on Z,
+        at one point (points == ()) or at P points."""
+        centers = (0.0,) * dim
+        if points:
+            centers = tuple((0.0,) + tuple(0.1 * k * (c + 1) for c in range(dim - 1))
+                            for k in range(points[0]))
+        na = table_size(dim, n)
+
+        def coeffs(shape, scale):
+            c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+            c[..., 0, :, :] = c[..., 0, :, :] * 0.1 + np.eye(rank)
+            return c
+
+        def herm():
+            c = coeffs(points + (na * na, rank, rank), 0.3).reshape(points + (na, na, rank, rank))
+            return HermJet(centers, n, n, rank, c)
+
+        a0 = HoloJet(centers, n, rank, coeffs(points + (na, rank, rank), 0.3))
+        return herm(), herm(), a0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("points", [(), (3,), (8,)])
+    def test_matches_full_order_reference(self, rng, dim, rank, points):
+        n = 2 if dim == 3 else 3
+        h, ht, a0 = self.slice_jets(dim, rank, n, points, rng)
+        got = _full_candidate_from_slice(h, ht, a0, n)
+        want = reference_full_candidate(h, ht, a0, n)
+        assert (got.order, got.rank, got.center) == (want.order, want.rank, want.center)
+        assert got.coeffs.shape == want.coeffs.shape
+        scale = 1.0 + np.max(np.abs(want.coeffs))
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13 * scale
+
+    def test_sequence_runs_at_anti_order_zero(self, rng, monkeypatch):
+        import jetcontact.contact as contact
+
+        seen = []
+        real = contact.extend_A_sequence_jets
+
+        def spy(H, Ht, A0, n):
+            seen.append((H.anti_order, Ht.anti_order, A0.anti_order))
+            return real(H, Ht, A0, n)
+
+        monkeypatch.setattr(contact, "extend_A_sequence_jets", spy)
+        h, ht, a0 = self.slice_jets(2, 2, 3, (4,), rng)
+        _full_candidate_from_slice(h, ht, a0, 3)
+        assert seen == [(0, 0, 0)]
 
 
 class TestVerdictBands:

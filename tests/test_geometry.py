@@ -24,9 +24,9 @@ from jetcontact.geometry import (
     transverse_tower,
 )
 from jetcontact.jetcore import HermJet, OrderError
-from jetcontact.kernelexpr import BundleSpec, eval_herm_jet, parse_kernel
+from jetcontact.kernelexpr import BundleSpec, parse_kernel
 
-from conftest import random_herm_jet
+from conftest import eval_herm_jet, random_herm_jet
 
 
 def bergman(alpha, orders=4):

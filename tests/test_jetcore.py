@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetcontact import jetcore
 from jetcontact.jetcore import (
     DimensionError,
     HermJet,
@@ -406,3 +407,51 @@ class TestPointAxis:
             a[2].inv()
         with pytest.raises(SingularityError, match="constant term is singular"):
             self.at_points(a).inv()
+
+
+def contract_three_temporaries(left, right, I, J, starts, weight=None):
+    """The product kernel as it was with a third gather-sized array for the
+    products: the reference the in-place kernel must match bit for bit."""
+    a = np.take(left, I, axis=-1)
+    b = np.take(right, J, axis=-1)
+    if weight is not None:
+        a *= weight
+    r = a.shape[0]
+    if r == 1:
+        prod = a * b
+    else:
+        prod = np.empty_like(a)
+        tmp = np.empty(a.shape[2:], dtype=a.dtype)
+        for row in range(r):
+            for col in range(r):
+                acc = prod[row, col]
+                np.multiply(a[row, 0], b[0, col], out=acc)
+                for k in range(1, r):
+                    np.multiply(a[row, k], b[k, col], out=tmp)
+                    acc += tmp
+    return np.add.reduceat(prod, starts, axis=-1)
+
+
+class TestContract:
+    """The product kernel writes its products into its left gather; the sums
+    are the same multiplies and adds in the same order as with a separate
+    product array."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("points", [(), (3,)])
+    def test_bitwise_equal_to_three_temporaries(self, rng, rank, weighted, points):
+        dim, p, q = 2, 3, 2
+        shape = points + (table_size(dim, p), table_size(dim, q), rank, rank)
+
+        def operand():
+            c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            return jetcore._pair_last(c)
+
+        left, right = operand(), operand()
+        I, J, starts = jetcore._mul_plan(dim, p, q, shape[-3], shape[-3])
+        weight = rng.standard_normal(len(I)) if weighted else None
+        got = jetcore._contract(left, right, I, J, starts, weight)
+        want = contract_three_temporaries(left, right, I, J, starts, weight)
+        assert got.shape == want.shape == (rank, rank) + points + (len(starts),)
+        assert got.tobytes() == want.tobytes()

@@ -21,11 +21,10 @@ from jetcontact.kernelexpr import (
     ParseError,
     RealPow,
     Var,
-    conjugate_expr,
-    eval_herm_jet,
-    eval_holo_jet,
     parse_kernel,
 )
+
+from conftest import conjugate_expr, eval_herm_jet, eval_holo_jet
 
 
 class TestParser:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jetcontact.jetcore import HoloJet, index_table, table_size
-from jetcontact.kernelexpr import eval_holo_jet, parse_kernel
+from jetcontact.kernelexpr import parse_kernel
 from jetcontact.pascal import (
     PascalBlock,
     binomial_solve,
@@ -22,7 +22,7 @@ from jetcontact.pascal import (
 )
 from jetcontact.wordcalc import NCPoly, build_sequences
 
-from conftest import random_herm_jet, random_holo_jet
+from conftest import eval_holo_jet, random_herm_jet, random_holo_jet
 
 
 class TestGenerator:
