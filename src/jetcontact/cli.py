@@ -21,6 +21,7 @@ import yaml
 from . import __version__
 from .contact import (
     ContactProblem,
+    _rel,
     check_problem,
     classify,
     combine_verdicts,
@@ -104,13 +105,22 @@ def _parse_point(value, dim: int, where: str) -> tuple:
     return tuple(_parse_scalar(c, where) for c in value)
 
 
+def _expression_grid(value, where: str) -> list:
+    """A matrix (list of rows) of expression strings; one string is a 1 x 1 matrix."""
+    grid = [[value]] if isinstance(value, str) else value
+    if not (isinstance(grid, list) and all(
+            isinstance(row, list) and all(isinstance(e, str) for e in row) for row in grid)):
+        raise ConfigError(f"{where} must be an expression or a matrix (list of rows) of them")
+    return grid
+
+
 def _parse_bundle(node, where: str) -> BundleSpec:
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: expected a mapping with label/dimension/gram")
     try:
         label = node.get("label", where)
         dim = int(node["dimension"])
-        gram = node["gram"]
+        gram = _expression_grid(node["gram"], f"{where}: gram")
     except KeyError as exc:
         raise ConfigError(f"{where}: missing key {exc.args[0]!r}") from exc
     try:
@@ -141,7 +151,8 @@ def _expand_grid(node, dim: int) -> list:
     return points
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, overrides: dict = None) -> RunConfig:
+    """The validated config at `path`, the non-None `overrides` replacing its keys."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             # libyaml's parser when present; both use the same SafeConstructor
@@ -152,6 +163,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config {path!r} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
+    raw.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     return build_config(raw)
 
 
@@ -203,13 +215,8 @@ def build_config(raw: dict) -> RunConfig:
                     raise ConfigError(f"along-z point {p} has z1 != 0")
         cfg.points = pts
 
-    cand = raw.get("candidate")
-    if cand is not None:
-        if isinstance(cand, str):
-            cand = [[cand]]
-        if not isinstance(cand, list):
-            raise ConfigError("candidate must be an expression or a matrix of them")
-        cfg.candidate = cand
+    if raw.get("candidate") is not None:
+        cfg.candidate = _expression_grid(raw["candidate"], "candidate")
     return cfg
 
 
@@ -279,11 +286,9 @@ def _run_recursions(cfg: RunConfig) -> tuple[dict, str]:
             tower = K1j_tower(h, [L_tensor(h, j, l) for l in range(1, n + 1)])
             iterated = curvature(h, 1, j)
             for order in range(1, n + 1):
-                rec = tower[order - 1]
-                direct = iterated.value()
-                scale = 1.0 + max(np.max(np.abs(rec)), np.max(np.abs(direct)))
+                rec, direct = tower[order - 1], iterated.value()
                 entry["residuals"][f"curvature-tower(j={j},n={order})"] = float(
-                    np.max(np.abs(rec - direct)) / scale
+                    _rel(rec - direct, rec, direct)
                 )
                 if order < n:
                     iterated = cov_deriv(iterated, h, 1)
@@ -294,26 +299,21 @@ def _run_recursions(cfg: RunConfig) -> tuple[dict, str]:
                 for _ in range(order):
                     direct_jet = direct_jet.deriv(0, conjugate=True)
                 direct = direct_jet.value()
-                scale = 1.0 + max(np.max(np.abs(rec)), np.max(np.abs(direct)))
                 entry["residuals"][f"conjugate-tower(j={j},n={order})"] = float(
-                    np.max(np.abs(rec - direct)) / scale
+                    _rel(rec - direct, rec, direct)
                 )
         for i in range(1, spec.dimension + 1):
             for j in range(1, spec.dimension + 1):
                 kij = curvature(h, i, j).value()
                 kji = curvature(h, j, i).value()
-                scale = 1.0 + max(np.max(np.abs(kij)), np.max(np.abs(kji)))
                 entry["residuals"][f"adjoint-symmetry(i={i},j={j})"] = float(
-                    np.max(np.abs(kij - h0 @ np.conj(kji.T) @ h0inv)) / scale
+                    _rel(kij - h0 @ np.conj(kji.T) @ h0inv, kij, kji)
                 )
         phi = curvature(h, 1, 1)
         for i in range(1, spec.dimension + 1):
             lhs = map_adjoint_jet(cov_deriv(phi, h, i), h).value()
             rhs = cov_deriv(map_adjoint_jet(phi, h), h, i, conjugate=True).value()
-            scale = 1.0 + max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
-            entry["residuals"][f"adjoint-derivative(i={i})"] = float(
-                np.max(np.abs(lhs - rhs)) / scale
-            )
+            entry["residuals"][f"adjoint-derivative(i={i})"] = float(_rel(lhs - rhs, lhs, rhs))
         results.append(entry)
     worst = worst_residual(r for e in results for r in e["residuals"].values())
     return {"points": results, "max_residual": worst}, classify(worst, cfg.tolerance)
@@ -434,17 +434,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        if args.task:
-            cfg.task = args.task
-        if args.order is not None:
-            cfg.order = args.order
-        if args.tolerance is not None:
-            cfg.tolerance = args.tolerance
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out:
-            cfg.out = args.out
+        cfg = load_config(args.config, {
+            "task": args.task, "order": args.order, "tolerance": args.tolerance,
+            "seed": args.seed, "out": args.out,
+        })
         document = run(cfg)
     except (ConfigError, ParseError) as exc:
         print(f"jetcontact: input error: {exc}", file=sys.stderr)

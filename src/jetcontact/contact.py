@@ -408,10 +408,10 @@ class ContactProblem:
 def _normalize_candidate(cand):
     if cand is None or isinstance(cand, np.ndarray):
         return cand
-    if isinstance(cand, (int, float, complex)):
-        return np.array([[cand]], dtype=np.complex128)
-    if isinstance(cand, str):
-        return [[parse_kernel(cand)]]
+    if not isinstance(cand, list):
+        raise TypeError(
+            "candidate must be None, an ndarray, or a grid (list of rows) of expressions"
+        )
     return [
         [parse_kernel(e) if isinstance(e, str) else e for e in row] for row in cand
     ]

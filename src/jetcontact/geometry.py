@@ -23,7 +23,6 @@ too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import matmul
 
 import numpy as np
@@ -32,13 +31,10 @@ from .jetcore import HermJet, HoloJet, OrderError, index_table
 from .pascal import binomial_solve
 
 __all__ = [
-    "CurvatureRequest",
     "connection",
     "curvature",
-    "curvature_tower",
     "cov_deriv",
     "cov_deriv_mixed",
-    "adjoint_map",
     "map_adjoint_jet",
     "L_tensor",
     "K1j_recursion",
@@ -51,27 +47,6 @@ __all__ = [
     "normalized_defect",
     "hermitian_sqrt",
 ]
-
-
-@dataclass(frozen=True)
-class CurvatureRequest:
-    """A covariant-derivative order pattern for one curvature component:
-    r holomorphic steps in z_i, then t conjugate steps in zbar_j."""
-
-    i: int
-    j: int
-    r: int = 0
-    t: int = 0
-
-    def __post_init__(self):
-        if self.r < 0 or self.t < 0:
-            raise ValueError("derivative orders must be non-negative")
-
-
-def curvature_tower(H: HermJet, request: CurvatureRequest) -> HermJet:
-    """Jet of (K_{i jbar})_{z_i^r zbar_j^t} per the request's order pattern."""
-    k = curvature(H, request.i, request.j)
-    return cov_deriv_mixed(k, H, request.i, request.r, request.j, request.t)
 
 
 def _e(dim: int, i: int, times: int = 1) -> tuple:
@@ -139,11 +114,6 @@ def transverse_tower(H: HermJet, n: int) -> list:
             row.append(col.value())
         rows.append(row)
     return rows
-
-
-def adjoint_map(M: np.ndarray, H_value: np.ndarray) -> np.ndarray:
-    """Representing matrix of the adjoint bundle map: H M^* H^-1."""
-    return H_value @ np.conj(M.T) @ np.linalg.inv(H_value)
 
 
 def map_adjoint_jet(Phi: HermJet, H: HermJet) -> HermJet:

@@ -678,19 +678,6 @@ class HoloJet:
         coeffs = _constant_coeffs(value, center, (table_size(dim, order),))
         return cls(center, order, coeffs.shape[-1], coeffs)
 
-    @classmethod
-    def from_entries(cls, entries) -> "HoloJet":
-        rows = len(entries)
-        first = entries[0][0]
-        coeffs = np.zeros(first.coeffs.shape[:-2] + (rows, rows), dtype=np.complex128)
-        for p in range(rows):
-            for q in range(rows):
-                e = entries[p][q]
-                if e.order != first.order or e.center != first.center:
-                    raise DimensionError("entry jets must share center and order")
-                coeffs[..., p, q] = e.coeffs[..., 0, 0]
-        return cls(first.center, first.order, rows, coeffs)
-
     def truncate(self, order) -> "HoloJet":
         p = min(order, self.order)
         if p == self.order:
@@ -698,22 +685,6 @@ class HoloJet:
         return HoloJet(
             self.center, p, self.rank, self.coeffs[..., : table_size(self.dim, p), :, :]
         )
-
-    def __add__(self, other) -> "HoloJet":
-        _check_same_frame(self, other)
-        p = min(self.order, other.order)
-        return HoloJet(
-            self.center,
-            p,
-            self.rank,
-            self.truncate(p).coeffs + other.truncate(p).coeffs,
-        )
-
-    def __neg__(self) -> "HoloJet":
-        return HoloJet(self.center, self.order, self.rank, -self.coeffs)
-
-    def __sub__(self, other) -> "HoloJet":
-        return self + (-other)
 
     def __mul__(self, other) -> "HoloJet":
         """The HermJet product at anti order 0."""

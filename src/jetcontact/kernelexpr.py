@@ -465,8 +465,6 @@ class BundleSpec:
     def __init__(self, label: str, dimension: int, entries):
         self.label = str(label)
         self.dimension = int(dimension)
-        if isinstance(entries, str):
-            entries = [[entries]]
         self.entries = [
             [e if not isinstance(e, str) else parse_kernel(e) for e in row]
             for row in entries

@@ -67,10 +67,6 @@ class QuotientModel:
     def rank(self) -> int:
         return self.kernel.rank
 
-    @property
-    def size(self) -> int:
-        return self.gram.shape[0]
-
 
 def quotient_model(kernel: BundleSpec, center, order: int) -> QuotientModel:
     """Build the quotient model of the kernel at `center` to jet order `order`."""

@@ -15,7 +15,7 @@ those sum m_i^2 unknowns of the stacked Sylvester system, not all s^2, go
 through a thin SVD: O(k s^3) while the clusters stay small, and 2k s^2
 sum m_i^2 complex numbers for the system (0.7 MB at k = 2, s = 20 with 26
 unknowns, against 10 MB for the full system).  A cluster ends where both
-spectra rise by more than null_tol^(1/4) of the spectral radius.  The gap is
+spectra rise by more than NULL_TOL^(1/4) of the spectral radius.  The gap is
 generous because merging clusters only adds unknowns while a wrong cut can
 lose the intertwiner; a spectrum that is one cluster gives the full system,
 so degenerate families take the same code.  Candidates are mapped back and
@@ -41,6 +41,9 @@ import numpy as np
 
 __all__ = ["unitary_intertwiner"]
 
+TRIES = 6  # seeded draws, and random null-space combinations per draw
+NULL_TOL = 1e-10  # singular-value bound of the null space, and the stopping score
+
 
 def _first_finite_min(scores: np.ndarray) -> int | None:
     """Index of the first smallest finite score, None if none is finite."""
@@ -59,13 +62,13 @@ def _weyl_bound(h_a, h_b, eig_a, eig_b, weights, scale: float) -> float:
     return float(distance / (scale * np.sum(np.abs(weights)) * len(eig_a)))
 
 
-def _block_unknowns(eig_a: np.ndarray, eig_b: np.ndarray, null_tol: float):
+def _block_unknowns(eig_a: np.ndarray, eig_b: np.ndarray):
     """Row and column indices of the block-diagonal unknowns over the
     clusters of two ascending spectra; a cluster ends where both rise by
     more than the gap."""
     radius = float(np.max(np.abs(np.concatenate([eig_a, eig_b]))))
     gaps = np.minimum(np.diff(eig_a), np.diff(eig_b))
-    labels = np.concatenate([[0], np.cumsum(gaps > radius * null_tol ** 0.25)])
+    labels = np.concatenate([[0], np.cumsum(gaps > radius * NULL_TOL ** 0.25)])
     return np.nonzero(labels[:, None] == labels[None, :])
 
 
@@ -85,19 +88,16 @@ def _block_system(rot_a, rot_b, rows, cols, scale: float) -> np.ndarray:
     return system.reshape(blocks * size * size, len(rows))
 
 
-def unitary_intertwiner(
-    mats_a, mats_b, seed: int = 0, tries: int = 6, null_tol: float = 1e-10,
-    refuted_above: float = np.inf,
-):
+def unitary_intertwiner(mats_a, mats_b, seed: int = 0, refuted_above: float = np.inf):
     """Best unitary U for the system {A_k U = U B_k} and its residual.
 
     Returns (U, residual); the residual is relative to the matrix scale.  The
     adjoint equations A_k^* U = U B_k^* are appended automatically so that the
     intertwiner space is a *-bimodule and polar decomposition stays inside it.
-    Up to `tries` seeded draws of the self-adjoint element are made; each
-    draw's candidates are its null vectors and `tries` random combinations of
+    Up to TRIES seeded draws of the self-adjoint element are made; each
+    draw's candidates are its null vectors and TRIES random combinations of
     them, or else its least-violating vector.  Draws stop at the first whose
-    best score is at most null_tol or whose eigenvalue-distance certificate
+    best score is at most NULL_TOL or whose eigenvalue-distance certificate
     (a lower bound on every unitary's residual) exceeds refuted_above; a NaN
     certificate never stops them.  Candidates are scored in order and the
     first smallest finite score wins; when no score is finite the result is
@@ -114,23 +114,23 @@ def unitary_intertwiner(
 
     rng = np.random.default_rng(seed)
     unitaries, scores = [], []
-    for _ in range(tries):
+    for _ in range(TRIES):
         c = rng.standard_normal(count) + 1j * rng.standard_normal(count)
         weights = np.concatenate([c, np.conj(c)])
         h_a = np.tensordot(weights, a, axes=1)
         h_b = np.tensordot(weights, b, axes=1)
         eig_a, vec_a = np.linalg.eigh(h_a)
         eig_b, vec_b = np.linalg.eigh(h_b)
-        rows, cols = _block_unknowns(eig_a, eig_b, null_tol)
+        rows, cols = _block_unknowns(eig_a, eig_b)
         rot_a = np.conj(vec_a.T) @ a @ vec_a
         rot_b = np.conj(vec_b.T) @ b @ vec_b
         _, svals, vh = np.linalg.svd(
             _block_system(rot_a, rot_b, rows, cols, scale), full_matrices=False
         )
-        null = vh[svals <= null_tol].conj()
+        null = vh[svals <= NULL_TOL].conj()
         if len(null):
-            w = rng.standard_normal((tries, len(null))) + 1j * rng.standard_normal(
-                (tries, len(null))
+            w = rng.standard_normal((TRIES, len(null))) + 1j * rng.standard_normal(
+                (TRIES, len(null))
             )
             vectors = np.concatenate([null, w @ null])
         else:
@@ -144,7 +144,7 @@ def unitary_intertwiner(
         diffs -= draw @ b
         unitaries.append(draw[:, 0])
         scores.append(np.max(np.abs(diffs), axis=(1, 2, 3)) / scale)
-        if np.any(scores[-1] <= null_tol):
+        if np.any(scores[-1] <= NULL_TOL):
             break
         if _weyl_bound(h_a, h_b, eig_a, eig_b, weights, scale) > refuted_above:
             break

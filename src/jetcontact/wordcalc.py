@@ -65,23 +65,34 @@ def _reduce(symbols) -> tuple:
     return tuple(stack)
 
 
+def _accumulate(terms: dict, pairs) -> dict:
+    """Add each (word, coefficient) pair into `terms`, dropping a word whose
+    coefficient cancels to zero; returns `terms`."""
+    for word, coef in pairs:
+        new = terms.get(word, Fraction(0)) + coef
+        if new:
+            terms[word] = new
+        else:
+            terms.pop(word, None)
+    return terms
+
+
 class NCPoly:
     """Noncommutative polynomial: reduced words -> nonzero Fractions."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for word, coef in terms.items():
-                coef = Fraction(coef)
-                if coef:
-                    word = _reduce(word)
-                    new = self.terms.get(word, Fraction(0)) + coef
-                    if new:
-                        self.terms[word] = new
-                    else:
-                        self.terms.pop(word, None)
+        self.terms = _accumulate(
+            {}, ((_reduce(word), Fraction(coef)) for word, coef in (terms or {}).items())
+        )
+
+    @classmethod
+    def _of(cls, terms: dict) -> "NCPoly":
+        """Wrap a dict of reduced words and nonzero coefficients as is."""
+        result = cls.__new__(cls)
+        result.terms = terms
+        return result
 
     @classmethod
     def zero(cls) -> "NCPoly":
@@ -101,25 +112,11 @@ class NCPoly:
     def __eq__(self, other):
         return isinstance(other, NCPoly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other) -> "NCPoly":
-        out = dict(self.terms)
-        for word, coef in other.terms.items():
-            new = out.get(word, Fraction(0)) + coef
-            if new:
-                out[word] = new
-            else:
-                out.pop(word, None)
-        result = NCPoly()
-        result.terms = out
-        return result
+        return NCPoly._of(_accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "NCPoly":
-        result = NCPoly()
-        result.terms = {w: -c for w, c in self.terms.items()}
-        return result
+        return NCPoly._of({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other) -> "NCPoly":
         return self + (-other)
@@ -127,28 +124,16 @@ class NCPoly:
     def __mul__(self, other) -> "NCPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        out = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                word = _reduce(wa + wb)
-                coef = ca * cb
-                new = out.get(word, Fraction(0)) + coef
-                if new:
-                    out[word] = new
-                else:
-                    out.pop(word, None)
-        result = NCPoly()
-        result.terms = out
-        return result
+        return NCPoly._of(_accumulate({}, (
+            (_reduce(wa + wb), ca * cb)
+            for wa, ca in self.terms.items() for wb, cb in other.terms.items()
+        )))
 
     __rmul__ = __mul__
 
     def scale(self, scalar) -> "NCPoly":
         scalar = Fraction(scalar)
-        result = NCPoly()
-        if scalar:
-            result.terms = {w: c * scalar for w, c in self.terms.items()}
-        return result
+        return NCPoly._of({w: c * scalar for w, c in self.terms.items()} if scalar else {})
 
     def coefficient(self, word) -> Fraction:
         return self.terms.get(_reduce(tuple(word)), Fraction(0))
@@ -164,10 +149,6 @@ class NCPoly:
             sym = "*".join(f"{f}{i or ''}" for f, i in word) or "1"
             parts.append(f"{coef}*{sym}")
         return " + ".join(parts)
-
-
-def _sym(family, index) -> NCPoly:
-    return NCPoly.symbol(family, index)
 
 
 def build_sequences(rule: str, length: int, n: int = None, k: int = None,
@@ -189,15 +170,15 @@ def build_sequences(rule: str, length: int, n: int = None, k: int = None,
         raise ValueError("sequence length must be >= 1")
     fam_f, fam_g = families if families else ("F", "G")
     weights = range(1, length + 1)
-    gs = [_sym(fam_g, l) for l in weights]
+    gs = [NCPoly.symbol(fam_g, l) for l in weights]
     if rule == "recur1":
-        return binomial_solve([_sym(fam_f, l) for l in weights], gs, mul, left=True)
+        return binomial_solve([NCPoly.symbol(fam_f, l) for l in weights], gs, mul, left=True)
     if rule in ("recur19", "recur199"):
         return binomial_solve([-g for g in gs], gs, mul, left=rule == "recur19")
     if rule == "r01":
-        z0 = _sym("Z0", 0)
-        return binomial_solve([_sym("G", l) * z0 for l in weights],
-                              [_sym("Gt", l) for l in weights], mul, x0=z0)
+        z0 = NCPoly.symbol("Z0", 0)
+        return binomial_solve([NCPoly.symbol("G", l) * z0 for l in weights],
+                              [NCPoly.symbol("Gt", l) for l in weights], mul, x0=z0)
     if rule == "ruuu-I":
         if n is None or k is None:
             raise ValueError("rule 'ruuu-I' needs parameters n and k")
@@ -219,9 +200,9 @@ def _class_sequences(length: int) -> tuple[list[NCPoly], list[NCPoly]]:
     """The class-A / class-B split of the Z-sequence:
     X_l collects words starting with G_k Z0, Y_l those starting with Z0 Gt_k;
     X_l + Y_l equals the full Z_l."""
-    z0 = _sym("Z0", 0)
-    gt = [_sym("Gt", l) for l in range(1, length + 1)]
-    xs = binomial_solve([_sym("G", l) * z0 for l in range(1, length + 1)], gt, mul)
+    z0 = NCPoly.symbol("Z0", 0)
+    gt = [NCPoly.symbol("Gt", l) for l in range(1, length + 1)]
+    xs = binomial_solve([NCPoly.symbol("G", l) * z0 for l in range(1, length + 1)], gt, mul)
     ys = binomial_solve([-(z0 * g) for g in gt], gt, mul)
     return xs, ys
 
@@ -289,6 +270,13 @@ class AppendixReport:
     def add(self, name: str, passed: bool, detail: str = ""):
         self.checks.append(AppendixCheck(name, bool(passed), detail))
 
+    def add_first_failure(self, name: str, failures, passed_detail: str):
+        """Add check `name`, failed with the first label the lazy iterable
+        `failures` yields as its detail, or passed with `passed_detail` when
+        it yields none; labels after the first are never computed."""
+        bad = next(iter(failures), None)
+        self.add(name, bad is None, passed_detail if bad is None else bad)
+
     def as_dict(self) -> dict:
         return {
             "n_max": self.n_max,
@@ -303,6 +291,23 @@ class AppendixReport:
 
 def _word_of_g(indices) -> tuple:
     return tuple(Symbol("G", i) for i in indices)
+
+
+def _conjugated_ft_sum(seq: list, n: int) -> NCPoly:
+    """Z0 Ft_n Z0i + sum_{k=1}^{n-1} binom(n,k) seq_{n-k} Ft_k Z0i."""
+    z0i = NCPoly.symbol("Z0i")
+    return sum(
+        (comb(n, k) * (seq[n - k - 1] * NCPoly.symbol("Ft", k) * z0i) for k in range(1, n)),
+        NCPoly.symbol("Z0") * NCPoly.symbol("Ft", n) * z0i,
+    )
+
+
+def _starts_class_a_or_b(word) -> bool:
+    """Whether a word starts with G_k Z0 (class A) or Z0 Gt_k (class B)."""
+    z0 = Symbol("Z0")
+    return len(word) >= 2 and (
+        (word[0][0] == "G" and word[1] == z0) or (word[0] == z0 and word[1][0] == "Gt")
+    )
 
 
 def _random_matrix(rng, size) -> np.ndarray:
@@ -447,106 +452,69 @@ def verify_appendix(n_max: int = 6, seed: int = 0, size: int = 3,
 
     ks_19 = build_sequences("recur19", n_max)
     ks_199 = build_sequences("recur199", n_max)
-    report.add(
+    report.add_first_failure(
         "k-recursions-agree",
-        all(a == b for a, b in zip(ks_19, ks_199)),
+        (f"left and right K-recursions differ at weight {l}"
+         for l, (a, b) in enumerate(zip(ks_19, ks_199), 1) if a != b),
         f"left and right K-recursions identical up to weight {n_max}",
     )
-
-    ok, bad = True, ""
-    for l in range(1, n_max + 1):
-        for compo in _compositions(l):
-            closed = coefficient_of_word(compo)
-            from_recursion = ks_19[l - 1].coefficient(_word_of_g(compo))
-            lead = binom_product_leading(compo)
-            trail = binom_product_trailing(compo)
-            if not closed == from_recursion == lead == trail:
-                ok, bad = False, f"mismatch at word {compo}"
-                break
-        if not ok:
-            break
-    report.add("word-coefficients", ok,
-               bad or f"closed form matches recursion for all weights <= {n_max}")
-
-    ok, bad = True, ""
-    for n in range(1, n_max + 1):
-        for k in range(n):
-            for i in range(1, k + 1):
-                if comb(n + 1, k + 1 - i) * comb(n - k + i, i) != comb(
-                    n + 1, k + 1
-                ) * comb(k + 1, i):
-                    ok, bad = False, f"failed at (n,k,i)=({n},{k},{i})"
-    report.add("binomial-identity", ok,
-               bad or f"product identity holds for all (n,k,i) <= {n_max}")
+    report.add_first_failure(
+        "word-coefficients",
+        (f"mismatch at word {compo}"
+         for l in range(1, n_max + 1) for compo in _compositions(l)
+         if not coefficient_of_word(compo) == ks_19[l - 1].coefficient(_word_of_g(compo))
+         == binom_product_leading(compo) == binom_product_trailing(compo)),
+        f"closed form matches recursion for all weights <= {n_max}",
+    )
+    report.add_first_failure(
+        "binomial-identity",
+        (f"failed at (n,k,i)=({n},{k},{i})"
+         for n in range(1, n_max + 1) for k in range(n) for i in range(1, k + 1)
+         if comb(n + 1, k + 1 - i) * comb(n - k + i, i) != comb(n + 1, k + 1) * comb(k + 1, i)),
+        f"product identity holds for all (n,k,i) <= {n_max}",
+    )
 
     hs = build_sequences("recur1", n_max)
-    fs = [_sym("F", l) for l in range(1, n_max + 1)]
-    ok, bad = True, ""
-    for n in range(1, n_max + 1):
-        acc = fs[n - 1]
-        for i in range(1, n):
-            acc = acc + comb(n, i) * (ks_19[i - 1] * fs[n - i - 1])
-        if acc != hs[n - 1]:
-            ok, bad = False, f"failed at n={n}"
-            break
-    report.add("extension-identity", ok,
-               bad or f"K-corrected F-sums equal H up to weight {n_max}")
-
-    ok, bad = True, ""
-    for n in range(1, n_max + 1):
-        for k in range(1, n + 1):
-            iseq = build_sequences("ruuu-I", k, n=n, k=k)
-            acc = NCPoly.zero()
-            for i in range(1, k + 1):
-                acc = acc + comb(n, k - i + 1) * (iseq[i - 1] * fs[k - i])
-            if acc != comb(n, k) * hs[k - 1]:
-                ok, bad = False, f"failed at (n,k)=({n},{k})"
-                break
-        if not ok:
-            break
-    report.add("binomial-recast", ok,
-               bad or f"I-weighted F-sums equal binom(n,k) H_k for n <= {n_max}")
+    fs = [NCPoly.symbol("F", l) for l in range(1, n_max + 1)]
+    report.add_first_failure(
+        "extension-identity",
+        (f"failed at n={n}" for n in range(1, n_max + 1)
+         if sum((comb(n, i) * (ks_19[i - 1] * fs[n - i - 1]) for i in range(1, n)), fs[n - 1])
+         != hs[n - 1]),
+        f"K-corrected F-sums equal H up to weight {n_max}",
+    )
+    report.add_first_failure(
+        "binomial-recast",
+        (f"failed at (n,k)=({n},{k})" for n in range(1, n_max + 1) for k in range(1, n + 1)
+         if sum((comb(n, k - i + 1) * (term * fs[k - i])
+                 for i, term in enumerate(build_sequences("ruuu-I", k, n=n, k=k), 1)),
+                NCPoly.zero()) != comb(n, k) * hs[k - 1]),
+        f"I-weighted F-sums equal binom(n,k) H_k for n <= {n_max}",
+    )
 
     zs = build_sequences("r01", n_max)
     xs, ys = _class_sequences(n_max)
-    ok = all(x + y == z for x, y, z in zip(xs, ys, zs))
-    report.add("class-split", ok, "Z-sequence splits as X + Y at every weight")
-
+    report.add_first_failure(
+        "class-split",
+        (f"X + Y differs from Z at weight {l}"
+         for l, (x, y, z) in enumerate(zip(xs, ys, zs), 1) if x + y != z),
+        "Z-sequence splits as X + Y at every weight",
+    )
     z0, z0i = Symbol("Z0"), Symbol("Z0i")
-    ok, bad = True, ""
-    for n in range(1, n_max + 1):
-        total = NCPoly.symbol("Z0") * _sym("Ft", n) * NCPoly.symbol("Z0i")
-        for k in range(1, n):
-            zpoly = zs[n - k - 1]
-            total = total + comb(n, k) * (
-                zpoly * _sym("Ft", k) * NCPoly.symbol("Z0i")
-            )
-        head = (z0, Symbol("Ft", n), z0i)
-        for word in total.words():
-            if word == head:
-                continue
-            starts_a = len(word) >= 2 and word[0][0] == "G" and word[1] == z0
-            starts_b = len(word) >= 2 and word[0] == z0 and word[1][0] == "Gt"
-            if not (starts_a or starts_b):
-                ok, bad = False, f"stray word {word} at n={n}"
-                break
-        if not ok:
-            break
-    report.add("class-decomposition", ok,
-               bad or "all cross words start with G*Z0 or Z0*Gt")
-
+    report.add_first_failure(
+        "class-decomposition",
+        (f"stray word {word} at n={n}"
+         for n in range(1, n_max + 1) for word in _conjugated_ft_sum(zs, n).words()
+         if word != (z0, Symbol("Ft", n), z0i) and not _starts_class_a_or_b(word)),
+        "all cross words start with G*Z0 or Z0*Gt",
+    )
     hts = build_sequences("recur1", n_max, families=("Ft", "Gt"))
-    ok, bad = True, ""
-    for n in range(1, n_max + 1):
-        lhs = NCPoly.symbol("Z0") * _sym("Ft", n) * NCPoly.symbol("Z0i")
-        for k in range(1, n):
-            lhs = lhs + comb(n, k) * (ys[n - k - 1] * _sym("Ft", k) * NCPoly.symbol("Z0i"))
-        rhs = NCPoly.symbol("Z0") * hts[n - 1] * NCPoly.symbol("Z0i")
-        if lhs != rhs:
-            ok, bad = False, f"failed at n={n}"
-            break
-    report.add("class-b-conjugation", ok,
-               bad or "class-B sums equal the conjugated tilde-H sequence")
+    report.add_first_failure(
+        "class-b-conjugation",
+        (f"failed at n={n}" for n in range(1, n_max + 1)
+         if _conjugated_ft_sum(ys, n) != NCPoly.symbol("Z0") * hts[n - 1] * NCPoly.symbol("Z0i")),
+        "class-B sums equal the conjugated tilde-H sequence",
+    )
 
     rng = np.random.default_rng(seed)
     _numeric_equivalence(report, min(n_max, 5), size, rng, tol)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jetcontact import simeq
-from jetcontact.jetcore import HermJet, HoloJet, table_size
+from jetcontact.jetcore import DimensionError, HermJet, HoloJet, table_size
 from jetcontact.kernelexpr import (
     Add,
     Div,
@@ -87,6 +87,21 @@ def eval_holo_jet(node: ExprNode, center, order: int, dim=None) -> HoloJet:
     program = JetProgram([node])
     check_holomorphic(program, dim)
     return program.matrix_jet(1, center, order, 0).holo_part()
+
+
+def holo_from_entries(entries) -> HoloJet:
+    """The matrix jet whose (p, q) entry is the scalar jet entries[p][q];
+    the entries must share center and order."""
+    rows = len(entries)
+    first = entries[0][0]
+    coeffs = np.zeros(first.coeffs.shape[:-2] + (rows, rows), dtype=np.complex128)
+    for p in range(rows):
+        for q in range(rows):
+            e = entries[p][q]
+            if e.order != first.order or e.center != first.center:
+                raise DimensionError("entry jets must share center and order")
+            coeffs[..., p, q] = e.coeffs[..., 0, 0]
+    return HoloJet(first.center, first.order, rows, coeffs)
 
 
 # -- expression-level matrix algebra for building verified pairs ------------

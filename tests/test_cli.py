@@ -15,7 +15,7 @@ from jetcontact.cli import (
     main,
     run,
 )
-from jetcontact.kernelexpr import BundleSpec
+from jetcontact.kernelexpr import BundleSpec, parse_kernel
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -89,6 +89,22 @@ class TestConfig:
                     "bundles": [{"label": "x", "dimension": 1, "gram": [["1 +* z1"]]}],
                 }
             )
+
+    @pytest.mark.parametrize("key", ["gram", "candidate"])
+    @pytest.mark.parametrize("value", [["exp(z1*zb1)"], [[1]], [1], 1.0])
+    def test_expression_grids_are_matrices_of_strings(self, key, value):
+        bundle = {"label": "g", "dimension": 1, "gram": [["exp(z1*zb1)"]]}
+        raw = {"task": "pointwise", "points": [[0.1]], "bundles": [bundle, dict(bundle)]}
+        (raw["bundles"][0] if key == "gram" else raw)[key] = value
+        with pytest.raises(ConfigError, match=f"{key} must be an expression or a matrix"):
+            build_config(raw)
+
+    def test_one_expression_is_a_one_by_one_matrix(self):
+        bundle = {"label": "g", "dimension": 1, "gram": "exp(z1*zb1)"}
+        cfg = build_config({"task": "pointwise", "points": [[0.1]], "candidate": "1 + z1",
+                            "bundles": [bundle, dict(bundle)]})
+        assert cfg.bundle_a.entries == [[parse_kernel("exp(z1*zb1)")]]
+        assert cfg.candidate == [["1 + z1"]]
 
     def test_env_var_default_tolerance(self, monkeypatch):
         monkeypatch.setenv("JETCONTACT_TOLERANCE", "1e-6")
@@ -277,6 +293,26 @@ class TestMain:
         out = tmp_path / "r.json"
         assert main(["--config", path, "--out", str(out)]) == EXIT_VERIFIED
         assert main(["--config", path, "--order", "2", "--out", str(out)]) == EXIT_REFUTED
+
+    @pytest.mark.parametrize("config,flags,message", [
+        ("verify-appendix.yaml", ["--task", "pointwise"], "needs 2 bundle(s)"),
+        ("alongz-fock-pair.yaml", ["--tolerance", "0"], "tolerance must be positive"),
+        ("alongz-fock-pair.yaml", ["--tolerance", "-1"], "tolerance must be positive"),
+    ])
+    def test_overrides_are_validated_with_the_config(self, capsys, config, flags, message):
+        assert main(["--config", str(CONFIG_DIR / config), *flags]) == EXIT_INPUT_ERROR
+        assert message in capsys.readouterr().err
+
+    def test_seed_and_task_overrides_reach_the_report(self, tmp_path):
+        base = {"order": 1, "points": [[0.0, 0.1]], **FOCK_PAIR}
+        path = write_config(tmp_path, {"task": "pointwise", **base})
+        written = write_config(tmp_path, {"task": "along-z", "seed": 5, **base}, "along-z.yaml")
+        out, want = tmp_path / "r.json", tmp_path / "want.json"
+        main(["--config", path, "--task", "along-z", "--seed", "5", "--out", str(out)])
+        main(["--config", written, "--out", str(want)])
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert (doc["task"], doc["seed"], doc["results"]["mode"]) == ("along-z", 5, "along-z")
+        assert out.read_bytes() == want.read_bytes()
 
     def test_missing_config_is_input_error(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.yaml")]) == EXIT_INPUT_ERROR

@@ -37,6 +37,7 @@ from conftest import (
     conjugated_gram,
     constructed_scalar_pair,
     eval_holo_jet,
+    holo_from_entries,
     random_herm_jet,
     unitriangular_pair,
 )
@@ -101,7 +102,7 @@ class TestPointwise:
         ht_grid = conjugated_gram(PAIR_GRAMS_M2[0], a_inv)
         for point in [(0.0, 0.0), (0.1, -0.15), (0.05j, 0.2)]:
             h, ht = gram_jets(PAIR_GRAMS_M2[0], ht_grid, point, 4)
-            cand = HoloJet.from_entries(
+            cand = holo_from_entries(
                 [[eval_holo_jet(e, point, 3) for e in row] for row in a_grid]
             )
             verdict, res = pointwise_verify(h, ht, cand, 3, 1e-8)
@@ -116,7 +117,7 @@ class TestPointwise:
         for point in [(0.0,), (0.25,), (-0.2 + 0.1j,)]:
             h, ht = gram_jets(h_grid, ht_grid, point, 3, dim=1)
             cand = eval_holo_jet(parse_kernel("1 + z1"), point, 2)
-            verdict, _ = pointwise_verify(h, ht, HoloJet.from_entries([[cand]]), 2, 1e-8)
+            verdict, _ = pointwise_verify(h, ht, holo_from_entries([[cand]]), 2, 1e-8)
             assert verdict == "verified"
 
     def test_bergman_mismatch_refuted_for_any_phase(self):
@@ -145,7 +146,7 @@ class TestPointwise:
         )
         for point in [(0.0, 0.0), (0.1, 0.2)]:
             h, ht = gram_jets(h_grid, ht_grid, point, 3)
-            cand = HoloJet.from_entries(
+            cand = holo_from_entries(
                 [[eval_holo_jet(cand_grid[0][0], point, 2)]]
             )
             v1, _ = pointwise_rank1_decide(h, ht, 2, 1e-8)
@@ -192,7 +193,7 @@ class TestPointwise:
         ht_grid = conjugated_gram(PAIR_GRAMS_M2[0], a_inv)
         for point in [(0.0, 0.0), (0.08, -0.1), (0.05j, 0.15)]:
             h, ht = gram_jets(PAIR_GRAMS_M2[0], ht_grid, point, 3)
-            cand = HoloJet.from_entries(
+            cand = holo_from_entries(
                 [[eval_holo_jet(e, point, 2) for e in row] for row in a_grid]
             )
             decided, _ = pointwise_normalized_decide(h, ht, 2, 1e-8)
@@ -221,7 +222,7 @@ class TestExtension:
         ht_grid = conjugated_gram(PAIR_GRAMS_M2[0], a_inv)
         point = (0.0, 0.1)
         h, ht = gram_jets(PAIR_GRAMS_M2[0], ht_grid, point, 4)
-        a_jet = HoloJet.from_entries(
+        a_jet = holo_from_entries(
             [[eval_holo_jet(e, point, 3) for e in row] for row in a_grid]
         )
         seq = extend_A_sequence(h, ht, a_jet.value(), 3)
@@ -261,7 +262,7 @@ class TestConditions:
         ht_grid = conjugated_gram(PAIR_GRAMS_M2[1], a_inv)
         for point in Z_POINTS[:3]:
             h, ht = gram_jets(PAIR_GRAMS_M2[1], ht_grid, point, 4)
-            a0 = HoloJet.from_entries(
+            a0 = holo_from_entries(
                 [[eval_holo_jet(e, point, 3) for e in row] for row in a_grid]
             ).value()
             seq = [a0] + extend_A_sequence(h, ht, a0, 3)
@@ -501,7 +502,7 @@ class TestAlongZ:
         ht_grid = conjugated_gram(PAIR_GRAMS_M2[0], a_inv)
         point = Z_POINTS[1]
         h, ht = gram_jets(PAIR_GRAMS_M2[0], ht_grid, point, 3)
-        a0 = HoloJet.from_entries(
+        a0 = holo_from_entries(
             [[eval_holo_jet(e, point, 2) for e in row] for row in a_grid]
         ).value()
         seq = [a0] + extend_A_sequence(h, ht, a0, 2)
@@ -696,6 +697,13 @@ class TestDispatch:
         report = check_problem(prob)
         assert report.verdict == "verified"
         assert report.points[0].route_verdicts["candidate-verify"] == "verified"
+
+    @pytest.mark.parametrize("candidate", [1.0, "1 + z1"])
+    def test_candidate_outside_the_accepted_forms_is_refused(self, candidate):
+        spec = [["exp(z1*zb1)"]]
+        with pytest.raises(TypeError, match="None, an ndarray, or a grid"):
+            ContactProblem(BundleSpec("a", 1, spec), BundleSpec("b", 1, spec), 1,
+                           "pointwise", [(0.0,)], candidate=candidate)
 
     def test_pointwise_mode(self):
         spec = [["exp(z1*zb1)"]]

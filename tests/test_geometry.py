@@ -8,16 +8,13 @@ import sympy as sp
 
 import jetcontact.geometry as geometry
 from jetcontact.geometry import (
-    CurvatureRequest,
     K1j_recursion,
     L_tensor,
     Q_jet,
     Q_recursion,
-    adjoint_map,
     cov_deriv,
     cov_deriv_mixed,
     curvature,
-    curvature_tower,
     map_adjoint_jet,
     normalize_frame,
     normalized_defect,
@@ -144,17 +141,6 @@ class TestCurvature:
 
 
 class TestCovDeriv:
-    def test_request_pattern(self, rng):
-        from jetcontact.geometry import CurvatureRequest, curvature_tower
-
-        h = random_herm_jet(2, 2, 4, 4, rng)
-        req = CurvatureRequest(i=1, j=2, r=2, t=1)
-        direct = cov_deriv_mixed(curvature(h, 1, 2), h, 1, 2, 2, 1)
-        tower = curvature_tower(h, req)
-        assert np.max(np.abs(tower.coeffs - direct.coeffs)) == 0.0
-        with pytest.raises(ValueError):
-            CurvatureRequest(1, 1, r=-1)
-
     def test_identity_map_is_parallel(self, rng):
         h = random_herm_jet(2, 3, 3, 3, rng)
         ident = HermJet.identity((0.0, 0.0), 3, 3, 3)
@@ -177,7 +163,9 @@ class TestCovDeriv:
 class TestAdjoint:
     def test_identity_metric(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(adjoint_map(m, np.eye(2)), m.T.conj())
+        phi = HermJet.constant(m, (0.0,), 1, 1)
+        ident = HermJet.identity((0.0,), 1, 1, 2)
+        np.testing.assert_array_equal(map_adjoint_jet(phi, ident).value(), m.T.conj())
 
     def test_curvature_adjoint_symmetry(self, rng):
         for dim, l in [(2, 2), (3, 3)]:
@@ -250,7 +238,7 @@ class TestRecursions:
 
     def test_transverse_tower_forms_one_connection(self, rng, monkeypatch):
         h = random_herm_jet(2, 2, 4, 4, rng)
-        want = [[curvature_tower(h, CurvatureRequest(1, 1, r, t)).value()
+        want = [[cov_deriv_mixed(curvature(h, 1, 1), h, 1, r, 1, t).value()
                  for t in range(3)] for r in range(3)]
         calls = []
         connection = geometry.connection

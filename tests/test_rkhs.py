@@ -34,7 +34,7 @@ class TestQuotientModel:
         model = quotient_model(spec, z0, 2)
         for j in (1, 2):
             lowering = multi_pascal_generator(2, 2, j, 1)
-            diff = model.shifts[j - 1] - z0[j - 1] * np.eye(model.size)
+            diff = model.shifts[j - 1] - z0[j - 1] * np.eye(len(model.gram))
             np.testing.assert_array_equal(diff, lowering)
 
     def test_gram_matches_contact_jet_gram(self):

@@ -1,10 +1,14 @@
 """Exact noncommutative polynomial engine and the identity suite."""
 
+import os
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import jetcontact.wordcalc as wordcalc
+from jetcontact.cli import EXIT_REFUTED, main
 from jetcontact.wordcalc import (
     NCPoly,
     Symbol,
@@ -155,3 +159,20 @@ class TestVerifySuite:
 
     def test_small_bound(self):
         assert verify_appendix(n_max=2, seed=1).passed
+
+    def test_a_failing_identity_reports_its_first_failure(self, monkeypatch):
+        # a wrong closed form for every word of weight >= 3; the first such
+        # word the check meets is (1, 1, 1)
+        want = verify_appendix(n_max=4, seed=2).as_dict()
+        closed = wordcalc.coefficient_of_word
+        monkeypatch.setattr(wordcalc, "coefficient_of_word",
+                            lambda idx: closed(idx) + (sum(idx) >= 3))
+        got = verify_appendix(n_max=4, seed=2).as_dict()
+        assert not got["passed"]
+        failed = [c for c in got["checks"] if not c["passed"]]
+        assert failed == [{"name": "word-coefficients", "passed": False,
+                           "detail": "mismatch at word (1, 1, 1)"}]
+        assert ([c for c in got["checks"] if c["passed"]]
+                == [c for c in want["checks"] if c["name"] != "word-coefficients"])
+        config = Path(__file__).resolve().parent.parent / "configs" / "verify-appendix.yaml"
+        assert main(["--config", str(config), "--out", os.devnull]) == EXIT_REFUTED
