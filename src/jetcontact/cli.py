@@ -419,19 +419,23 @@ def _emit(document: dict, out_path) -> None:
         print(text)
 
 
+# built once at import, not per call: building it takes about ten times as
+# long as parsing a command line with it
+_PARSER = argparse.ArgumentParser(
+    prog="jetcontact",
+    description="Decide and verify order-n contact between Hermitian "
+    "holomorphic vector bundles given by Gram expressions.",
+)
+_PARSER.add_argument("--config", required=True, help="YAML run configuration")
+_PARSER.add_argument("--task", choices=TASKS, help="override the config task")
+_PARSER.add_argument("--order", type=int, help="override the jet order")
+_PARSER.add_argument("--tolerance", type=float, help="override the tolerance")
+_PARSER.add_argument("--seed", type=int, help="override the random seed")
+_PARSER.add_argument("--out", help="write the JSON report here (default stdout)")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="jetcontact",
-        description="Decide and verify order-n contact between Hermitian "
-        "holomorphic vector bundles given by Gram expressions.",
-    )
-    parser.add_argument("--config", required=True, help="YAML run configuration")
-    parser.add_argument("--task", choices=TASKS, help="override the config task")
-    parser.add_argument("--order", type=int, help="override the jet order")
-    parser.add_argument("--tolerance", type=float, help="override the tolerance")
-    parser.add_argument("--seed", type=int, help="override the random seed")
-    parser.add_argument("--out", help="write the JSON report here (default stdout)")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         cfg = load_config(args.config, {

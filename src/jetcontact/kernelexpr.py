@@ -28,8 +28,10 @@ caller asked for, point by point.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Union
 
 import numpy as np
@@ -169,153 +171,171 @@ ExprNode = Union[Var, Lit, Add, Sub, Mul, Div, Neg, IntPow, RealPow, Exp, Log]
 
 
 def _num(x: float) -> str:
-    return repr(int(x)) if float(x).is_integer() else repr(float(x))
+    x = float(x)
+    if x.is_integer():
+        return repr(int(x))
+    text = repr(x)
+    # repr writes |x| < 1e-4 with an exponent, which the grammar does not have
+    return format(Decimal(text), "f") if "e" in text else text
 
 
 # ---------------------------------------------------------------------------
 # tokenizer / recursive-descent parser
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d+)?i?|\.\d+i?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
+# One token after optional whitespace.  The lookaheads make every token as
+# long as it can be (the whole number, the whole name), so a string splits
+# into tokens in one way only and _VALID_RE matches in linear time.
+_TOKEN = (
+    r"\s*(\d+(?!\d)(?:\.\d+(?!\d)|(?!\.\d))(?:i|(?!i))"
+    r"|\.\d+(?!\d)(?:i|(?!i))"
+    r"|[A-Za-z_][A-Za-z_0-9]*(?![A-Za-z_0-9])"
+    r"|[-+*/^(),])"
 )
-
+_TOKEN_RE = re.compile(_TOKEN)
+_VALID_RE = re.compile(rf"(?:{_TOKEN})*\s*")
 _VAR_RE = re.compile(r"^(zb?)(\d+)$")
 
 
-def _tokenize(text: str):
-    tokens, pos = [], 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
-            if text[pos:].strip() == "":
+def _tokenize(text: str) -> list:
+    """The tokens of `text`, then "" for the end of input."""
+    if _VALID_RE.fullmatch(text) is None:
+        pos = 0
+        for match in _TOKEN_RE.finditer(text):
+            if match.start() != pos:
                 break
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if match.lastgroup == "number":
-            tokens.append(("number", match.group("number"), match.start("number")))
-        elif match.lastgroup == "name":
-            tokens.append(("name", match.group("name"), match.start("name")))
-        else:
-            tokens.append(("op", match.group("op"), match.start("op")))
-        pos = match.end()
-    tokens.append(("end", "", len(text)))
+            pos = match.end()
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the token strings.  A token is a number if it
+    starts with a digit or '.', a name if it starts with a letter or '_', and
+    "" ends the input; its source position is recovered only to raise an
+    error at it."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
 
-    def peek(self):
-        return self.tokens[self.k]
-
-    def next(self):
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
+    def error(self, message: str, k: int) -> ParseError:
+        starts = [match.start(1) for match in _TOKEN_RE.finditer(self.text)]
+        return ParseError(message, (starts + [len(self.text)])[k])
 
     def expect(self, value: str):
-        kind, val, pos = self.next()
-        if val != value:
-            raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", pos)
+        tok = self.tokens[self.k]
+        if tok != value:
+            raise self.error(f"expected {value!r}, found {tok or 'end of input'!r}", self.k)
+        self.k += 1
 
     def parse(self) -> ExprNode:
         node = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input {val!r}", pos)
+        tok = self.tokens[self.k]
+        if tok:
+            raise self.error(f"trailing input {tok!r}", self.k)
         return node
 
     def expr(self) -> ExprNode:
         node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
+        while (op := self.tokens[self.k]) in ("+", "-"):
+            self.k += 1
             rhs = self.term()
             node = Add(node, rhs) if op == "+" else Sub(node, rhs)
         return node
 
     def term(self) -> ExprNode:
         node = self.factor()
-        while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
+        while (op := self.tokens[self.k]) in ("*", "/"):
+            self.k += 1
             rhs = self.factor()
             node = Mul(node, rhs) if op == "*" else Div(node, rhs)
         return node
 
     def factor(self) -> ExprNode:
-        if self.peek()[1] == "-":
-            self.next()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self) -> ExprNode:
-        base = self.atom()
-        if self.peek()[1] == "^":
-            self.next()
-            sign = 1
-            while self.peek()[1] == "-":
-                self.next()
-                sign = -sign
-            kind, val, pos = self.next()
-            if kind != "number" or not val.isdigit():
-                raise ParseError("'^' needs an integer exponent (use pow() for reals)", pos)
-            return IntPow(base, sign * int(val))
-        return base
+        """The factor and power rules: leading '-'s, an atom, '^' signed_int."""
+        negations = self._minus_run()
+        node = self.atom()
+        if self.tokens[self.k] == "^":
+            self.k += 1
+            sign = -1 if self._minus_run() % 2 else 1
+            tok = self.tokens[self.k]
+            if not tok.isdigit():
+                raise self.error("'^' needs an integer exponent (use pow() for reals)", self.k)
+            self.k += 1
+            node = IntPow(node, sign * int(tok))
+        for _ in range(negations):
+            node = Neg(node)
+        return node
 
     def atom(self) -> ExprNode:
-        kind, val, pos = self.next()
-        if kind == "number":
-            if val.endswith("i"):
-                return Lit(complex(0.0, float(val[:-1] or "1")))
-            return Lit(complex(float(val), 0.0))
-        if kind == "name":
-            if val == "i":
-                return Lit(1j)
-            if val in ("exp", "log"):
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return Exp(arg) if val == "exp" else Log(arg)
-            if val == "pow":
-                self.expect("(")
-                base = self.expr()
-                self.expect(",")
-                exponent = self._signed_real()
-                self.expect(")")
-                if float(exponent).is_integer():
-                    return IntPow(base, int(exponent))
-                return RealPow(base, float(exponent))
-            m = _VAR_RE.match(val)
-            if m:
-                if int(m.group(2)) == 0:
-                    raise ParseError(
-                        f"variable {val!r}: variable indices start at 1", pos
-                    )
-                return Var(int(m.group(2)), m.group(1) == "zb")
-            raise ParseError(f"unknown identifier {val!r}", pos)
-        if val == "(":
+        tok = self.tokens[self.k]
+        self.k += 1
+        head = tok[:1]
+        if head.isdigit() or head == ".":
+            if tok[-1] == "i":
+                return Lit(complex(0.0, self._real(tok[:-1])))
+            return Lit(complex(self._real(tok), 0.0))
+        if tok == "(":
             node = self.expr()
             self.expect(")")
             return node
-        raise ParseError(f"unexpected token {val or 'end of input'!r}", pos)
+        if tok == "i":
+            return Lit(1j)
+        if tok in ("exp", "log"):
+            self.expect("(")
+            arg = self.expr()
+            self.expect(")")
+            return Exp(arg) if tok == "exp" else Log(arg)
+        if tok == "pow":
+            self.expect("(")
+            base = self.expr()
+            self.expect(",")
+            sign = -1.0 if self._minus_run() % 2 else 1.0
+            tok = self.tokens[self.k]
+            if not (tok[:1].isdigit() or tok[:1] == ".") or tok[-1] == "i":
+                raise self.error("expected a real exponent", self.k)
+            self.k += 1
+            exponent = sign * self._real(tok)
+            self.expect(")")
+            if exponent.is_integer():
+                return IntPow(base, int(exponent))
+            return RealPow(base, exponent)
+        if head.isalpha() or head == "_":
+            m = _VAR_RE.match(tok)
+            if m is None:
+                raise self.error(f"unknown identifier {tok!r}", self.k - 1)
+            if int(m.group(2)) == 0:
+                raise self.error(f"variable {tok!r}: variable indices start at 1", self.k - 1)
+            return Var(int(m.group(2)), m.group(1) == "zb")
+        raise self.error(f"unexpected token {tok or 'end of input'!r}", self.k - 1)
 
-    def _signed_real(self) -> float:
-        sign = 1.0
-        while self.peek()[1] == "-":
-            self.next()
-            sign = -sign
-        kind, val, pos = self.next()
-        if kind != "number" or val.endswith("i"):
-            raise ParseError("expected a real exponent", pos)
-        return sign * float(val)
+    def _minus_run(self) -> int:
+        """Consume a run of '-' tokens and return its length."""
+        start = self.k
+        while self.tokens[self.k] == "-":
+            self.k += 1
+        return self.k - start
+
+    def _real(self, digits: str) -> float:
+        """The float of a number token's digits, the token being the last
+        one consumed; a literal too large for a float is an error."""
+        value = float(digits)
+        if value == math.inf:
+            raise self.error(f"number {self.tokens[self.k - 1]!r} is out of range",
+                             self.k - 1)
+        return value
 
 
 def parse_kernel(text: str) -> ExprNode:
     """Parse an expression in z1..zm / zb1..zbm into an AST."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise parser.error("expression nested too deeply", parser.k) from None
 
 
 # ---------------------------------------------------------------------------

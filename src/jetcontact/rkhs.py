@@ -46,10 +46,10 @@ _MAX_DIRECT_DIM = 64
 class QuotientModel:
     """Jet-basis model of the quotient space at a point.
 
-    jet is the kernel's Gram jet at orders (order+1, order+1), one more than
-    the contact verdict reads; gram is the jet Gram of the kernel derivatives
-    taken from it; shifts[j-1] represents the compressed adjoint of the j-th
-    shift in the same basis.
+    jet is the kernel's Gram jet at orders (order, order), the orders the
+    contact verdict and the jet Gram read; gram is the jet Gram of the kernel
+    derivatives taken from it; shifts[j-1] represents the compressed adjoint
+    of the j-th shift in the same basis.
     """
 
     kernel: BundleSpec
@@ -71,7 +71,7 @@ class QuotientModel:
 def quotient_model(kernel: BundleSpec, center, order: int) -> QuotientModel:
     """Build the quotient model of the kernel at `center` to jet order `order`."""
     center = tuple(complex(c) for c in center)
-    h = kernel.gram_jet(center, order + 1, order + 1)
+    h = kernel.gram_jet(center, order, order)
     gram = jet_gram(h, order)
     eigs = np.linalg.eigvalsh(gram)
     if eigs.min() <= 0.0:

@@ -12,9 +12,11 @@ intertwiner X has H_A X = X H_B, so Y = P_A^* X P_B in the two eigenbases
 obeys (lambda_i(H_A) - lambda_j(H_B)) Y_ij = 0; for similar families the
 ascending spectra agree and Y is block diagonal over their clusters.  Only
 those sum m_i^2 unknowns of the stacked Sylvester system, not all s^2, go
-through a thin SVD: O(k s^3) while the clusters stay small, and 2k s^2
-sum m_i^2 complex numbers for the system (0.7 MB at k = 2, s = 20 with 26
-unknowns, against 10 MB for the full system).  A cluster ends where both
+into the solve: O(k s^3) while the clusters stay small, and 2k s^2 sum
+m_i^2 complex numbers for the system (0.7 MB at k = 2, s = 20 with 26
+unknowns, against 10 MB for the full system).  Its null space comes from an
+SVD of the triangular factor R of its QR factorization (Chan's R-SVD, ACM
+TOMS 8, 1982), which forms no left singular vectors.  A cluster ends where both
 spectra rise by more than NULL_TOL^(1/4) of the spectral radius.  The gap is
 generous because merging clusters only adds unknowns while a wrong cut can
 lose the intertwiner; a spectrum that is one cluster gives the full system,
@@ -88,6 +90,40 @@ def _block_system(rot_a, rot_b, rows, cols, scale: float) -> np.ndarray:
     return system.reshape(blocks * size * size, len(rows))
 
 
+def _wide(stack: np.ndarray) -> np.ndarray:
+    """The (m, s, s) stack side by side, as one s x m s matrix."""
+    blocks, size = stack.shape[:2]
+    return stack.transpose(1, 0, 2).reshape(size, blocks * size)
+
+
+def _rotated(stack: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """(vec^* M) vec for every M of an (m, s, s) stack, as two matrix
+    products over the whole stack rather than two per block."""
+    blocks, size = stack.shape[:2]
+    left = (np.conj(vec.T) @ _wide(stack)).reshape(size, blocks, size)
+    return (left.transpose(1, 0, 2).reshape(blocks * size, size) @ vec).reshape(stack.shape)
+
+
+def _misfits(a: np.ndarray, b: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """A_k X - X B_k for every X of the (c, s, s) stack xs and every block of
+    the (m, s, s) stacks a and b, shape (c, m, s, s): one matrix product for
+    all A_k X and one for all X B_k."""
+    blocks, size = a.shape[:2]
+    count = len(xs)
+    ax = (a.reshape(blocks * size, size) @ _wide(xs)).reshape(blocks, size, count, size)
+    xb = (xs.reshape(count * size, size) @ _wide(b)).reshape(count, size, blocks, size)
+    return ax.transpose(2, 0, 1, 3) - xb.transpose(0, 2, 1, 3)
+
+
+def _right_singular(system: np.ndarray):
+    """Singular values and right singular vectors of a tall system, from an
+    SVD of the triangular factor R of its QR factorization (Chan's R-SVD,
+    ACM TOMS 8, 1982): those of a thin SVD, without forming the left
+    singular vectors."""
+    _, svals, vh = np.linalg.svd(np.linalg.qr(system, mode="r"))
+    return svals, vh
+
+
 def unitary_intertwiner(mats_a, mats_b, seed: int = 0, refuted_above: float = np.inf):
     """Best unitary U for the system {A_k U = U B_k} and its residual.
 
@@ -96,8 +132,11 @@ def unitary_intertwiner(mats_a, mats_b, seed: int = 0, refuted_above: float = np
     intertwiner space is a *-bimodule and polar decomposition stays inside it.
     Up to TRIES seeded draws of the self-adjoint element are made; each
     draw's candidates are its null vectors and TRIES random combinations of
-    them, or else its least-violating vector.  Draws stop at the first whose
-    best score is at most NULL_TOL or whose eigenvalue-distance certificate
+    them, or else its least-violating vector.  A one-dimensional null space
+    gives one candidate, the null vector: its combinations are phase
+    multiples of it with the same polar factor.  Their weights are drawn all
+    the same, so later draws see the same seeded stream.  Draws stop at the
+    first whose best score is at most NULL_TOL or whose eigenvalue-distance certificate
     (a lower bound on every unitary's residual) exceeds refuted_above; a NaN
     certificate never stops them.  Candidates are scored in order and the
     first smallest finite score wins; when no score is finite the result is
@@ -122,28 +161,23 @@ def unitary_intertwiner(mats_a, mats_b, seed: int = 0, refuted_above: float = np
         eig_a, vec_a = np.linalg.eigh(h_a)
         eig_b, vec_b = np.linalg.eigh(h_b)
         rows, cols = _block_unknowns(eig_a, eig_b)
-        rot_a = np.conj(vec_a.T) @ a @ vec_a
-        rot_b = np.conj(vec_b.T) @ b @ vec_b
-        _, svals, vh = np.linalg.svd(
-            _block_system(rot_a, rot_b, rows, cols, scale), full_matrices=False
-        )
+        system = _block_system(_rotated(a, vec_a), _rotated(b, vec_b), rows, cols, scale)
+        svals, vh = _right_singular(system)
         null = vh[svals <= NULL_TOL].conj()
         if len(null):
             w = rng.standard_normal((TRIES, len(null))) + 1j * rng.standard_normal(
                 (TRIES, len(null))
             )
-            vectors = np.concatenate([null, w @ null])
+            vectors = null if len(null) == 1 else np.concatenate([null, w @ null])
         else:
             # no intertwiner subspace: the least-violating unitary
             vectors = vh[-1:].conj()
         blocks = np.zeros((len(vectors), size, size), dtype=np.complex128)
         blocks[:, rows, cols] = vectors
         u, _, wh = np.linalg.svd(vec_a @ blocks @ np.conj(vec_b.T))
-        draw = (u @ wh)[:, None]
-        diffs = a @ draw
-        diffs -= draw @ b
-        unitaries.append(draw[:, 0])
-        scores.append(np.max(np.abs(diffs), axis=(1, 2, 3)) / scale)
+        draw = u @ wh
+        unitaries.append(draw)
+        scores.append(np.max(np.abs(_misfits(a, b, draw)), axis=(1, 2, 3)) / scale)
         if np.any(scores[-1] <= NULL_TOL):
             break
         if _weyl_bound(h_a, h_b, eig_a, eig_b, weights, scale) > refuted_above:

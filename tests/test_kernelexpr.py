@@ -21,6 +21,7 @@ from jetcontact.kernelexpr import (
     ParseError,
     RealPow,
     Var,
+    check_holomorphic,
     parse_kernel,
 )
 
@@ -111,6 +112,72 @@ class TestParser:
         # the printed form is a fixpoint of print/parse
         text = parse_kernel(node.text()).text()
         assert parse_kernel(text).text() == text
+
+
+# every ParseError the parser raises: (text, message, position)
+PARSE_ERRORS = [
+    ("z1*$", "unexpected character '$'", 3),
+    ("z1 $", "unexpected character ' '", 2),  # where the last token ended
+    ("2.", "unexpected character '.'", 1),
+    ("exp(z1", "expected ')', found 'end of input'", 6),
+    ("pow(z1 2)", "expected ',', found '2'", 7),
+    ("z1 z2", "trailing input 'z2'", 3),
+    ("z1^2.5", "'^' needs an integer exponent (use pow() for reals)", 3),
+    ("z1^zb1", "'^' needs an integer exponent (use pow() for reals)", 3),
+    ("sin(z1)", "unknown identifier 'sin'", 0),
+    ("1 + zb0", "variable 'zb0': variable indices start at 1", 4),
+    ("1 + * z1", "unexpected token '*'", 4),
+    ("   ", "unexpected token 'end of input'", 3),
+    ("pow(z1, 2i)", "expected a real exponent", 8),
+    ("pow(z1, z2)", "expected a real exponent", 8),
+    ("2*" + "9" * 400, f"number {'9' * 400!r} is out of range", 2),
+]
+
+
+@pytest.mark.parametrize("text,message,pos", PARSE_ERRORS)
+def test_parse_error_message_and_position(text, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse_kernel(text)
+    assert str(err.value) == f"{message} (at position {pos})"
+    assert err.value.pos == pos
+
+
+def test_deep_nesting_is_a_parse_error():
+    text = "(" * 5000 + "z1" + ")" * 5000
+    with pytest.raises(ParseError, match="nested too deeply") as err:
+        parse_kernel(text)
+    assert text[err.value.pos] == "("
+
+
+def test_holomorphic_check_errors():
+    with pytest.raises(ParseError) as err:
+        check_holomorphic(JetProgram([parse_kernel("z1*zb1")]), 1)
+    assert (str(err.value), err.value.pos) == (
+        "conjugated variable in a holomorphic expression (at position 0)", 0)
+    with pytest.raises(ParseError) as err:
+        check_holomorphic(JetProgram([parse_kernel("z2")]), 1)
+    assert (str(err.value), err.value.pos) == (
+        "variable index exceeds dimension 1 (at position 0)", 0)
+
+
+# the grammar's characters and words, and characters outside it
+GRAMMAR_PIECES = list("0123456789.i+-*/^(), \t\n") + [
+    "z1", "zb2", "z0", "exp(", "log(", "pow(", "0.00001", "2i", ".5",
+]
+JUNK = list("$#e_Eé\x00") + ["١", "sin", "zz1"]
+
+
+@given(st.lists(st.sampled_from(GRAMMAR_PIECES + JUNK), max_size=40).map("".join))
+@settings(derandomize=True, max_examples=1000, deadline=None)
+def test_fuzz_parse_or_parse_error(text):
+    # no other exception: a node whose printed form parses back to it, or a
+    # ParseError inside the text
+    try:
+        node = parse_kernel(text)
+    except ParseError as err:
+        assert 0 <= err.pos <= len(text)
+    else:
+        assert parse_kernel(node.text()) == node
 
 
 def assert_matches_sympy(text, expr, center=0.3 + 0.1j):

@@ -54,9 +54,9 @@ class TestQuotientModel:
         monkeypatch.setattr(BundleSpec, "gram_jet", spy)
         a = quotient_model(HARDY, (0.2,), 2)
         b = quotient_model(FOCK, (0.2,), 2)
-        assert (a.jet.holo_order, a.jet.anti_order) == (3, 3)
+        assert (a.jet.holo_order, a.jet.anti_order) == (2, 2)
         unitary_equiv_check(a, b)
-        assert calls == [("hardy", 3, 3), ("fock", 3, 3)]
+        assert calls == [("hardy", 2, 2), ("fock", 2, 2)]
 
     def test_rejects_indefinite_kernel(self):
         bad = BundleSpec("bad", 1, [["1 - z1*zb1"]])

@@ -387,3 +387,76 @@ def test_direct_check_stops_at_certified_refutation(simeq_draws):
     a, b = refuted_quotient_pair()
     assert direct_equiv_check(a, b, 1e-8)[0] == "refuted"
     assert len(simeq_draws) == 1
+
+
+def commutant_family():
+    """The family of test_degenerate_null_space: its Sylvester system has a
+    5-dimensional null space."""
+    rng = np.random.default_rng(30)
+    mats_a = [np.diag([d, d, e]) for d, e in random_complex(rng, 3, 2)]
+    w = random_unitary(rng, 3)
+    return np.array(mats_a), np.array([np.conj(w.T) @ a @ w for a in mats_a])
+
+
+def test_r_route_null_space_equals_thin_svd():
+    system = sylvester_system(*commutant_family(), 1.0)
+    _, thin_svals, thin_vh = np.linalg.svd(system, full_matrices=False)
+    svals, vh = simeq._right_singular(system)
+    thin_null = thin_vh[thin_svals <= simeq.NULL_TOL]
+    null = vh[svals <= simeq.NULL_TOL]
+    assert len(null) == len(thin_null) == 5
+    # the same subspace, through its orthogonal projector
+    np.testing.assert_allclose(np.conj(null.T) @ null,
+                               np.conj(thin_null.T) @ thin_null, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("size", [1, 2, 20])
+def test_stacked_products_match_per_block(size):
+    rng = np.random.default_rng(130 + size)
+    a = random_complex(rng, 4, size, size)
+    b = random_complex(rng, 4, size, size)
+    vec = random_unitary(rng, size)
+    xs = random_complex(rng, 3, size, size)
+    rotated = np.conj(vec.T) @ a @ vec
+    np.testing.assert_allclose(simeq._rotated(a, vec), rotated,
+                               rtol=0, atol=1e-14 * np.max(np.abs(rotated)))
+    misfits = a @ xs[:, None] - xs[:, None] @ b
+    np.testing.assert_allclose(simeq._misfits(a, b, xs), misfits,
+                               rtol=0, atol=1e-14 * np.max(np.abs(misfits)))
+
+
+def test_one_dimensional_null_space_scores_the_null_vector(monkeypatch):
+    # C + D against C + E with E a 1e-6 perturbation of D: the intertwiners
+    # are the multiples of the identity on C, and no polar factor of one
+    # reaches NULL_TOL on D against E, so all TRIES draws run
+    rng = np.random.default_rng(140)
+    shared, kept = random_complex(rng, 2, 2, 2), random_complex(rng, 2, 2, 2)
+    moved = kept + 1e-6 * random_complex(rng, 2, 2, 2)
+    mats_a = [direct_sum(c, d) for c, d in zip(shared, kept)]
+    mats_b = [direct_sum(c, e) for c, e in zip(shared, moved)]
+    polar, weights = [], []
+    svd, weyl_bound = np.linalg.svd, simeq._weyl_bound
+
+    def svd_spy(x, *args, **kwargs):
+        if np.ndim(x) == 3:
+            polar.append(np.shape(x))
+        return svd(x, *args, **kwargs)
+
+    def weyl_spy(*args):
+        weights.append(args[4])
+        return weyl_bound(*args)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setattr(simeq, "_weyl_bound", weyl_spy)
+    _, resid = unitary_intertwiner(mats_a, mats_b, seed=3)
+    assert resid > simeq.NULL_TOL
+    # one polar SVD of one candidate per draw
+    assert polar == [(1, 4, 4)] * simeq.TRIES
+    # the seeded stream: each draw's weights, then the combinations of its
+    # one null vector, drawn though unused
+    stream = np.random.default_rng(3)
+    for drawn in weights:
+        c = stream.standard_normal(2) + 1j * stream.standard_normal(2)
+        stream.standard_normal((simeq.TRIES, 1))
+        stream.standard_normal((simeq.TRIES, 1))
+        np.testing.assert_array_equal(drawn, np.concatenate([c, np.conj(c)]))
