@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
 from operator import matmul, mul
 
 import numpy as np
@@ -57,6 +56,7 @@ from .jetcore import (
 from .kernelexpr import BundleSpec, JetProgram, check_holomorphic, parse_kernel
 from .pascal import (
     binomial_solve,
+    binomial_sums,
     multi_lambda_from_jet,
     pascal_expand,
     pascal_from_column,
@@ -293,12 +293,8 @@ def holomorphy_conditions(
     a0inv = np.linalg.inv(A_seq[0])
     out = {}
     for j in lh:
-        lt = [None] + lht[j]
-        for l in range(1, n + 1):
-            lhs = lh[j][l - 1]
-            rhs = np.zeros_like(lhs)
-            for i in range(1, l + 1):
-                rhs = rhs + comb(l, i) * (A_seq[l - i] @ lt[i] @ a0inv)
+        rhss = binomial_sums(A_seq, lht[j], lambda a, lt: a @ lt @ a0inv)
+        for l, (lhs, rhs) in enumerate(zip(lh[j], rhss), start=1):
             out[f"holomorphy(l={l},j={j})"] = _rel(lhs - rhs, lhs, rhs)
     return out
 
@@ -334,7 +330,7 @@ def geometric_conditions(H: HermJet, Ht: HermJet, A0: np.ndarray, n: int) -> dic
     return out
 
 
-def tangential_curvature_conditions(H: HermJet, Ht: HermJet, n: int = 1) -> dict:
+def tangential_curvature_conditions(H: HermJet, Ht: HermJet) -> dict:
     """Equality of the purely tangential curvature components (rank 1 only):
     a necessary condition for a holomorphic isometric corner map to exist."""
     out = {}

@@ -34,7 +34,6 @@ __all__ = [
     "connection",
     "curvature",
     "cov_deriv",
-    "cov_deriv_mixed",
     "map_adjoint_jet",
     "L_tensor",
     "K1j_recursion",
@@ -84,16 +83,6 @@ def cov_deriv(Phi: HermJet, H: HermJet, direction: int, conjugate: bool = False)
 def _cov_step(Phi: HermJet, conn: HermJet, direction: int) -> HermJet:
     """Holomorphic covariant derivative of Phi given the connection jet."""
     return Phi.deriv(direction - 1) - conn * Phi + Phi * conn
-
-
-def cov_deriv_mixed(Phi: HermJet, H: HermJet, i: int, r: int, j: int, t: int) -> HermJet:
-    """(Phi)_{z_i^r zbar_j^t}: r holomorphic steps first, then t conjugate steps."""
-    out = Phi
-    for _ in range(r):
-        out = cov_deriv(out, H, i)
-    for _ in range(t):
-        out = cov_deriv(out, H, j, conjugate=True)
-    return out
 
 
 def transverse_tower(H: HermJet, n: int) -> list:

@@ -425,7 +425,11 @@ class JetProgram:
                 return emit("scale" if kind is Mul else "shift", x, y)
             return emit("__mul__" if kind is Mul else "__add__", x, y)
 
-        self.outputs = [compile_node(node) for node in nodes]
+        try:
+            self.outputs = [compile_node(node) for node in nodes]
+        except RecursionError:
+            # the parser builds long sums and products as deep trees in a loop
+            raise ParseError("expression nested too deeply", 0) from None
 
     def run(self, center, holo_order: int, anti_order: int) -> list:
         """The outputs at `center` (one point, or P points at once): a scalar

@@ -23,7 +23,7 @@ from operator import matmul, mul
 
 import numpy as np
 
-from .pascal import binomial_solve
+from .pascal import binomial_solve, binomial_sums
 
 __all__ = [
     "Symbol",
@@ -293,13 +293,12 @@ def _word_of_g(indices) -> tuple:
     return tuple(Symbol("G", i) for i in indices)
 
 
-def _conjugated_ft_sum(seq: list, n: int) -> NCPoly:
-    """Z0 Ft_n Z0i + sum_{k=1}^{n-1} binom(n,k) seq_{n-k} Ft_k Z0i."""
+def _conjugated_ft_sums(seq: list) -> list[NCPoly]:
+    """sum_{k=1}^{n} binom(n,k) seq_{n-k} Ft_k Z0i for n = 1..len(seq), with
+    seq_0 = Z0 (so the k = n term is Z0 Ft_n Z0i)."""
     z0i = NCPoly.symbol("Z0i")
-    return sum(
-        (comb(n, k) * (seq[n - k - 1] * NCPoly.symbol("Ft", k) * z0i) for k in range(1, n)),
-        NCPoly.symbol("Z0") * NCPoly.symbol("Ft", n) * z0i,
-    )
+    fts = [NCPoly.symbol("Ft", k) for k in range(1, len(seq) + 1)]
+    return binomial_sums([NCPoly.symbol("Z0")] + seq, fts, lambda a, ft: a * ft * z0i)
 
 
 def _starts_class_a_or_b(word) -> bool:
@@ -326,10 +325,6 @@ def _h_from(f, g, n) -> list[np.ndarray]:
     return binomial_solve(f[1 : n + 1], g[1:], matmul, left=True)
 
 
-def _z_from(g, gt, z0, n) -> list[np.ndarray]:
-    return [z0] + binomial_solve([g[l] @ z0 for l in range(1, n + 1)], gt[1:], matmul, x0=z0)
-
-
 def _relmax(diff, *refs) -> float:
     scale = 1.0 + max((float(np.max(np.abs(r))) for r in refs), default=0.0)
     return float(np.max(np.abs(diff))) / scale
@@ -345,15 +340,10 @@ def _numeric_equivalence(report: AppendixReport, n: int, size: int, rng, tol: fl
     ft = [one] + [_random_matrix(rng, size) for _ in range(n)]
     z0 = _conditioned_invertible(rng, size)
     z0i = np.linalg.inv(z0)
-    zs = _z_from(g, gt, z0, n)
+    zs = [z0] + binomial_solve([g[l] @ z0 for l in range(1, n + 1)], gt[1:], matmul, x0=z0)
 
     # direction (i) => (ii): define F by the intertwining condition
-    f = [one]
-    for l in range(1, n + 1):
-        acc = np.zeros_like(one)
-        for i in range(1, l + 1):
-            acc = acc + comb(l, i) * (zs[l - i] @ ft[i] @ z0i)
-        f.append(acc)
+    f = [one] + binomial_sums(zs, ft[1:], lambda a, b: a @ b @ z0i)
     hs = _h_from(f, g, n)
     hts = _h_from(ft, gt, n)
     resid = max(
@@ -413,10 +403,7 @@ def _numeric_equivalence(report: AppendixReport, n: int, size: int, rng, tol: fl
         f2.append(acc)
         ft2.append(acct)
     resid2 = 0.0
-    for l in range(1, n + 1):
-        rhs = np.zeros_like(one)
-        for i in range(1, l + 1):
-            rhs = rhs + comb(l, i) * (zs[l - i] @ ft2[i] @ z0i)
+    for l, rhs in enumerate(binomial_sums(zs, ft2[1:], lambda a, b: a @ b @ z0i), start=1):
         resid2 = max(resid2, _relmax(f2[l] - rhs, f2[l]))
     report.add(
         "numeric-conjugation-backward",
@@ -504,15 +491,15 @@ def verify_appendix(n_max: int = 6, seed: int = 0, size: int = 3,
     report.add_first_failure(
         "class-decomposition",
         (f"stray word {word} at n={n}"
-         for n in range(1, n_max + 1) for word in _conjugated_ft_sum(zs, n).words()
+         for n, total in enumerate(_conjugated_ft_sums(zs), 1) for word in total.words()
          if word != (z0, Symbol("Ft", n), z0i) and not _starts_class_a_or_b(word)),
         "all cross words start with G*Z0 or Z0*Gt",
     )
     hts = build_sequences("recur1", n_max, families=("Ft", "Gt"))
     report.add_first_failure(
         "class-b-conjugation",
-        (f"failed at n={n}" for n in range(1, n_max + 1)
-         if _conjugated_ft_sum(ys, n) != NCPoly.symbol("Z0") * hts[n - 1] * NCPoly.symbol("Z0i")),
+        (f"failed at n={n}" for n, total in enumerate(_conjugated_ft_sums(ys), 1)
+         if total != NCPoly.symbol("Z0") * hts[n - 1] * NCPoly.symbol("Z0i")),
         "class-B sums equal the conjugated tilde-H sequence",
     )
 

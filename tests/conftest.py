@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 import pytest
 
 from jetcontact import simeq
+from jetcontact.geometry import cov_deriv
 from jetcontact.jetcore import DimensionError, HermJet, HoloJet, table_size
 from jetcontact.kernelexpr import (
     Add,
@@ -25,6 +28,7 @@ from jetcontact.kernelexpr import (
     check_holomorphic,
     parse_kernel,
 )
+from jetcontact.pascal import multi_pascal_generator, pascal_expand
 
 
 def random_herm_jet(dim, rank, holo_order, anti_order, rng, scale=0.2):
@@ -102,6 +106,55 @@ def holo_from_entries(entries) -> HoloJet:
                 raise DimensionError("entry jets must share center and order")
             coeffs[..., p, q] = e.coeffs[..., 0, 0]
     return HoloJet(first.center, first.order, rows, coeffs)
+
+
+# -- references: the one-variable Pascal algebra, mixed covariant steps -----
+
+
+def pascal_generator(n, l=1):
+    """Weighted shift with blocks I, 2I, ..., nI; its commutant is the Pascal algebra."""
+    return multi_pascal_generator(1, n, 1, l)
+
+
+def pascal_multiply(x, y):
+    """Product in the Pascal algebra: binomial convolution of first columns."""
+    col = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.complex128)
+    for k in range(col.shape[-3]):
+        for i in range(k + 1):
+            col[..., k, :, :] += comb(k, i) * (x[..., i, :, :] @ y[..., k - i, :, :])
+    return col
+
+
+def lambda_from_jet(jet: HoloJet) -> np.ndarray:
+    """First column A, A', ..., A^(n) (z1 derivatives at the center) of the
+    jet transition matrix of a holomorphic frame change."""
+    return np.stack([jet.extract((k,) + (0,) * (jet.dim - 1)) for k in range(jet.order + 1)])
+
+
+def commutant_basis(n: int, l: int = 1, tol: float = 1e-10) -> list[np.ndarray]:
+    """Basis of {Q : PQ = QP}: the null space of the normalized system (SVD)."""
+    gen = pascal_generator(n, l)
+    size = gen.shape[0]
+    # row-major vec: vec(PQ - QP) = (P kron I - I kron P^T) vec(Q)
+    system = np.kron(gen, np.eye(size)) - np.kron(np.eye(size), gen.T)
+    _, svals, vh = np.linalg.svd(system / max(1.0, np.linalg.norm(system, ord=np.inf)))
+    return [v.conj().reshape(size, size) for v in vh[np.count_nonzero(svals > tol):]]
+
+
+def pascal_pattern_defect(matrix: np.ndarray, n: int, l: int = 1) -> float:
+    """Max deviation of a matrix from the Pascal pattern of its first column."""
+    col = np.stack([matrix[i * l : (i + 1) * l, 0:l] for i in range(n + 1)])
+    return float(np.max(np.abs(matrix - pascal_expand(col))))
+
+
+def cov_deriv_mixed(Phi: HermJet, H: HermJet, i: int, r: int, j: int, t: int) -> HermJet:
+    """(Phi)_{z_i^r zbar_j^t}: r holomorphic steps first, then t conjugate steps."""
+    out = Phi
+    for _ in range(r):
+        out = cov_deriv(out, H, i)
+    for _ in range(t):
+        out = cov_deriv(out, H, j, conjugate=True)
+    return out
 
 
 # -- expression-level matrix algebra for building verified pairs ------------

@@ -14,18 +14,11 @@ from jetcontact.geometry import (
     Q_jet,
     Q_recursion,
     cov_deriv,
-    cov_deriv_mixed,
     curvature,
     map_adjoint_jet,
 )
 from jetcontact.kernelexpr import BundleSpec, parse_kernel
-from jetcontact.pascal import (
-    commutant_basis,
-    lambda_from_jet,
-    pascal_expand,
-    pascal_generator,
-    pascal_pattern_defect,
-)
+from jetcontact.pascal import pascal_expand
 from jetcontact.rkhs import quotient_model, unitary_equiv_check
 from jetcontact.wordcalc import verify_appendix
 
@@ -34,8 +27,13 @@ from conftest import (
     PAIR_GRAMS_M2,
     SCALAR_FACTORS_M2,
     SCALAR_GRAMS_M2,
+    commutant_basis,
     conjugated_gram,
     constructed_scalar_pair,
+    cov_deriv_mixed,
+    lambda_from_jet,
+    pascal_generator,
+    pascal_pattern_defect,
     random_herm_jet,
     random_holo_jet,
     unitriangular_pair,

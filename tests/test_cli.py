@@ -457,6 +457,20 @@ class TestMain:
         assert main(["--config", path]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == f"jetcontact: input error: {message}\n"
 
+    @pytest.mark.parametrize("where", ["gram", "candidate"])
+    @pytest.mark.parametrize("terms", [990, 1500])
+    def test_deeply_nested_entry_is_input_error(self, tmp_path, capsys, terms, where):
+        # the parser builds a long sum in a loop, as a tree too deep to compile
+        long_sum = " + ".join(["z1*zb1"] * terms)
+        gram = f"exp({long_sum})" if where == "gram" else "exp(z1*zb1)"
+        candidate = long_sum.replace("zb1", "z1") if where == "candidate" else "1"
+        bundle = {"label": "g", "dimension": 1, "gram": gram}
+        path = write_config(tmp_path, {"task": "pointwise", "order": 1, "points": [[0.0]],
+                                       "bundles": [bundle, bundle], "candidate": candidate})
+        assert main(["--config", path]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "expression nested too deeply" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "expr,message",
         [

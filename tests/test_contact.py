@@ -27,7 +27,6 @@ from jetcontact.jetcore import (
     table_size,
 )
 from jetcontact.kernelexpr import BundleSpec, parse_kernel
-from jetcontact.pascal import lambda_from_jet
 
 from conftest import (
     PAIR_CORNERS_M2,
@@ -38,6 +37,7 @@ from conftest import (
     constructed_scalar_pair,
     eval_holo_jet,
     holo_from_entries,
+    lambda_from_jet,
     random_herm_jet,
     unitriangular_pair,
 )
@@ -226,9 +226,9 @@ class TestExtension:
             [[eval_holo_jet(e, point, 3) for e in row] for row in a_grid]
         )
         seq = extend_A_sequence(h, ht, a_jet.value(), 3)
-        block = lambda_from_jet(a_jet)
+        col = lambda_from_jet(a_jet)
         for l, a_l in enumerate(seq, start=1):
-            assert np.max(np.abs(a_l - block.first_column[l])) < 1e-9
+            assert np.max(np.abs(a_l - col[l])) < 1e-9
 
     def test_rank1_sequence_linear_in_corner(self, rng):
         h = random_herm_jet(1, 1, 4, 4, rng)

@@ -13,7 +13,6 @@ from jetcontact.geometry import (
     Q_jet,
     Q_recursion,
     cov_deriv,
-    cov_deriv_mixed,
     curvature,
     map_adjoint_jet,
     normalize_frame,
@@ -23,7 +22,7 @@ from jetcontact.geometry import (
 from jetcontact.jetcore import HermJet, OrderError
 from jetcontact.kernelexpr import BundleSpec, parse_kernel
 
-from conftest import eval_herm_jet, random_herm_jet
+from conftest import cov_deriv_mixed, eval_herm_jet, random_herm_jet
 
 
 def bergman(alpha, orders=4):

@@ -1,5 +1,6 @@
-"""Pascal algebra: generator, expansion, jet transitions, commutant."""
+"""Pascal algebra: generator, expansion, kernels, jet transitions, commutant."""
 
+from math import comb
 from operator import matmul, mul
 
 import numpy as np
@@ -8,36 +9,39 @@ import pytest
 from jetcontact.jetcore import HoloJet, index_table, table_size
 from jetcontact.kernelexpr import parse_kernel
 from jetcontact.pascal import (
-    PascalBlock,
     binomial_solve,
-    commutant_basis,
-    lambda_from_jet,
+    binomial_sums,
     multi_lambda_from_jet,
     multi_pascal_generator,
     pascal_expand,
     pascal_from_column,
-    pascal_generator,
+)
+from jetcontact.wordcalc import NCPoly, _conjugated_ft_sums, build_sequences
+
+from conftest import (
+    commutant_basis,
+    eval_holo_jet,
+    lambda_from_jet,
     pascal_multiply,
     pascal_pattern_defect,
+    random_herm_jet,
+    random_holo_jet,
 )
-from jetcontact.wordcalc import NCPoly, build_sequences
-
-from conftest import eval_holo_jet, random_herm_jet, random_holo_jet
 
 
 class TestGenerator:
     def test_n2_scalar(self):
         np.testing.assert_array_equal(
-            pascal_generator(2, 1).real, [[0, 0, 0], [1, 0, 0], [0, 2, 0]]
+            multi_pascal_generator(1, 2, 1, 1).real, [[0, 0, 0], [1, 0, 0], [0, 2, 0]]
         )
 
     def test_n3_subdiagonal(self):
-        gen = pascal_generator(3, 1)
+        gen = multi_pascal_generator(1, 3, 1, 1)
         assert [gen[k, k - 1].real for k in range(1, 4)] == [1.0, 2.0, 3.0]
 
     @pytest.mark.parametrize("n,l", [(1, 1), (3, 1), (4, 2), (6, 3)])
     def test_nilpotency_index(self, n, l):
-        gen = pascal_generator(n, l)
+        gen = multi_pascal_generator(1, n, 1, l)
         power = np.linalg.matrix_power(gen, n)
         assert np.max(np.abs(power)) > 0
         np.testing.assert_array_equal(np.linalg.matrix_power(gen, n + 1), 0)
@@ -57,14 +61,14 @@ class TestExpand:
     def test_expansion_commutes_with_generator(self, rng):
         for n, l in [(3, 1), (4, 2)]:
             col = rng.standard_normal((n + 1, l, l)) + 1j * rng.standard_normal((n + 1, l, l))
-            mat = pascal_expand(PascalBlock(n, l, col))
-            gen = pascal_generator(n, l)
+            mat = pascal_expand(col)
+            gen = multi_pascal_generator(1, n, 1, l)
             np.testing.assert_array_equal(gen @ mat, mat @ gen)
 
     def test_product_closure_binomial_convolution(self, rng):
         n, l = 4, 2
         cols = rng.standard_normal((2, n + 1, l, l)) + 1j * rng.standard_normal((2, n + 1, l, l))
-        a, b = PascalBlock(n, l, cols[0]), PascalBlock(n, l, cols[1])
+        a, b = cols
         dense = pascal_expand(a) @ pascal_expand(b)
         convolved = pascal_expand(pascal_multiply(a, b))
         assert np.max(np.abs(dense - convolved)) < 1e-12
@@ -86,11 +90,16 @@ class TestBinomialSolve:
         xs = binomial_solve(b, g, matmul, x0=x0, left=left)
         assert len(xs) == n
         head = x0 if with_x0 else np.zeros((l, l))
-        x_col = PascalBlock(n, l, np.stack([head] + xs))
-        g_col = PascalBlock(n, l, np.stack([np.eye(l)] + g))
+        x_col = np.stack([head] + xs)
+        g_col = np.stack([np.eye(l)] + g)
         b_col = np.stack([head] + b)
         product = pascal_multiply(g_col, x_col) if left else pascal_multiply(x_col, g_col)
-        assert np.max(np.abs(product.first_column - b_col)) < 1e-10
+        assert np.max(np.abs(product - b_col)) < 1e-10
+        if not left:
+            # the convolution kernel multiplies back: x_l + s_l = b_l
+            sums = np.stack(binomial_sums(list(x_col), g, matmul))
+            np.testing.assert_allclose(x_col[1:] + sums, b_col[1:], atol=1e-10)
+            np.testing.assert_allclose(x_col[1:] + sums, product[1:], atol=1e-12)
         # the same product through the dense expansion
         dense = pascal_expand(g_col if left else x_col) @ pascal_expand(x_col if left else g_col)
         np.testing.assert_allclose(dense[:, :l], b_col.reshape(-1, l), atol=1e-10)
@@ -134,6 +143,30 @@ class TestBinomialSolve:
         assert left[1] == -g[1] + 2 * (g[0] * g[0])
 
 
+class TestBinomialSums:
+    def test_bitwise_equal_to_in_order_loop(self, rng):
+        # the report residuals rest on this order and association
+        n, l = 5, 3
+        blocks = rng.standard_normal((2, n + 1, l, l)) + 1j * rng.standard_normal((2, n + 1, l, l))
+        x, g, c = list(blocks[0]), list(blocks[1, 1:]), np.linalg.inv(blocks[1, 0])
+        sums = binomial_sums(x, g, lambda a, gi: a @ gi @ c)
+        for k in range(1, n + 1):
+            acc = np.zeros((l, l), dtype=np.complex128)
+            for i in range(1, k + 1):
+                acc = acc + comb(k, i) * (x[k - i] @ g[i - 1] @ c)
+            np.testing.assert_array_equal(sums[k - 1], acc)
+
+    def test_conjugated_ft_sums_equal_per_weight_formula(self):
+        zs, ft = build_sequences("r01", 6), lambda k: NCPoly.symbol("Ft", k)
+        z0, z0i = NCPoly.symbol("Z0"), NCPoly.symbol("Z0i")
+        sums = _conjugated_ft_sums(zs)
+        assert len(sums) == 6
+        for n, total in enumerate(sums, 1):
+            # Z0 Ft_n Z0i + sum_{k=1}^{n-1} binom(n,k) Z_{n-k} Ft_k Z0i
+            assert total == sum((comb(n, k) * (zs[n - k - 1] * ft(k) * z0i) for k in range(1, n)),
+                                z0 * ft(n) * z0i)
+
+
 class TestLambdaFromJet:
     def test_constant_jet(self):
         jet = HoloJet.constant(np.array([[2.0, 1.0], [0.0, 1.0]]), (0.0,), 3)
@@ -146,17 +179,15 @@ class TestLambdaFromJet:
 
     def test_one_plus_z(self):
         jet = eval_holo_jet(parse_kernel("1 + z1"), (0.0,), 2)
-        block = lambda_from_jet(jet)
-        np.testing.assert_allclose(
-            block.first_column[:, 0, 0], [1.0, 1.0, 0.0], atol=1e-15
-        )
+        col = lambda_from_jet(jet)
+        np.testing.assert_allclose(col[:, 0, 0], [1.0, 1.0, 0.0], atol=1e-15)
 
     def test_multiplicativity(self, rng):
         a = random_holo_jet(1, 2, 4, rng)
         b = random_holo_jet(1, 2, 4, rng)
         lhs = lambda_from_jet(a * b)
         rhs = pascal_multiply(lambda_from_jet(a), lambda_from_jet(b))
-        assert np.max(np.abs(lhs.first_column - rhs.first_column)) < 1e-12
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 class TestCommutant:
@@ -167,7 +198,7 @@ class TestCommutant:
 
     def test_n2_span_is_generator_powers(self):
         basis = commutant_basis(2, 1)
-        gen = pascal_generator(2, 1)
+        gen = multi_pascal_generator(1, 2, 1, 1)
         powers = np.stack([np.eye(3), gen, gen @ gen]).reshape(3, -1)
         stacked = np.stack([b.reshape(-1) for b in basis])
         joint = np.vstack([powers, stacked])
