@@ -53,7 +53,7 @@ from .jetcore import (
     index_table,
     multi_index_factorial,
 )
-from .kernelexpr import BundleSpec, JetProgram, check_holomorphic, parse_kernel
+from .kernelexpr import BundleSpec, JetProgram, ParseError, check_holomorphic, parse_kernel
 from .pascal import (
     binomial_solve,
     binomial_sums,
@@ -206,14 +206,29 @@ def pointwise_verify(
     return classify(resid, tol), residuals
 
 
+def _normalized_pair(H: HermJet, Ht: HermJet, n: int) -> tuple[HermJet, HermJet]:
+    """The normalized Grams of H and Ht from one normalize_frame of the two
+    stacked on the point axis: per point bit for bit those of two calls,
+    with the same error (the first failing point is H's if any is).  The
+    jets share their orders and their center, one point or a grid."""
+    if H.points:
+        center, coeffs = H.center + Ht.center, np.concatenate([H.coeffs, Ht.coeffs])
+    else:
+        center, coeffs = (H.center, Ht.center), np.stack([H.coeffs, Ht.coeffs])
+    _, normalized = normalize_frame(
+        HermJet(center, H.holo_order, H.anti_order, H.rank, coeffs), n)
+    return tuple(HermJet(jet.center, jet.holo_order, jet.anti_order, jet.rank,
+                         half.reshape(jet.coeffs.shape))
+                 for jet, half in zip((H, Ht), np.split(normalized.coeffs, 2)))
+
+
 def pointwise_rank1_decide(H: HermJet, Ht: HermJet, n: int, tol: float) -> tuple[str, dict]:
     """Candidate-free decision for line bundles: normalize both frames at the
     center; contact holds iff the normalized jet Grams agree entrywise (the
     remaining scalar freedom is a phase, which cancels)."""
     if H.rank != 1 or Ht.rank != 1:
         raise ValueError("rank-1 decision procedure called on higher rank")
-    _, hn = normalize_frame(H, n)
-    _, htn = normalize_frame(Ht, n)
+    hn, htn = _normalized_pair(H, Ht, n)
     g = jet_gram(hn, n)
     gt = jet_gram(htn, n)
     resid = _rel(g - gt, g, gt)
@@ -228,8 +243,7 @@ def pointwise_normalized_decide(
     iff some unitary intertwines all normalized jet-Gram blocks."""
     if H.rank == 1:
         return pointwise_rank1_decide(H, Ht, n, tol)
-    _, hn = normalize_frame(H, n)
-    _, htn = normalize_frame(Ht, n)
+    hn, htn = _normalized_pair(H, Ht, n)
     mats_a = _jet_blocks(hn, n).reshape(-1, H.rank, H.rank)
     mats_b = _jet_blocks(htn, n).reshape(-1, H.rank, H.rank)
     _, resid = unitary_intertwiner(mats_a, mats_b, seed=seed,
@@ -377,10 +391,9 @@ class ContactProblem:
             for p in self.points:
                 if abs(p[0]) > 1e-12:
                     raise ValueError(f"point {p} does not lie on the slice z1 = 0")
-        object.__setattr__(self, "candidate", _normalize_candidate(self.candidate))
+        object.__setattr__(self, "candidate", _normalize_candidate(self.candidate, self.dim))
         if isinstance(self.candidate, list):
             program = JetProgram([e for row in self.candidate for e in row])
-            check_holomorphic(program, self.dim)
             object.__setattr__(self, "_candidate_program", program)
 
     @property
@@ -401,7 +414,7 @@ class ContactProblem:
         return self._candidate_program.matrix_jet(len(cand), center, order, 0).holo_part()
 
 
-def _normalize_candidate(cand):
+def _normalize_candidate(cand, dim: int):
     if cand is None or isinstance(cand, np.ndarray):
         return cand
     if not isinstance(cand, list):
@@ -409,8 +422,20 @@ def _normalize_candidate(cand):
             "candidate must be None, an ndarray, or a grid (list of rows) of expressions"
         )
     return [
-        [parse_kernel(e) if isinstance(e, str) else e for e in row] for row in cand
+        [_candidate_entry(e, dim, f"candidate[{i}][{j}]") for j, e in enumerate(row)]
+        for i, row in enumerate(cand)
     ]
+
+
+def _candidate_entry(entry, dim: int, where: str):
+    """One candidate entry, parsed and checked holomorphic in z1..z`dim`; a
+    parse, nesting, holomorphy or variable error is prefixed with `where`."""
+    try:
+        node = parse_kernel(entry) if isinstance(entry, str) else entry
+        check_holomorphic(JetProgram([node]), dim)
+    except ParseError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    return node
 
 
 @dataclass

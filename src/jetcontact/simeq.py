@@ -9,18 +9,26 @@ random-element step of numerical *-algebra block-diagonalization; Murota,
 Kanno, Kojima & Kojima, Japan J. Indust. Appl. Math. 27, 2010): with seeded
 complex weights c, H_A = sum c_k A_k + h.c., and H_B likewise.  An
 intertwiner X has H_A X = X H_B, so Y = P_A^* X P_B in the two eigenbases
-obeys (lambda_i(H_A) - lambda_j(H_B)) Y_ij = 0; for similar families the
+obeys (lambda_i(H_A) - lambda_i(H_B)) Y_ij = 0; for similar families the
 ascending spectra agree and Y is block diagonal over their clusters.  Only
-those sum m_i^2 unknowns of the stacked Sylvester system, not all s^2, go
-into the solve: O(k s^3) while the clusters stay small, and 2k s^2 sum
-m_i^2 complex numbers for the system (0.7 MB at k = 2, s = 20 with 26
-unknowns, against 10 MB for the full system).  Its null space comes from an
-SVD of the triangular factor R of its QR factorization (Chan's R-SVD, ACM
-TOMS 8, 1982), which forms no left singular vectors.  A cluster ends where both
-spectra rise by more than NULL_TOL^(1/4) of the spectral radius.  The gap is
-generous because merging clusters only adds unknowns while a wrong cut can
-lose the intertwiner; a spectrum that is one cluster gives the full system,
-so degenerate families take the same code.  Candidates are mapped back and
+those sum m_i^2 unknowns of the stacked Sylvester system S, not all s^2, go
+into the solve, and S itself is never built: its normal matrix N = S^* S
+has a closed form in the two rotated stacks (see _normal_matrix), O(k s^3 +
+(sum m_i^2)^2) to form.  N squares the condition number (Golub & Van Loan,
+Matrix Computations, 4th ed., 5.3.7), so its eigenvalues only pick the
+near-null subspace Q (eigenvalues up to NULL_TOL, singular values of S up
+to NULL_TOL^(1/2)), and the null test is read on S itself by the
+Rayleigh-Ritz step (ibid., 8.1): a thin SVD of S Q, which has len(Q)
+columns.  A bare threshold on the eigenvalues fails both ways: relative to
+the largest one it loses null vectors when the whole system is null (the
+largest eigenvalue is then itself rounding), and an absolute one cannot
+separate a singular value of 1e-7 (eigenvalue 1e-14) from rounding-level
+null eigenvalues.
+
+A cluster ends where both spectra rise by more than NULL_TOL^(1/4) of the
+spectral radius.  The gap is generous because merging clusters only adds
+unknowns while a wrong cut can lose the intertwiner; a spectrum that is one
+cluster gives the full system, so degenerate families take the same code.  Candidates are mapped back and
 their polar factors scored on the original equations, so every residual is
 the misfit of an actual unitary, whatever the split.
 
@@ -44,7 +52,9 @@ import numpy as np
 __all__ = ["unitary_intertwiner"]
 
 TRIES = 6  # seeded draws, and random null-space combinations per draw
-NULL_TOL = 1e-10  # singular-value bound of the null space, and the stopping score
+# singular-value bound of the null space, eigenvalue bound of the near-null
+# subspace of the normal matrix, and the stopping score
+NULL_TOL = 1e-10
 
 
 def _first_finite_min(scores: np.ndarray) -> int | None:
@@ -74,20 +84,30 @@ def _block_unknowns(eig_a: np.ndarray, eig_b: np.ndarray):
     return np.nonzero(labels[:, None] == labels[None, :])
 
 
-def _block_system(rot_a, rot_b, rows, cols, scale: float) -> np.ndarray:
-    """Columns Y[rows[j], cols[j]] of the stacked rows (A_m kron I - I kron
-    B_m^T) / scale, for the rotated stacks of shape (2k, s, s).
+def _normal_matrix(rot_a, rot_b, rows, cols, scale: float) -> np.ndarray:
+    """N = S^* S for the columns S of the unknowns Y[rows[j], cols[j]] in the
+    stacked rows (A_m kron I - I kron B_m^T) / scale, from the rotated stacks
+    of shape (2k, s, s), without forming S.
 
-    Entry ((m, p, q), j) is A_m[p, rows[j]] delta(q, cols[j]) - delta(p,
-    rows[j]) B_m[cols[j], q], so the columns solve A_m Y = Y B_m.
+    Column j of S is the misfit A_m E - E B_m of the matrix unit E at
+    (r, c) = (rows[j], cols[j]), so with j' at (r', c'), summed over m,
+
+        N[j, j'] = delta(c, c') (A^* A)[r, r'] + delta(r, r') (B B^*)[c', c]
+                   - conj(A[r', r]) B[c', c] - A[r, r'] conj(B[c, c']),
+
+    all over scale^2; the last two terms are a matrix and its adjoint.
     """
     blocks, size = rot_a.shape[:2]
-    unknowns = np.arange(len(rows))
-    system = np.zeros((blocks, size, size, len(rows)), dtype=np.complex128)
-    system[:, :, cols, unknowns] = rot_a[:, :, rows]
-    system[:, rows, :, unknowns] -= rot_b[:, cols, :].transpose(1, 0, 2)
-    system /= scale
-    return system.reshape(blocks * size * size, len(rows))
+    tall = rot_a.reshape(blocks * size, size)
+    wide = _wide(rot_b)
+    aa = np.conj(tall.T) @ tall
+    bb = wide @ np.conj(wide.T)
+    cross = np.einsum("mij,mij->ij", rot_a[:, rows[:, None], rows],
+                      np.conj(rot_b[:, cols[:, None], cols]))
+    normal = (np.where(cols[:, None] == cols, aa[rows[:, None], rows], 0.0)
+              + np.where(rows[:, None] == rows, bb[cols, cols[:, None]], 0.0)
+              - cross - np.conj(cross.T))
+    return normal / scale ** 2
 
 
 def _wide(stack: np.ndarray) -> np.ndarray:
@@ -115,13 +135,29 @@ def _misfits(a: np.ndarray, b: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return ax.transpose(2, 0, 1, 3) - xb.transpose(0, 2, 1, 3)
 
 
-def _right_singular(system: np.ndarray):
-    """Singular values and right singular vectors of a tall system, from an
-    SVD of the triangular factor R of its QR factorization (Chan's R-SVD,
-    ACM TOMS 8, 1982): those of a thin SVD, without forming the left
-    singular vectors."""
-    _, svals, vh = np.linalg.svd(np.linalg.qr(system, mode="r"))
-    return svals, vh
+def _null_space(rot_a, rot_b, rows, cols, scale: float):
+    """Null vectors of the block system S, as rows from the largest singular
+    value down, and its least-violating unit vector, as a row.
+
+    The eigenvectors of N = S^* S with eigenvalue at most NULL_TOL span the
+    near-null subspace Q (singular values up to NULL_TOL^(1/2)).  N squares
+    the condition number, so the null test is read on S itself: a thin SVD
+    of S Q (Rayleigh-Ritz), whose singular values at most NULL_TOL give the
+    null vectors Q W.  With none, the eigenvector of the smallest eigenvalue
+    of N is the least-violating vector.
+    """
+    lams, vecs = np.linalg.eigh(_normal_matrix(rot_a, rot_b, rows, cols, scale))
+    near = vecs[:, lams <= NULL_TOL]
+    if near.shape[1]:
+        size = rot_a.shape[1]
+        xs = np.zeros((near.shape[1], size, size), dtype=np.complex128)
+        xs[:, rows, cols] = near.T
+        images = _misfits(rot_a, rot_b, xs).reshape(len(xs), -1).T / scale
+        _, svals, wh = np.linalg.svd(images, full_matrices=False)
+        null = np.conj(wh[svals <= NULL_TOL]) @ near.T
+    else:
+        null = near.T
+    return null, vecs[:, :1].T
 
 
 def unitary_intertwiner(mats_a, mats_b, seed: int = 0, refuted_above: float = np.inf):
@@ -161,9 +197,7 @@ def unitary_intertwiner(mats_a, mats_b, seed: int = 0, refuted_above: float = np
         eig_a, vec_a = np.linalg.eigh(h_a)
         eig_b, vec_b = np.linalg.eigh(h_b)
         rows, cols = _block_unknowns(eig_a, eig_b)
-        system = _block_system(_rotated(a, vec_a), _rotated(b, vec_b), rows, cols, scale)
-        svals, vh = _right_singular(system)
-        null = vh[svals <= NULL_TOL].conj()
+        null, lowest = _null_space(_rotated(a, vec_a), _rotated(b, vec_b), rows, cols, scale)
         if len(null):
             w = rng.standard_normal((TRIES, len(null))) + 1j * rng.standard_normal(
                 (TRIES, len(null))
@@ -171,7 +205,7 @@ def unitary_intertwiner(mats_a, mats_b, seed: int = 0, refuted_above: float = np
             vectors = null if len(null) == 1 else np.concatenate([null, w @ null])
         else:
             # no intertwiner subspace: the least-violating unitary
-            vectors = vh[-1:].conj()
+            vectors = lowest
         blocks = np.zeros((len(vectors), size, size), dtype=np.complex128)
         blocks[:, rows, cols] = vectors
         u, _, wh = np.linalg.svd(vec_a @ blocks @ np.conj(vec_b.T))

@@ -252,13 +252,13 @@ def rng():
 @pytest.fixture
 def simeq_draws(monkeypatch):
     """The draws of every similarity solve in the test: each builds one
-    block system."""
+    normal matrix."""
     draws = []
-    block_system = simeq._block_system
+    normal_matrix = simeq._normal_matrix
 
     def spy(*args):
         draws.append(None)
-        return block_system(*args)
+        return normal_matrix(*args)
 
-    monkeypatch.setattr(simeq, "_block_system", spy)
+    monkeypatch.setattr(simeq, "_normal_matrix", spy)
     return draws

@@ -472,6 +472,24 @@ class TestMain:
         assert "expression nested too deeply" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "entry,message",
+        [
+            ("zb1", "conjugated variable in a holomorphic expression"),
+            ("z1 +* 2", "unexpected token '*' (at position 4)"),
+            ("z7", "variable index exceeds dimension 2"),
+        ],
+    )
+    def test_candidate_error_names_its_entry(self, tmp_path, capsys, entry, message):
+        gram = [["exp(z1*zb1 + z2*zb2)", "0"], ["0", "exp(z1*zb1)"]]
+        bundle = {"label": "g", "dimension": 2, "gram": gram}
+        path = write_config(tmp_path, {
+            "task": "pointwise", "order": 1, "points": [[0.0, 0.0]],
+            "bundles": [bundle, bundle], "candidate": [["1", entry], ["0", "1"]]})
+        assert main(["--config", path]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"jetcontact: input error: candidate[0][1]: {message}")
+
+    @pytest.mark.parametrize(
         "expr,message",
         [
             ("log(-1)", "log needs a constant term with positive real part"),

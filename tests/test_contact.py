@@ -6,6 +6,7 @@ import pytest
 from jetcontact.contact import (
     ContactProblem,
     _full_candidate_from_slice,
+    _normalized_pair,
     alongZ_check,
     check_problem,
     extend_A_sequence,
@@ -186,6 +187,37 @@ class TestPointwise:
             want = [normalized.extract(alpha, beta) for alpha in table for beta in table]
             assert got.shape == (100, 2, 2)
             np.testing.assert_array_equal(got, np.array(want))
+
+    @pytest.mark.parametrize("where", ["point", "grid"])
+    def test_stacked_normalization_equals_two_calls(self, where):
+        # rank 2 at one point, rank 1 on a grid of Z (the along-Z spot check)
+        if where == "point":
+            _, a_inv = unitriangular_pair(PAIR_CORNERS_M2[1])
+            h, ht = gram_jets(PAIR_GRAMS_M2[1],
+                              conjugated_gram(PAIR_GRAMS_M2[1], a_inv), (0.1, -0.05), 3)
+        else:
+            h_grid, ht_grid, _ = constructed_scalar_pair(SCALAR_GRAMS_M2[0],
+                                                         SCALAR_FACTORS_M2[0])
+            h, ht = gram_jets(h_grid, ht_grid, Z_POINTS, 3)
+        for jet, got in zip((h, ht), _normalized_pair(h, ht, 2)):
+            _, want = normalize_frame(jet, 2)
+            assert got.center == want.center
+            assert (got.holo_order, got.anti_order) == (want.holo_order, want.anti_order)
+            np.testing.assert_array_equal(got.coeffs, want.coeffs)
+
+    def test_stacked_normalization_error_of_the_second_jet(self):
+        rng = np.random.default_rng(0)
+        good = random_herm_jet(2, 2, 3, 3, rng)
+        coeffs = np.array(good.coeffs)
+        coeffs[0, 0] = [[1.0, 1 - 1e-6], [1 - 1e-6, 1.0]]  # ill-conditioned value
+        bad = HermJet(good.center, 3, 3, 2, coeffs)
+        with pytest.raises(ArithmeticError) as alone:
+            normalize_frame(bad, 2)
+        assert "frame normalization failed" in str(alone.value)
+        for pair in ((good, bad), (bad, good)):
+            with pytest.raises(ArithmeticError) as stacked:
+                _normalized_pair(*pair, 2)
+            assert str(stacked.value) == str(alone.value)
 
     @pytest.mark.parametrize("corner", PAIR_CORNERS_M2)
     def test_rank2_decide_agrees_with_candidate_route(self, corner):

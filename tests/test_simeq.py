@@ -1,5 +1,6 @@
 """Simultaneous unitary similarity: the solver against the full stacked
-system, the block-diagonal split and the unitary the solver picks."""
+system, the block-diagonal split, the normal matrix and its null space, and
+the unitary the solver picks."""
 
 import dataclasses
 
@@ -398,16 +399,83 @@ def commutant_family():
     return np.array(mats_a), np.array([np.conj(w.T) @ a @ w for a in mats_a])
 
 
-def test_r_route_null_space_equals_thin_svd():
-    system = sylvester_system(*commutant_family(), 1.0)
+def cluster_unknowns(labels):
+    """The block-diagonal unknowns of clusters given by their labels, in the
+    row-major order of the columns of sylvester_system (all of them for one
+    cluster)."""
+    labels = np.asarray(labels)
+    return np.nonzero(labels[:, None] == labels[None, :])
+
+
+def test_normal_route_null_space_equals_thin_svd():
+    mats_a, mats_b = commutant_family()
+    system = sylvester_system(mats_a, mats_b, 1.0)
     _, thin_svals, thin_vh = np.linalg.svd(system, full_matrices=False)
-    svals, vh = simeq._right_singular(system)
+    null, _ = simeq._null_space(mats_a, mats_b, *cluster_unknowns(np.zeros(3)), 1.0)
     thin_null = thin_vh[thin_svals <= simeq.NULL_TOL]
-    null = vh[svals <= simeq.NULL_TOL]
+    null = np.conj(null)  # rows v^* as in vh
     assert len(null) == len(thin_null) == 5
     # the same subspace, through its orthogonal projector
     np.testing.assert_allclose(np.conj(null.T) @ null,
                                np.conj(thin_null.T) @ thin_null, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 20])
+@pytest.mark.parametrize("clusters", ["one", "several"])
+def test_normal_matrix_equals_reference(size, clusters):
+    rng = np.random.default_rng(150 + size)
+    mats_a = random_complex(rng, 4, size, size)
+    mats_b = random_complex(rng, 4, size, size)
+    scale = 1.0 + float(rng.uniform(1, 5))
+    labels = np.zeros(size) if clusters == "one" else np.sort(rng.integers(0, 4, size))
+    rows, cols = cluster_unknowns(labels)
+    columns = sylvester_system(mats_a, mats_b, scale)[:, rows * size + cols]
+    want = np.conj(columns.T) @ columns
+    got = simeq._normal_matrix(mats_a, mats_b, rows, cols, scale)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_planted_singular_values():
+    # diagonal families: the column of unknown (r, c) is the misfit of a
+    # matrix unit, |A_m[r, r] - B_m[c, c]| in norm, so S has orthogonal
+    # columns.  The first block separates the off-diagonal unknowns, the
+    # second plants 0, 1e-12 and 1e-7 on the diagonal ones
+    mats_a = np.array([np.diag([1.0, 2.0, 3.0]), np.zeros((3, 3))])
+    mats_b = np.array([np.diag([1.0, 2.0, 3.0]), np.diag([0.0, 1e-12, 1e-7])])
+    rows, cols = cluster_unknowns(np.zeros(3))
+    svals = np.linalg.svd(sylvester_system(mats_a, mats_b, 1.0), compute_uv=False)
+    np.testing.assert_allclose(svals[-3:], [1e-7, 1e-12, 0.0], rtol=1e-12, atol=0)
+    assert np.sum(np.linalg.eigvalsh(
+        simeq._normal_matrix(mats_a, mats_b, rows, cols, 1.0)) <= simeq.NULL_TOL) == 3
+    null, _ = simeq._null_space(mats_a, mats_b, rows, cols, 1.0)
+    # 1e-12 stays in the null space with the exact null vector, 1e-7 does not
+    assert len(null) == 2
+    unit = np.eye(9)[[0, 4]]  # the unknowns (0, 0) and (1, 1)
+    np.testing.assert_allclose(null.T @ np.conj(null), unit.T @ unit, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fully_null_system_keeps_its_null_dimension(seed, monkeypatch):
+    # a similar pair of commuting normal 2 x 2 families with simple spectra:
+    # the intertwiners are the two spectral projections, the split keeps
+    # just those two unknowns, and the normal matrix is rounding throughout
+    rng = np.random.default_rng(160 + seed)
+    base = random_unitary(rng, 2)
+    mats_a = base @ (random_complex(rng, 3, 2)[:, :, None] * np.conj(base.T))
+    w = random_unitary(rng, 2)
+    mats_b = np.conj(w.T) @ mats_a @ w
+    found = []
+    null_space = simeq._null_space
+
+    def spy(rot_a, rot_b, rows, cols, scale):
+        null, lowest = null_space(rot_a, rot_b, rows, cols, scale)
+        found.append((len(null), len(rows)))
+        return null, lowest
+
+    monkeypatch.setattr(simeq, "_null_space", spy)
+    _, resid = unitary_intertwiner(mats_a, mats_b, seed=seed)
+    assert resid < 1e-12
+    assert found == [(2, 2)]
 
 
 @pytest.mark.parametrize("size", [1, 2, 20])
