@@ -167,23 +167,49 @@ def load_config(path: str, overrides: dict = None) -> RunConfig:
     return build_config(raw)
 
 
+def _integer(raw: dict, key: str, default):
+    """The integer at `key`, `default` if absent (or null where the default
+    is None); a bool, a float or any other type is an error naming the key."""
+    value = raw.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer; got {value!r}")
+    return value
+
+
+def _tolerance(raw: dict) -> float:
+    """The tolerance from the config (or its override), else from the
+    environment, else 1e-8: a finite positive number wherever it comes from."""
+    if "tolerance" in raw:
+        value, key = raw["tolerance"], "tolerance"
+    else:
+        value, key = os.environ.get(TOLERANCE_ENV, 1e-8), f"tolerance (from {TOLERANCE_ENV})"
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        tol = None
+    if tol is None or isinstance(value, bool):
+        raise ConfigError(f"{key}: cannot read {value!r} as a number")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"{key} must be positive and finite; got {tol!r}")
+    return tol
+
+
 def build_config(raw: dict) -> RunConfig:
     task = raw.get("task")
     if task not in TASKS:
         raise ConfigError(f"task must be one of {', '.join(TASKS)}; got {task!r}")
-    default_tol = float(os.environ.get(TOLERANCE_ENV, 1e-8))
     cfg = RunConfig(
         task=task,
-        order=int(raw.get("order", 1)),
-        tolerance=float(raw.get("tolerance", default_tol)),
-        seed=int(raw.get("seed", 0)),
+        order=_integer(raw, "order", 1),
+        tolerance=_tolerance(raw),
+        seed=_integer(raw, "seed", 0),
         out=raw.get("out"),
-        appendix_bound=raw.get("appendix_bound"),
+        appendix_bound=_integer(raw, "appendix_bound", None),
     )
     if cfg.order < 1 and task != "verify-appendix":
         raise ConfigError("order must be >= 1")
-    if cfg.tolerance <= 0:
-        raise ConfigError("tolerance must be positive")
 
     bundles = raw.get("bundles", [])
     cfg.bundles = [
@@ -321,7 +347,7 @@ def _run_recursions(cfg: RunConfig) -> tuple[dict, str]:
 
 def _run_appendix(cfg: RunConfig) -> tuple[dict, str]:
     bound = cfg.appendix_bound if cfg.appendix_bound is not None else min(cfg.order + 3, 6)
-    report = verify_appendix(n_max=int(bound), seed=cfg.seed, tol=cfg.tolerance)
+    report = verify_appendix(n_max=bound, seed=cfg.seed, tol=cfg.tolerance)
     return report.as_dict(), VERIFIED if report.passed else REFUTED
 
 

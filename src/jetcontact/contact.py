@@ -206,20 +206,26 @@ def pointwise_verify(
     return classify(resid, tol), residuals
 
 
-def _normalized_pair(H: HermJet, Ht: HermJet, n: int) -> tuple[HermJet, HermJet]:
-    """The normalized Grams of H and Ht from one normalize_frame of the two
-    stacked on the point axis: per point bit for bit those of two calls,
-    with the same error (the first failing point is H's if any is).  The
-    jets share their orders and their center, one point or a grid."""
+def _on_pair(H: HermJet, Ht: HermJet, run) -> list:
+    """`run` on H and Ht stacked on the point axis, once for the two: for
+    each array of the list it returns, with the stacked point axis leading,
+    the pair (H's part, Ht's part).  Per point that is bit for bit what two
+    calls give, with the same error (the first failing point is H's if any
+    is).  The jets share their orders and their center, one point or a grid."""
     if H.points:
         center, coeffs = H.center + Ht.center, np.concatenate([H.coeffs, Ht.coeffs])
     else:
         center, coeffs = (H.center, Ht.center), np.stack([H.coeffs, Ht.coeffs])
-    _, normalized = normalize_frame(
-        HermJet(center, H.holo_order, H.anti_order, H.rank, coeffs), n)
-    return tuple(HermJet(jet.center, jet.holo_order, jet.anti_order, jet.rank,
-                         half.reshape(jet.coeffs.shape))
-                 for jet, half in zip((H, Ht), np.split(normalized.coeffs, 2)))
+    values = run(HermJet(center, H.holo_order, H.anti_order, H.rank, coeffs))
+    return [tuple(half.reshape(H.points + half.shape[1:]) for half in np.split(value, 2))
+            for value in values]
+
+
+def _normalized_pair(H: HermJet, Ht: HermJet, n: int) -> tuple[HermJet, HermJet]:
+    """The normalized Grams of H and Ht from one normalize_frame of the two."""
+    [halves] = _on_pair(H, Ht, lambda both: [normalize_frame(both, n)[1].coeffs])
+    return tuple(HermJet(jet.center, jet.holo_order, jet.anti_order, jet.rank, half)
+                 for jet, half in zip((H, Ht), halves))
 
 
 def pointwise_rank1_decide(H: HermJet, Ht: HermJet, n: int, tol: float) -> tuple[str, dict]:
@@ -322,20 +328,18 @@ def geometric_conditions(H: HermJet, Ht: HermJet, A0: np.ndarray, n: int) -> dic
     * mixed tower: (K_{1 jbar})_{z1^r} A0 = A0 (Kt_{1 jbar})_{z1^r} for
       r <= n-1 and tangential j >= 2.
 
-    Each tower is built once per bundle.
+    The transverse towers of the two bundles are built in one pass, H and
+    Ht stacked on the point axis; each mixed tower once per bundle.
     """
     lh, lht = _L_tables(H, n), _L_tables(Ht, n)
     A0 = np.asarray(A0, dtype=np.complex128)
     out = {}
     h0, ht0 = H.value(), Ht.value()
     out["isometry"] = _rel(h0 - A0 @ ht0 @ _adjoint(A0), h0, ht0)
-    tower, tower_t = transverse_tower(H, n), transverse_tower(Ht, n)
-    for r in range(n):
-        for t in range(n):
-            lhs, rhs = tower[r][t], tower_t[r][t]
-            out[f"transverse-curvature(r={r},t={t})"] = _rel(
-                lhs @ A0 - A0 @ rhs, lhs, rhs
-            )
+    towers = _on_pair(H, Ht, lambda both: [v for row in transverse_tower(both, n) for v in row])
+    for k, (lhs, rhs) in enumerate(towers):
+        r, t = divmod(k, n)
+        out[f"transverse-curvature(r={r},t={t})"] = _rel(lhs @ A0 - A0 @ rhs, lhs, rhs)
     for j in lh:
         mixed, mixed_t = K1j_tower(H, lh[j]), K1j_tower(Ht, lht[j])
         for r in range(n):

@@ -28,6 +28,14 @@ One graded kernel does all the arithmetic:
   A product thus allocates the two gathers plus one block row, not a third
   gather-sized array.  :class:`HoloJet` products are the same kernel at
   anti order 0.
+* Products with a polynomial factor.  A jet may carry a degree bound (a, b)
+  that its maker declares (:meth:`HermJet.with_degree`; the Gram programs
+  of :mod:`kernelexpr` do so for their polynomial ops): its coefficients
+  vanish for |alpha| > a or |beta| > b.  The same plan function then keeps
+  only the pairs whose position in that factor lies inside the bound, so a
+  product costs in proportion to the polynomial factor's support -- at dim
+  2, orders (3, 3), a degree-(1, 0) factor gathers 220 pairs, not 1,225.
+  No operation infers or passes on a bound: every result has none.
 * Inverse, exp, log and real powers.  Each is a forward substitution over
   the total degree d = |alpha| + |beta|: the coefficients of degree d follow
   from those of lower degree through the product plan restricted to the
@@ -44,6 +52,13 @@ tuple of P centers and its coefficients carry a leading point axis,
 the point axis rides inside each gathered block, and the per-point matrix
 operations are stacked.  The arithmetic per point is the same as for a jet
 at that point alone, bit for bit.  Jets at one point have no point axis.
+
+A jet restricts to a coordinate subspace through its center
+(:meth:`HermJet.restrict`): the result is a jet in the kept variables only,
+with the coefficients whose other exponents are zero.  Restriction is a
+ring map, so a computation that reads only derivatives in some variables
+(the transverse curvature tower reads z1 and zbar1 only) runs on the
+smaller table with the same values.
 
 All jets are immutable after construction; every operation returns a new jet.
 Binary operations truncate to the minimum operand orders.
@@ -129,6 +144,7 @@ def table_size(dim: int, order: int) -> int:
     return comb(order + dim, dim)
 
 
+@lru_cache(maxsize=None)
 def _axis_sums(dim: int, order: int):
     """(k, i, j) for all table positions with table[i] + table[j] = table[k]."""
     table = np.array(index_table(dim, order)).reshape(-1, dim)
@@ -141,8 +157,17 @@ def _axis_sums(dim: int, order: int):
     return lookup[sums[i, j] @ radix], i, j
 
 
+def _inside(dim: int, holo_order: int, anti_order: int, degree) -> tuple:
+    """Table sizes (Na, Nb) of the positions of a (p, q) factor inside its
+    degree bound (a, b), i.e. with |alpha| <= a and |beta| <= b; the whole
+    tables when it has no bound."""
+    a, b = (holo_order, anti_order) if degree is None else degree
+    return table_size(dim, min(a, holo_order)), table_size(dim, min(b, anti_order))
+
+
 @lru_cache(maxsize=None)
-def _mul_plan(dim: int, holo_order: int, anti_order: int, left_nb: int, right_nb: int):
+def _mul_plan(dim: int, holo_order: int, anti_order: int, left_nb: int, right_nb: int,
+              left_degree=None, right_degree=None):
     """Convolution plan of a product truncated to orders (p, q).
 
     An operand's coefficient (alpha, beta) sits at flat position
@@ -152,11 +177,26 @@ def _mul_plan(dim: int, holo_order: int, anti_order: int, left_nb: int, right_nb
     into the left operand and ``J`` into the right one, one entry per pair
     of positions whose indices add up to an output position, grouped by
     output position in table order, and the ``starts`` of the groups for a
-    segment sum.  Every output position k has at least the pair (0, k), so
+    segment sum.
+
+    A factor with a degree bound (a, b) has zero coefficients outside
+    |alpha| <= a, |beta| <= b, so only the pairs whose position in it lies
+    inside the bound are kept: graded tables make that a prefix of each
+    table.  The full plan is no bound, or a bound of at least (p, q).  At
+    most one factor is restricted, the one with fewer positions inside its
+    bound, so every output position k keeps the pair (0, k) or (k, 0) and
     group g is output position g.
     """
     kh, ih, jh = _axis_sums(dim, holo_order)
     ka, ia, ja = _axis_sums(dim, anti_order)
+    left_in = _inside(dim, holo_order, anti_order, left_degree)
+    right_in = _inside(dim, holo_order, anti_order, right_degree)
+    if left_in[0] * left_in[1] <= right_in[0] * right_in[1]:
+        keep_h, keep_a = ih < left_in[0], ia < left_in[1]
+    else:
+        keep_h, keep_a = jh < right_in[0], ja < right_in[1]
+    kh, ih, jh = kh[keep_h], ih[keep_h], jh[keep_h]
+    ka, ia, ja = ka[keep_a], ia[keep_a], ja[keep_a]
     nb = table_size(dim, anti_order)
     key = (kh[:, None] * nb + ka[None, :]).ravel()
     left = (ih[:, None] * left_nb + ia[None, :]).ravel()
@@ -235,10 +275,12 @@ def _contract(left, right, I, J, starts, weight=None) -> np.ndarray:
     return np.add.reduceat(a, starts, axis=-1)
 
 
-def _product(a: np.ndarray, b: np.ndarray, dim: int, p: int, q: int) -> np.ndarray:
+def _product(a: np.ndarray, b: np.ndarray, dim: int, p: int, q: int,
+             left_degree=None, right_degree=None) -> np.ndarray:
     """Coefficients (*P, Na(p), Nb(q), r, r) of the truncated product of two
-    coefficient arrays (*P, Na, Nb, r, r) of orders at least (p, q)."""
-    I, J, starts = _mul_plan(dim, p, q, a.shape[-3], b.shape[-3])
+    coefficient arrays (*P, Na, Nb, r, r) of orders at least (p, q), with
+    the factors' degree bounds if they have one."""
+    I, J, starts = _mul_plan(dim, p, q, a.shape[-3], b.shape[-3], left_degree, right_degree)
     sums = _contract(_pair_last(a), _pair_last(b), I, J, starts)
     return _from_pair_last(sums, table_size(dim, p), table_size(dim, q))
 
@@ -256,6 +298,20 @@ def _deriv_plan(dim: int, order: int, var: int):
         src[k] = pos_in[tuple(up)]
         mult[k] = a[var] + 1
     return src, mult
+
+
+@lru_cache(maxsize=None)
+def _restrict_plan(dim: int, order: int, variables: tuple) -> np.ndarray:
+    """Positions in the (dim, order) table of the multi-indices supported on
+    `variables`, in the order of the len(variables) table they map to."""
+    positions = index_positions(dim, order)
+    out = []
+    for idx in index_table(len(variables), order):
+        full = [0] * dim
+        for v, e in zip(variables, idx):
+            full[v] = e
+        out.append(positions[tuple(full)])
+    return np.array(out, dtype=np.intp)
 
 
 _POINT_TYPES = (tuple, list, np.ndarray)
@@ -330,15 +386,21 @@ class HermJet:
     coeffs : ndarray of shape (Na, Nb, rank, rank) with the normalized
         coefficient of (alpha, beta) at position (pos(alpha), pos(beta));
         (P, Na, Nb, rank, rank) at P centers.
+    degree : None, or a bound (a, b) declared by :meth:`with_degree`: the
+        jet is that of a polynomial whose coefficients vanish for
+        |alpha| > a or |beta| > b at every center.  Every operation returns
+        a jet with no bound.
     """
 
-    __slots__ = ("center", "dim", "holo_order", "anti_order", "rank", "coeffs", "_inv_cache")
+    __slots__ = ("center", "dim", "holo_order", "anti_order", "rank", "coeffs", "degree",
+                 "_inv_cache")
 
     def __init__(self, center, holo_order, anti_order, rank, coeffs):
         self.center, self.dim = _center(center)
         self.holo_order = int(holo_order)
         self.anti_order = int(anti_order)
         self.rank = int(rank)
+        self.degree = None
         self._inv_cache = None
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         expected = point_axis(self.center) + (
@@ -402,8 +464,20 @@ class HermJet:
         out = object.__new__(HermJet)
         out.center, out.dim, out.rank = self.center, self.dim, self.rank
         out.holo_order, out.anti_order = holo_order, anti_order
+        out.degree = None
         out._inv_cache = None
         out.coeffs = _freeze(coeffs)
+        return out
+
+    def with_degree(self, degree) -> "HermJet":
+        """This jet, declared that of a polynomial of degree at most
+        degree = (a, b) in (z, conj(z)): its coefficients vanish for
+        |alpha| > a or |beta| > b, at every center.  A product with it then
+        gathers only the pairs whose position in it lies inside the bound.
+        The caller vouches for the bound; nothing here checks or derives one."""
+        a, b = degree
+        out = self._like(self.holo_order, self.anti_order, self.coeffs)
+        out.degree = (int(a), int(b))
         return out
 
     @property
@@ -449,9 +523,11 @@ class HermJet:
         return self._like(self.holo_order, self.anti_order, coeffs)
 
     def __mul__(self, other) -> "HermJet":
-        """Truncated Cauchy product (matrix product on the values)."""
+        """Truncated Cauchy product (matrix product on the values); a
+        factor's degree bound narrows the plan to the pairs it can reach."""
         p, q = self._common_orders(other)
-        return self._like(p, q, _product(self.coeffs, other.coeffs, self.dim, p, q))
+        coeffs = _product(self.coeffs, other.coeffs, self.dim, p, q, self.degree, other.degree)
+        return self._like(p, q, coeffs)
 
     def _graded_solve(self, x0, solve, weight=None) -> "HermJet":
         """Jet x with constant term x0 (pair-last, (r, r, *P)) whose
@@ -610,6 +686,31 @@ class HermJet:
             square.anti_order,
             np.conj(np.swapaxes(np.swapaxes(square.coeffs, -4, -3), -2, -1)),
         )
+
+    def restrict(self, variables) -> "HermJet":
+        """Jet of the restriction to the coordinate subspace through the
+        center spanned by the 0-based `variables`, as a jet in those
+        variables only: variable k of the result is z_{variables[k]}, its
+        center holds the matching coordinates, and its coefficients are the
+        ones whose other exponents are all zero.
+
+        A coefficient of a product, inverse or kept-variable derivative with
+        the other exponents zero reads only such coefficients of the
+        operands (see :meth:`freeze_variable`), so restriction commutes with
+        them: it is a ring map that keeps the orders.
+        """
+        variables = tuple(int(v) for v in variables)
+        if not variables or len(set(variables)) != len(variables) or not all(
+                0 <= v < self.dim for v in variables):
+            raise DimensionError(f"cannot restrict dimension {self.dim} to {variables}")
+        ha = _restrict_plan(self.dim, self.holo_order, variables)
+        hb = _restrict_plan(self.dim, self.anti_order, variables)
+        if point_axis(self.center):
+            center = tuple(tuple(point[v] for v in variables) for point in self.center)
+        else:
+            center = tuple(self.center[v] for v in variables)
+        coeffs = self.coeffs[..., ha[:, None], hb[None, :], :, :]
+        return HermJet(center, self.holo_order, self.anti_order, self.rank, coeffs)
 
     def freeze_variable(self, var: int) -> "HermJet":
         """Jet of the restriction z_var = center[var] (as a jet constant in z_var).

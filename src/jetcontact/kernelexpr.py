@@ -369,10 +369,21 @@ class JetProgram:
     scalar.  ``max_var`` (largest variable index, 0 if none) and
     ``conjugated`` (some ``zb`` occurs) are facts of the expressions
     recorded while compiling.
+
+    ``degrees`` holds, per op, a degree bound (a, b) if the op is a
+    polynomial in (z, zb) -- ``var``, ``const``, ``scale``, ``shift``,
+    negation, ``+``, ``-``, ``*`` and non-negative integer powers of
+    polynomials -- and None otherwise (``exp``, ``log``, ``inv``, real and
+    negative powers).  The Taylor coefficients of a bounded op vanish at
+    every center for |alpha| > a or |beta| > b.  :meth:`run` declares the
+    bound on the jet of each bounded op that a product or a power reads
+    (:meth:`HermJet.with_degree`), so that product gathers only the pairs
+    inside the bound; no other op reads a bound.
     """
 
     def __init__(self, nodes):
         self.ops: list = []
+        self.degrees: list = []
         self.max_var = 0
         self.conjugated = False
         slots: dict = {}
@@ -382,7 +393,27 @@ class JetProgram:
             if key not in slots:
                 slots[key] = len(self.ops)
                 self.ops.append(key)
+                self.degrees.append(degree_of(code, a, b))
             return slots[key]
+
+        def degree_of(code, a, b):
+            if code in ("scale", "shift", "__neg__"):
+                return self.degrees[a]
+            if code in _BINARY:
+                x, y = self.degrees[a], self.degrees[b]
+                if x is None or y is None:
+                    return None
+                if code == "__mul__":
+                    return (x[0] + y[0], x[1] + y[1])
+                return (max(x[0], y[0]), max(x[1], y[1]))
+            if code == "var":
+                return (0, 1) if b else (1, 0)
+            if code == "const":
+                return (0, 0)
+            x = self.degrees[a]
+            if code == "power" and isinstance(b, int) and b >= 0 and x is not None:
+                return (b * x[0], b * x[1])
+            return None  # exp, log, inv, real and negative powers
 
         def as_jet(x) -> int:
             return emit("const", x) if isinstance(x, complex) else x
@@ -430,23 +461,27 @@ class JetProgram:
         except RecursionError:
             # the parser builds long sums and products as deep trees in a loop
             raise ParseError("expression nested too deeply", 0) from None
+        factors = {x for code, a, b in self.ops if code in ("__mul__", "power")
+                   for x in ((a, b) if code == "__mul__" else (a,))}
+        self._declared = [d if k in factors else None for k, d in enumerate(self.degrees)]
 
     def run(self, center, holo_order: int, anti_order: int) -> list:
         """The outputs at `center` (one point, or P points at once): a scalar
         HermJet of orders (holo_order, anti_order), or a complex for a
         literal-only expression."""
         jets = []
-        for code, a, b in self.ops:
+        for (code, a, b), degree in zip(self.ops, self._declared):
             if code == "var":
                 make = HermJet.conj_coordinate if b else HermJet.coordinate
-                jets.append(make(a, center, holo_order, anti_order))
+                jet = make(a, center, holo_order, anti_order)
             elif code == "const":
-                jets.append(HermJet.constant(a, center, holo_order, anti_order))
+                jet = HermJet.constant(a, center, holo_order, anti_order)
             elif code in _BINARY:
-                jets.append(getattr(jets[a], code)(jets[b]))
+                jet = getattr(jets[a], code)(jets[b])
             else:
                 method = getattr(jets[a], code)
-                jets.append(method() if b is None else method(b))
+                jet = method() if b is None else method(b)
+            jets.append(jet if degree is None else jet.with_degree(degree))
         return [jets[out] if isinstance(out, int) else out for out in self.outputs]
 
     def matrix_jet(self, size: int, center, holo_order: int, anti_order: int) -> HermJet:

@@ -315,6 +315,51 @@ class TestMain:
         assert main(["--config", str(CONFIG_DIR / config), *flags]) == EXIT_INPUT_ERROR
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config,line,message", [
+        ("alongz-fock-pair.yaml", "order: 2.5", "order must be an integer; got 2.5"),
+        ("alongz-fock-pair.yaml", "order: true", "order must be an integer; got True"),
+        ("alongz-fock-pair.yaml", "order: null", "order must be an integer; got None"),
+        ("alongz-fock-pair.yaml", "seed: 1.0", "seed must be an integer; got 1.0"),
+        ("alongz-fock-pair.yaml", "seed: false", "seed must be an integer; got False"),
+        ("alongz-fock-pair.yaml", "tolerance: .inf", "tolerance must be positive and finite"),
+        ("alongz-fock-pair.yaml", "tolerance: .nan", "tolerance must be positive and finite"),
+        ("alongz-fock-pair.yaml", "tolerance: true", "tolerance: cannot read True"),
+        ("alongz-fock-pair.yaml", "tolerance: null", "tolerance: cannot read None"),
+        ("verify-appendix.yaml", "appendix_bound: 6.0", "appendix_bound must be an integer"),
+        ("verify-appendix.yaml", "appendix_bound: true", "appendix_bound must be an integer"),
+    ])
+    def test_config_numbers_are_checked(self, tmp_path, capsys, config, line, message):
+        key = line.split(":")[0]
+        text = (CONFIG_DIR / config).read_text(encoding="utf-8")
+        kept = [row for row in text.splitlines() if not row.startswith(f"{key}:")]
+        path = tmp_path / config
+        path.write_text("\n".join(kept + [line]) + "\n", encoding="utf-8")
+        assert main(["--config", str(path), "--out", str(tmp_path / "r.json")]) == EXIT_INPUT_ERROR
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_tolerance_override_must_be_finite(self, capsys, value):
+        config = str(CONFIG_DIR / "alongz-fock-pair.yaml")
+        assert main(["--config", config, f"--tolerance={value}"]) == EXIT_INPUT_ERROR
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,message", [
+        ("nan", "tolerance (from JETCONTACT_TOLERANCE) must be positive and finite"),
+        ("inf", "tolerance (from JETCONTACT_TOLERANCE) must be positive and finite"),
+        ("tiny", "tolerance (from JETCONTACT_TOLERANCE): cannot read 'tiny' as a number"),
+    ])
+    def test_tolerance_from_the_environment_is_checked(self, tmp_path, capsys, monkeypatch,
+                                                       value, message):
+        monkeypatch.setenv("JETCONTACT_TOLERANCE", value)
+        path = write_config(tmp_path, {"task": "along-z", "order": 1, "points": [[0.0, 0.1]],
+                                       **FOCK_PAIR})
+        assert main(["--config", path]) == EXIT_INPUT_ERROR
+        assert message in capsys.readouterr().err
+        # a tolerance in the config or on the command line wins over the environment
+        assert main(["--config", path, "--tolerance", "1e-8",
+                     "--out", str(tmp_path / "r.json")]) == EXIT_VERIFIED
+
     def test_seed_and_task_overrides_reach_the_report(self, tmp_path):
         base = {"order": 1, "points": [[0.0, 0.1]], **FOCK_PAIR}
         path = write_config(tmp_path, {"task": "pointwise", **base})

@@ -7,6 +7,7 @@ from jetcontact.contact import (
     ContactProblem,
     _full_candidate_from_slice,
     _normalized_pair,
+    _on_pair,
     alongZ_check,
     check_problem,
     extend_A_sequence,
@@ -18,7 +19,7 @@ from jetcontact.contact import (
     pointwise_rank1_decide,
     pointwise_verify,
 )
-from jetcontact.geometry import normalize_frame
+from jetcontact.geometry import normalize_frame, transverse_tower
 from jetcontact.jetcore import (
     HermJet,
     HoloJet,
@@ -300,6 +301,18 @@ class TestConditions:
             seq = [a0] + extend_A_sequence(h, ht, a0, 3)
             assert max(holomorphy_conditions(h, ht, seq, 3).values()) < 1e-10
             assert max(geometric_conditions(h, ht, a0, 3).values()) < 1e-10
+
+    @pytest.mark.parametrize("where", ["point", "grid"])
+    def test_stacked_transverse_towers_equal_two_calls(self, where):
+        _, a_inv = unitriangular_pair(PAIR_CORNERS_M2[2])
+        points = (0.0, 0.1) if where == "point" else Z_POINTS
+        h, ht = gram_jets(PAIR_GRAMS_M2[0], conjugated_gram(PAIR_GRAMS_M2[0], a_inv), points, 3)
+        got = _on_pair(h, ht, lambda both: [v for row in transverse_tower(both, 3) for v in row])
+        alone = [[v for row in transverse_tower(jet, 3) for v in row] for jet in (h, ht)]
+        assert len(got) == 9
+        for (lhs, rhs), want_lhs, want_rhs in zip(got, *alone):
+            np.testing.assert_array_equal(lhs, want_lhs)
+            np.testing.assert_array_equal(rhs, want_rhs)
 
     def test_rank1_geometric_conditions_phase_free(self, rng):
         h = random_herm_jet(1, 1, 4, 4, rng)

@@ -255,6 +255,18 @@ class TestRecursions:
         with pytest.raises(OrderError):
             transverse_tower(h.truncate(1, 0), 1)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_transverse_tower_on_the_line_equals_full_jet_tower(self, rng, dim, rank):
+        n = 3 if dim < 3 else 2
+        full = random_herm_jet(dim, rank, n, n, rng)
+        h = HermJet(tuple(0.1j * k - 0.05 * k for k in range(dim)), n, n, rank, full.coeffs)
+        for r, row in enumerate(transverse_tower(h, n)):
+            for t, value in enumerate(row):
+                want = cov_deriv_mixed(curvature(h, 1, 1), h, 1, r, 1, t).value()
+                np.testing.assert_allclose(value, want, rtol=0,
+                                           atol=1e-13 * (1 + np.max(np.abs(want))))
+
     def test_q_recursion_matches_jet_derivative(self, rng):
         for dim, l, n in [(1, 2, 3), (2, 3, 3)]:
             h = random_herm_jet(dim, l, n + 1, n + 1, rng)

@@ -455,3 +455,118 @@ class TestContract:
         want = contract_three_temporaries(left, right, I, J, starts, weight)
         assert got.shape == want.shape == (rank, rank) + points + (len(starts),)
         assert got.tobytes() == want.tobytes()
+
+
+def at_grid(jets):
+    """Jets at single points stacked into one jet on a point axis."""
+    first = jets[0]
+    return HermJet([j.center for j in jets], first.holo_order, first.anti_order, first.rank,
+                   np.stack([j.coeffs for j in jets]))
+
+
+class TestRestrict:
+    """Restriction to a coordinate subspace through the center is a ring
+    map: it commutes with products, inverses and kept-variable derivatives."""
+
+    KEPT = {1: [(0,)], 2: [(0,), (1,), (0, 1)], 3: [(0,), (2,), (0, 2), (2, 0)]}
+
+    def operands(self, dim, rank, points, rng):
+        def one():
+            jets = [random_jet(dim, rank, 3, 2, rng) for _ in range(max(points, 1))]
+            centers = [tuple(0.1 * (k + 1) * (v + 1) - 0.05j * v for v in range(dim))
+                       for k in range(len(jets))]
+            jets = [HermJet(c, 3, 2, rank, j.coeffs) for c, j in zip(centers, jets)]
+            return at_grid(jets) if points else jets[0]
+
+        return one(), one()
+
+    @staticmethod
+    def assert_close(got, want):
+        assert (got.dim, got.holo_order, got.anti_order) == (want.dim, want.holo_order,
+                                                             want.anti_order)
+        assert got.center == want.center
+        np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("points", [0, 3])
+    def test_ring_map(self, rng, dim, rank, points):
+        a, b = self.operands(dim, rank, points, rng)
+        for kept in self.KEPT[dim]:
+            self.assert_close((a * b).restrict(kept), a.restrict(kept) * b.restrict(kept))
+            self.assert_close(a.inv().restrict(kept), a.restrict(kept).inv())
+            for k, var in enumerate(kept):
+                for conjugate in (False, True):
+                    self.assert_close(a.deriv(var, conjugate).restrict(kept),
+                                      a.restrict(kept).deriv(k, conjugate))
+
+    def test_coefficients_and_center(self, rng):
+        a = HermJet((0.1, 0.2j, -0.3), 2, 2, 1, random_jet(3, 1, 2, 2, rng).coeffs)
+        line = a.restrict((2, 0))  # variable 0 of the result is z3, variable 1 is z1
+        assert line.dim == 2 and line.center == (-0.3, 0.1)
+        for (a3, a1) in index_table(2, 2):
+            for (b3, b1) in index_table(2, 2):
+                np.testing.assert_array_equal(line.extract((a3, a1), (b3, b1)),
+                                              a.extract((a1, 0, a3), (b1, 0, b3)))
+        assert a.restrict((0, 1, 2)).coeffs.tobytes() == a.coeffs.tobytes()
+
+    @pytest.mark.parametrize("kept", [(), (0, 0), (3,), (-1,)])
+    def test_invalid_variables_raise(self, rng, kept):
+        with pytest.raises(DimensionError):
+            random_jet(3, 1, 2, 2, rng).restrict(kept)
+
+
+def polynomial_jet(dim, rank, p, q, degree, rng):
+    """Random jet whose coefficients vanish outside |alpha| <= a, |beta| <= b."""
+    jet = random_jet(dim, rank, p, q, rng)
+    c = np.array(jet.coeffs)
+    c[table_size(dim, min(degree[0], p)):] = 0.0
+    c[:, table_size(dim, min(degree[1], q)):] = 0.0
+    return HermJet(jet.center, p, q, rank, c)
+
+
+class TestBoundedProduct:
+    """A factor declared of degree (a, b) restricts the plan to the pairs
+    inside its bound; the product is the full one."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("degree", [(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (5, 5)])
+    def test_equals_full_product(self, rng, dim, rank, degree):
+        dense = random_jet(dim, rank, 3, 3, rng)
+        poly = polynomial_jet(dim, rank, 3, 3, degree, rng)
+        bounded = poly.with_degree(degree)
+        assert bounded.degree == degree and poly.degree is None
+        other = polynomial_jet(dim, rank, 3, 3, (1, 1), rng).with_degree((1, 1))
+        for got, want in ((dense * bounded, dense * poly), (bounded * dense, poly * dense),
+                          (bounded * other, poly * other.with_degree((3, 3)))):
+            assert got.degree is None
+            np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=0, atol=1e-14)
+
+    def test_plan_gathers_the_pairs_inside_the_bound(self):
+        assert len(jetcore._mul_plan(2, 3, 3, 10, 10)[0]) == 1225
+        assert len(jetcore._mul_plan(2, 3, 3, 10, 10, None, (1, 0))[0]) == 220
+        assert len(jetcore._mul_plan(2, 3, 3, 10, 10, (1, 0), None)[0]) == 220
+        # the full plan is a bound at or beyond the orders
+        full = jetcore._mul_plan(2, 3, 3, 10, 10)
+        for x, y in zip(full, jetcore._mul_plan(2, 3, 3, 10, 10, (3, 3), (4, 7))):
+            np.testing.assert_array_equal(x, y)
+
+    def test_operations_return_no_bound(self, rng):
+        poly = polynomial_jet(2, 1, 3, 3, (1, 1), rng).with_degree((1, 1))
+        for out in (poly + poly, poly.scale(2.0), -poly, poly.shift(1.0), poly * poly,
+                    poly.deriv(0), poly.truncate(2, 2), poly.restrict((0,))):
+            assert out.degree is None
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_dense_coefficient_stays_non_finite(self, rng, value):
+        dense = random_jet(2, 1, 3, 3, rng)
+        c = np.array(dense.coeffs)
+        c[7, 4] = value
+        dense = HermJet(dense.center, 3, 3, 1, c)
+        z1 = HermJet.coordinate(0, dense.center, 3, 3)  # constant term 0
+        for poly in (z1.with_degree((1, 0)), z1.shift(1.0).with_degree((1, 0))):
+            with np.errstate(invalid="ignore"):  # inf * 0
+                products = (dense * poly, poly * dense)
+            for prod in products:
+                assert not np.all(np.isfinite(prod.coeffs))

@@ -9,7 +9,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetcontact.jetcore import HermJet, SingularityError
+from jetcontact.jetcore import HermJet, SingularityError, table_size
 from jetcontact.kernelexpr import (
     Add,
     BundleSpec,
@@ -18,8 +18,10 @@ from jetcontact.kernelexpr import (
     Lit,
     Mul,
     JetProgram,
+    Neg,
     ParseError,
     RealPow,
+    Sub,
     Var,
     check_holomorphic,
     parse_kernel,
@@ -352,6 +354,85 @@ class TestJetProgram:
         scaled = eval_herm_jet(parse_kernel(text), (0.1,), 3, 3)
         assert dict(counts) == without
         np.testing.assert_allclose(scaled.coeffs, plain.coeffs, rtol=0, atol=1e-15)
+
+
+def subtrees(node):
+    """The node and every node below it."""
+    out = [node]
+    for child in vars(node).values():
+        if not isinstance(child, (int, float, complex, bool)):
+            out += subtrees(child)
+    return out
+
+
+class TestDegreeBounds:
+    """Every polynomial op records a degree bound (a, b), declared on its jet:
+    its coefficients vanish beyond it at every center."""
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_polynomial_jets_vanish_outside_their_bound(self, seed):
+        rng = np.random.default_rng(seed)
+
+        def tree(depth):
+            kind = rng.integers(0, 7 if depth < 3 else 2)
+            if kind == 0:
+                return Lit(complex(round(float(rng.normal()), 3), round(float(rng.normal()), 3)))
+            if kind == 1:
+                return Var(int(rng.integers(1, 3)), bool(rng.integers(0, 2)))
+            if kind == 5:
+                return Neg(tree(depth + 1))
+            if kind == 6:
+                return IntPow(tree(depth + 1), int(rng.integers(0, 3)))
+            return (Add, Sub, Mul)[kind - 2](tree(depth + 1), tree(depth + 1))
+
+        nodes = subtrees(tree(0))
+        program = JetProgram(nodes)
+        assert None not in program.degrees
+        centers = [tuple(complex(*rng.normal(size=2) * 0.4) for _ in range(2)) for _ in range(3)]
+        for center in (centers[0], centers):
+            for op, out in zip(program.outputs, program.run(center, 4, 3)):
+                if isinstance(out, complex):
+                    continue
+                a, b = program.degrees[op]
+                assert not np.any(out.coeffs[..., table_size(2, min(a, 4)):, :, :, :])
+                assert not np.any(out.coeffs[..., :, table_size(2, min(b, 3)):, :, :])
+
+    def test_bounds_leave_gram_jets_unchanged_to_rounding(self):
+        spec = BundleSpec("g", 2, [
+            ["(1 + 0.3*z1*z2)*exp(0.7*z1*zb1 + z2*zb2)*(1 + 0.3*zb1*zb2)", "0.2*z1^2*zb2"],
+            ["0.2*z2*zb1^2", "(0.5 - 0.1i*z2)*pow(1 - 0.25*(z1*zb1 + z2*zb2), -2.5)*(0.5 + 0.1i*zb2)"],
+        ])
+        grid = [(0.0, 0.1), (0.0, -0.2 + 0.1j), (0.1, 0.3j)]
+        bounded = spec.gram_jet(grid, 3, 3)
+        spec._program.degrees = [None] * len(spec._program.ops)
+        full = spec.gram_jet(grid, 3, 3)
+        np.testing.assert_allclose(bounded.coeffs, full.coeffs, rtol=0,
+                                   atol=1e-14 * np.max(np.abs(full.coeffs)))
+
+    @pytest.mark.parametrize("text, degree", [
+        ("z1", (1, 0)), ("zb2", (0, 1)), ("2*z1 - 1", (1, 0)), ("-(z1*zb1 + z2)", (1, 1)),
+        ("(1 + z1*zb2)^2", (2, 2)), ("pow(z1 + zb1, 2)", (2, 2)), ("(z1 + 1)^0", (0, 0)),
+        ("z1*exp(zb1)", None), ("exp(z1)", None), ("z1/(1 + zb1)", None),
+        ("pow(1 + z1, -2)", None), ("z1*pow(1 + zb1, -2)", None),
+        ("pow(1 + z1*zb1, 0.5)", None), ("z1*pow(1 + zb1, 0.5)", None), ("log(1 + z1)", None),
+    ])
+    def test_bound_of_the_output_op(self, monkeypatch, text, degree):
+        program = JetProgram([parse_kernel(text)])
+        [out] = program.outputs
+        assert program.degrees[out] == degree
+        # as a factor of a product, its jet carries the bound
+        product = JetProgram([Mul(parse_kernel(text), parse_kernel("exp(z1*zb2)"))])
+        seen = []
+        mul = HermJet.__mul__
+
+        def spy(left, right):
+            seen.append(left.degree)
+            return mul(left, right)
+
+        monkeypatch.setattr(HermJet, "__mul__", spy)
+        product.run((0.1, -0.2j), 3, 3)
+        assert seen[-1] == degree
 
 
 class TestGramJetAtPoints:
