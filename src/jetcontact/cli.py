@@ -86,16 +86,32 @@ class RunConfig:
         return self.bundles[1]
 
 
+def _finite(value, where: str) -> float:
+    """A finite real number from a number or a numeric string (not a bool)."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}: cannot read {value!r} as a number") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{where} must be finite; got {value!r}")
+    return x
+
+
 def _parse_scalar(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
     if isinstance(value, str):
         try:
-            return complex(value.replace(" ", "").replace("i", "j"))
+            z = complex(value.replace(" ", "").replace("i", "j"))
         except ValueError as exc:
             raise ConfigError(f"{where}: cannot read {value!r} as a number") from exc
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise ConfigError(f"{where} must be finite; got {value!r}")
+        return z
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_finite(value[0], where), _finite(value[1], where))
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return complex(_finite(value, where))
     raise ConfigError(f"{where}: expected a number, 'a+bi' string, or [re, im] pair")
 
 
@@ -131,6 +147,8 @@ def _parse_bundle(node, where: str) -> BundleSpec:
 
 def _expand_grid(node, dim: int) -> list:
     """Rectangular grid on Z: per-coordinate ranges for z2..zm (z1 stays 0)."""
+    if not isinstance(node, dict):
+        raise ConfigError("grid must be a mapping from z2..zm to ranges")
     axes = []
     for j in range(2, dim + 1):
         key = f"z{j}"
@@ -138,10 +156,14 @@ def _expand_grid(node, dim: int) -> list:
         if spec is None:
             axes.append([0.0 + 0.0j])
             continue
-        re_lo, re_hi = (float(v) for v in spec.get("re", [0.0, 0.0]))
-        im_lo, im_hi = (float(v) for v in spec.get("im", [0.0, 0.0]))
-        n_re = int(spec.get("count_re", 1))
-        n_im = int(spec.get("count_im", 1))
+        where = f"grid.{key}"
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{where} must be a mapping with re, im, count_re, count_im")
+        (re_lo, re_hi), (im_lo, im_hi) = (_range(spec, k, where) for k in ("re", "im"))
+        n_re, n_im = (_integer(spec, k, 1, f"{where}.{k}") for k in ("count_re", "count_im"))
+        for k, n in (("count_re", n_re), ("count_im", n_im)):
+            if n < 1:
+                raise ConfigError(f"{where}.{k} must be positive; got {n}")
         res = np.linspace(re_lo, re_hi, n_re)
         ims = np.linspace(im_lo, im_hi, n_im)
         axes.append([complex(r, i) for r in res for i in ims])
@@ -149,6 +171,14 @@ def _expand_grid(node, dim: int) -> list:
     for axis in axes:
         points = [p + (c,) for p in points for c in axis]
     return points
+
+
+def _range(spec: dict, key: str, where: str) -> list:
+    """The [low, high] pair of finite numbers at `key`, [0, 0] if absent."""
+    value = spec.get(key, [0.0, 0.0])
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ConfigError(f"{where}.{key}: expected a [low, high] pair; got {value!r}")
+    return [_finite(v, f"{where}.{key}") for v in value]
 
 
 def load_config(path: str, overrides: dict = None) -> RunConfig:
@@ -167,14 +197,15 @@ def load_config(path: str, overrides: dict = None) -> RunConfig:
     return build_config(raw)
 
 
-def _integer(raw: dict, key: str, default):
+def _integer(raw: dict, key: str, default, name: str = None):
     """The integer at `key`, `default` if absent (or null where the default
-    is None); a bool, a float or any other type is an error naming the key."""
+    is None); a bool, a float or any other type is an error naming the key
+    (as `name`, if given)."""
     value = raw.get(key, default)
     if value is None and default is None:
         return None
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer; got {value!r}")
+        raise ConfigError(f"{name or key} must be an integer; got {value!r}")
     return value
 
 

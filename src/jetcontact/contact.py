@@ -59,7 +59,6 @@ from .pascal import (
     binomial_sums,
     multi_lambda_from_jet,
     pascal_expand,
-    pascal_from_column,
 )
 from .simeq import unitary_intertwiner
 
@@ -373,7 +372,7 @@ class ContactProblem:
     order: int
     mode: str = "pointwise"  # "pointwise" | "along-z"
     points: tuple = ((0.0,),)
-    candidate: object = None  # expression grid, constant matrix, or None
+    candidate: object = None  # grid of texts or Exprs, constant matrix, or None
     tolerance: float = 1e-8
     seed: int = 0
     # the candidate grid compiled once, evaluated at every point
@@ -435,11 +434,11 @@ def _candidate_entry(entry, dim: int, where: str):
     """One candidate entry, parsed and checked holomorphic in z1..z`dim`; a
     parse, nesting, holomorphy or variable error is prefixed with `where`."""
     try:
-        node = parse_kernel(entry) if isinstance(entry, str) else entry
-        check_holomorphic(JetProgram([node]), dim)
+        expr = parse_kernel(entry) if isinstance(entry, str) else entry
+        check_holomorphic(expr, dim)
     except ParseError as exc:
         raise ValueError(f"{where}: {exc}") from exc
-    return node
+    return expr
 
 
 @dataclass
@@ -545,7 +544,7 @@ def _alongz_at(problem: ContactProblem, points) -> list[PointReport]:
 
     # analytic route: unique extension + transverse block-Gram isometry + gluing
     a_seq = [a0] + extend_A_sequence(h, ht, a0, n)
-    lam = pascal_expand(pascal_from_column(np.stack(a_seq, axis=-3)))
+    lam = pascal_expand(np.stack(a_seq, axis=-3))
     g = jet_gram(h, n, "z1")
     gt = jet_gram(ht, n, "z1")
     analytic = {f"jet-gram-isometry(n={n})": _rel(g - lam @ gt @ _adjoint(lam), g, gt)}

@@ -17,11 +17,13 @@ exponent; arbitrary real exponents go through ``pow(expr, r)`` and use the
 principal branch (the evaluated constant term must have positive real part).
 
 Evaluation is exact truncated Taylor arithmetic; there are no finite
-differences anywhere.  The entries of a Gram matrix (or of a candidate frame
-change) are compiled once into a :class:`JetProgram`, a straight-line
-program with scalar literals in which every distinct subtree is one op, and
-the program runs once per call, at one point or at a whole grid of points
-(jets with a leading point axis, see :mod:`jetcore`).
+differences anywhere.  :func:`parse_kernel` reads an expression in one pass
+into an :class:`Expr`: the straight-line jet ops that compute it, children
+before parents, with literals folded, and its canonical text for the config
+echo.  The entries of a Gram matrix (or of a candidate frame change) merge
+into one :class:`JetProgram`, in which every distinct op is computed once,
+and the program runs once per call, at one point or at a whole grid of
+points (jets with a leading point axis, see :mod:`jetcore`).
 :meth:`BundleSpec.gram_jet` checks each Gram jet it makes, at the orders the
 caller asked for, point by point.
 """
@@ -32,7 +34,6 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Union
 
 import numpy as np
 
@@ -40,18 +41,7 @@ from .jetcore import HermJet, point_axis
 
 __all__ = [
     "ParseError",
-    "ExprNode",
-    "Var",
-    "Lit",
-    "Add",
-    "Sub",
-    "Mul",
-    "Div",
-    "Neg",
-    "IntPow",
-    "RealPow",
-    "Exp",
-    "Log",
+    "Expr",
     "parse_kernel",
     "JetProgram",
     "BundleSpec",
@@ -67,107 +57,28 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class Var:
-    index: int  # 1-based, as written in the source
+class Expr:
+    """One parsed expression.
+
+    ``ops`` holds ``(code, a, b)`` in evaluation order, as in
+    :class:`JetProgram`, with operands indexing this expression's own ops;
+    ``output`` is the index of the op that computes the expression, or a
+    complex for a literal-only one.  ``max_var`` is the largest variable
+    index (0 if none) and ``conjugated`` says whether some ``zb`` occurs.
+    """
+
+    canonical: str
+    ops: tuple
+    output: object
+    max_var: int
     conjugated: bool
 
     def text(self) -> str:
-        return f"{'zb' if self.conjugated else 'z'}{self.index}"
-
-
-@dataclass(frozen=True)
-class Lit:
-    value: complex
-
-    def text(self) -> str:
-        re_, im = self.value.real, self.value.imag
-        if im == 0.0:
-            return _num(re_)
-        if re_ == 0.0:
-            return f"{_num(im)}i"
-        sign = "+" if im > 0 else "-"
-        return f"({_num(re_)} {sign} {_num(abs(im))}i)"
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "ExprNode"
-    right: "ExprNode"
-
-    def text(self) -> str:
-        return f"({self.left.text()} + {self.right.text()})"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "ExprNode"
-    right: "ExprNode"
-
-    def text(self) -> str:
-        return f"({self.left.text()} - {self.right.text()})"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "ExprNode"
-    right: "ExprNode"
-
-    def text(self) -> str:
-        return f"({self.left.text()} * {self.right.text()})"
-
-
-@dataclass(frozen=True)
-class Div:
-    left: "ExprNode"
-    right: "ExprNode"
-
-    def text(self) -> str:
-        return f"({self.left.text()} / {self.right.text()})"
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "ExprNode"
-
-    def text(self) -> str:
-        return f"(-{self.arg.text()})"
-
-
-@dataclass(frozen=True)
-class IntPow:
-    base: "ExprNode"
-    exponent: int
-
-    def text(self) -> str:
-        return f"({self.base.text()} ^ {self.exponent})"
-
-
-@dataclass(frozen=True)
-class RealPow:
-    base: "ExprNode"
-    exponent: float
-
-    def text(self) -> str:
-        return f"pow({self.base.text()}, {_num(self.exponent)})"
-
-
-@dataclass(frozen=True)
-class Exp:
-    arg: "ExprNode"
-
-    def text(self) -> str:
-        return f"exp({self.arg.text()})"
-
-
-@dataclass(frozen=True)
-class Log:
-    arg: "ExprNode"
-
-    def text(self) -> str:
-        return f"log({self.arg.text()})"
-
-
-ExprNode = Union[Var, Lit, Add, Sub, Mul, Div, Neg, IntPow, RealPow, Exp, Log]
+        """The canonical text: every operation parenthesized, numbers in
+        shortest positional form.  It parses back to the same expression
+        unless its parentheses nest too deeply for the parser, as those of
+        a sum of some 250 terms do."""
+        return self.canonical
 
 
 def _num(x: float) -> str:
@@ -184,42 +95,57 @@ def _num(x: float) -> str:
 
 # One token after optional whitespace.  The lookaheads make every token as
 # long as it can be (the whole number, the whole name), so a string splits
-# into tokens in one way only and _VALID_RE matches in linear time.
-_TOKEN = (
+# into tokens in one way only.
+_TOKEN_RE = re.compile(
     r"\s*(\d+(?!\d)(?:\.\d+(?!\d)|(?!\.\d))(?:i|(?!i))"
     r"|\.\d+(?!\d)(?:i|(?!i))"
     r"|[A-Za-z_][A-Za-z_0-9]*(?![A-Za-z_0-9])"
     r"|[-+*/^(),])"
 )
-_TOKEN_RE = re.compile(_TOKEN)
-_VALID_RE = re.compile(rf"(?:{_TOKEN})*\s*")
 _VAR_RE = re.compile(r"^(zb?)(\d+)$")
 
 
 def _tokenize(text: str) -> list:
     """The tokens of `text`, then "" for the end of input."""
-    if _VALID_RE.fullmatch(text) is None:
+    # one regex pass; the text between tokens is at the even places, and in
+    # a valid text it is empty but for whitespace after the last token
+    parts = _TOKEN_RE.split(text)
+    if any(parts[:-1:2]) or parts[-1].strip():
         pos = 0
         for match in _TOKEN_RE.finditer(text):
             if match.start() != pos:
                 break
             pos = match.end()
         raise ParseError(f"unexpected character {text[pos]!r}", pos)
-    tokens = _TOKEN_RE.findall(text)
+    tokens = parts[1::2]
     tokens.append("")
     return tokens
 
 
 class _Parser:
-    """Recursive descent over the token strings.  A token is a number if it
-    starts with a digit or '.', a name if it starts with a letter or '_', and
-    "" ends the input; its source position is recovered only to raise an
-    error at it."""
+    """Recursive descent over the token strings, emitting ops as it goes.
+
+    Each rule returns ``(value, text)``: the index in ``ops`` of the op that
+    computes what it read, or a complex if that is literal-only, and its
+    canonical text.  Operands are read before the op that combines them, so
+    ``ops`` is in evaluation order.  Literals stay Python scalars: ``+``,
+    ``-``, ``*`` and negation of scalars fold here; a scalar times a jet is a
+    ``scale``, a scalar plus a jet a constant-term ``shift``.  Any other op
+    on a literal-only operand (``/``, ``^``, ``pow``, ``exp``, ``log``)
+    promotes it to a ``const`` jet, so every singularity and branch guard
+    stays in :mod:`jetcore`.
+
+    A token is a number if it starts with a digit or '.', a name if it
+    starts with a letter or '_', and "" ends the input; its source position
+    is recovered only to raise an error at it."""
 
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
+        self.ops: list = []
+        self.max_var = 0
+        self.conjugated = False
 
     def error(self, message: str, k: int) -> ParseError:
         starts = [match.start(1) for match in _TOKEN_RE.finditer(self.text)]
@@ -231,33 +157,58 @@ class _Parser:
             raise self.error(f"expected {value!r}, found {tok or 'end of input'!r}", self.k)
         self.k += 1
 
-    def parse(self) -> ExprNode:
-        node = self.expr()
+    def emit(self, code: str, a, b=None) -> int:
+        self.ops.append((code, a, b))
+        return len(self.ops) - 1
+
+    def as_jet(self, x) -> int:
+        return self.emit("const", x) if isinstance(x, complex) else x
+
+    def parse(self) -> tuple:
+        read = self.expr()
         tok = self.tokens[self.k]
         if tok:
             raise self.error(f"trailing input {tok!r}", self.k)
-        return node
+        return read
 
-    def expr(self) -> ExprNode:
-        node = self.term()
+    def expr(self) -> tuple:
+        x, text = self.term()
         while (op := self.tokens[self.k]) in ("+", "-"):
             self.k += 1
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            y, right = self.term()
+            x, text = self.binary(op, x, y), f"({text} {op} {right})"
+        return x, text
 
-    def term(self) -> ExprNode:
-        node = self.factor()
+    def term(self) -> tuple:
+        x, text = self.factor()
         while (op := self.tokens[self.k]) in ("*", "/"):
             self.k += 1
-            rhs = self.factor()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
+            y, right = self.factor()
+            x, text = self.binary(op, x, y), f"({text} {op} {right})"
+        return x, text
 
-    def factor(self) -> ExprNode:
-        """The factor and power rules: leading '-'s, an atom, '^' signed_int."""
+    def binary(self, op: str, x, y):
+        sx, sy = isinstance(x, complex), isinstance(y, complex)
+        if op == "/":
+            inverse = self.emit("inv", self.as_jet(y))
+            return self.emit("scale", inverse, x) if sx else self.emit("__mul__", x, inverse)
+        if sx and sy:
+            return x + y if op == "+" else x - y if op == "-" else x * y
+        if op == "-":
+            if sx:
+                return self.emit("shift", self.emit("__neg__", y), x)
+            return self.emit("shift", x, -y) if sy else self.emit("__sub__", x, y)
+        if sx:  # + and * with one scalar commute: put the jet first
+            x, y, sy = y, x, True
+        if sy:
+            return self.emit("scale" if op == "*" else "shift", x, y)
+        return self.emit("__mul__" if op == "*" else "__add__", x, y)
+
+    def factor(self) -> tuple:
+        """The factor and power rules: leading '-'s, an atom, '^' signed_int;
+        the negations apply after the power."""
         negations = self._minus_run()
-        node = self.atom()
+        x, text = self.atom()
         if self.tokens[self.k] == "^":
             self.k += 1
             sign = -1 if self._minus_run() % 2 else 1
@@ -265,33 +216,40 @@ class _Parser:
             if not tok.isdigit():
                 raise self.error("'^' needs an integer exponent (use pow() for reals)", self.k)
             self.k += 1
-            node = IntPow(node, sign * int(tok))
+            x, text = self.power(x, text, sign * int(tok))
         for _ in range(negations):
-            node = Neg(node)
-        return node
+            x, text = -x if isinstance(x, complex) else self.emit("__neg__", x), f"(-{text})"
+        return x, text
 
-    def atom(self) -> ExprNode:
+    def power(self, x, text: str, exponent) -> tuple:
+        text = (f"({text} ^ {exponent})" if isinstance(exponent, int)
+                else f"pow({text}, {_num(exponent)})")
+        return self.emit("power", self.as_jet(x), exponent), text
+
+    def atom(self) -> tuple:
         tok = self.tokens[self.k]
         self.k += 1
         head = tok[:1]
         if head.isdigit() or head == ".":
             if tok[-1] == "i":
-                return Lit(complex(0.0, self._real(tok[:-1])))
-            return Lit(complex(self._real(tok), 0.0))
+                im = self._real(tok[:-1])
+                return complex(0.0, im), f"{_num(im)}i" if im else "0"
+            value = self._real(tok)
+            return complex(value, 0.0), _num(value)
         if tok == "(":
-            node = self.expr()
+            read = self.expr()
             self.expect(")")
-            return node
+            return read
         if tok == "i":
-            return Lit(1j)
+            return 1j, "1i"
         if tok in ("exp", "log"):
             self.expect("(")
-            arg = self.expr()
+            x, text = self.expr()
             self.expect(")")
-            return Exp(arg) if tok == "exp" else Log(arg)
+            return self.emit(tok, self.as_jet(x)), f"{tok}({text})"
         if tok == "pow":
             self.expect("(")
-            base = self.expr()
+            x, text = self.expr()
             self.expect(",")
             sign = -1.0 if self._minus_run() % 2 else 1.0
             tok = self.tokens[self.k]
@@ -300,16 +258,17 @@ class _Parser:
             self.k += 1
             exponent = sign * self._real(tok)
             self.expect(")")
-            if exponent.is_integer():
-                return IntPow(base, int(exponent))
-            return RealPow(base, exponent)
+            return self.power(x, text, int(exponent) if exponent.is_integer() else exponent)
         if head.isalpha() or head == "_":
             m = _VAR_RE.match(tok)
             if m is None:
                 raise self.error(f"unknown identifier {tok!r}", self.k - 1)
-            if int(m.group(2)) == 0:
+            index, conjugated = int(m.group(2)), m.group(1) == "zb"
+            if index == 0:
                 raise self.error(f"variable {tok!r}: variable indices start at 1", self.k - 1)
-            return Var(int(m.group(2)), m.group(1) == "zb")
+            self.max_var = max(self.max_var, index)
+            self.conjugated |= conjugated
+            return self.emit("var", index - 1, conjugated), f"{m.group(1)}{index}"
         raise self.error(f"unexpected token {tok or 'end of input'!r}", self.k - 1)
 
     def _minus_run(self) -> int:
@@ -329,13 +288,14 @@ class _Parser:
         return value
 
 
-def parse_kernel(text: str) -> ExprNode:
-    """Parse an expression in z1..zm / zb1..zbm into an AST."""
+def parse_kernel(text: str) -> Expr:
+    """Parse an expression in z1..zm / zb1..zbm into its ops and text."""
     parser = _Parser(text)
     try:
-        return parser.parse()
+        output, canonical = parser.parse()
     except RecursionError:
         raise parser.error("expression nested too deeply", parser.k) from None
+    return Expr(canonical, tuple(parser.ops), output, parser.max_var, parser.conjugated)
 
 
 # ---------------------------------------------------------------------------
@@ -347,19 +307,34 @@ def parse_kernel(text: str) -> ExprNode:
 _BINARY = ("__add__", "__sub__", "__mul__")
 
 
+def _degree(code: str, a, b, degrees: list):
+    """The degree bound of op (code, a, b), given the bounds of earlier ops."""
+    if code in ("scale", "shift", "__neg__"):
+        return degrees[a]
+    if code in _BINARY:
+        x, y = degrees[a], degrees[b]
+        if x is None or y is None:
+            return None
+        if code == "__mul__":
+            return (x[0] + y[0], x[1] + y[1])
+        return (max(x[0], y[0]), max(x[1], y[1]))
+    if code == "var":
+        return (0, 1) if b else (1, 0)
+    if code == "const":
+        return (0, 0)
+    x = degrees[a]
+    if code == "power" and isinstance(b, int) and b >= 0 and x is not None:
+        return (b * x[0], b * x[1])
+    return None  # exp, log, inv, real and negative powers
+
+
 class JetProgram:
-    """Expressions compiled once into one straight-line jet program.
+    """Expressions merged into one straight-line jet program.
 
-    Compilation hash-conses the trees bottom up: each distinct (op,
-    operands, parameter) becomes one op, so a subtree shared by several
-    expressions, or repeated inside one, is evaluated once per :meth:`run`.
-
-    Literals stay Python scalars.  ``+``, ``-``, ``*`` and negation of
-    scalars fold at compile time; a scalar times a jet is a ``scale``, a
-    scalar plus a jet a constant-term ``shift``.  Any other op on a
-    literal-only operand (``/``, ``^``, ``pow``, ``exp``, ``log``) promotes
-    it to a constant jet and calls the jet method, so every singularity and
-    branch guard stays in :mod:`jetcore`.
+    The ops of the expressions are taken in order and hash-consed: each
+    distinct (op, operands, parameter) is one op, so a subexpression shared
+    by several expressions, or repeated inside one, is evaluated once per
+    :meth:`run`.
 
     ``ops`` holds ``(code, a, b)`` in evaluation order: for ``var`` the
     0-based variable index and the conjugation flag, for ``const`` the
@@ -367,8 +342,7 @@ class JetProgram:
     (``__add__``, ``__sub__``, ``__mul__``), a parameter or None.
     ``outputs`` holds, per expression, an op index (int) or a complex
     scalar.  ``max_var`` (largest variable index, 0 if none) and
-    ``conjugated`` (some ``zb`` occurs) are facts of the expressions
-    recorded while compiling.
+    ``conjugated`` (some ``zb`` occurs) are facts of the expressions.
 
     ``degrees`` holds, per op, a degree bound (a, b) if the op is a
     polynomial in (z, zb) -- ``var``, ``const``, ``scale``, ``shift``,
@@ -381,86 +355,31 @@ class JetProgram:
     inside the bound; no other op reads a bound.
     """
 
-    def __init__(self, nodes):
+    def __init__(self, exprs):
         self.ops: list = []
         self.degrees: list = []
+        self.outputs: list = []
         self.max_var = 0
         self.conjugated = False
         slots: dict = {}
-
-        def emit(code, a, b=None) -> int:
-            key = (code, a, b)
-            if key not in slots:
-                slots[key] = len(self.ops)
-                self.ops.append(key)
-                self.degrees.append(degree_of(code, a, b))
-            return slots[key]
-
-        def degree_of(code, a, b):
-            if code in ("scale", "shift", "__neg__"):
-                return self.degrees[a]
-            if code in _BINARY:
-                x, y = self.degrees[a], self.degrees[b]
-                if x is None or y is None:
-                    return None
-                if code == "__mul__":
-                    return (x[0] + y[0], x[1] + y[1])
-                return (max(x[0], y[0]), max(x[1], y[1]))
-            if code == "var":
-                return (0, 1) if b else (1, 0)
-            if code == "const":
-                return (0, 0)
-            x = self.degrees[a]
-            if code == "power" and isinstance(b, int) and b >= 0 and x is not None:
-                return (b * x[0], b * x[1])
-            return None  # exp, log, inv, real and negative powers
-
-        def as_jet(x) -> int:
-            return emit("const", x) if isinstance(x, complex) else x
-
-        def compile_node(node):
-            if isinstance(node, Lit):
-                return complex(node.value)
-            if isinstance(node, Var):
-                self.max_var = max(self.max_var, node.index)
-                self.conjugated |= node.conjugated
-                return emit("var", node.index - 1, node.conjugated)
-            if isinstance(node, Neg):
-                x = compile_node(node.arg)
-                return -x if isinstance(x, complex) else emit("__neg__", x)
-            if isinstance(node, (Add, Sub, Mul, Div)):
-                x, y = compile_node(node.left), compile_node(node.right)
-                return binary(type(node), x, y)
-            if isinstance(node, (IntPow, RealPow)):
-                return emit("power", as_jet(compile_node(node.base)), node.exponent)
-            if isinstance(node, Exp):
-                return emit("exp", as_jet(compile_node(node.arg)))
-            if isinstance(node, Log):
-                return emit("log", as_jet(compile_node(node.arg)))
-            raise TypeError(f"not an expression node: {node!r}")
-
-        def binary(kind, x, y):
-            sx, sy = isinstance(x, complex), isinstance(y, complex)
-            if kind is Div:
-                inverse = emit("inv", as_jet(y))
-                return emit("scale", inverse, x) if sx else emit("__mul__", x, inverse)
-            if sx and sy:
-                return x + y if kind is Add else x - y if kind is Sub else x * y
-            if kind is Sub:
-                if sx:
-                    return emit("shift", emit("__neg__", y), x)
-                return emit("shift", x, -y) if sy else emit("__sub__", x, y)
-            if sx:  # + and * with one scalar commute: put the jet first
-                x, y, sy = y, x, True
-            if sy:
-                return emit("scale" if kind is Mul else "shift", x, y)
-            return emit("__mul__" if kind is Mul else "__add__", x, y)
-
-        try:
-            self.outputs = [compile_node(node) for node in nodes]
-        except RecursionError:
-            # the parser builds long sums and products as deep trees in a loop
-            raise ParseError("expression nested too deeply", 0) from None
+        for expr in exprs:
+            self.max_var = max(self.max_var, expr.max_var)
+            self.conjugated |= expr.conjugated
+            merged = []  # the program op of each of the expression's ops
+            for code, a, b in expr.ops:
+                if code != "var" and code != "const":
+                    a = merged[a]
+                    if code in _BINARY:
+                        b = merged[b]
+                key = (code, a, b)
+                slot = slots.get(key)
+                if slot is None:
+                    slot = slots[key] = len(self.ops)
+                    self.ops.append(key)
+                    self.degrees.append(_degree(code, a, b, self.degrees))
+                merged.append(slot)
+            out = expr.output
+            self.outputs.append(out if isinstance(out, complex) else merged[out])
         factors = {x for code, a, b in self.ops if code in ("__mul__", "power")
                    for x in ((a, b) if code == "__mul__" else (a,))}
         self._declared = [d if k in factors else None for k, d in enumerate(self.degrees)]
@@ -497,11 +416,11 @@ class JetProgram:
         return HermJet(zero.center, holo_order, anti_order, size, coeffs)
 
 
-def check_holomorphic(program: JetProgram, dim: int) -> None:
-    """Reject a program with conjugated variables or variables beyond z`dim`."""
-    if program.conjugated:
+def check_holomorphic(expr: Expr, dim: int) -> None:
+    """Reject an expression with conjugated variables or variables beyond z`dim`."""
+    if expr.conjugated:
         raise ParseError("conjugated variable in a holomorphic expression", 0)
-    if program.max_var > dim:
+    if expr.max_var > dim:
         raise ParseError(f"variable index exceeds dimension {dim}", 0)
 
 
@@ -515,8 +434,8 @@ _SYMMETRY_TOL = 1e-12
 class BundleSpec:
     """A rank-l Hermitian bundle given by its Gram matrix in a global frame.
 
-    Entries are scalar expressions in z1..zm, zb1..zbm, compiled together
-    into one :class:`JetProgram`.  The grid must be Hermitian-symmetric
+    Entries are scalar expressions in z1..zm, zb1..zbm (texts or parsed
+    :class:`Expr`), merged into one :class:`JetProgram`.  The grid must be Hermitian-symmetric
     (entry (q,p) is the conjugate of entry (p,q) under z <-> zb) and
     positive definite; every Gram jet is checked for both when it is made.
     """
@@ -540,8 +459,8 @@ class BundleSpec:
 
     def gram_jet(self, center, holo_order: int, anti_order: int) -> HermJet:
         """HermJet of the Gram matrix at `center`, checked before it is
-        returned: the Hermitian defect over all its coefficients with a
-        symmetric partner, and a positive definite value.
+        returned: finite coefficients, the Hermitian defect over all its
+        coefficients with a symmetric partner, and a positive definite value.
 
         `center` is one point, or a sequence of P points for a jet with a
         leading point axis made by one run of the program.  The checks run
@@ -554,14 +473,24 @@ class BundleSpec:
                     f"bundle {self.label!r} has dimension {self.dimension}, "
                     f"center has {len(point)}"
                 )
-        jet = self._program.matrix_jet(self.rank, center, holo_order, anti_order)
-        defect = np.ravel(jet.hermitian_defect())
-        size = np.ravel(np.max(np.abs(jet.coeffs), axis=(-4, -3, -2, -1)))
-        asymmetric = defect > _SYMMETRY_TOL * (1.0 + size)
-        low = np.linalg.eigvalsh(jet.value()).reshape(len(points), -1).min(axis=1)
-        failing = np.flatnonzero(asymmetric | (low <= 0.0))
+        # finite inputs can overflow; such a point is refused by name below
+        with np.errstate(all="ignore"):
+            jet = self._program.matrix_jet(self.rank, center, holo_order, anti_order)
+            defect = np.ravel(jet.hermitian_defect())
+            size = np.ravel(np.max(np.abs(jet.coeffs), axis=(-4, -3, -2, -1)))
+            finite = np.isfinite(size)
+            asymmetric = defect > _SYMMETRY_TOL * (1.0 + size)
+            value = jet.value()
+            if not finite.all():  # a non-finite point fails whatever its eigenvalues
+                value = np.where(finite[:, None, None], value, 0.0)
+            low = np.linalg.eigvalsh(value).reshape(len(points), -1).min(axis=1)
+        failing = np.flatnonzero(~finite | asymmetric | (low <= 0.0))
         if failing.size:
             k = failing[0]
+            if not finite[k]:
+                raise ValueError(
+                    f"bundle {self.label!r}: Gram jet is not finite at {points[k]}"
+                )
             if asymmetric[k]:
                 raise ValueError(
                     f"bundle {self.label!r}: Gram expression is not Hermitian-symmetric "

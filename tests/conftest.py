@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from math import comb
 
 import numpy as np
@@ -10,24 +11,7 @@ import pytest
 from jetcontact import simeq
 from jetcontact.geometry import cov_deriv
 from jetcontact.jetcore import DimensionError, HermJet, HoloJet, table_size
-from jetcontact.kernelexpr import (
-    Add,
-    Div,
-    Exp,
-    ExprNode,
-    IntPow,
-    JetProgram,
-    Lit,
-    Log,
-    Mul,
-    Neg,
-    ParseError,
-    RealPow,
-    Sub,
-    Var,
-    check_holomorphic,
-    parse_kernel,
-)
+from jetcontact.kernelexpr import Expr, JetProgram, ParseError, check_holomorphic, parse_kernel
 from jetcontact.pascal import multi_pascal_generator, pascal_expand
 
 
@@ -56,41 +40,39 @@ def random_holo_jet(dim, rank, order, rng, scale=0.3):
 # -- reference evaluation of single expressions ------------------------------
 
 
-def conjugate_expr(node: ExprNode) -> ExprNode:
-    """The expression of the complex conjugate: z <-> zb, literals conjugated.
+# in canonical text: a variable's letters, or an imaginary literal
+_CONJUGATED = re.compile(r"(zb|z)(?=\d)|([\d.]+i)")
+
+
+def conjugate_expr(expr: Expr) -> Expr:
+    """The expression of the complex conjugate: z <-> zb, imaginary literals
+    negated, on the canonical text.
 
     Only valid structurally (exp/log/pow commute with conjugation on the
     principal branch for the positive-real constant terms this grammar
     enforces at evaluation time).
     """
-    if isinstance(node, Var):
-        return Var(node.index, not node.conjugated)
-    if isinstance(node, Lit):
-        return Lit(node.value.conjugate())
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        return type(node)(conjugate_expr(node.left), conjugate_expr(node.right))
-    if isinstance(node, (Neg, Exp, Log)):
-        return type(node)(conjugate_expr(node.arg))
-    if isinstance(node, (IntPow, RealPow)):
-        return type(node)(conjugate_expr(node.base), node.exponent)
-    raise TypeError(f"not an expression node: {node!r}")
+    def conjugate(match):
+        if match.group(2):
+            return f"(-{match.group(2)})"
+        return "z" if match.group(1) == "zb" else "zb"
+
+    return parse_kernel(_CONJUGATED.sub(conjugate, expr.text()))
 
 
-def eval_herm_jet(node: ExprNode, center, holo_order: int, anti_order: int, dim=None) -> HermJet:
+def eval_herm_jet(expr: Expr, center, holo_order: int, anti_order: int, dim=None) -> HermJet:
     """Jet of the expression at `center` in (z - z0, conj(z) - conj(z0))."""
     dim = len(center) if dim is None else dim
-    program = JetProgram([node])
-    if program.max_var > dim:
+    if expr.max_var > dim:
         raise ParseError(f"variable index exceeds dimension {dim}", 0)
-    return program.matrix_jet(1, center, holo_order, anti_order)
+    return JetProgram([expr]).matrix_jet(1, center, holo_order, anti_order)
 
 
-def eval_holo_jet(node: ExprNode, center, order: int, dim=None) -> HoloJet:
+def eval_holo_jet(expr: Expr, center, order: int, dim=None) -> HoloJet:
     """Jet of a purely holomorphic expression (no zb variables allowed)."""
     dim = len(center) if dim is None else dim
-    program = JetProgram([node])
-    check_holomorphic(program, dim)
-    return program.matrix_jet(1, center, order, 0).holo_part()
+    check_holomorphic(expr, dim)
+    return JetProgram([expr]).matrix_jet(1, center, order, 0).holo_part()
 
 
 def holo_from_entries(entries) -> HoloJet:
@@ -160,11 +142,8 @@ def cov_deriv_mixed(Phi: HermJet, H: HermJet, i: int, r: int, j: int, t: int) ->
 # -- expression-level matrix algebra for building verified pairs ------------
 
 
-def expr_sum(terms):
-    out = terms[0]
-    for t in terms[1:]:
-        out = Add(out, t)
-    return out
+# Canonical texts are atoms (a name, a number, a call or a parenthesized
+# operation), so they combine by plain juxtaposition with an operator.
 
 
 def parse_grid(rows):
@@ -175,7 +154,8 @@ def expr_matmul(a, b):
     a, b = parse_grid(a), parse_grid(b)
     size = len(a)
     return [
-        [expr_sum([Mul(a[i][k], b[k][j]) for k in range(size)]) for j in range(size)]
+        [parse_kernel(" + ".join(f"{a[i][k].text()} * {b[k][j].text()}" for k in range(size)))
+         for j in range(size)]
         for i in range(size)
     ]
 
@@ -194,7 +174,7 @@ def conjugated_gram(h_entries, a_inv_entries):
 def unitriangular_pair(corner: str):
     """A = [[1, corner], [0, 1]] and its inverse, as expression grids."""
     a = parse_grid([["1", corner], ["0", "1"]])
-    a_inv = [[a[0][0], Neg(a[0][1])], [a[1][0], a[1][1]]]
+    a_inv = [[a[0][0], parse_kernel(f"-{a[0][1].text()}")], [a[1][0], a[1][1]]]
     return a, a_inv
 
 
@@ -240,7 +220,7 @@ def constructed_scalar_pair(gram: str, factor: str):
     corner candidate (so H = factor * Ht * conj(factor))."""
     h = parse_grid([[gram]])
     inv = parse_kernel(f"pow({factor}, -1)")
-    ht = [[Mul(Mul(inv, conjugate_expr(inv)), h[0][0])]]
+    ht = [[parse_kernel(f"{inv.text()} * {conjugate_expr(inv).text()} * {h[0][0].text()}")]]
     return h, ht, [[parse_kernel(factor)]]
 
 

@@ -1,6 +1,7 @@
 """Config ingestion, report emission, exit codes, determinism."""
 
 import json
+import math
 import pathlib
 
 import pytest
@@ -338,6 +339,49 @@ class TestMain:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("z2,message", [
+        ({"re": [-0.2, 0.2], "count_re": 2.5}, "grid.z2.count_re must be an integer; got 2.5"),
+        ({"re": [-0.2, 0.2], "count_re": True}, "grid.z2.count_re must be an integer; got True"),
+        ({"re": [-0.2, 0.2], "count_re": -1}, "grid.z2.count_re must be positive; got -1"),
+        ({"im": [0.0, 0.1], "count_im": 0}, "grid.z2.count_im must be positive; got 0"),
+        ({"re": [-0.2, math.inf], "count_re": 2}, "grid.z2.re must be finite; got inf"),
+        ({"im": [math.nan, 0.1], "count_im": 2}, "grid.z2.im must be finite; got nan"),
+        ({"re": [-0.2, True], "count_re": 2}, "grid.z2.re: cannot read True as a number"),
+        ({"re": [-0.2], "count_re": 2}, "grid.z2.re: expected a [low, high] pair; got [-0.2]"),
+        (5, "grid.z2 must be a mapping with re, im, count_re, count_im"),
+    ])
+    def test_grid_numbers_are_checked(self, tmp_path, capsys, z2, message):
+        path = write_config(tmp_path, {"task": "along-z", "order": 1, "grid": {"z2": z2},
+                                       **FOCK_PAIR})
+        assert main(["--config", path, "--out", str(tmp_path / "r.json")]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"jetcontact: input error: {message}\n"
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("coordinate,message", [
+        (math.inf, "points[1] must be finite; got inf"),
+        ([0.0, math.nan], "points[1] must be finite; got nan"),
+        ("1e400", "points[1] must be finite; got '1e400'"),
+        ("0.1+nani", "points[1] must be finite; got '0.1+nani'"),
+        ([0.1, "x"], "points[1]: cannot read 'x' as a number"),
+        ([True, 0.0], "points[1]: cannot read True as a number"),
+        (True, "points[1]: expected a number, 'a+bi' string, or [re, im] pair"),
+    ])
+    def test_point_coordinates_are_checked(self, tmp_path, capsys, coordinate, message):
+        path = write_config(tmp_path, {"task": "pointwise", "order": 1,
+                                       "points": [[0.0, 0.1], [0.0, coordinate]], **FOCK_PAIR})
+        assert main(["--config", path, "--out", str(tmp_path / "r.json")]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"jetcontact: input error: {message}\n"
+
+    def test_overflowing_gram_is_input_error(self, tmp_path, capsys):
+        # finite inputs, but exp(800) overflows at z1 = 1
+        bundles = [{"label": "a", "dimension": 1, "gram": "exp(800*z1*zb1)"},
+                   {"label": "b", "dimension": 1, "gram": "exp(z1*zb1)"}]
+        path = write_config(tmp_path, {"task": "pointwise", "order": 1,
+                                       "points": [[0.5], [1.0]], "bundles": bundles})
+        assert main(["--config", path]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            "jetcontact: input error: bundle 'a': Gram jet is not finite at ((1+0j),)\n")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
     def test_tolerance_override_must_be_finite(self, capsys, value):
         config = str(CONFIG_DIR / "alongz-fock-pair.yaml")
@@ -503,18 +547,36 @@ class TestMain:
         assert capsys.readouterr().err == f"jetcontact: input error: {message}\n"
 
     @pytest.mark.parametrize("where", ["gram", "candidate"])
-    @pytest.mark.parametrize("terms", [990, 1500])
-    def test_deeply_nested_entry_is_input_error(self, tmp_path, capsys, terms, where):
-        # the parser builds a long sum in a loop, as a tree too deep to compile
-        long_sum = " + ".join(["z1*zb1"] * terms)
-        gram = f"exp({long_sum})" if where == "gram" else "exp(z1*zb1)"
-        candidate = long_sum.replace("zb1", "z1") if where == "candidate" else "1"
+    def test_deeply_nested_entry_is_input_error(self, tmp_path, capsys, where):
+        nested = "(" * 5000 + "z1" + ")" * 5000
+        gram = f"exp({nested}*zb1)" if where == "gram" else "exp(z1*zb1)"
+        candidate = f"1 + {nested}" if where == "candidate" else "1"
         bundle = {"label": "g", "dimension": 1, "gram": gram}
         path = write_config(tmp_path, {"task": "pointwise", "order": 1, "points": [[0.0]],
                                        "bundles": [bundle, bundle], "candidate": candidate})
         assert main(["--config", path]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
-        assert "expression nested too deeply" in err and "Traceback" not in err
+        prefix = "bundles[0]" if where == "gram" else "candidate[0][0]"
+        assert err.startswith(f"jetcontact: input error: {prefix}: expression nested too deeply")
+        assert "Traceback" not in err
+
+    def test_long_sum_evaluates(self, tmp_path):
+        # the parser reads a sum of many terms in a loop into a flat program
+        def residuals(gram):
+            path = write_config(tmp_path, {
+                "task": "pointwise", "order": 1, "points": [[0.01]], "candidate": "1",
+                "bundles": [{"label": "a", "dimension": 1, "gram": gram},
+                            {"label": "b", "dimension": 1, "gram": "exp(1501*z1*zb1)"}]})
+            out = tmp_path / "r.json"
+            assert main(["--config", path, "--out", str(out)]) == EXIT_REFUTED
+            [point] = json.loads(out.read_text(encoding="utf-8"))["results"]["points"]
+            return point["residuals"]
+
+        long_sum = residuals("exp(" + " + ".join(["z1*zb1"] * 1500) + ")")
+        product = residuals("exp(1500*z1*zb1)")
+        assert long_sum.keys() == product.keys() and len(long_sum) == 2
+        for key, value in product.items():
+            assert long_sum[key] == pytest.approx(value, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "entry,message",

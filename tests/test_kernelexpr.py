@@ -11,18 +11,9 @@ from hypothesis import strategies as st
 
 from jetcontact.jetcore import HermJet, SingularityError, table_size
 from jetcontact.kernelexpr import (
-    Add,
     BundleSpec,
-    Exp,
-    IntPow,
-    Lit,
-    Mul,
     JetProgram,
-    Neg,
     ParseError,
-    RealPow,
-    Sub,
-    Var,
     check_holomorphic,
     parse_kernel,
 )
@@ -30,28 +21,37 @@ from jetcontact.kernelexpr import (
 from conftest import conjugate_expr, eval_herm_jet, eval_holo_jet
 
 
+def program_of(expr) -> tuple:
+    """The compiled program of one expression, as comparable values."""
+    program = JetProgram([expr])
+    return program.ops, program.outputs, program.degrees
+
+
 class TestParser:
     def test_literal(self):
-        assert parse_kernel("1") == Lit(1.0 + 0j)
-        assert parse_kernel("2.5i") == Lit(2.5j)
-        assert parse_kernel("1+2i") == Add(Lit(1.0 + 0j), Lit(2j))
+        for text, value, canonical in [("1", 1.0 + 0j, "1"), ("2.5i", 2.5j, "2.5i"),
+                                       ("1+2i", 1 + 2j, "(1 + 2i)"), ("0i", 0j, "0")]:
+            expr = parse_kernel(text)
+            assert (expr.ops, expr.output, expr.text()) == ((), value, canonical)
 
     def test_power_node(self):
-        node = parse_kernel("pow(1 - z1*zb1, -2)")
-        assert isinstance(node, IntPow) and node.exponent == -2
+        expr = parse_kernel("pow(1 - z1*zb1, -2)")
+        assert expr.text() == "((1 - (z1 * zb1)) ^ -2)"
+        assert expr.ops[expr.output][::2] == ("power", -2)
         real = parse_kernel("pow(1 - z1*zb1, -2.5)")
-        assert isinstance(real, RealPow) and real.exponent == -2.5
+        assert real.text() == "pow((1 - (z1 * zb1)), -2.5)"
+        assert real.ops[real.output][::2] == ("power", -2.5)
 
     def test_exp_node_m2(self):
-        node = parse_kernel("exp(z1*zb1 + z2*zb2)")
-        assert isinstance(node, Exp)
-        assert isinstance(node.arg, Add)
-        assert node.arg.left == Mul(Var(1, False), Var(1, True))
+        expr = parse_kernel("exp(z1*zb1 + z2*zb2)")
+        assert expr.text() == "exp(((z1 * zb1) + (z2 * zb2)))"
+        assert expr.ops[expr.output][0] == "exp"
+        assert (expr.max_var, expr.conjugated) == (2, True)
 
     def test_caret_power(self):
-        node = parse_kernel("z1^3")
-        assert node == IntPow(Var(1, False), 3)
-        assert parse_kernel("z1^-2") == IntPow(Var(1, False), -2)
+        assert parse_kernel("z1^3") == parse_kernel("pow(z1, 3)")
+        assert parse_kernel("z1^3").text() == "(z1 ^ 3)"
+        assert parse_kernel("z1^-2") == parse_kernel("pow(z1, -2.0)")
         with pytest.raises(ParseError):
             parse_kernel("z1^2.5")  # real exponents go through pow()
 
@@ -83,37 +83,42 @@ class TestParser:
 
     @pytest.mark.parametrize("text", CASES)
     def test_print_parse_roundtrip(self, text):
-        node = parse_kernel(text)
-        assert parse_kernel(node.text()) == node
+        expr = parse_kernel(text)
+        assert parse_kernel(expr.text()) == expr
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_roundtrip_random_trees(self, seed):
+        """Random expression texts parse to an expression whose canonical
+        text parses back to it."""
         rng = np.random.default_rng(seed)
 
-        def tree(depth):
-            kind = rng.integers(0, 8 if depth < 3 else 2)
-            if kind == 0:
-                return Lit(complex(round(float(rng.normal()), 3), round(float(rng.normal()), 3)))
-            if kind == 1:
-                return Var(int(rng.integers(1, 3)), bool(rng.integers(0, 2)))
-            if kind == 2:
-                return Add(tree(depth + 1), tree(depth + 1))
-            if kind == 3:
-                return Mul(tree(depth + 1), tree(depth + 1))
-            if kind == 4:
-                return IntPow(tree(depth + 1), int(rng.integers(0, 4)))
-            if kind == 5:
-                return Exp(tree(depth + 1))
-            if kind == 6:
-                return RealPow(tree(depth + 1), round(float(rng.normal()), 2))
-            return Mul(Lit(2.0 + 0j), tree(depth + 1))
+        def number():
+            return f"{abs(round(float(rng.normal()), 3))}{'i' if rng.integers(0, 2) else ''}"
 
-        node = tree(0)
-        # complex literals print as sums, so one pass normalizes; after that
-        # the printed form is a fixpoint of print/parse
-        text = parse_kernel(node.text()).text()
-        assert parse_kernel(text).text() == text
+        def text(depth):
+            kind = rng.integers(0, 9 if depth < 3 else 2)
+            if kind == 0:
+                return number()
+            if kind == 1:
+                return f"z{'b' if rng.integers(0, 2) else ''}{rng.integers(1, 3)}"
+            if kind == 2:
+                return f"{text(depth + 1)} {'+-'[rng.integers(0, 2)]} {text(depth + 1)}"
+            if kind == 3:
+                return f"({text(depth + 1)})*{text(depth + 1)}"
+            if kind == 4:
+                return f"({text(depth + 1)})^{rng.integers(-1, 4)}"
+            if kind == 5:
+                return f"exp({text(depth + 1)})"
+            if kind == 6:
+                return f"pow({text(depth + 1)}, {round(float(rng.normal()), 2)})"
+            if kind == 7:
+                return f"-({text(depth + 1)})"
+            return f"{number()}*{text(depth + 1)}"
+
+        expr = parse_kernel(text(0))
+        assert parse_kernel(expr.text()) == expr
+        assert program_of(parse_kernel(expr.text())) == program_of(expr)
 
 
 # every ParseError the parser raises: (text, message, position)
@@ -153,11 +158,11 @@ def test_deep_nesting_is_a_parse_error():
 
 def test_holomorphic_check_errors():
     with pytest.raises(ParseError) as err:
-        check_holomorphic(JetProgram([parse_kernel("z1*zb1")]), 1)
+        check_holomorphic(parse_kernel("z1*zb1"), 1)
     assert (str(err.value), err.value.pos) == (
         "conjugated variable in a holomorphic expression (at position 0)", 0)
     with pytest.raises(ParseError) as err:
-        check_holomorphic(JetProgram([parse_kernel("z2")]), 1)
+        check_holomorphic(parse_kernel("z2"), 1)
     assert (str(err.value), err.value.pos) == (
         "variable index exceeds dimension 1 (at position 0)", 0)
 
@@ -172,14 +177,14 @@ JUNK = list("$#e_Eé\x00") + ["١", "sin", "zz1"]
 @given(st.lists(st.sampled_from(GRAMMAR_PIECES + JUNK), max_size=40).map("".join))
 @settings(derandomize=True, max_examples=1000, deadline=None)
 def test_fuzz_parse_or_parse_error(text):
-    # no other exception: a node whose printed form parses back to it, or a
-    # ParseError inside the text
+    # no other exception: an expression whose canonical text parses back to
+    # it, or a ParseError inside the text
     try:
-        node = parse_kernel(text)
+        expr = parse_kernel(text)
     except ParseError as err:
         assert 0 <= err.pos <= len(text)
     else:
-        assert parse_kernel(node.text()) == node
+        assert parse_kernel(expr.text()) == expr
 
 
 def assert_matches_sympy(text, expr, center=0.3 + 0.1j):
@@ -308,9 +313,10 @@ class TestBundleSpec:
         assert jet.hermitian_defect() < 1e-14
 
     def test_conjugate_expr_roundtrip(self):
-        node = parse_kernel("(1+2i)*z1*zb2 + exp(z2)")
-        twice = conjugate_expr(conjugate_expr(node))
-        assert twice == node
+        expr = parse_kernel("(1+2i)*z1*zb2 + exp(z2) - 3i*zb1")
+        once = conjugate_expr(expr)
+        assert once.text() == "(((((1 + (-2i)) * zb1) * z2) + exp(zb2)) - ((-3i) * z1))"
+        assert program_of(conjugate_expr(once)) == program_of(expr)
 
 
 def count_calls(monkeypatch, names) -> Counter:
@@ -329,7 +335,97 @@ def count_calls(monkeypatch, names) -> Counter:
     return counts
 
 
+# (entries, [repr of ops, outputs, degrees, declared bounds]) of programs
+# recorded from the tree-walking compiler that emitting ops while parsing
+# replaced: literal folding, a literal divisor, literals promoted to constant
+# jets, integer and negative powers, and subexpressions shared inside one
+# entry and across two.  The report bytes rest on these programs.
+PINNED_PROGRAMS = [
+    (['2*3 + z1'], [
+        "[('var', 0, False), ('shift', 0, (6+0j))]",
+        '[1]',
+        '[(1, 0), (1, 0)]',
+        '[None, None]',
+    ]),
+    (['1 - z1'], [
+        "[('var', 0, False), ('__neg__', 0, None), ('shift', 1, (1+0j))]",
+        '[2]',
+        '[(1, 0), (1, 0), (1, 0)]',
+        '[None, None, None]',
+    ]),
+    (['-(-2)'], [
+        '[]',
+        '[(2+0j)]',
+        '[]',
+        '[]',
+    ]),
+    (['z1/2'], [
+        "[('var', 0, False), ('const', (2+0j), None), ('inv', 1, None), ('__mul__', 0, 2)]",
+        '[3]',
+        '[(1, 0), (0, 0), None, None]',
+        '[(1, 0), None, None, None]',
+    ]),
+    (['pow(2, 0.5)'], [
+        "[('const', (2+0j), None), ('power', 0, 0.5)]",
+        '[1]',
+        '[(0, 0), None]',
+        '[(0, 0), None]',
+    ]),
+    (['exp(1)'], [
+        "[('const', (1+0j), None), ('exp', 0, None)]",
+        '[1]',
+        '[(0, 0), None]',
+        '[None, None]',
+    ]),
+    (['z1^3 * zb1^-2 + pow(z2, -1) - (1 + z1)^0'], [
+        "[('var', 0, False), ('power', 0, 3), ('var', 0, True), ('power', 2, -2), ('__mul__',"
+        " 1, 3), ('var', 1, False), ('power', 5, -1), ('__add__', 4, 6), ('shift', 0, "
+        "(1+0j)), ('power', 8, 0), ('__sub__', 7, 9)]",
+        '[10]',
+        '[(1, 0), (3, 0), (0, 1), None, None, (1, 0), None, None, (1, 0), (0, 0), None]',
+        '[(1, 0), (3, 0), (0, 1), None, None, (1, 0), None, None, (1, 0), None, None]',
+    ]),
+    (['exp(z1*zb1) * (1 + exp(z1*zb1))'], [
+        "[('var', 0, False), ('var', 0, True), ('__mul__', 0, 1), ('exp', 2, None), ('shift',"
+        " 3, (1+0j)), ('__mul__', 3, 4)]",
+        '[5]',
+        '[(1, 0), (0, 1), (1, 1), None, None, None]',
+        '[(1, 0), (0, 1), None, None, None, None]',
+    ]),
+    (['exp(z1*zb2) * pow(1 + z1*zb2, -1.5)', '2*exp(z1*zb2) - zb1/(3 - z1^2)'], [
+        "[('var', 0, False), ('var', 1, True), ('__mul__', 0, 1), ('exp', 2, None), ('shift',"
+        " 2, (1+0j)), ('power', 4, -1.5), ('__mul__', 3, 5), ('scale', 3, (2+0j)), ('var', 0,"
+        " True), ('power', 0, 2), ('__neg__', 9, None), ('shift', 10, (3+0j)), ('inv', 11, "
+        "None), ('__mul__', 8, 12), ('__sub__', 7, 13)]",
+        '[6, 14]',
+        '[(1, 0), (0, 1), (1, 1), None, (1, 1), None, None, None, (0, 1), (2, 0), (2, 0), (2,'
+        ' 0), None, None, None]',
+        '[(1, 0), (0, 1), None, None, (1, 1), None, None, None, (0, 1), None, None, None, '
+        'None, None, None]',
+    ]),
+    (['(1 + 2i)*z1 - 2 - zb2 + (1+1i)/(2-1i)*z1*zb1 - -log(1 + 0.5*z1*zb1)', '-z1*(-zb1) - 3i'], [
+        "[('var', 0, False), ('scale', 0, (1+2j)), ('shift', 1, (-2-0j)), ('var', 1, True), "
+        "('__sub__', 2, 3), ('const', (2-1j), None), ('inv', 5, None), ('scale', 6, (1+1j)), "
+        "('__mul__', 7, 0), ('var', 0, True), ('__mul__', 8, 9), ('__add__', 4, 10), "
+        "('scale', 0, (0.5+0j)), ('__mul__', 12, 9), ('shift', 13, (1+0j)), ('log', 14, "
+        "None), ('__neg__', 15, None), ('__sub__', 11, 16), ('__neg__', 0, None), ('__neg__',"
+        " 9, None), ('__mul__', 18, 19), ('shift', 20, (-0-3j))]",
+        '[17, 21]',
+        '[(1, 0), (1, 0), (1, 0), (0, 1), (1, 1), (0, 0), None, None, None, (0, 1), None, '
+        'None, (1, 0), (1, 1), (1, 1), None, None, None, (1, 0), (0, 1), (1, 1), (1, 1)]',
+        '[(1, 0), None, None, None, None, None, None, None, None, (0, 1), None, None, (1, 0),'
+        ' None, None, None, None, None, (1, 0), (0, 1), None, None]',
+    ]),
+]
+
+
 class TestJetProgram:
+    @pytest.mark.parametrize("entries,pinned", PINNED_PROGRAMS)
+    def test_program_as_pinned(self, entries, pinned):
+        program = JetProgram([parse_kernel(e) for e in entries])
+        got = (program.ops, program.outputs, program.degrees, program._declared)
+        assert [repr(x) for x in got] == pinned
+
     def test_shared_subtrees_compile_to_one_op(self):
         text = "exp(z1*zb2) * pow(1 + z1*zb2, -1.5)"
         program = JetProgram([parse_kernel(text), parse_kernel(f"2*{text} + exp(z1*zb2)")])
@@ -356,15 +452,6 @@ class TestJetProgram:
         np.testing.assert_allclose(scaled.coeffs, plain.coeffs, rtol=0, atol=1e-15)
 
 
-def subtrees(node):
-    """The node and every node below it."""
-    out = [node]
-    for child in vars(node).values():
-        if not isinstance(child, (int, float, complex, bool)):
-            out += subtrees(child)
-    return out
-
-
 class TestDegreeBounds:
     """Every polynomial op records a degree bound (a, b), declared on its jet:
     its coefficients vanish beyond it at every center."""
@@ -374,20 +461,26 @@ class TestDegreeBounds:
     def test_polynomial_jets_vanish_outside_their_bound(self, seed):
         rng = np.random.default_rng(seed)
 
-        def tree(depth):
+        texts = []  # the expression and each expression inside it
+
+        def text(depth):
             kind = rng.integers(0, 7 if depth < 3 else 2)
             if kind == 0:
-                return Lit(complex(round(float(rng.normal()), 3), round(float(rng.normal()), 3)))
-            if kind == 1:
-                return Var(int(rng.integers(1, 3)), bool(rng.integers(0, 2)))
-            if kind == 5:
-                return Neg(tree(depth + 1))
-            if kind == 6:
-                return IntPow(tree(depth + 1), int(rng.integers(0, 3)))
-            return (Add, Sub, Mul)[kind - 2](tree(depth + 1), tree(depth + 1))
+                re_, im = (round(float(x), 3) for x in rng.normal(size=2))
+                out = f"({re_} + {im}i)"
+            elif kind == 1:
+                out = f"z{'b' if rng.integers(0, 2) else ''}{rng.integers(1, 3)}"
+            elif kind == 5:
+                out = f"(-{text(depth + 1)})"
+            elif kind == 6:
+                out = f"({text(depth + 1)} ^ {rng.integers(0, 3)})"
+            else:
+                out = f"({text(depth + 1)} {'+-*'[kind - 2]} {text(depth + 1)})"
+            texts.append(out)
+            return out
 
-        nodes = subtrees(tree(0))
-        program = JetProgram(nodes)
+        text(0)
+        program = JetProgram([parse_kernel(t) for t in texts])
         assert None not in program.degrees
         centers = [tuple(complex(*rng.normal(size=2) * 0.4) for _ in range(2)) for _ in range(3)]
         for center in (centers[0], centers):
@@ -422,7 +515,7 @@ class TestDegreeBounds:
         [out] = program.outputs
         assert program.degrees[out] == degree
         # as a factor of a product, its jet carries the bound
-        product = JetProgram([Mul(parse_kernel(text), parse_kernel("exp(z1*zb2)"))])
+        product = JetProgram([parse_kernel(f"({text}) * exp(z1*zb2)")])
         seen = []
         mul = HermJet.__mul__
 
@@ -462,3 +555,16 @@ class TestGramJetAtPoints:
             spec.gram_jet(grid, 2, 2)
         assert str(together.value) == str(alone.value)
         assert "not positive definite at (0.0, 1.5)" in str(together.value)
+
+    def test_non_finite_point_named_as_alone(self):
+        # exp(800) overflows; the grid's first point fails first, for another reason
+        spec = BundleSpec("o", 1, [["exp(800*z1*zb1) - 2"]])
+        grid = [(0.0,), (1.0,), (2.0,)]
+        for points, message in ((grid, "not positive definite at (0.0,)"),
+                                (grid[1:], "Gram jet is not finite at (1.0,)")):
+            with pytest.raises(ValueError) as alone:
+                spec.gram_jet(points[0], 2, 2)
+            with pytest.raises(ValueError) as together:
+                spec.gram_jet(points, 2, 2)
+            assert str(together.value) == str(alone.value)
+            assert message in str(together.value)
