@@ -52,6 +52,7 @@ from .jetcore import (
     index_positions,
     index_table,
     multi_index_factorial,
+    point_axis,
 )
 from .kernelexpr import BundleSpec, JetProgram, ParseError, check_holomorphic, parse_kernel
 from .pascal import (
@@ -372,7 +373,7 @@ class ContactProblem:
     order: int
     mode: str = "pointwise"  # "pointwise" | "along-z"
     points: tuple = ((0.0,),)
-    candidate: object = None  # grid of texts or Exprs, constant matrix, or None
+    candidate: object = None  # grid of texts or Exprs, or None
     tolerance: float = 1e-8
     seed: int = 0
     # the candidate grid compiled once, evaluated at every point
@@ -408,22 +409,26 @@ class ContactProblem:
         return self.bundle_a.rank
 
     def candidate_jet(self, center, order: int) -> HoloJet | None:
-        """The candidate's jet at `center`, one point or P points."""
-        cand = self.candidate
-        if cand is None:
+        """The candidate's jet at `center`, one point or P points, checked
+        for finite coefficients; an error names the first failing point."""
+        if self.candidate is None:
             return None
-        if isinstance(cand, np.ndarray):
-            return HoloJet.constant(cand, center, order)
-        return self._candidate_program.matrix_jet(len(cand), center, order, 0).holo_part()
+        # finite inputs can overflow; such a point is refused by name below
+        with np.errstate(all="ignore"):
+            jet = self._candidate_program.matrix_jet(len(self.candidate), center, order, 0)
+            finite = np.ravel(np.isfinite(jet.coeffs).all(axis=(-4, -3, -2, -1)))
+        failing = np.flatnonzero(~finite)
+        if failing.size:
+            points = list(center) if point_axis(center) else [center]
+            raise ValueError(f"candidate jet is not finite at {points[failing[0]]}")
+        return jet.holo_part()
 
 
 def _normalize_candidate(cand, dim: int):
-    if cand is None or isinstance(cand, np.ndarray):
-        return cand
+    if cand is None:
+        return None
     if not isinstance(cand, list):
-        raise TypeError(
-            "candidate must be None, an ndarray, or a grid (list of rows) of expressions"
-        )
+        raise TypeError("candidate must be None or a grid (list of rows) of expressions")
     return [
         [_candidate_entry(e, dim, f"candidate[{i}][{j}]") for j, e in enumerate(row)]
         for i, row in enumerate(cand)
@@ -598,15 +603,15 @@ def _full_candidate_from_slice(
     sequence therefore runs on the Gram jets truncated to orders (n, 0) and
     on A0 at anti order 0: the same values, at the holomorphic orders read."""
     dim = h.dim
-    a_jets = [a0_jet.as_herm(0).freeze_variable(0)]
+    a_jets = [a0_jet.freeze_variable(0)]
     a_jets += extend_A_sequence_jets(h.truncate(n, 0), ht.truncate(n, 0), a_jets[0], n)
     table = index_table(dim, n)
-    coeffs = np.zeros(h.points + (len(table), h.rank, h.rank), dtype=np.complex128)
+    coeffs = np.zeros(h.points + (len(table), 1, h.rank, h.rank), dtype=np.complex128)
     pos = index_positions(dim, n)
     for idx in table:
         k = idx[0]
         tang = (0,) + idx[1:]
-        coeffs[..., pos[idx], :, :] = a_jets[k].extract(tang) / multi_index_factorial(idx)
+        coeffs[..., pos[idx], 0, :, :] = a_jets[k].extract(tang) / multi_index_factorial(idx)
     return HoloJet(h.center, n, h.rank, coeffs)
 
 

@@ -193,7 +193,7 @@ def normalize_frame(H: HermJet, n: int) -> tuple[HoloJet, HermJet]:
         raise OrderError(f"normalization to order {n} needs jet orders >= ({n},{n})")
     root = hermitian_sqrt(H.value())
     frozen = H.holo_part()  # H(z, zbar0) as a holomorphic jet
-    A = HoloJet.constant(root, H.center, frozen.order) * frozen.inv()
+    A = HoloJet.constant(root, H.center, frozen.holo_order) * frozen.inv()
     Hnorm = A.as_herm(H.anti_order) * H * A.adjoint_as_herm(H.holo_order)
     defect = np.ravel(normalized_defect(Hnorm, n))
     scale = 1.0 + np.ravel(np.max(np.abs(H.coeffs), axis=(-4, -3, -2, -1)))

@@ -1,11 +1,11 @@
 """Truncated multivariate Taylor-series (jet) arithmetic over complex matrices.
 
 A jet stores the Taylor coefficients of a matrix-valued function at a center
-point, truncated by *total* order.  Two flavours exist:
-
-* :class:`HoloJet` -- expansion of a holomorphic function in ``z - z0``.
-* :class:`HermJet` -- expansion of a real-analytic function in the pair
-  ``(z - z0, conj(z) - conj(z0))``, indexed by a pair of multi-indices.
+point, truncated by *total* order.  A :class:`HermJet` expands a
+real-analytic function in the pair ``(z - z0, conj(z) - conj(z0))``, indexed
+by a pair of multi-indices and truncated to orders (p, q) in z and conj(z).
+A holomorphic function is the case q = 0: :class:`HoloJet` is the HermJet
+subtype of anti order 0, with the same coefficients and the same methods.
 
 Coefficients are stored in normalized form, i.e. divided by the multi-index
 factorials, so that multiplication of jets is plain coefficient convolution.
@@ -26,8 +26,7 @@ One graded kernel does all the arithmetic:
   contracted with r^3 vector multiply-adds (one elementwise product at rank
   1) written back into the left gather, and the groups are segment-summed.
   A product thus allocates the two gathers plus one block row, not a third
-  gather-sized array.  :class:`HoloJet` products are the same kernel at
-  anti order 0.
+  gather-sized array.
 * Products with a polynomial factor.  A jet may carry a degree bound (a, b)
   that its maker declares (:meth:`HermJet.with_degree`; the Gram programs
   of :mod:`kernelexpr` do so for their polynomial ops): its coefficients
@@ -46,12 +45,12 @@ One graded kernel does all the arithmetic:
 
 A jet may also hold one expansion per point of a grid: its center is then a
 tuple of P centers and its coefficients carry a leading point axis,
-``(P, Na, Nb, r, r)`` for :class:`HermJet` and ``(P, Na, r, r)`` for
-:class:`HoloJet`.  Every operation runs over all P points in one numpy pass
-(the vector mode of Taylor arithmetic): the plans depend only on the shape,
-the point axis rides inside each gathered block, and the per-point matrix
-operations are stacked.  The arithmetic per point is the same as for a jet
-at that point alone, bit for bit.  Jets at one point have no point axis.
+``(P, Na, Nb, r, r)``, the one layout of every jet.  Every operation runs
+over all P points in one numpy pass (the vector mode of Taylor arithmetic):
+the plans depend only on the shape, the point axis rides inside each
+gathered block, and the per-point matrix operations are stacked.  The
+arithmetic per point is the same as for a jet at that point alone, bit for
+bit.  Jets at one point have no point axis.
 
 A jet restricts to a coordinate subspace through its center
 (:meth:`HermJet.restrict`): the result is a jet in the kept variables only,
@@ -343,18 +342,6 @@ def _point_values(center, var: int):
     return center[var]
 
 
-def _constant_coeffs(value, center, shape: tuple) -> np.ndarray:
-    """Zero coefficients of table `shape` with ``value`` (an r x r matrix, or
-    one per point) as every point's constant term."""
-    value = np.asarray(value, dtype=np.complex128)
-    if value.ndim < 2:
-        value = value.reshape(1, 1)
-    rank = value.shape[-1]
-    coeffs = np.zeros(point_axis(center) + shape + (rank, rank), dtype=np.complex128)
-    coeffs[(Ellipsis,) + (0,) * len(shape) + (slice(None), slice(None))] = value
-    return coeffs
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=np.complex128)
     arr.flags.writeable = False
@@ -422,9 +409,14 @@ class HermJet:
         """The constant `value`: a scalar or an r x r matrix, or one per
         point at P centers."""
         center, dim = _center(center)
-        shape = (table_size(dim, holo_order), table_size(dim, anti_order))
-        coeffs = _constant_coeffs(value, center, shape)
-        return cls(center, holo_order, anti_order, coeffs.shape[-1], coeffs)
+        value = np.asarray(value, dtype=np.complex128)
+        if value.ndim < 2:
+            value = value.reshape(1, 1)
+        rank = value.shape[-1]
+        shape = (table_size(dim, holo_order), table_size(dim, anti_order), rank, rank)
+        coeffs = np.zeros(point_axis(center) + shape, dtype=np.complex128)
+        coeffs[..., 0, 0, :, :] = value
+        return cls(center, holo_order, anti_order, rank, coeffs)
 
     @classmethod
     def zero(cls, center, holo_order, anti_order, rank=1) -> "HermJet":
@@ -457,11 +449,11 @@ class HermJet:
             return jet._like(holo_order, anti_order, c)
         return jet
 
-    def _like(self, holo_order: int, anti_order: int, coeffs) -> "HermJet":
-        """A jet on this one's center and rank with coefficients an operation
-        has already shaped (*P, Na, Nb, rank, rank); skips the constructor's
-        checks."""
-        out = object.__new__(HermJet)
+    def _like(self, holo_order: int, anti_order: int, coeffs, cls=None) -> "HermJet":
+        """A jet of this one's type, or of `cls`, on its center and rank with
+        coefficients an operation has already shaped (*P, Na, Nb, rank,
+        rank); skips the constructor's checks."""
+        out = object.__new__(cls or type(self))
         out.center, out.dim, out.rank = self.center, self.dim, self.rank
         out.holo_order, out.anti_order = holo_order, anti_order
         out.degree = None
@@ -731,11 +723,10 @@ class HermJet:
         one per point at P centers."""
         return np.max(np.abs((self - self.adjoint()).coeffs), axis=(-4, -3, -2, -1))
 
-    def holo_part(self, order=None) -> "HoloJet":
-        """The beta = 0 slice as a holomorphic jet."""
-        order = self.holo_order if order is None else order
-        j = self.truncate(order, self.anti_order)
-        return HoloJet(self.center, order, self.rank, j.coeffs[..., :, 0, :, :])
+    def holo_part(self) -> "HoloJet":
+        """The beta = 0 slice, the jet of z -> f(z, conj(z0)), as a
+        holomorphic jet: the truncation to orders (p, 0)."""
+        return self._like(self.holo_order, 0, self.coeffs[..., :1, :, :], HoloJet)
 
     def __repr__(self):
         return (
@@ -748,96 +739,41 @@ class HermJet:
 # holomorphic jets
 
 
-class HoloJet:
-    """Jet of a matrix-valued holomorphic function; coefficients (Na, rank,
-    rank), or (P, Na, rank, rank) at P centers."""
+class HoloJet(HermJet):
+    """Jet of a matrix-valued holomorphic function: a :class:`HermJet` of
+    anti order 0 made from its holomorphic order `order`, with coefficients
+    (Na, 1, rank, rank), or (P, Na, 1, rank, rank) at P centers.  Its
+    operations are HermJet's; those that reshape this jet's own coefficients
+    (products, inverse, truncation, derivatives, freezing) return a HoloJet."""
 
-    __slots__ = ("center", "dim", "order", "rank", "coeffs")
+    __slots__ = ()
 
     def __init__(self, center, order, rank, coeffs):
-        self.center, self.dim = _center(center)
-        self.order = int(order)
-        self.rank = int(rank)
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
-        expected = point_axis(self.center) + (
-            table_size(self.dim, self.order), self.rank, self.rank
-        )
-        if coeffs.shape != expected:
-            raise DimensionError(
-                f"coefficient array has shape {coeffs.shape}, expected {expected}"
-            )
-        self.coeffs = _freeze(coeffs)
-
-    @property
-    def points(self) -> tuple:
-        """The leading point axis of ``coeffs``: (P,) at P centers, else ()."""
-        return self.coeffs.shape[:-3]
+        super().__init__(center, order, 0, rank, coeffs)
 
     @classmethod
     def constant(cls, value, center, order) -> "HoloJet":
-        center, dim = _center(center)
-        coeffs = _constant_coeffs(value, center, (table_size(dim, order),))
-        return cls(center, order, coeffs.shape[-1], coeffs)
+        return HermJet.constant(value, center, order, 0).holo_part()
 
-    def truncate(self, order) -> "HoloJet":
-        p = min(order, self.order)
-        if p == self.order:
-            return self
-        return HoloJet(
-            self.center, p, self.rank, self.coeffs[..., : table_size(self.dim, p), :, :]
-        )
-
-    def __mul__(self, other) -> "HoloJet":
-        """The HermJet product at anti order 0."""
-        _check_same_frame(self, other)
-        p = min(self.order, other.order)
-        anti = (Ellipsis, slice(None), None, slice(None), slice(None))
-        coeffs = _product(self.coeffs[anti], other.coeffs[anti], self.dim, p, 0)
-        return HoloJet(self.center, p, self.rank, coeffs[..., :, 0, :, :])
-
-    def inv(self) -> "HoloJet":
-        herm = self.as_herm(anti_order=0)
-        return herm.inv().holo_part()
-
-    def extract(self, alpha) -> np.ndarray:
-        alpha = tuple(alpha)
-        if multi_index_order(alpha) > self.order:
-            raise OrderError(f"index {alpha} beyond order {self.order}")
-        pa = index_positions(self.dim, self.order)[alpha]
-        return np.array(self.coeffs[..., pa, :, :] * multi_index_factorial(alpha))
-
-    def value(self) -> np.ndarray:
-        return np.array(self.coeffs[..., 0, :, :])
+    # HermJet's own, bound in this class so that perfbench/layertrace.py
+    # times holomorphic products and inverses (span jetcore.holo) apart from
+    # the HermJet ones
+    __mul__ = HermJet.__mul__
+    inv = HermJet.inv
 
     def as_herm(self, anti_order: int) -> "HermJet":
         """Promote to a HermJet that is constant in the conjugate variables."""
-        coeffs = np.zeros(
-            self.points
-            + (
-                table_size(self.dim, self.order),
-                table_size(self.dim, anti_order),
-                self.rank,
-                self.rank,
-            ),
-            dtype=np.complex128,
-        )
-        coeffs[..., :, 0, :, :] = self.coeffs
-        return HermJet(self.center, self.order, anti_order, self.rank, coeffs)
+        shape = (table_size(self.dim, self.holo_order), table_size(self.dim, anti_order))
+        coeffs = np.zeros(self.points + shape + (self.rank, self.rank), dtype=np.complex128)
+        coeffs[..., :1, :, :] = self.coeffs
+        return HermJet(self.center, self.holo_order, anti_order, self.rank, coeffs)
 
     def adjoint_as_herm(self, holo_order: int) -> "HermJet":
         """HermJet of z -> A(z)^*, an anti-holomorphic function."""
-        coeffs = np.zeros(
-            self.points
-            + (
-                table_size(self.dim, holo_order),
-                table_size(self.dim, self.order),
-                self.rank,
-                self.rank,
-            ),
-            dtype=np.complex128,
-        )
-        coeffs[..., 0, :, :, :] = np.conj(np.swapaxes(self.coeffs, -2, -1))
-        return HermJet(self.center, holo_order, self.order, self.rank, coeffs)
+        shape = (table_size(self.dim, holo_order), table_size(self.dim, self.holo_order))
+        coeffs = np.zeros(self.points + shape + (self.rank, self.rank), dtype=np.complex128)
+        coeffs[..., :1, :, :, :] = np.conj(np.swapaxes(np.swapaxes(self.coeffs, -4, -3), -2, -1))
+        return HermJet(self.center, holo_order, self.holo_order, self.rank, coeffs)
 
     def __repr__(self):
-        return f"HoloJet(center={self.center}, order={self.order}, rank={self.rank})"
+        return f"HoloJet(center={self.center}, order={self.holo_order}, rank={self.rank})"

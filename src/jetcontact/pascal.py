@@ -124,7 +124,7 @@ def multi_lambda_from_jet(jet: HoloJet, n=None) -> np.ndarray:
     """Full multi-index jet transition matrix of a holomorphic frame change:
     block (I, J) = prod_k binom(I_k, J_k) * d^(I-J) A(z0) for J <= I (one
     per point for a jet at P centers)."""
-    n = jet.order if n is None else n
+    n = jet.holo_order if n is None else n
     table = index_table(jet.dim, n)
     size = len(table)
     l = jet.rank

@@ -34,7 +34,7 @@ def random_holo_jet(dim, rank, order, rng, scale=0.3):
     c = (rng.standard_normal((na, rank, rank))
          + 1j * rng.standard_normal((na, rank, rank))) * scale
     c[0] = np.eye(rank) + 0.2 * c[0]
-    return HoloJet((0.0,) * dim, order, rank, c)
+    return HoloJet((0.0,) * dim, order, rank, c[:, None])
 
 
 # -- reference evaluation of single expressions ------------------------------
@@ -84,10 +84,10 @@ def holo_from_entries(entries) -> HoloJet:
     for p in range(rows):
         for q in range(rows):
             e = entries[p][q]
-            if e.order != first.order or e.center != first.center:
+            if e.holo_order != first.holo_order or e.center != first.center:
                 raise DimensionError("entry jets must share center and order")
             coeffs[..., p, q] = e.coeffs[..., 0, 0]
-    return HoloJet(first.center, first.order, rows, coeffs)
+    return HoloJet(first.center, first.holo_order, rows, coeffs)
 
 
 # -- references: the one-variable Pascal algebra, mixed covariant steps -----
@@ -110,7 +110,8 @@ def pascal_multiply(x, y):
 def lambda_from_jet(jet: HoloJet) -> np.ndarray:
     """First column A, A', ..., A^(n) (z1 derivatives at the center) of the
     jet transition matrix of a holomorphic frame change."""
-    return np.stack([jet.extract((k,) + (0,) * (jet.dim - 1)) for k in range(jet.order + 1)])
+    return np.stack([jet.extract((k,) + (0,) * (jet.dim - 1))
+                     for k in range(jet.holo_order + 1)])
 
 
 def commutant_basis(n: int, l: int = 1, tol: float = 1e-10) -> list[np.ndarray]:

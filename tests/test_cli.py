@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import warnings
 
 import pytest
 import yaml
@@ -381,6 +382,17 @@ class TestMain:
         assert main(["--config", path]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == (
             "jetcontact: input error: bundle 'a': Gram jet is not finite at ((1+0j),)\n")
+
+    def test_overflowing_candidate_is_input_error(self, tmp_path, capsys):
+        # exp(80) is finite at z1 = 0.1; exp(800) overflows at z1 = 1
+        bundles = [{"label": label, "dimension": 1, "gram": "exp(z1*zb1)"} for label in "ab"]
+        path = write_config(tmp_path, {"task": "pointwise", "order": 2, "bundles": bundles,
+                                       "points": [[0.1], [1.0]], "candidate": "exp(800*z1)"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", path]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            "jetcontact: input error: candidate jet is not finite at ((1+0j),)\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
     def test_tolerance_override_must_be_finite(self, capsys, value):

@@ -298,7 +298,7 @@ class TestNormalizeFrame:
     def test_already_normalized(self):
         h = fock()
         a, hn = normalize_frame(h, 3)
-        np.testing.assert_allclose(a.coeffs[0], np.eye(1), atol=1e-13)
+        np.testing.assert_allclose(a.coeffs[0, 0], np.eye(1), atol=1e-13)
         assert np.max(np.abs(a.coeffs[1:])) < 1e-13
         assert normalized_defect(hn, 3) < 1e-13
 
@@ -313,7 +313,7 @@ class TestNormalizeFrame:
         h = spec.gram_jet((0.0,), 4, 4)
         a, hn = normalize_frame(h, 4)
         expect_a = [(-1.0) ** k / factorial(k) for k in range(5)]
-        np.testing.assert_allclose(a.coeffs[:, 0, 0], expect_a, atol=1e-12)
+        np.testing.assert_allclose(a.coeffs[:, 0, 0, 0], expect_a, atol=1e-12)
         np.testing.assert_allclose(hn.coeffs, fock().coeffs, atol=1e-12)
 
     def test_postcondition_on_random_grams(self, rng):

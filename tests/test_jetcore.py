@@ -312,8 +312,8 @@ class TestHoloJet:
         a = random_holo_jet(2, 2, 3, rng)
         b = random_holo_jet(2, 2, 2, rng)
         direct = a * b
-        expect = naive_product(a.as_herm(0), b.as_herm(0))[:, 0]
-        assert direct.order == 2
+        expect = naive_product(a.as_herm(0), b.as_herm(0))[:, :1]
+        assert direct.holo_order == 2
         assert np.max(np.abs(direct.coeffs - expect)) < 1e-13
 
     def test_adjoint_promotion(self, rng):
@@ -324,6 +324,49 @@ class TestHoloJet:
         np.testing.assert_allclose(
             adj.extract((0,), (1,)), np.conj(a.extract((1,)).T), atol=1e-14
         )
+
+    # a HoloJet is a HermJet of anti order 0: its operations are HermJet's on
+    # the same coefficients, bit for bit, and keep the type
+
+    GRID = [(0.1, -0.2), (0.0, 0.3 + 0.1j), (-0.25, 0.05j), (0.2, 0.2)]
+
+    @staticmethod
+    def holo_pair(center, order, rng):
+        """A HoloJet of rank 2 at `center` (one point of C^2, or a list of
+        points) and the HermJet of the same coefficients."""
+        points = (len(center),) if isinstance(center, list) else ()
+        shape = points + (table_size(2, order), 1, 2, 2)
+        c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 0.3
+        c[..., 0, 0, :, :] += np.eye(2)
+        return HoloJet(center, order, 2, c), HermJet(center, order, 0, 2, c)
+
+    @pytest.mark.parametrize("center", [(0.1, -0.2), GRID])
+    def test_operations_are_herm_jet_operations(self, rng, center):
+        a, ha = self.holo_pair(center, 3, rng)
+        b, hb = self.holo_pair(center, 2, rng)
+        pairs = [(a * b, ha * hb), (a.inv(), ha.inv()), (a.truncate(1), ha.truncate(1)),
+                 (a.freeze_variable(0), ha.freeze_variable(0))]
+        for got, want in pairs:
+            assert type(got) is HoloJet and got.anti_order == 0
+            assert got.holo_order == want.holo_order
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert a.extract((1, 2)).tobytes() == ha.extract((1, 2)).tobytes()
+        assert a.value().tobytes() == ha.value().tobytes()
+
+    @pytest.mark.parametrize("center", [(0.1, -0.2), GRID])
+    def test_conversions(self, rng, center):
+        a, _ = self.holo_pair(center, 3, rng)
+        for q in (0, 2):
+            back = a.as_herm(q).holo_part()
+            assert type(back) is HoloJet and back.anti_order == 0
+            assert back.coeffs.tobytes() == a.coeffs.tobytes()
+        adj = a.adjoint_as_herm(3)
+        assert type(adj) is HermJet and (adj.holo_order, adj.anti_order) == (3, 3)
+        assert np.array_equal(adj.coeffs, a.as_herm(3).adjoint().coeffs)
+
+    def test_anti_order_is_zero(self):
+        with pytest.raises(DimensionError):
+            HoloJet((0.0,), 2, 1, np.zeros((3, 2, 1, 1)))
 
 
 class TestPointAxis:

@@ -221,13 +221,13 @@ class TestEval:
 
     def test_holo_eval(self):
         jet = eval_holo_jet(parse_kernel("1 + z1"), (0.0,), 2)
-        np.testing.assert_allclose(jet.coeffs[:, 0, 0], [1.0, 1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(jet.coeffs[:, 0, 0, 0], [1.0, 1.0, 0.0], atol=1e-15)
         jet = eval_holo_jet(parse_kernel("exp(z1)"), (0.0,), 4)
         np.testing.assert_allclose(
-            jet.coeffs[:, 0, 0], [1 / factorial(k) for k in range(5)], atol=1e-14
+            jet.coeffs[:, 0, 0, 0], [1 / factorial(k) for k in range(5)], atol=1e-14
         )
         jet = eval_holo_jet(parse_kernel("pow(1 - z1, -1)"), (0.0,), 4)
-        np.testing.assert_allclose(jet.coeffs[:, 0, 0], np.ones(5), atol=1e-13)
+        np.testing.assert_allclose(jet.coeffs[:, 0, 0, 0], np.ones(5), atol=1e-13)
 
     def test_holo_rejects_conjugates(self):
         with pytest.raises(ParseError):

@@ -46,3 +46,24 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         tracer.uninstall()
     assert jetcore.HermJet.__mul__ is mul
     assert contact.L_tensor is geometry.L_tensor is l_tensor
+
+
+def test_holomorphic_jets_are_timed_under_their_own_names(monkeypatch):
+    """The holomorphic members the tracer names by class (product, inverse,
+    the two promotions and ``HermJet.holo_part``) each open one
+    ``jetcore.holo`` span and no span of the HermJet kernel they run."""
+    layertrace = _load_layertrace(monkeypatch)
+    for mod_name, *_ in layertrace.TARGETS:
+        importlib.import_module(f"jetcontact.{mod_name}")
+    jet = random_herm_jet(2, 2, 2, 2, np.random.default_rng(0))
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        tracer.job = 0
+        holo = jet.holo_part()
+        (holo * holo).inv()
+        holo.as_herm(2)
+        holo.adjoint_as_herm(2)
+    finally:
+        tracer.uninstall()
+    assert [(span[0], span[3]) for span in tracer.spans] == [("jetcore.holo", -1)] * 5
