@@ -49,7 +49,6 @@ from .jetcore import (
     HermJet,
     HoloJet,
     OrderError,
-    index_positions,
     index_table,
     multi_index_factorial,
     point_axis,
@@ -148,43 +147,37 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _jet_gram_plan(dim: int, n: int, variables: str):
-    """Table positions of the jet-Gram blocks and the factorial weights
-    alpha! beta! that turn normalized coefficients into derivatives."""
-    if variables == "z1":
-        blocks = [_e1(dim, k) for k in range(n + 1)]
-    elif variables == "all":
-        blocks = index_table(dim, n)
-    else:
-        raise ValueError(f"unknown variable selection {variables!r}")
-    positions = index_positions(dim, n)
-    pos = np.array([positions[b] for b in blocks], dtype=np.intp)
+def _jet_gram_plan(dim: int, n: int) -> np.ndarray:
+    """The factorial weights alpha! beta! that turn the normalized
+    coefficients of the jet-Gram blocks into derivatives."""
     # products in Python ints, rounded once: fixed-width ints would wrap
-    fact = [multi_index_factorial(b) for b in blocks]
-    return pos, np.array([[fa * fb for fb in fact] for fa in fact], dtype=float)
+    fact = [multi_index_factorial(b) for b in index_table(dim, n)]
+    return np.array([[fa * fb for fb in fact] for fa in fact], dtype=float)
 
 
-def _jet_blocks(H: HermJet, n: int, variables: str = "all") -> np.ndarray:
+def _jet_blocks(H: HermJet, n: int) -> np.ndarray:
     """The blocks d^I dbar^J H at the center, shape (*P, N, N, rank, rank),
     with I and J in the order of `jet_gram`'s rows and columns."""
-    pos, weight = _jet_gram_plan(H.dim, n, variables)
     if n > min(H.holo_order, H.anti_order):
         raise OrderError(
             f"jet Gram of order {n} needs jet orders >= {n}, "
             f"got ({H.holo_order}, {H.anti_order})"
         )
+    weight = _jet_gram_plan(H.dim, n)
     # graded tables make the order-n table a prefix of the jet's own tables
-    return H.coeffs[..., pos[:, None], pos[None, :], :, :] * weight[:, :, None, None]
+    size = len(weight)
+    return H.coeffs[..., :size, :size, :, :] * weight[:, :, None, None]
 
 
-def jet_gram(H: HermJet, n: int, variables: str = "all") -> np.ndarray:
+def jet_gram(H: HermJet, n: int) -> np.ndarray:
     """Block Gram matrix of the n-jet frame.
 
-    variables="all": rows/columns run over all multi-indices |I| <= n in the
-    fixed graded order (z1-major within a degree); variables="z1": only
-    transverse derivatives 0..n.  Block (I, J) is d^I dbar^J H at the center.
+    Rows and columns run over all multi-indices |I| <= n in the fixed graded
+    order (z1-major within a degree); block (I, J) is d^I dbar^J H at the
+    center.  The Gram of the transverse derivatives 0..n alone is that of
+    the restriction to the z1-line, ``jet_gram(H.restrict((0,)), n)``.
     """
-    blocks = _jet_blocks(H, n, variables)
+    blocks = _jet_blocks(H, n)
     size = blocks.shape[-3] * H.rank
     return np.swapaxes(blocks, -3, -2).reshape(blocks.shape[:-4] + (size, size))
 
@@ -279,20 +272,24 @@ def extend_A_sequence(H: HermJet, Ht: HermJet, A0: np.ndarray, n: int) -> list[n
 def extend_A_sequence_jets(
     H: HermJet, Ht: HermJet, A0: HermJet, n: int
 ) -> list[HermJet]:
-    """Tangential jets (along Z) of A_1..A_n from the same recursion; inputs
-    are restricted to the slice so the arithmetic happens in functions on Z."""
-    hzinv = H.freeze_variable(0).inv()
-    htzinv = Ht.freeze_variable(0).inv()
-    a0 = A0.freeze_variable(0)
+    """Jets on Z = {z1 = 0} of A_0..A_n from the same recursion, the
+    arithmetic done in functions on Z: H, Ht and A0 are restricted to Z
+    once, and each transverse derivative d^i/dz1^i is taken on the full jet
+    and then restricted.  The results are jets in z2..zm, of dim 0 when
+    m = 1 and Z is a point."""
+    on_z = tuple(range(1, H.dim))
+    hzinv = H.restrict(on_z).inv()
+    htzinv = Ht.restrict(on_z).inv()
+    a0 = A0.restrict(on_z)
 
     def transverse(jet, i):
         for _ in range(i):
             jet = jet.deriv(0)
-        return jet.freeze_variable(0)
+        return jet.restrict(on_z)
 
     b = [transverse(H, i) * hzinv * a0 for i in range(1, n + 1)]
     dht = [transverse(Ht, i) * htzinv for i in range(1, n + 1)]
-    return binomial_solve(b, dht, mul, x0=a0)
+    return [a0] + binomial_solve(b, dht, mul, x0=a0)
 
 
 def _L_tables(H: HermJet, n: int) -> dict:
@@ -395,7 +392,9 @@ class ContactProblem:
             for p in self.points:
                 if abs(p[0]) > 1e-12:
                     raise ValueError(f"point {p} does not lie on the slice z1 = 0")
-        object.__setattr__(self, "candidate", _normalize_candidate(self.candidate, self.dim))
+        object.__setattr__(
+            self, "candidate", _normalize_candidate(self.candidate, self.dim, self.rank)
+        )
         if isinstance(self.candidate, list):
             program = JetProgram([e for row in self.candidate for e in row])
             object.__setattr__(self, "_candidate_program", program)
@@ -424,11 +423,14 @@ class ContactProblem:
         return jet.holo_part()
 
 
-def _normalize_candidate(cand, dim: int):
+def _normalize_candidate(cand, dim: int, rank: int):
     if cand is None:
         return None
     if not isinstance(cand, list):
         raise TypeError("candidate must be None or a grid (list of rows) of expressions")
+    if len(cand) != rank or any(len(row) != rank for row in cand):
+        raise ValueError(f"candidate must be a {rank} x {rank} grid (the bundles' rank is "
+                         f"{rank}); got rows of lengths {[len(row) for row in cand]}")
     return [
         [_candidate_entry(e, dim, f"candidate[{i}][{j}]") for j, e in enumerate(row)]
         for i, row in enumerate(cand)
@@ -550,8 +552,8 @@ def _alongz_at(problem: ContactProblem, points) -> list[PointReport]:
     # analytic route: unique extension + transverse block-Gram isometry + gluing
     a_seq = [a0] + extend_A_sequence(h, ht, a0, n)
     lam = pascal_expand(np.stack(a_seq, axis=-3))
-    g = jet_gram(h, n, "z1")
-    gt = jet_gram(ht, n, "z1")
+    g = jet_gram(h.restrict((0,)), n)
+    gt = jet_gram(ht.restrict((0,)), n)
     analytic = {f"jet-gram-isometry(n={n})": _rel(g - lam @ gt @ _adjoint(lam), g, gt)}
     analytic.update(holomorphy_conditions(h, ht, a_seq, n))
     analytic.update(shared)
@@ -595,23 +597,19 @@ def _full_candidate_from_slice(
     h: HermJet, ht: HermJet, a0_jet: HoloJet, n: int
 ) -> HoloJet:
     """Assemble the full multi-index candidate jet at a point of Z from the
-    tangential jets of the extension sequence: d^(i1, I') A = d^I' A_{i1}.
+    jets on Z of the extension sequence: d^(i1, I') A = d^I' A_{i1}, read
+    from the jet of A_{i1} in z2..zm at the multi-index I'.
 
     Only the beta = 0 coefficients of the A_i jets are read, and the beta = 0
-    coefficients of products, inverses, z-derivatives and `freeze_variable`
+    coefficients of products, inverses, z-derivatives and restrictions
     depend only on the beta = 0 coefficients of their operands.  The
     sequence therefore runs on the Gram jets truncated to orders (n, 0) and
     on A0 at anti order 0: the same values, at the holomorphic orders read."""
-    dim = h.dim
-    a_jets = [a0_jet.freeze_variable(0)]
-    a_jets += extend_A_sequence_jets(h.truncate(n, 0), ht.truncate(n, 0), a_jets[0], n)
-    table = index_table(dim, n)
+    a_jets = extend_A_sequence_jets(h.truncate(n, 0), ht.truncate(n, 0), a0_jet, n)
+    table = index_table(h.dim, n)
     coeffs = np.zeros(h.points + (len(table), 1, h.rank, h.rank), dtype=np.complex128)
-    pos = index_positions(dim, n)
-    for idx in table:
-        k = idx[0]
-        tang = (0,) + idx[1:]
-        coeffs[..., pos[idx], 0, :, :] = a_jets[k].extract(tang) / multi_index_factorial(idx)
+    for k, idx in enumerate(table):
+        coeffs[..., k, 0, :, :] = a_jets[idx[0]].extract(idx[1:]) / multi_index_factorial(idx)
     return HoloJet(h.center, n, h.rank, coeffs)
 
 

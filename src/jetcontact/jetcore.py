@@ -56,8 +56,12 @@ A jet restricts to a coordinate subspace through its center
 (:meth:`HermJet.restrict`): the result is a jet in the kept variables only,
 with the coefficients whose other exponents are zero.  Restriction is a
 ring map, so a computation that reads only derivatives in some variables
-(the transverse curvature tower reads z1 and zbar1 only) runs on the
-smaller table with the same values.
+runs on the smaller table with the same values: the transverse curvature
+tower and the transverse jet Gram read the z1-line, and the along-Z spot
+check runs on jets on Z = {z1 = 0}.  It is the one way to take a sub-jet.
+Keeping no variable gives a jet of dim 0: one coefficient, the value, whose
+products and inverse are the matrix ones (Z is a point when the ambient
+dimension is 1).
 
 All jets are immutable after construction; every operation returns a new jet.
 Binary operations truncate to the minimum operand orders.
@@ -125,8 +129,9 @@ def multi_index_binom(alpha, beta) -> int:
 
 @lru_cache(maxsize=None)
 def index_table(dim: int, order: int) -> tuple[tuple[int, ...], ...]:
-    """All multi-indices of length `dim` with total order <= `order`, graded."""
-    if dim < 1 or order < 0:
+    """All multi-indices of length `dim` with total order <= `order`, graded;
+    at dim 0 the one empty multi-index."""
+    if dim < 0 or order < 0:
         raise ValueError(f"invalid index table request dim={dim} order={order}")
     idx = [i for i in _cartesian(range(order + 1), repeat=dim) if sum(i) <= order]
     idx.sort(key=lambda i: (sum(i), tuple(-c for c in i)))
@@ -146,7 +151,7 @@ def table_size(dim: int, order: int) -> int:
 @lru_cache(maxsize=None)
 def _axis_sums(dim: int, order: int):
     """(k, i, j) for all table positions with table[i] + table[j] = table[k]."""
-    table = np.array(index_table(dim, order)).reshape(-1, dim)
+    table = np.array(index_table(dim, order), dtype=np.intp).reshape(table_size(dim, order), dim)
     sums = table[:, None, :] + table[None, :, :]
     i, j = np.nonzero(sums.sum(axis=2) <= order)
     # mixed-radix code of a multi-index -> its table position
@@ -208,11 +213,12 @@ def _mul_plan(dim: int, holo_order: int, anti_order: int, left_nb: int, right_nb
 @lru_cache(maxsize=None)
 def _graded_plan(dim: int, holo_order: int, anti_order: int):
     """The product plan of two (p, q) jets split by the total degree
-    d = |alpha| + |beta| of the output, for d = 1..p+q, without the pairs
-    whose left factor is the constant term.  The right factors of degree-d
-    outputs then all have degree < d, which is what forward substitution in
-    graded order needs.  Each level is (I, J, K, starts, deg I, deg J) with
-    K the flat output positions of degree d."""
+    d = |alpha| + |beta| of the output, for d = 1..p+q (no level at dim 0,
+    where the tables hold degree 0 only), without the pairs whose left
+    factor is the constant term.  The right factors of degree-d outputs then
+    all have degree < d, which is what forward substitution in graded order
+    needs.  Each level is (I, J, K, starts, deg I, deg J) with K the flat
+    output positions of degree d."""
     nb = table_size(dim, anti_order)
     left, right, starts = _mul_plan(dim, holo_order, anti_order, nb, nb)
     deg_h = np.array([sum(a) for a in index_table(dim, holo_order)])
@@ -220,7 +226,7 @@ def _graded_plan(dim: int, holo_order: int, anti_order: int):
     deg = (deg_h[:, None] + deg_a[None, :]).ravel()
     out = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(left))))
     levels = []
-    for d in range(1, holo_order + anti_order + 1):
+    for d in range(1, deg.max() + 1):
         sel = (deg[out] == d) & (left != 0)
         i, j, k = left[sel], right[sel], out[sel]
         first = np.flatnonzero(np.append(True, k[1:] != k[:-1]))
@@ -684,39 +690,28 @@ class HermJet:
         center spanned by the 0-based `variables`, as a jet in those
         variables only: variable k of the result is z_{variables[k]}, its
         center holds the matching coordinates, and its coefficients are the
-        ones whose other exponents are all zero.
+        ones whose other exponents are all zero.  With no variables it is
+        the dim-0 jet of the value, a constant.
 
         A coefficient of a product, inverse or kept-variable derivative with
         the other exponents zero reads only such coefficients of the
-        operands (see :meth:`freeze_variable`), so restriction commutes with
-        them: it is a ring map that keeps the orders.
+        operands, so restriction commutes with them: it is a ring map that
+        keeps the orders.
         """
         variables = tuple(int(v) for v in variables)
-        if not variables or len(set(variables)) != len(variables) or not all(
+        if len(set(variables)) != len(variables) or not all(
                 0 <= v < self.dim for v in variables):
             raise DimensionError(f"cannot restrict dimension {self.dim} to {variables}")
         ha = _restrict_plan(self.dim, self.holo_order, variables)
         hb = _restrict_plan(self.dim, self.anti_order, variables)
+        out = self._like(self.holo_order, self.anti_order,
+                         self.coeffs[..., ha[:, None], hb[None, :], :, :])
         if point_axis(self.center):
-            center = tuple(tuple(point[v] for v in variables) for point in self.center)
+            out.center = tuple(tuple(point[v] for v in variables) for point in self.center)
         else:
-            center = tuple(self.center[v] for v in variables)
-        coeffs = self.coeffs[..., ha[:, None], hb[None, :], :, :]
-        return HermJet(center, self.holo_order, self.anti_order, self.rank, coeffs)
-
-    def freeze_variable(self, var: int) -> "HermJet":
-        """Jet of the restriction z_var = center[var] (as a jet constant in z_var).
-
-        Restricted jets form a subring: products of frozen jets stay frozen.
-        """
-        mask_h = np.array(
-            [idx[var] == 0 for idx in index_table(self.dim, self.holo_order)]
-        )
-        mask_a = np.array(
-            [idx[var] == 0 for idx in index_table(self.dim, self.anti_order)]
-        )
-        coeffs = self.coeffs * mask_h[:, None, None, None] * mask_a[None, :, None, None]
-        return self._like(self.holo_order, self.anti_order, coeffs)
+            out.center = tuple(self.center[v] for v in variables)
+        out.dim = len(variables)
+        return out
 
     def hermitian_defect(self) -> float:
         """Max coefficient deviation from Gram symmetry c[b,a] = c[a,b]^*;
@@ -744,7 +739,8 @@ class HoloJet(HermJet):
     anti order 0 made from its holomorphic order `order`, with coefficients
     (Na, 1, rank, rank), or (P, Na, 1, rank, rank) at P centers.  Its
     operations are HermJet's; those that reshape this jet's own coefficients
-    (products, inverse, truncation, derivatives, freezing) return a HoloJet."""
+    (products, inverse, truncation, derivatives, restriction) return a
+    HoloJet."""
 
     __slots__ = ()
 

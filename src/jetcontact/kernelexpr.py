@@ -448,6 +448,8 @@ class BundleSpec:
             for row in entries
         ]
         self.rank = len(self.entries)
+        if not self.rank:
+            raise ValueError(f"bundle {label!r}: Gram entry grid is empty")
         for row in self.entries:
             if len(row) != self.rank:
                 raise ValueError(f"bundle {label!r}: Gram entry grid is not square")

@@ -252,6 +252,7 @@ class TestRun:
 class TestShippedConfigs:
     CONFIG_CODES = [
         ("alongz-fock-pair.yaml", EXIT_VERIFIED),
+        ("alongz-disc-rank2.yaml", EXIT_VERIFIED),
         ("pointwise-bergman-weights.yaml", EXIT_REFUTED),
         ("rkhs-hardy-vs-fock.yaml", EXIT_REFUTED),
         ("verify-appendix.yaml", EXIT_VERIFIED),
@@ -607,6 +608,31 @@ class TestMain:
         assert main(["--config", path]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
         assert err.startswith(f"jetcontact: input error: candidate[0][1]: {message}")
+
+    @pytest.mark.parametrize(
+        "candidate,lengths",
+        [([["1", "0"]], [2]), ([[]], [0]), ([["1", "0"], ["0", "1"]], [2, 2])],
+    )
+    def test_candidate_grid_must_be_rank_by_rank(self, tmp_path, capsys, candidate, lengths):
+        # the bundles of this config have rank 1
+        raw = yaml.safe_load((CONFIG_DIR / "pointwise-bergman-weights.yaml").read_text())
+        path = write_config(tmp_path, {**raw, "candidate": candidate})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", path]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            "jetcontact: input error: candidate must be a 1 x 1 grid (the bundles' rank "
+            f"is 1); got rows of lengths {lengths}\n")
+
+    @pytest.mark.parametrize("grams", [([], [["1"]]), ([], [])])
+    def test_empty_gram_grid_is_input_error(self, tmp_path, capsys, grams):
+        bundles = [{"label": label, "dimension": 1, "gram": gram}
+                   for label, gram in zip("ab", grams)]
+        path = write_config(tmp_path, {"task": "pointwise", "order": 1, "points": [[0.0]],
+                                       "bundles": bundles})
+        assert main(["--config", path]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            "jetcontact: input error: bundles[0]: bundle 'a': Gram entry grid is empty\n")
 
     @pytest.mark.parametrize(
         "expr,message",

@@ -1,5 +1,7 @@
 """Point-wise and along-slice contact: examples, invariants, route agreement."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from jetcontact.contact import (
     alongZ_check,
     check_problem,
     extend_A_sequence,
-    extend_A_sequence_jets,
     geometric_conditions,
     holomorphy_conditions,
     jet_gram,
@@ -56,16 +57,17 @@ def gram_jets(entries_a, entries_b, point, orders, dim=2):
 class TestJetGram:
     @pytest.mark.parametrize("dim,rank", [(1, 1), (2, 2), (3, 2), (2, 3)])
     def test_equals_blockwise_extraction(self, rng, dim, rank):
-        # reference: one extract() per block, as d^I dbar^J H at the center
+        # reference: one extract() per block, as d^I dbar^J H at the center;
+        # the transverse blocks d^k dbar^l H are the jet Gram on the z1-line
         h = random_herm_jet(dim, rank, 4, 3, rng, scale=3.0)
-        for variables in ("all", "z1"):
-            for n in range(4):
-                if variables == "z1":
-                    blocks = [(k,) + (0,) * (dim - 1) for k in range(n + 1)]
-                else:
-                    blocks = index_table(dim, n)
-                want = np.block([[h.extract(a, b) for b in blocks] for a in blocks])
-                assert jet_gram(h, n, variables).tobytes() == want.tobytes()
+        line = h.restrict((0,))
+        for n in range(4):
+            blocks = index_table(dim, n)
+            want = np.block([[h.extract(a, b) for b in blocks] for a in blocks])
+            np.testing.assert_array_equal(jet_gram(h, n), want)
+            blocks = [(k,) + (0,) * (dim - 1) for k in range(n + 1)]
+            want = np.block([[h.extract(a, b) for b in blocks] for a in blocks])
+            np.testing.assert_array_equal(jet_gram(line, n), want)
 
     def test_order_zero_is_value(self, rng):
         h = random_herm_jet(2, 2, 2, 2, rng)
@@ -84,11 +86,13 @@ class TestJetGram:
             assert np.linalg.eigvalsh(g).min() > 0
 
     def test_z1_selects_transverse_blocks(self, rng):
+        # the z1-line's jet Gram is the full one's blocks (0,0), (1,0), (2,0)
         h = random_herm_jet(2, 2, 3, 3, rng)
         full = jet_gram(h, 2)
-        trans = jet_gram(h, 2, "z1")
-        np.testing.assert_array_equal(trans[:2, :2], full[:2, :2])
+        trans = jet_gram(h.restrict((0,)), 2)
+        rows = np.concatenate([2 * k + np.arange(2) for k in (0, 1, 3)])
         assert trans.shape == (6, 6)
+        np.testing.assert_array_equal(trans, full[np.ix_(rows, rows)])
 
 
 class TestPointwise:
@@ -551,7 +555,7 @@ class TestAlongZ:
             [[eval_holo_jet(e, point, 2) for e in row] for row in a_grid]
         ).value()
         seq = [a0] + extend_A_sequence(h, ht, a0, 2)
-        g, gt = jet_gram(h, 2, "z1"), jet_gram(ht, 2, "z1")
+        g, gt = jet_gram(h.restrict((0,)), 2), jet_gram(ht.restrict((0,)), 2)
 
         def isometry_residual(seq_mats):
             lam = pascal_expand(pascal_from_column(np.stack(seq_mats)))
@@ -566,12 +570,33 @@ class TestAlongZ:
             assert isometry_residual(noisy) > 100 * tol
 
 
+def frozen(jet):
+    """The restriction to Z = {z1 = 0} kept on the full table: every
+    coefficient with a z1 or zbar1 exponent zeroed."""
+    mask_h = np.array([idx[0] == 0 for idx in index_table(jet.dim, jet.holo_order)])
+    mask_a = np.array([idx[0] == 0 for idx in index_table(jet.dim, jet.anti_order)])
+    coeffs = jet.coeffs * mask_h[:, None, None, None] * mask_a[None, :, None, None]
+    return HermJet(jet.center, jet.holo_order, jet.anti_order, jet.rank, coeffs)
+
+
 def reference_full_candidate(h, ht, a0_jet, n):
-    """The spot-check candidate as it was assembled from the extension
-    sequence on the full (n, n) Gram jets."""
+    """The spot-check candidate from the extension recursion
+    A_l = d^l H H^-1 A0 - sum_i binom(l,i) A_{l-i} d^i Ht Ht^-1 run on the
+    full (n, n) Gram jets and full tables, every function on Z frozen."""
     dim = h.dim
-    a_jets = [a0_jet.as_herm(h.anti_order).freeze_variable(0)]
-    a_jets += extend_A_sequence_jets(h, ht, a_jets[0], n)
+    hzinv, htzinv = frozen(h).inv(), frozen(ht).inv()
+
+    def transverse(jet, i):
+        for _ in range(i):
+            jet = jet.deriv(0)
+        return frozen(jet)
+
+    a_jets = [frozen(a0_jet.as_herm(h.anti_order))]
+    for l in range(1, n + 1):
+        acc = transverse(h, l) * hzinv * a_jets[0]
+        for i in range(1, l + 1):
+            acc = acc - comb(l, i) * (a_jets[l - i] * (transverse(ht, i) * htzinv))
+        a_jets.append(acc)
     table = index_table(dim, n)
     coeffs = np.zeros(h.points + (len(table), 1, h.rank, h.rank), dtype=np.complex128)
     pos = index_positions(dim, n)

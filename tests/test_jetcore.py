@@ -291,12 +291,16 @@ class TestStructure:
             rhs = a.deriv(var, conjugate=True) * b + a * b.deriv(var, conjugate=True)
             assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-12
 
-    def test_freeze_variable_is_ring_map(self, rng):
-        a = random_herm_jet(2, 2, 3, 3, rng)
-        b = random_herm_jet(2, 2, 3, 3, rng)
-        lhs = (a * b).freeze_variable(0)
-        rhs = a.freeze_variable(0) * b.freeze_variable(0)
-        assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-12
+    def test_restriction_to_z_is_ring_map(self, rng):
+        # Z = {z1 = 0}: jets in z2..zm, of dim 0 (Z a point) at dim 1
+        for dim in (1, 2):
+            a = random_herm_jet(dim, 2, 3, 3, rng)
+            b = random_herm_jet(dim, 2, 3, 3, rng)
+            on_z = tuple(range(1, dim))
+            lhs = (a * b).restrict(on_z)
+            rhs = a.restrict(on_z) * b.restrict(on_z)
+            assert lhs.dim == dim - 1
+            assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-12
 
     def test_coeffs_immutable(self, rng):
         a = random_herm_jet(1, 1, 2, 2, rng)
@@ -345,10 +349,10 @@ class TestHoloJet:
         a, ha = self.holo_pair(center, 3, rng)
         b, hb = self.holo_pair(center, 2, rng)
         pairs = [(a * b, ha * hb), (a.inv(), ha.inv()), (a.truncate(1), ha.truncate(1)),
-                 (a.freeze_variable(0), ha.freeze_variable(0))]
+                 (a.restrict((1,)), ha.restrict((1,))), (a.restrict(()), ha.restrict(()))]
         for got, want in pairs:
             assert type(got) is HoloJet and got.anti_order == 0
-            assert got.holo_order == want.holo_order
+            assert (got.dim, got.holo_order) == (want.dim, want.holo_order)
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
         assert a.extract((1, 2)).tobytes() == ha.extract((1, 2)).tobytes()
         assert a.value().tobytes() == ha.value().tobytes()
@@ -417,7 +421,8 @@ class TestPointAxis:
         self.assert_each_point(grid.deriv(1), [x.deriv(1) for x in a])
         self.assert_each_point(grid.deriv(0, conjugate=True), [x.deriv(0, True) for x in a])
         self.assert_each_point(grid.adjoint(), [x.adjoint() for x in a])
-        self.assert_each_point(grid.freeze_variable(0), [x.freeze_variable(0) for x in a])
+        for kept in ((1,), ()):
+            self.assert_each_point(grid.restrict(kept), [x.restrict(kept) for x in a])
         for k, x in enumerate(a):
             assert grid.extract((1, 1), (0, 1))[k].tobytes() == x.extract((1, 1), (0, 1)).tobytes()
         holo = grid.holo_part()
@@ -511,7 +516,7 @@ class TestRestrict:
     """Restriction to a coordinate subspace through the center is a ring
     map: it commutes with products, inverses and kept-variable derivatives."""
 
-    KEPT = {1: [(0,)], 2: [(0,), (1,), (0, 1)], 3: [(0,), (2,), (0, 2), (2, 0)]}
+    KEPT = {1: [(0,), ()], 2: [(0,), (1,), (0, 1), ()], 3: [(0,), (2,), (0, 2), (2, 0), ()]}
 
     def operands(self, dim, rank, points, rng):
         def one():
@@ -553,10 +558,54 @@ class TestRestrict:
                                               a.extract((a1, 0, a3), (b1, 0, b3)))
         assert a.restrict((0, 1, 2)).coeffs.tobytes() == a.coeffs.tobytes()
 
-    @pytest.mark.parametrize("kept", [(), (0, 0), (3,), (-1,)])
+    @pytest.mark.parametrize("kept", [(0, 0), (3,), (-1,)])
     def test_invalid_variables_raise(self, rng, kept):
         with pytest.raises(DimensionError):
             random_jet(3, 1, 2, 2, rng).restrict(kept)
+
+
+class TestDimZero:
+    """Keeping no variable gives the jet of dim 0 of the value: one
+    coefficient, whose products and inverse are the matrix ones."""
+
+    def test_table(self):
+        assert index_table(0, 3) == ((),)
+        assert table_size(0, 3) == 1 and index_positions(0, 3) == {(): 0}
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_restriction_keeps_the_value(self, rng, rank):
+        a = HermJet((0.1, 0.2j), 3, 2, rank, random_jet(2, rank, 3, 2, rng).coeffs)
+        point = a.restrict(())
+        assert (point.dim, point.center, point.holo_order, point.anti_order) == (0, (), 3, 2)
+        assert point.coeffs.shape == (1, 1, rank, rank)
+        np.testing.assert_array_equal(point.value(), a.value())
+        np.testing.assert_array_equal(point.extract(()), a.value())
+        assert point.restrict(()).coeffs.tobytes() == point.coeffs.tobytes()
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_product_and_inverse_are_the_matrix_ones(self, rng, rank):
+        a = random_jet(2, rank, 3, 3, rng).restrict(())
+        b = random_jet(2, rank, 2, 3, rng).restrict(())
+        prod = a * b
+        assert (prod.dim, prod.holo_order, prod.anti_order) == (0, 2, 3)
+        np.testing.assert_allclose(prod.value(), a.value() @ b.value(), rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(a.inv().value(), np.linalg.inv(a.value()))
+        np.testing.assert_allclose(a.power(-2).value(),
+                                   np.linalg.matrix_power(np.linalg.inv(a.value()), 2),
+                                   rtol=0, atol=1e-13)
+        with pytest.raises(DimensionError):
+            a.deriv(0)
+
+    def test_point_axis(self, rng):
+        singles = [HermJet(c, 2, 2, 2, random_jet(2, 2, 2, 2, rng).coeffs)
+                   for c in [(0.1, -0.2), (0.0, 0.3 + 0.1j), (-0.25, 0.05j)]]
+        grid = at_grid(singles).restrict(())
+        assert grid.points == (3,) and grid.center == ((), (), ())
+        for k, single in enumerate(singles):
+            point = single.restrict(())
+            assert grid.coeffs[k].tobytes() == point.coeffs.tobytes()
+            assert (grid * grid).coeffs[k].tobytes() == (point * point).coeffs.tobytes()
+            assert grid.inv().coeffs[k].tobytes() == point.inv().coeffs.tobytes()
 
 
 def polynomial_jet(dim, rank, p, q, degree, rng):

@@ -296,6 +296,10 @@ class TestBundleSpec:
         with pytest.raises(ValueError, match="positive definite"):
             spec.validate([(0.0,)])
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="bundle 'e': Gram entry grid is empty"):
+            BundleSpec("e", 1, [])
+
     def test_asymmetry_checked_at_requested_orders(self):
         # entry (0,1) has a degree-3 term that entry (1,0) does not mirror
         spec = BundleSpec("bad", 1, [["2", "z1^3"], ["0", "2"]])
