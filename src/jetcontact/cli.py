@@ -21,10 +21,12 @@ import yaml
 from . import __version__
 from .contact import (
     ContactProblem,
+    _adjoint,
     _rel,
     check_problem,
     classify,
     combine_verdicts,
+    run_in_slices,
     worst_residual,
     INCONCLUSIVE,
     REFUTED,
@@ -33,10 +35,9 @@ from .contact import (
 from .geometry import (
     K1j_tower,
     L_tensor,
-    Q_jet,
     Q_recursion,
-    cov_deriv,
-    curvature,
+    cov_step,
+    curvature_table,
     map_adjoint_jet,
     transverse_tower,
 )
@@ -289,12 +290,12 @@ def _cmat(mat: np.ndarray) -> list:
     return [[_cnum(v) for v in row] for row in np.atleast_2d(mat)]
 
 
-def _run_contact(cfg: RunConfig, mode: str) -> tuple[dict, str]:
+def _run_contact(cfg: RunConfig) -> tuple[dict, str]:
     problem = ContactProblem(
         bundle_a=cfg.bundle_a,
         bundle_b=cfg.bundle_b,
         order=cfg.order,
-        mode=mode,
+        mode=cfg.task,
         points=cfg.points,
         candidate=cfg.candidate,
         tolerance=cfg.tolerance,
@@ -305,75 +306,75 @@ def _run_contact(cfg: RunConfig, mode: str) -> tuple[dict, str]:
 
 
 def _run_curvature(cfg: RunConfig) -> tuple[dict, str]:
-    spec = cfg.bundle_a
-    n = cfg.order
-    out = []
-    for point in cfg.points:
-        # the towers read derivatives of orders <= n in z and in zbar
-        h = spec.gram_jet(point, n, n)
-        entry = {"point": [_cnum(c) for c in point], "curvature": {}, "covariant": {}}
-        for i in range(1, spec.dimension + 1):
-            for j in range(1, spec.dimension + 1):
-                entry["curvature"][f"K({i},{j}bar)"] = _cmat(
-                    curvature(h, i, j).value()
-                )
-        for r, row in enumerate(transverse_tower(h, n)):
-            for t, value in enumerate(row):
-                entry["covariant"][f"K(1,1bar)_z1^{r}_zb1^{t}"] = _cmat(value)
-        for j in range(2, spec.dimension + 1):
-            mixed = K1j_tower(h, [L_tensor(h, j, l) for l in range(1, n + 1)])
-            for r, value in enumerate(mixed):
-                entry["covariant"][f"K(1,{j}bar)_z1^{r}"] = _cmat(value)
-        out.append(entry)
-    return {"points": out}, "completed"
+    points = run_in_slices(cfg.points, lambda part: _curvature_at(cfg, part))
+    return {"points": points}, "completed"
+
+
+def _curvature_at(cfg: RunConfig, points) -> list:
+    """The curvature values and towers at every point of `points`; one entry
+    per point."""
+    spec, n = cfg.bundle_a, cfg.order
+    dims = range(1, spec.dimension + 1)
+    # the towers read derivatives of orders <= n in z and in zbar
+    h = spec.gram_jet(points, n, n)
+    _, K = curvature_table(h, dims)
+    curv = {f"K({i},{j}bar)": K[i][j].value() for i in dims for j in dims}
+    cov = {f"K(1,1bar)_z1^{r}_zb1^{t}": value
+           for r, row in enumerate(transverse_tower(h, n)) for t, value in enumerate(row)}
+    for j in dims[1:]:
+        mixed = K1j_tower(h, [L_tensor(h, j, l) for l in range(1, n + 1)])
+        cov.update((f"K(1,{j}bar)_z1^{r}", value) for r, value in enumerate(mixed))
+    return [{"point": [_cnum(c) for c in point],
+             "curvature": {name: _cmat(value[k]) for name, value in curv.items()},
+             "covariant": {name: _cmat(value[k]) for name, value in cov.items()}}
+            for k, point in enumerate(points)]
 
 
 def _run_recursions(cfg: RunConfig) -> tuple[dict, str]:
-    spec = cfg.bundle_a
-    n = cfg.order
-    results = []
-    for point in cfg.points:
-        # orders (n+1, n+1): the adjoint-derivative check takes a z-derivative
-        # of the curvature, which is one order short of the jet
-        h = spec.gram_jet(point, n + 1, n + 1)
-        entry = {"point": [_cnum(c) for c in point], "residuals": {}}
-        h0 = h.value()
-        h0inv = np.linalg.inv(h0)
-        for j in range(1, spec.dimension + 1):
-            tower = K1j_tower(h, [L_tensor(h, j, l) for l in range(1, n + 1)])
-            iterated = curvature(h, 1, j)
-            for order in range(1, n + 1):
-                rec, direct = tower[order - 1], iterated.value()
-                entry["residuals"][f"curvature-tower(j={j},n={order})"] = float(
-                    _rel(rec - direct, rec, direct)
-                )
-                if order < n:
-                    iterated = cov_deriv(iterated, h, 1)
-            qjet = Q_jet(h, j)
-            for order in range(n):
-                rec = Q_recursion(h, j, order)
-                direct_jet = qjet
-                for _ in range(order):
-                    direct_jet = direct_jet.deriv(0, conjugate=True)
-                direct = direct_jet.value()
-                entry["residuals"][f"conjugate-tower(j={j},n={order})"] = float(
-                    _rel(rec - direct, rec, direct)
-                )
-        for i in range(1, spec.dimension + 1):
-            for j in range(1, spec.dimension + 1):
-                kij = curvature(h, i, j).value()
-                kji = curvature(h, j, i).value()
-                entry["residuals"][f"adjoint-symmetry(i={i},j={j})"] = float(
-                    _rel(kij - h0 @ np.conj(kji.T) @ h0inv, kij, kji)
-                )
-        phi = curvature(h, 1, 1)
-        for i in range(1, spec.dimension + 1):
-            lhs = map_adjoint_jet(cov_deriv(phi, h, i), h).value()
-            rhs = cov_deriv(map_adjoint_jet(phi, h), h, i, conjugate=True).value()
-            entry["residuals"][f"adjoint-derivative(i={i})"] = float(_rel(lhs - rhs, lhs, rhs))
-        results.append(entry)
+    results = run_in_slices(cfg.points, lambda part: _recursions_at(cfg, part))
     worst = worst_residual(r for e in results for r in e["residuals"].values())
     return {"points": results, "max_residual": worst}, classify(worst, cfg.tolerance)
+
+
+def _recursions_at(cfg: RunConfig, points) -> list:
+    """The recursions against the direct jets of one table of connection and
+    curvature jets, at every point of `points`; one entry per point."""
+    spec, n = cfg.bundle_a, cfg.order
+    dims = range(1, spec.dimension + 1)
+    # orders (n+1, n+1): the adjoint-derivative check takes a z-derivative
+    # of the curvature, which is one order short of the jet
+    h = spec.gram_jet(points, n + 1, n + 1)
+    conn, K = curvature_table(h, dims)
+    residuals = {}
+    for j in dims:
+        tower = K1j_tower(h, [L_tensor(h, j, l) for l in range(1, n + 1)])
+        iterated = K[1][j]
+        for order in range(1, n + 1):
+            rec, direct = tower[order - 1], iterated.value()
+            residuals[f"curvature-tower(j={j},n={order})"] = _rel(rec - direct, rec, direct)
+            if order < n:
+                iterated = cov_step(iterated, conn[1], 1)
+        conjugate = K[j][1]  # the jet of Q_j, then its zbar1-derivatives
+        for order in range(n):
+            rec, direct = Q_recursion(h, j, order), conjugate.value()
+            residuals[f"conjugate-tower(j={j},n={order})"] = _rel(rec - direct, rec, direct)
+            conjugate = conjugate.deriv(0, conjugate=True)
+    h0 = h.value()
+    h0inv = np.linalg.inv(h0)
+    for i in dims:
+        for j in dims:
+            kij, kji = K[i][j].value(), K[j][i].value()
+            residuals[f"adjoint-symmetry(i={i},j={j})"] = _rel(
+                kij - h0 @ _adjoint(kji) @ h0inv, kij, kji)
+    phi = K[1][1]
+    phi_adjoint = map_adjoint_jet(phi, h)
+    for i in dims:
+        lhs = map_adjoint_jet(cov_step(phi, conn[i], i), h).value()
+        rhs = phi_adjoint.deriv(i - 1, conjugate=True).value()
+        residuals[f"adjoint-derivative(i={i})"] = _rel(lhs - rhs, lhs, rhs)
+    return [{"point": [_cnum(c) for c in point],
+             "residuals": {name: float(value[k]) for name, value in residuals.items()}}
+            for k, point in enumerate(points)]
 
 
 def _run_appendix(cfg: RunConfig) -> tuple[dict, str]:
@@ -398,20 +399,14 @@ def _run_rkhs(cfg: RunConfig) -> tuple[dict, str]:
 
 def run(cfg: RunConfig) -> dict:
     """Dispatch a validated config; returns the report document."""
-    if cfg.task == "pointwise":
-        results, verdict = _run_contact(cfg, "pointwise")
-    elif cfg.task == "along-z":
-        results, verdict = _run_contact(cfg, "along-z")
-    elif cfg.task == "curvature":
-        results, verdict = _run_curvature(cfg)
-    elif cfg.task == "verify-recursions":
-        results, verdict = _run_recursions(cfg)
-    elif cfg.task == "verify-appendix":
-        results, verdict = _run_appendix(cfg)
-    elif cfg.task == "rkhs-quotient":
-        results, verdict = _run_rkhs(cfg)
-    else:  # pragma: no cover - guarded by build_config
-        raise ConfigError(f"unknown task {cfg.task!r}")
+    results, verdict = {  # the task is one of TASKS, checked by build_config
+        "pointwise": _run_contact,
+        "along-z": _run_contact,
+        "curvature": _run_curvature,
+        "verify-recursions": _run_recursions,
+        "verify-appendix": _run_appendix,
+        "rkhs-quotient": _run_rkhs,
+    }[cfg.task](cfg)
     exit_code = {
         VERIFIED: EXIT_VERIFIED,
         "completed": EXIT_VERIFIED,

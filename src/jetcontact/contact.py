@@ -20,10 +20,10 @@ Two settings are covered, both driven by Gram jets:
     covariant derivatives (orders r, t <= n-1) and the mixed components
     (K_{1 jbar})_{z1^r} for the tangential directions j >= 2.
 
-  Both routes and the point-wise spot check run once per grid, on Gram jets
-  with a leading point axis (see :mod:`jetcore`); every residual below is
-  then an array with one value per point, and a verdict list has one entry
-  per point.
+Both settings run once per slice of points (:func:`run_in_slices`), on
+Gram jets with a leading point axis (see :mod:`jetcore`); every residual
+below is then an array with one value per point, and a verdict list has one
+entry per point.
 
 Verdicts are grid-based: "verified" means every residual is below tolerance
 at every requested point, "refuted" means some residual exceeds 10x the
@@ -41,7 +41,7 @@ import numpy as np
 from .geometry import (
     K1j_tower,
     L_tensor,
-    curvature,
+    curvature_table,
     normalize_frame,
     transverse_tower,
 )
@@ -51,7 +51,6 @@ from .jetcore import (
     OrderError,
     index_table,
     multi_index_factorial,
-    point_axis,
 )
 from .kernelexpr import BundleSpec, JetProgram, ParseError, check_holomorphic, parse_kernel
 from .pascal import (
@@ -75,6 +74,7 @@ __all__ = [
     "holomorphy_conditions",
     "geometric_conditions",
     "alongZ_check",
+    "run_in_slices",
     "check_problem",
     "worst_residual",
     "VERIFIED",
@@ -110,15 +110,14 @@ def classify(residual: float, tol: float) -> str:
 
 
 def worst_residual(residuals) -> float:
-    """The largest residual, or NaN if any is not finite.
+    """The largest residual, or NaN if any is not finite (0 if there are
+    none); of residual arrays with one value per point, one per point.
 
     Python's ``max`` drops a NaN that follows a finite value, which would let
     an unevaluated residual pass as verified; NaN classifies as inconclusive.
     """
-    values = [float(v) for v in residuals]
-    if not all(np.isfinite(values)):
-        return float("nan")
-    return max(values, default=0.0)
+    worst = np.max(np.broadcast_arrays(0.0, *residuals), axis=0)
+    return np.where(np.isfinite(worst), worst, np.nan)[()]
 
 
 def combine_verdicts(verdicts) -> str:
@@ -239,14 +238,16 @@ def pointwise_normalized_decide(
 ) -> tuple[str, dict]:
     """Candidate-free decision for any rank: in normalized frames a jet
     isometry must be block diagonal with unitary corner A0, so contact holds
-    iff some unitary intertwines all normalized jet-Gram blocks."""
+    iff some unitary intertwines all normalized jet-Gram blocks; at P
+    centers, a solve, a residual and a verdict per point."""
     if H.rank == 1:
         return pointwise_rank1_decide(H, Ht, n, tol)
     hn, htn = _normalized_pair(H, Ht, n)
-    mats_a = _jet_blocks(hn, n).reshape(-1, H.rank, H.rank)
-    mats_b = _jet_blocks(htn, n).reshape(-1, H.rank, H.rank)
-    _, resid = unitary_intertwiner(mats_a, mats_b, seed=seed,
-                                   refuted_above=REFUTE_FACTOR * tol)
+    # one solve per point, on that point's blocks
+    mats = [_jet_blocks(jet, n).reshape(int(np.prod(H.points)), -1, H.rank, H.rank)
+            for jet in (hn, htn)]
+    resid = np.array([unitary_intertwiner(a, b, seed=seed, refuted_above=REFUTE_FACTOR * tol)[1]
+                      for a, b in zip(*mats)]).reshape(H.points)[()]  # a scalar at one center
     return classify(resid, tol), {f"normalized-block-similarity(n={n})": resid}
 
 
@@ -348,11 +349,12 @@ def geometric_conditions(H: HermJet, Ht: HermJet, A0: np.ndarray, n: int) -> dic
 def tangential_curvature_conditions(H: HermJet, Ht: HermJet) -> dict:
     """Equality of the purely tangential curvature components (rank 1 only):
     a necessary condition for a holomorphic isometric corner map to exist."""
+    tangential = range(2, H.dim + 1)
+    (_, k), (_, kt) = curvature_table(H, tangential), curvature_table(Ht, tangential)
     out = {}
-    for i in range(2, H.dim + 1):
-        for j in range(2, H.dim + 1):
-            lhs = curvature(H, i, j).value()
-            rhs = curvature(Ht, i, j).value()
+    for i in tangential:
+        for j in tangential:
+            lhs, rhs = k[i][j].value(), kt[i][j].value()
             out[f"tangential-curvature(i={i},j={j})"] = _rel(lhs - rhs, lhs, rhs)
     return out
 
@@ -407,18 +409,16 @@ class ContactProblem:
     def rank(self) -> int:
         return self.bundle_a.rank
 
-    def candidate_jet(self, center, order: int) -> HoloJet | None:
-        """The candidate's jet at `center`, one point or P points, checked
-        for finite coefficients; an error names the first failing point."""
+    def candidate_jet(self, points, order: int) -> HoloJet | None:
+        """The candidate's jet at the P points of `points`, checked for finite
+        coefficients; an error names the first failing point."""
         if self.candidate is None:
             return None
         # finite inputs can overflow; such a point is refused by name below
         with np.errstate(all="ignore"):
-            jet = self._candidate_program.matrix_jet(len(self.candidate), center, order, 0)
-            finite = np.ravel(np.isfinite(jet.coeffs).all(axis=(-4, -3, -2, -1)))
-        failing = np.flatnonzero(~finite)
+            jet = self._candidate_program.matrix_jet(len(self.candidate), points, order, 0)
+            failing = np.flatnonzero(~np.isfinite(jet.coeffs).all(axis=(-4, -3, -2, -1)))
         if failing.size:
-            points = list(center) if point_axis(center) else [center]
             raise ValueError(f"candidate jet is not finite at {points[failing[0]]}")
         return jet.holo_part()
 
@@ -486,44 +486,24 @@ class ContactReport:
         }
 
 
-def _assemble(mode, order, tol, point_reports) -> ContactReport:
-    verdict = combine_verdicts(p.verdict for p in point_reports)
-    agree = all(p.route_agreement for p in point_reports)
-    return ContactReport(mode, order, tol, list(point_reports), verdict, agree)
-
-
 # ---------------------------------------------------------------------------
 # drivers
 
 
-def _pointwise_at(problem: ContactProblem, point) -> PointReport:
-    n = problem.order
-    tol = problem.tolerance
+def _pointwise_at(problem: ContactProblem, points) -> list[PointReport]:
+    """Both point-wise routes at every point of `points`, each as one pass
+    over all of them; one report per point."""
+    n, tol = problem.order, problem.tolerance
     # both routes read derivatives of orders <= n in z and in zbar only
-    h = problem.bundle_a.gram_jet(point, n, n)
-    ht = problem.bundle_b.gram_jet(point, n, n)
-    residuals = {}
-    routes = {}
-
-    decide_verdict, decide_res = pointwise_normalized_decide(
-        h, ht, n, tol, seed=problem.seed
-    )
-    residuals.update(decide_res)
-    routes["normalized-decide"] = decide_verdict
-
-    cand = problem.candidate_jet(point, n)
+    h = problem.bundle_a.gram_jet(points, n, n)
+    ht = problem.bundle_b.gram_jet(points, n, n)
+    routes = {"normalized-decide": pointwise_normalized_decide(h, ht, n, tol, seed=problem.seed)}
+    cand = problem.candidate_jet(points, n)
     if cand is not None:
-        cand_verdict, cand_res = pointwise_verify(h, ht, cand, n, tol)
-        residuals.update(cand_res)
-        routes["candidate-verify"] = cand_verdict
-        verdict = combine_verdicts([decide_verdict, cand_verdict])
-        # a failing candidate does not refute contact itself, but the two
-        # routes are still reported and compared
-        agreement = decide_verdict == cand_verdict
-    else:
-        verdict = decide_verdict
-        agreement = True
-    return PointReport(tuple(point), verdict, residuals, routes, agreement)
+        routes["candidate-verify"] = pointwise_verify(h, ht, cand, n, tol)
+    # a failing candidate does not refute contact itself, but the two routes
+    # are still reported and compared
+    return _point_reports(points, routes, compared=tuple(routes))
 
 
 def _alongz_at(problem: ContactProblem, points) -> list[PointReport]:
@@ -570,27 +550,27 @@ def _alongz_at(problem: ContactProblem, points) -> list[PointReport]:
         spot_verdicts, spot_res = pointwise_verify(h, ht, full_cand, n, tol)
     spot = {f"pointwise-spot-check:{k}": v for k, v in spot_res.items()}
 
+    routes = {
+        "analytic": (classify(worst_residual(analytic.values()), tol), analytic),
+        "geometric": (classify(worst_residual(geometric.values()), tol), geometric),
+        "pointwise-spot-check": (spot_verdicts, spot),
+    }
+    return _point_reports(points, routes, compared=("analytic", "geometric"))
+
+
+def _point_reports(points, routes: dict, compared: tuple) -> list[PointReport]:
+    """One report per point from `routes`, {route: (verdict per point,
+    residuals)}; the verdicts of the routes named in `compared` must agree."""
     reports = []
     for k, point in enumerate(points):
-        analytic_k = _at_point(analytic, k)
-        geometric_k = _at_point(geometric, k)
-        analytic_verdict = classify(worst_residual(analytic_k.values()), tol)
-        geometric_verdict = classify(worst_residual(geometric_k.values()), tol)
-        residuals = {**analytic_k, **geometric_k, **_at_point(spot, k)}
-        routes = {
-            "analytic": analytic_verdict,
-            "geometric": geometric_verdict,
-            "pointwise-spot-check": spot_verdicts[k],
-        }
-        verdict = combine_verdicts(routes.values())
-        agreement = analytic_verdict == geometric_verdict
-        reports.append(PointReport(tuple(point), verdict, residuals, routes, agreement))
+        verdicts = {name: verdict[k] for name, (verdict, _) in routes.items()}
+        residuals = {}  # a scalar residual holds at every point
+        for _, res in routes.values():
+            residuals.update((name, float(v[k] if np.ndim(v) else v)) for name, v in res.items())
+        agreement = len({verdicts[name] for name in compared}) == 1
+        reports.append(PointReport(tuple(point), combine_verdicts(verdicts.values()),
+                                   residuals, verdicts, agreement))
     return reports
-
-
-def _at_point(residuals: dict, k: int) -> dict:
-    """The residuals of grid point k; a scalar residual holds at every point."""
-    return {name: float(v[k] if np.ndim(v) else v) for name, v in residuals.items()}
 
 
 def _full_candidate_from_slice(
@@ -613,39 +593,46 @@ def _full_candidate_from_slice(
     return HoloJet(h.center, n, h.rank, coeffs)
 
 
-# Grid points per pass of `_alongz_at`.  A pass holds jets for each of its
-# points, so a grid runs in slices of this many: memory stays that of one
-# slice whatever the grid size, and the per-pass Python work (the Gram
-# programs, the towers, the report loop) is paid once per slice, not once
-# per point.  8 covers a 4x2 grid in one pass; at dim 2, order 3, rank 2
-# such a pass allocates about 1.5 MB at its peak (tracemalloc), since the
-# product kernel holds no array beyond its two gathers and one block row.
+# Points per pass of every Gram-jet task (pointwise, along-z, curvature,
+# verify-recursions; :func:`run_in_slices`).  A pass holds jets for each of
+# its points: memory stays that of one slice whatever the point count, and
+# the per-pass Python work (the Gram programs, the connection and curvature
+# jets, the towers, the report loop) is paid once per slice, not per point.
+# 8 covers a 4x2 grid in one pass; at dim 2, order 3, rank 2 an along-Z pass
+# allocates about 1.5 MB at its peak (tracemalloc), since the product kernel
+# holds no array beyond its two gathers and one block row.
 _GRID_SLICE = 8
 
 
-def alongZ_check(problem: ContactProblem) -> ContactReport:
-    """Run both verification routes at every grid point on Z, a slice of
-    grid points per pass.  An error is the one the first failing point raises
-    when the points run one at a time, in grid order."""
-    reports = []
-    points = problem.points
+def run_in_slices(points, run) -> list:
+    """The results of `run(part)`, one per point of `part`, over the slices
+    of `points`.  A failing slice runs again a point at a time, so an error
+    is the one the first failing point raises alone."""
+    results = []
     for start in range(0, len(points), _GRID_SLICE):
         part = points[start : start + _GRID_SLICE]
         try:
-            reports += _alongz_at(problem, part)
+            results += run(part)
         except Exception:
             for point in part:
-                _alongz_at(problem, (point,))
+                run((point,))
             raise
-    return _assemble("along-z", problem.order, problem.tolerance, reports)
+    return results
 
 
-def pointwise_check(problem: ContactProblem) -> ContactReport:
-    reports = [_pointwise_at(problem, p) for p in problem.points]
-    return _assemble("pointwise", problem.order, problem.tolerance, reports)
+def _check(problem: ContactProblem, mode: str) -> ContactReport:
+    """The routes of `mode` at the problem's points, a slice of points per pass."""
+    at = _alongz_at if mode == "along-z" else _pointwise_at
+    reports = run_in_slices(problem.points, lambda part: at(problem, part))
+    verdict = combine_verdicts(p.verdict for p in reports)
+    agree = all(p.route_agreement for p in reports)
+    return ContactReport(mode, problem.order, problem.tolerance, reports, verdict, agree)
+
+
+def alongZ_check(problem: ContactProblem) -> ContactReport:
+    """Run both verification routes at every grid point on Z."""
+    return _check(problem, "along-z")
 
 
 def check_problem(problem: ContactProblem) -> ContactReport:
-    if problem.mode == "along-z":
-        return alongZ_check(problem)
-    return pointwise_check(problem)
+    return _check(problem, problem.mode)

@@ -33,7 +33,9 @@ from .pascal import binomial_solve
 __all__ = [
     "connection",
     "curvature",
+    "curvature_table",
     "cov_deriv",
+    "cov_step",
     "map_adjoint_jet",
     "L_tensor",
     "K1j_recursion",
@@ -73,15 +75,25 @@ def curvature(H: HermJet, i: int, j: int) -> HermJet:
     return connection(H, i).deriv(j - 1, conjugate=True)
 
 
+def curvature_table(H: HermJet, directions) -> tuple[dict, dict]:
+    """The jets conn[i] = connection(H, i) and K[i][j] = K_{i jbar} =
+    dbar_j conn[i] for i, j in `directions`, each connection formed once."""
+    _check_curvature_orders(H)
+    conn = {i: connection(H, i) for i in directions}
+    return conn, {i: {j: c.deriv(j - 1, conjugate=True) for j in directions}
+                  for i, c in conn.items()}
+
+
 def cov_deriv(Phi: HermJet, H: HermJet, direction: int, conjugate: bool = False) -> HermJet:
     """Covariant derivative of the bundle map represented by Phi."""
     if conjugate:
         return Phi.deriv(direction - 1, conjugate=True)
-    return _cov_step(Phi, connection(H, direction), direction)
+    return cov_step(Phi, connection(H, direction), direction)
 
 
-def _cov_step(Phi: HermJet, conn: HermJet, direction: int) -> HermJet:
-    """Holomorphic covariant derivative of Phi given the connection jet."""
+def cov_step(Phi: HermJet, conn: HermJet, direction: int) -> HermJet:
+    """Holomorphic covariant derivative of Phi given the connection jet
+    `conn` in that direction, ``connection(H, direction)``."""
     return Phi.deriv(direction - 1) - conn * Phi + Phi * conn
 
 
@@ -93,14 +105,13 @@ def transverse_tower(H: HermJet, n: int) -> list:
     The tower reads only z1 and zbar1 derivatives, so it runs on the jet of
     H restricted to the z1-line through the center (:meth:`HermJet.restrict`):
     at dim 2, orders (3, 3), a table of 16 coefficients instead of 100."""
-    _check_curvature_orders(H)
     H = H.restrict((0,))
-    conn = connection(H, 1)
+    conn, K = curvature_table(H, (1,))
     rows = []
-    step = conn.deriv(0, conjugate=True)
+    step = K[1][1]
     for r in range(n):
         if r:
-            step = _cov_step(step, conn, 1)
+            step = cov_step(step, conn[1], 1)
         col = step
         row = [col.value()]
         for _ in range(1, n):

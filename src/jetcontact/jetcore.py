@@ -263,7 +263,13 @@ def _contract(left, right, I, J, starts, weight=None) -> np.ndarray:
     if weight is not None:
         a *= weight
     r = a.shape[0]
-    if r == 1:
+    if r == 1 and len(I) == 1:
+        # numpy multiplies a one-element complex array in place by a scalar
+        # loop, and longer ones by a vector loop that may fuse multiply-adds
+        # and round apart; a plan of one pair is multiplied the first way at
+        # any point count, so a point's bits do not depend on its pass
+        a.real, a.imag = a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+    elif r == 1:
         a *= b
     else:
         # a block row of products reads the whole block row of a

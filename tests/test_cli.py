@@ -186,6 +186,31 @@ class TestRun:
         doc = run(cfg)
         assert doc["verdict"] == "verified"
 
+    @pytest.mark.parametrize(
+        "task,per_pass",
+        [
+            # the table's connections, and one of the jet on the z1-line for
+            # the transverse tower
+            ("curvature", [(1, 2), (2, 2), (1, 1)]),
+            ("verify-recursions", [(1, 2), (2, 2)]),
+        ],
+    )
+    def test_each_connection_formed_once_per_pass(self, monkeypatch, task, per_pass):
+        import jetcontact.geometry as geometry
+
+        calls = []
+        real = geometry.connection
+
+        def spy(H, i):
+            calls.append((i, H.dim))
+            return real(H, i)
+
+        monkeypatch.setattr(geometry, "connection", spy)
+        points = [[0.05 * k, [0.0, -0.1]] for k in range(10)]
+        doc = run(build_config({**_task_configs()[task], "points": points}))
+        assert doc["exit_code"] == EXIT_VERIFIED
+        assert calls == per_pass * 2  # passes of 8 and 2 points
+
     @pytest.mark.parametrize("bad_order", [0, 1])
     def test_recursions_nan_residual_is_inconclusive(self, monkeypatch, bad_order):
         import numpy as np
@@ -257,6 +282,7 @@ class TestShippedConfigs:
         ("rkhs-hardy-vs-fock.yaml", EXIT_REFUTED),
         ("verify-appendix.yaml", EXIT_VERIFIED),
         ("curvature-bergman3.yaml", EXIT_VERIFIED),
+        ("recursions-rank2-grid.yaml", EXIT_VERIFIED),
     ]
 
     @pytest.mark.parametrize("name,expected", CONFIG_CODES)
@@ -530,33 +556,40 @@ class TestMain:
 
     # positive definite for |z2| < 5: fails at the last grid point only
     WIDE = [["1", "0.2*z2"], ["0.2*zb2", "1"]]
+    B_FIRST = ("bundle 'b': Gram matrix not positive definite at (0j, (1.5+0j)) "
+               "(min eigenvalue -5.00e-01)")
+    # the tasks of one bundle read bundle a alone, which fails at the last point
+    A_LAST = ("bundle 'a': Gram matrix not positive definite at (0j, (6+0j)) "
+              "(min eigenvalue -2.00e-01)")
 
+    @pytest.mark.parametrize("task", ["along-z", "pointwise", "curvature", "verify-recursions"])
     @pytest.mark.parametrize(
-        "b_gram,corner,message",
+        "b_gram,corner,messages",
         [
             # bundle b fails at the first point, bundle a only at the last
-            ([["1", "z2"], ["zb2", "1"]], "1",
-             "bundle 'b': Gram matrix not positive definite at (0j, (1.5+0j)) "
-             "(min eigenvalue -5.00e-01)"),
+            pytest.param([["1", "z2"], ["zb2", "1"]], "1",
+                         {"along-z": B_FIRST, "pointwise": B_FIRST}, id="b-fails-first"),
             # both Grams hold at the first point, where the corner map is
-            # singular; both fail at the last point
-            (WIDE, "z2 - 1.5", "Singular matrix"),
+            # singular (along Z it is inverted); both fail at the last point
+            pytest.param(WIDE, "z2 - 1.5", {"along-z": "Singular matrix"},
+                         id="singular-corner"),
         ],
     )
-    def test_along_z_error_of_the_first_failing_point(self, tmp_path, capsys,
-                                                      b_gram, corner, message):
-        # the error is the one the points give one at a time, in grid order:
-        # at a point, bundle a's Gram, then bundle b's, then both routes
+    def test_along_z_error_of_the_first_failing_point(self, tmp_path, capsys, task,
+                                                      b_gram, corner, messages):
+        # the error is the one the points give one at a time, in order: at a
+        # point, bundle a's Gram, then bundle b's, then the routes
         bundles = [
             {"label": "a", "dimension": 2, "gram": self.WIDE},
             {"label": "b", "dimension": 2, "gram": b_gram},
         ]
         path = write_config(
             tmp_path,
-            {"task": "along-z", "order": 1, "points": [[0.0, 1.5], [0.0, 0.5], [0.0, 6.0]],
+            {"task": task, "order": 1, "points": [[0.0, 1.5], [0.0, 0.5], [0.0, 6.0]],
              "bundles": bundles, "candidate": [[corner, "0"], ["0", "1"]]},
         )
         assert main(["--config", path]) == EXIT_INPUT_ERROR
+        message = messages.get(task, self.A_LAST)
         assert capsys.readouterr().err == f"jetcontact: input error: {message}\n"
 
     @pytest.mark.parametrize("where", ["gram", "candidate"])

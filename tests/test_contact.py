@@ -193,6 +193,21 @@ class TestPointwise:
             assert got.shape == (100, 2, 2)
             np.testing.assert_array_equal(got, np.array(want))
 
+    def test_normalized_decide_one_solve_per_point(self, simeq_draws):
+        # a jet at two points gets a solve per point, and a residual and a
+        # verdict per point: the ones each point gets alone
+        points = [(0.1, -0.05), (-0.08, 0.12)]
+        h, other = gram_jets(PAIR_GRAMS_M2[1], PAIR_GRAMS_M2[0], points, 3)
+        verdicts, residuals = pointwise_normalized_decide(h, other, 2, 1e-8)
+        [(name, resid)] = residuals.items()
+        assert resid.shape == (2,) and len(verdicts) == 2
+        assert len(simeq_draws) == 2
+        for k, point in enumerate(points):
+            verdict, alone = pointwise_normalized_decide(
+                *gram_jets(PAIR_GRAMS_M2[1], PAIR_GRAMS_M2[0], point, 3), 2, 1e-8)
+            assert np.ndim(alone[name]) == 0
+            assert (verdicts[k], resid[k]) == (verdict, alone[name])
+
     @pytest.mark.parametrize("where", ["point", "grid"])
     def test_stacked_normalization_equals_two_calls(self, where):
         # rank 2 at one point, rank 1 on a grid of Z (the along-Z spot check)
@@ -379,37 +394,56 @@ class TestAlongZ:
         assert report.verdict == "verified"
         assert report.route_agreement
 
-    def test_grid_runs_in_slices_each_point_as_alone(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "task,rank,with_candidate",
+        [
+            ("along-z", 2, True),
+            ("pointwise", 1, True),
+            ("pointwise", 2, True),
+            ("pointwise", 2, False),
+            ("curvature", 2, False),
+            ("verify-recursions", 2, False),
+        ],
+    )
+    def test_grid_runs_in_slices_each_point_as_alone(self, monkeypatch, task, rank,
+                                                     with_candidate):
         # a grid of two whole slices and one point more: each pass carries at
-        # most one slice, and every point's report is the one it gets alone
+        # most one slice, and every point's entry is the one it gets alone
+        import jetcontact.cli as cli
         import jetcontact.contact as contact
 
         size = 2 * contact._GRID_SLICE + 1
-        grid = [(0.0, complex(0.05 * k - 0.2, 0.03 * k)) for k in range(size)]
-        a_grid, a_inv = unitriangular_pair(PAIR_CORNERS_M2[0])
-        ht_grid = conjugated_gram(PAIR_GRAMS_M2[0], a_inv)
+        grid = [(0.0 if task == "along-z" else complex(0.02 * k - 0.15, -0.01 * k),
+                 complex(0.05 * k - 0.2, 0.03 * k)) for k in range(size)]
+        if rank == 1:
+            h_grid, ht_grid, a_grid = constructed_scalar_pair(SCALAR_GRAMS_M2[1],
+                                                              SCALAR_FACTORS_M2[1])
+        else:
+            a_grid, a_inv = unitriangular_pair(PAIR_CORNERS_M2[0])
+            h_grid, ht_grid = PAIR_GRAMS_M2[0], conjugated_gram(PAIR_GRAMS_M2[0], a_inv)
 
-        def problem(points):
-            return ContactProblem(
-                BundleSpec("h", 2, PAIR_GRAMS_M2[0]),
-                BundleSpec("ht", 2, ht_grid),
-                3,
-                "along-z",
-                points,
-                candidate=a_grid,
-            )
+        def run(points):
+            return cli.run(cli.RunConfig(
+                task, order=3, points=points,
+                bundles=[BundleSpec("h", 2, h_grid), BundleSpec("ht", 2, ht_grid)],
+                candidate=a_grid if with_candidate else None,
+            ))
 
+        module, name = {"along-z": (contact, "_alongz_at"),
+                        "pointwise": (contact, "_pointwise_at"),
+                        "curvature": (cli, "_curvature_at"),
+                        "verify-recursions": (cli, "_recursions_at")}[task]
         passes = []
-        real = contact._alongz_at
+        real = getattr(module, name)
         monkeypatch.setattr(
-            contact, "_alongz_at", lambda prob, pts: passes.append(len(pts)) or real(prob, pts)
+            module, name, lambda what, pts: passes.append(len(pts)) or real(what, pts)
         )
-        report = alongZ_check(problem(grid))
+        document = run(grid)
         assert passes == [contact._GRID_SLICE, contact._GRID_SLICE, 1]
-        assert report.verdict == "verified"
-        for got, point in zip(report.points, grid):
-            alone = alongZ_check(problem([point])).points[0]
-            assert got.as_dict() == alone.as_dict()
+        assert document["exit_code"] == 0  # verified, or completed
+        for got, point in zip(document["results"]["points"], grid, strict=True):
+            [alone] = run([point])["results"]["points"]
+            assert got == alone
 
     def test_eight_point_grid_runs_in_one_pass(self, monkeypatch):
         # the benchmark's 4x2 grid on Z: one pass of `_alongz_at` for all of it

@@ -12,8 +12,11 @@ from jetcontact.geometry import (
     L_tensor,
     Q_jet,
     Q_recursion,
+    connection,
     cov_deriv,
+    cov_step,
     curvature,
+    curvature_table,
     map_adjoint_jet,
     normalize_frame,
     normalized_defect,
@@ -157,6 +160,24 @@ class TestCovDeriv:
         commutator = phi * k - k * phi
         diff = z_then_zb - zb_then_z - commutator
         assert np.max(np.abs(diff.coeffs)) < 1e-10
+
+
+class TestCurvatureTable:
+    def test_table_holds_the_direct_jets(self, rng):
+        # one connection per direction, and every jet formed from the table
+        # is bit for bit the one the direct function forms
+        h = random_herm_jet(3, 2, 3, 3, rng)
+        dims = (1, 2, 3)
+        conn, K = curvature_table(h, dims)
+        for i in dims:
+            assert conn[i].coeffs.tobytes() == connection(h, i).coeffs.tobytes()
+            assert K[i][1].coeffs.tobytes() == Q_jet(h, i).coeffs.tobytes()
+            stepped = cov_step(K[1][1], conn[i], i)
+            assert stepped.coeffs.tobytes() == cov_deriv(K[1][1], h, i).coeffs.tobytes()
+            for j in dims:
+                assert K[i][j].coeffs.tobytes() == curvature(h, i, j).coeffs.tobytes()
+        with pytest.raises(OrderError):
+            curvature_table(h.truncate(1, 0), dims)
 
 
 class TestAdjoint:

@@ -404,6 +404,9 @@ class TestPointAxis:
         a, b = self.singles(rank, 3, 2, rng), self.singles(rank, 2, 3, rng)
         ga, gb = self.at_points(a), self.at_points(b)
         self.assert_each_point(ga * gb, [x * y for x, y in zip(a, b)])
+        # a plan of one pair, the values alone: one element per point
+        self.assert_each_point(ga.truncate(0, 0) * gb.truncate(0, 0),
+                               [x.truncate(0, 0) * y.truncate(0, 0) for x, y in zip(a, b)])
         self.assert_each_point(ga.inv(), [x.inv() for x in a])
         self.assert_each_point(ga.power(-2), [x.power(-2) for x in a])
 
