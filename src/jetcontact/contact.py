@@ -51,6 +51,7 @@ from .jetcore import (
     OrderError,
     index_table,
     multi_index_factorial,
+    unit_index,
 )
 from .kernelexpr import BundleSpec, JetProgram, ParseError, check_holomorphic, parse_kernel
 from .pascal import (
@@ -90,10 +91,6 @@ INCONCLUSIVE = "inconclusive"
 # a residual above REFUTE_FACTOR * tol refutes; the similarity solves stop
 # their draws once a certificate proves every residual is above it
 REFUTE_FACTOR = 10.0
-
-
-def _e1(dim: int, times: int) -> tuple:
-    return tuple(times if k == 0 else 0 for k in range(dim))
 
 
 def classify(residual: float, tol: float) -> str:
@@ -265,8 +262,8 @@ def extend_A_sequence(H: HermJet, Ht: HermJet, A0: np.ndarray, n: int) -> list[n
     h0inv = np.linalg.inv(H.value())
     ht0inv = np.linalg.inv(Ht.value())
     a0 = np.asarray(A0, dtype=np.complex128)
-    b = [H.extract(_e1(dim, i)) @ h0inv @ a0 for i in range(1, n + 1)]
-    dht = [Ht.extract(_e1(dim, i)) @ ht0inv for i in range(1, n + 1)]
+    b = [H.extract(unit_index(dim, 0, i)) @ h0inv @ a0 for i in range(1, n + 1)]
+    dht = [Ht.extract(unit_index(dim, 0, i)) @ ht0inv for i in range(1, n + 1)]
     return binomial_solve(b, dht, matmul, x0=a0)
 
 

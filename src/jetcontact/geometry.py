@@ -27,7 +27,7 @@ from operator import matmul
 
 import numpy as np
 
-from .jetcore import HermJet, HoloJet, OrderError, index_table
+from .jetcore import HermJet, HoloJet, OrderError, index_table, unit_index
 from .pascal import binomial_solve
 
 __all__ = [
@@ -48,15 +48,6 @@ __all__ = [
     "normalized_defect",
     "hermitian_sqrt",
 ]
-
-
-def _e(dim: int, i: int, times: int = 1) -> tuple:
-    """Multi-index times * e_i for a 1-based direction i."""
-    return tuple(times if k == i - 1 else 0 for k in range(dim))
-
-
-def _zero(dim: int) -> tuple:
-    return (0,) * dim
 
 
 def connection(H: HermJet, i: int) -> HermJet:
@@ -129,7 +120,7 @@ def map_adjoint_jet(Phi: HermJet, H: HermJet) -> HermJet:
 def _mixed_tensor(H: HermJet, alpha: tuple, beta: tuple) -> np.ndarray:
     """Value at the center of
     (d^alpha dbar^beta H - d^alpha H * H^-1 * dbar^beta H) * H^-1."""
-    zero = _zero(H.dim)
+    zero = unit_index(H.dim, 0, 0)
     h0inv = np.linalg.inv(H.value())
     mixed = H.extract(alpha, beta)
     return (mixed - H.extract(alpha, zero) @ h0inv @ H.extract(zero, beta)) @ h0inv
@@ -138,7 +129,7 @@ def _mixed_tensor(H: HermJet, alpha: tuple, beta: tuple) -> np.ndarray:
 def L_tensor(H: HermJet, j: int, l: int) -> np.ndarray:
     """Value at the center of
     (d_{z1}^l dbar_j H - d_{z1}^l H * H^-1 * dbar_j H) * H^-1."""
-    return _mixed_tensor(H, _e(H.dim, 1, l), _e(H.dim, j))
+    return _mixed_tensor(H, unit_index(H.dim, 0, l), unit_index(H.dim, j - 1))
 
 
 def K1j_recursion(H: HermJet, j: int, n: int) -> np.ndarray:
@@ -152,15 +143,14 @@ def K1j_recursion(H: HermJet, j: int, n: int) -> np.ndarray:
 def K1j_tower(H: HermJet, ls: list) -> list:
     """Values of (K_{1 jbar})_{z_1^r} for r = 0..n-1 from ls = [L_j^1, ..., L_j^n]
     by one binomial solve of the recursion of :func:`K1j_recursion`."""
-    dim = H.dim
     h0inv = np.linalg.inv(H.value())
-    g = [H.extract(_e(dim, 1, i), _zero(dim)) @ h0inv for i in range(1, len(ls))]
+    g = [H.extract(unit_index(H.dim, 0, i)) @ h0inv for i in range(1, len(ls))]
     return binomial_solve(ls, g, matmul, left=True)
 
 
 def Q_value(H: HermJet, j: int, n: int = 1) -> np.ndarray:
     """Value of (dbar_{z1}^n d_j H - d_j H * H^-1 * dbar_{z1}^n H) * H^-1."""
-    return _mixed_tensor(H, _e(H.dim, j), _e(H.dim, 1, n))
+    return _mixed_tensor(H, unit_index(H.dim, j - 1), unit_index(H.dim, 0, n))
 
 
 def Q_jet(H: HermJet, j: int) -> HermJet:
@@ -176,9 +166,9 @@ def Q_recursion(H: HermJet, j: int, n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("derivative order must be >= 0")
-    dim = H.dim
     h0inv = np.linalg.inv(H.value())
-    hbar = [H.extract(_zero(dim), _e(dim, 1, i)) @ h0inv for i in range(1, n + 1)]
+    hbar = [H.extract(unit_index(H.dim, 0, 0), unit_index(H.dim, 0, i)) @ h0inv
+            for i in range(1, n + 1)]
     b = [Q_value(H, j, k) for k in range(1, n + 2)]
     return binomial_solve(b, hbar, matmul)[n]
 

@@ -83,6 +83,7 @@ __all__ = [
     "HoloJet",
     "index_table",
     "index_positions",
+    "unit_index",
     "point_axis",
     "multi_index_order",
     "multi_index_factorial",
@@ -141,6 +142,13 @@ def index_table(dim: int, order: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def index_positions(dim: int, order: int) -> dict:
     return {i: k for k, i in enumerate(index_table(dim, order))}
+
+
+@lru_cache(maxsize=None)
+def unit_index(dim: int, var: int, times: int = 1) -> tuple:
+    """The multi-index times * e_var of length `dim` (0-based var, as in
+    :meth:`HermJet.deriv`); times = 0 gives the zero multi-index."""
+    return tuple(times if k == var else 0 for k in range(dim))
 
 
 @lru_cache(maxsize=None)
@@ -301,13 +309,10 @@ def _deriv_plan(dim: int, order: int, var: int):
     """For d/dz_var: output position k -> (input position of idx+e_var, idx[var]+1)."""
     table_out = index_table(dim, order - 1)
     pos_in = index_positions(dim, order)
-    src = np.empty(len(table_out), dtype=np.intp)
-    mult = np.empty(len(table_out))
-    for k, a in enumerate(table_out):
-        up = list(a)
-        up[var] += 1
-        src[k] = pos_in[tuple(up)]
-        mult[k] = a[var] + 1
+    e = unit_index(dim, var)
+    src = np.array([pos_in[tuple(a + b for a, b in zip(idx, e))] for idx in table_out],
+                   dtype=np.intp)
+    mult = np.array([idx[var] + 1.0 for idx in table_out])
     return src, mult
 
 
@@ -444,8 +449,7 @@ class HermJet:
         jet = cls.constant(_point_values(center, var), center, holo_order, anti_order)
         if holo_order >= 1:
             c = np.array(jet.coeffs)
-            e = tuple(1 if k == var else 0 for k in range(jet.dim))
-            c[..., index_positions(jet.dim, holo_order)[e], 0, 0, 0] = 1.0
+            c[..., index_positions(jet.dim, holo_order)[unit_index(jet.dim, var)], 0, 0, 0] = 1.0
             return jet._like(holo_order, anti_order, c)
         return jet
 
@@ -456,8 +460,7 @@ class HermJet:
         jet = cls.constant(value, center, holo_order, anti_order)
         if anti_order >= 1:
             c = np.array(jet.coeffs)
-            e = tuple(1 if k == var else 0 for k in range(jet.dim))
-            c[..., 0, index_positions(jet.dim, anti_order)[e], 0, 0] = 1.0
+            c[..., 0, index_positions(jet.dim, anti_order)[unit_index(jet.dim, var)], 0, 0] = 1.0
             return jet._like(holo_order, anti_order, c)
         return jet
 

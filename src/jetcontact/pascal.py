@@ -1,26 +1,29 @@
-"""The Pascal matrix algebra and jet transition matrices.
+"""The Pascal map: jet transition matrices, shifts and the Pascal algebra.
 
-A block Pascal matrix of order n and block size l is the lower triangular
-(n+1) x (n+1) block matrix whose (i, j) block is binom(i, j) * A[i-j]
-(0-based).  It is stored by its first block column A[0..n], a complex array
-(n+1, l, l), or (*P, n+1, l, l) with one element per point.  The jet of a
-holomorphic frame change produces such a matrix, and the family is the
-commutant of the weighted shift with subdiagonal blocks I, 2I, ..., nI (that
-generator and the commutant live in the tests, as references).  Product is
-binomial convolution of first columns, :func:`binomial_sums`; division by an
-element with identity leading block is the forward substitution
-:func:`binomial_solve`, which every "X_l = B_l - sum binom(l, i) ..."
-recursion of the package runs through.
+The Pascal map sends derivative values D[K] = d^K A(z0) of a holomorphic
+frame change, over the multi-indices K of total order <= n, to the block
+matrix on jets with (I, J) block binom(I, J) * D[I - J] for J <= I, where
+binom(I, J) = prod_k binom(I_k, J_k).  One index plan per (dim, n), cached,
+and one gather over blocks and points build its three uses: the transition
+matrix of a jet, the one-variable expansion of a first column and the shifts
+(the images of z_d - z0_d), whose joint commutant the transition matrices
+form.  In one variable a first column A[0..n] is a complex array (n+1, l, l),
+or (*P, n+1, l, l) with one per point; product is binomial convolution of
+first columns, :func:`binomial_sums`, and division by an element with
+identity leading block is the forward substitution :func:`binomial_solve`,
+which every "X_l = B_l - sum binom(l, i) ..." recursion of the package runs
+through.
 
 Binomials are exact Python ints, but scaling a complex128 block rounds them to
 double precision.  binom(n, n/2) exceeds 2^53 from n = 57 on (binom(60, 30) is
 about 1.18e17), and 24 of the binomials with n <= 60, the first binom(57, 25),
-are not doubles, so they round.  Orders are guarded at n <= 60.
+are not doubles, so they round.  The plan guards orders at n <= 60, and so
+all three builders do.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb
 from operator import add
 
@@ -28,9 +31,13 @@ import numpy as np
 
 from .jetcore import (
     HoloJet,
+    OrderError,
     index_positions,
     index_table,
     multi_index_binom,
+    multi_index_factorial,
+    table_size,
+    unit_index,
 )
 
 __all__ = [
@@ -43,17 +50,6 @@ __all__ = [
 ]
 
 _MAX_ORDER = 60
-
-
-def pascal_expand(col: np.ndarray) -> np.ndarray:
-    """Dense (n+1)l x (n+1)l expansion of a first column (*P, n+1, l, l):
-    block (i, j) = binom(i, j) A[i-j]."""
-    n, l = col.shape[-3] - 1, col.shape[-1]
-    out = np.zeros(col.shape[:-3] + ((n + 1) * l, (n + 1) * l), dtype=np.complex128)
-    for i in range(n + 1):
-        for j in range(i + 1):
-            out[..., i * l : (i + 1) * l, j * l : (j + 1) * l] = comb(i, j) * col[..., i - j, :, :]
-    return out
 
 
 def binomial_sums(x, g, mul) -> list:
@@ -96,28 +92,49 @@ def pascal_from_column(column) -> np.ndarray:
     return column
 
 
-# ---------------------------------------------------------------------------
-# several-variable jet frames
+@lru_cache(maxsize=None)
+def _pascal_plan(dim: int, n: int) -> tuple:
+    """Index plan of the Pascal map on the (dim, n) table: the block
+    positions (I, J) with J <= I, the table position of I - J and the weight
+    binom(I, J) of each, and the factorials I!, both as doubles."""
+    if not 0 <= n <= _MAX_ORDER:
+        raise ValueError(f"jet order {n} outside supported range 0..{_MAX_ORDER}")
+    table, pos = index_table(dim, n), index_positions(dim, n)
+    blocks = [(pos[big], pos[small], pos[tuple(a - b for a, b in zip(big, small))],
+               float(multi_index_binom(big, small)))
+              for big in table for small in table if all(b <= a for a, b in zip(big, small))]
+    rows, cols, diff, weight = (np.array(column) for column in zip(*blocks))
+    return rows, cols, diff, weight, np.array([float(multi_index_factorial(i)) for i in table])
+
+
+def _pascal(D: np.ndarray, dim: int, n: int) -> np.ndarray:
+    """The Pascal matrix (*P, N l, N l) of derivative values D (*P, N, l, l)
+    at the N positions of the (dim, n) table: block (I, J) is
+    binom(I, J) * D[I - J] for J <= I, in one gather over blocks and points."""
+    rows, cols, diff, weight, _ = _pascal_plan(dim, n)
+    size, l = D.shape[-3], D.shape[-1]
+    blocks = np.zeros(D.shape[:-3] + (size, size, l, l), dtype=np.complex128)
+    blocks[..., rows, cols, :, :] = weight[:, None, None] * D[..., diff, :, :]
+    return np.swapaxes(blocks, -3, -2).reshape(D.shape[:-3] + (size * l, size * l))
+
+
+def pascal_expand(col: np.ndarray) -> np.ndarray:
+    """Dense (n+1)l x (n+1)l expansion of a first column (*P, n+1, l, l):
+    block (i, j) = binom(i, j) A[i-j]."""
+    return _pascal(col, 1, col.shape[-3] - 1)
 
 
 def multi_pascal_generator(dim: int, n: int, direction: int, l: int = 1) -> np.ndarray:
     """Generator for the `direction`-th derivative-lowering map (1-based) on
-    the full multi-index jet basis of total order <= n."""
-    if not 1 <= n <= _MAX_ORDER:
+    the full multi-index jet basis of total order <= n: block (I, I - e_d) is
+    I_d, the Pascal matrix of z_d - z0_d."""
+    if n < 1:
         raise ValueError(f"jet order {n} outside supported range 1..{_MAX_ORDER}")
     if not 1 <= direction <= dim:
         raise ValueError(f"direction {direction} outside 1..{dim}")
-    table = index_table(dim, n)
-    pos = index_positions(dim, n)
-    size = len(table)
-    out = np.zeros((size * l, size * l), dtype=np.complex128)
-    d = direction - 1
-    for row, idx in enumerate(table):
-        if idx[d] >= 1:
-            lowered = tuple(c - 1 if k == d else c for k, c in enumerate(idx))
-            col = pos[lowered]
-            out[row * l : (row + 1) * l, col * l : (col + 1) * l] = idx[d] * np.eye(l)
-    return out
+    unit = np.zeros((table_size(dim, n), l, l), dtype=np.complex128)
+    unit[index_positions(dim, n)[unit_index(dim, direction - 1)]] = np.eye(l)
+    return _pascal(unit, dim, n)
 
 
 def multi_lambda_from_jet(jet: HoloJet, n=None) -> np.ndarray:
@@ -125,16 +142,8 @@ def multi_lambda_from_jet(jet: HoloJet, n=None) -> np.ndarray:
     block (I, J) = prod_k binom(I_k, J_k) * d^(I-J) A(z0) for J <= I (one
     per point for a jet at P centers)."""
     n = jet.holo_order if n is None else n
-    table = index_table(jet.dim, n)
-    size = len(table)
-    l = jet.rank
-    out = np.zeros(jet.points + (size * l, size * l), dtype=np.complex128)
-    for row, bigidx in enumerate(table):
-        for col, smallidx in enumerate(table):
-            weight = multi_index_binom(bigidx, smallidx)
-            if weight:
-                diff = tuple(a - b for a, b in zip(bigidx, smallidx))
-                out[..., row * l : (row + 1) * l, col * l : (col + 1) * l] = (
-                    weight * jet.extract(diff)
-                )
-    return out
+    if n > jet.holo_order:
+        raise OrderError(f"transition matrix of order {n} beyond jet order {jet.holo_order}")
+    factorials = _pascal_plan(jet.dim, n)[-1]
+    values = jet.coeffs[..., : len(factorials), 0, :, :] * factorials[:, None, None]
+    return _pascal(values, jet.dim, n)

@@ -10,9 +10,17 @@ import pytest
 
 from jetcontact import simeq
 from jetcontact.geometry import cov_deriv
-from jetcontact.jetcore import DimensionError, HermJet, HoloJet, table_size
+from jetcontact.jetcore import (
+    DimensionError,
+    HermJet,
+    HoloJet,
+    index_positions,
+    index_table,
+    multi_index_binom,
+    table_size,
+)
 from jetcontact.kernelexpr import Expr, JetProgram, ParseError, check_holomorphic, parse_kernel
-from jetcontact.pascal import multi_pascal_generator, pascal_expand
+from jetcontact.pascal import pascal_expand
 
 
 def random_herm_jet(dim, rank, holo_order, anti_order, rng, scale=0.2):
@@ -28,13 +36,14 @@ def random_herm_jet(dim, rank, holo_order, anti_order, rng, scale=0.2):
     return HermJet((0.0,) * dim, big, big, rank, cc).truncate(holo_order, anti_order)
 
 
-def random_holo_jet(dim, rank, order, rng, scale=0.3):
-    """Random holomorphic jet with a well-conditioned constant term."""
-    na = table_size(dim, order)
-    c = (rng.standard_normal((na, rank, rank))
-         + 1j * rng.standard_normal((na, rank, rank))) * scale
-    c[0] = np.eye(rank) + 0.2 * c[0]
-    return HoloJet((0.0,) * dim, order, rank, c[:, None])
+def random_holo_jet(dim, rank, order, rng, scale=0.3, points=None):
+    """Random holomorphic jet with a well-conditioned constant term; at
+    `points` centers on the diagonal when given."""
+    shape = (() if points is None else (points,)) + (table_size(dim, order), rank, rank)
+    c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+    c[..., 0, :, :] = np.eye(rank) + 0.2 * c[..., 0, :, :]
+    center = (0.0,) * dim if points is None else tuple((0.1 * p,) * dim for p in range(points))
+    return HoloJet(center, order, rank, c[..., None, :, :])
 
 
 # -- reference evaluation of single expressions ------------------------------
@@ -90,12 +99,42 @@ def holo_from_entries(entries) -> HoloJet:
     return HoloJet(first.center, first.holo_order, rows, coeffs)
 
 
-# -- references: the one-variable Pascal algebra, mixed covariant steps -----
+# -- references: the Pascal map by its block rules, mixed covariant steps ---
+
+
+def reference_generator(dim, n, direction, l=1):
+    """The shift lowering the `direction`-th index (1-based), one block per
+    multi-index I with I_d >= 1: block (I, I - e_d) = I_d * I_l."""
+    table, pos = index_table(dim, n), index_positions(dim, n)
+    out = np.zeros((len(table) * l, len(table) * l), dtype=np.complex128)
+    d = direction - 1
+    for row, idx in enumerate(table):
+        if idx[d] >= 1:
+            lowered = tuple(c - 1 if k == d else c for k, c in enumerate(idx))
+            col = pos[lowered]
+            out[row * l : (row + 1) * l, col * l : (col + 1) * l] = idx[d] * np.eye(l)
+    return out
+
+
+def reference_lambda(jet: HoloJet, n: int) -> np.ndarray:
+    """The jet transition matrix block by block: block (I, J) is
+    multi_index_binom(I, J) * jet.extract(I - J) for J <= I."""
+    table, l = index_table(jet.dim, n), jet.rank
+    out = np.zeros(jet.points + (len(table) * l, len(table) * l), dtype=np.complex128)
+    for row, bigidx in enumerate(table):
+        for col, smallidx in enumerate(table):
+            weight = multi_index_binom(bigidx, smallidx)
+            if weight:
+                diff = tuple(a - b for a, b in zip(bigidx, smallidx))
+                out[..., row * l : (row + 1) * l, col * l : (col + 1) * l] = (
+                    weight * jet.extract(diff)
+                )
+    return out
 
 
 def pascal_generator(n, l=1):
     """Weighted shift with blocks I, 2I, ..., nI; its commutant is the Pascal algebra."""
-    return multi_pascal_generator(1, n, 1, l)
+    return reference_generator(1, n, 1, l)
 
 
 def pascal_multiply(x, y):
@@ -109,9 +148,9 @@ def pascal_multiply(x, y):
 
 def lambda_from_jet(jet: HoloJet) -> np.ndarray:
     """First column A, A', ..., A^(n) (z1 derivatives at the center) of the
-    jet transition matrix of a holomorphic frame change."""
+    jet transition matrix of a holomorphic frame change, (*P, n+1, l, l)."""
     return np.stack([jet.extract((k,) + (0,) * (jet.dim - 1))
-                     for k in range(jet.holo_order + 1)])
+                     for k in range(jet.holo_order + 1)], axis=-3)
 
 
 def commutant_basis(n: int, l: int = 1, tol: float = 1e-10) -> list[np.ndarray]:

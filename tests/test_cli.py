@@ -283,6 +283,7 @@ class TestShippedConfigs:
         ("verify-appendix.yaml", EXIT_VERIFIED),
         ("curvature-bergman3.yaml", EXIT_VERIFIED),
         ("recursions-rank2-grid.yaml", EXIT_VERIFIED),
+        ("pointwise-rank2-candidate.yaml", EXIT_VERIFIED),
     ]
 
     @pytest.mark.parametrize("name,expected", CONFIG_CODES)

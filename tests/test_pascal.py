@@ -1,12 +1,13 @@
 """Pascal algebra: generator, expansion, kernels, jet transitions, commutant."""
 
+from itertools import product
 from math import comb
 from operator import matmul, mul
 
 import numpy as np
 import pytest
 
-from jetcontact.jetcore import HoloJet, index_table, table_size
+from jetcontact.jetcore import HoloJet, OrderError, index_table, table_size
 from jetcontact.kernelexpr import parse_kernel
 from jetcontact.pascal import (
     binomial_solve,
@@ -22,10 +23,13 @@ from conftest import (
     commutant_basis,
     eval_holo_jet,
     lambda_from_jet,
+    pascal_generator,
     pascal_multiply,
     pascal_pattern_defect,
     random_herm_jet,
     random_holo_jet,
+    reference_generator,
+    reference_lambda,
 )
 
 
@@ -62,7 +66,7 @@ class TestExpand:
         for n, l in [(3, 1), (4, 2)]:
             col = rng.standard_normal((n + 1, l, l)) + 1j * rng.standard_normal((n + 1, l, l))
             mat = pascal_expand(col)
-            gen = multi_pascal_generator(1, n, 1, l)
+            gen = pascal_generator(n, l)
             np.testing.assert_array_equal(gen @ mat, mat @ gen)
 
     def test_product_closure_binomial_convolution(self, rng):
@@ -231,14 +235,41 @@ class TestMultiVariable:
             jet = random_holo_jet(dim, l, n, rng)
             lam = multi_lambda_from_jet(jet, n)
             for j in range(1, dim + 1):
-                gen = multi_pascal_generator(dim, n, j, l)
+                gen = reference_generator(dim, n, j, l)
                 assert np.max(np.abs(gen @ lam - lam @ gen)) < 1e-12
 
     def test_m1_reduces_to_block_pascal(self, rng):
-        jet = random_holo_jet(1, 2, 3, rng)
-        lam_multi = multi_lambda_from_jet(jet, 3)
-        lam_block = pascal_expand(lambda_from_jet(jet))
-        assert np.max(np.abs(lam_multi - lam_block)) < 1e-13
+        # the three builders of the one Pascal plan equal the block-by-block
+        # references bit for bit, at one center and at 8; the expansion is
+        # the transition matrix of the z1-line jet, so at m = 1 the two agree
+        def same_bits(a, b):
+            return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        for dim, n, l, points in product((1, 2, 3), (1, 2, 3, 4), (1, 2, 3), (None, 8)):
+            jet = random_holo_jet(dim, l, n, rng, points=points)
+            lam = multi_lambda_from_jet(jet, n)
+            assert same_bits(lam, reference_lambda(jet, n))
+            line = jet.restrict((0,))
+            lam_block = pascal_expand(lambda_from_jet(line))
+            assert same_bits(lam_block, reference_lambda(line, n))
+            if dim == 1:
+                assert same_bits(lam_block, lam)
+            for j in range(1, dim + 1):
+                gen = multi_pascal_generator(dim, n, j, l)
+                assert same_bits(gen, reference_generator(dim, n, j, l))
+
+    def test_orders_beyond_the_guard_or_the_jet_raise(self):
+        # binom(61, 30) is not a double: all three builders refuse order 61
+        n = 61
+        jet = HoloJet.constant(np.eye(2), (0.0,), n)
+        for build in (lambda: pascal_expand(jet.coeffs[:, 0]),
+                      lambda: multi_lambda_from_jet(jet, n),
+                      lambda: multi_pascal_generator(1, n, 1)):
+            with pytest.raises(ValueError, match="outside supported range"):
+                build()
+        # a transition matrix above the jet's order has no derivatives to read
+        with pytest.raises(OrderError):
+            multi_lambda_from_jet(HoloJet.constant(np.eye(2), (0.0, 0.0), 2), 3)
 
     def test_generator_action_rule(self):
         # P_j lowers the j-th derivative index with weight i_j
