@@ -42,7 +42,7 @@ from .geometry import (
     transverse_tower,
 )
 from .kernelexpr import BundleSpec, ParseError
-from .rkhs import check_direct_size, quotient_model, unitary_equiv_check
+from .rkhs import check_direct_size, quotient_models, unitary_equiv_check
 from .wordcalc import verify_appendix
 
 SCHEMA_VERSION = "1"
@@ -388,8 +388,7 @@ def _run_rkhs(cfg: RunConfig) -> tuple[dict, str]:
         raise ConfigError("rkhs-quotient expects exactly one base point")
     check_direct_size(cfg.bundle_a, cfg.order)
     z0 = cfg.points[0]
-    a = quotient_model(cfg.bundle_a, z0, cfg.order)
-    b = quotient_model(cfg.bundle_b, z0, cfg.order)
+    a, b = quotient_models(cfg.bundle_a, cfg.bundle_b, z0, cfg.order)
     rep = unitary_equiv_check(a, b, cfg.tolerance, cfg.seed)
     body = rep.as_dict()
     body["point"] = [_cnum(c) for c in z0]

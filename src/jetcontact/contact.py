@@ -64,6 +64,7 @@ from .simeq import unitary_intertwiner
 
 __all__ = [
     "ContactProblem",
+    "GramPair",
     "PointReport",
     "ContactReport",
     "jet_gram",
@@ -179,72 +180,88 @@ def jet_gram(H: HermJet, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the two bundles' Gram jets as one
+
+
+@dataclass(frozen=True)
+class GramPair:
+    """The Gram jets H and Ht of two bundles as one jet, H's points then
+    Ht's on the point axis -- the pair jet ``BundleSpec.gram_jet`` makes
+    with a partner.  Each per-bundle quantity is formed once on it, for
+    both bundles, and split; per point that is bit for bit what each bundle
+    alone gives.  ``points`` is the point axis of each half: () at one
+    center."""
+
+    jet: HermJet
+    points: tuple
+
+    @classmethod
+    def of(cls, H: HermJet, Ht: HermJet) -> "GramPair":
+        """The pair of two jets of the same orders and point axis."""
+        center = H.center + Ht.center if H.points else (H.center, Ht.center)
+        coeffs = np.concatenate([H.coeffs.reshape((-1,) + H.coeffs.shape[-4:]),
+                                 Ht.coeffs.reshape((-1,) + Ht.coeffs.shape[-4:])])
+        return cls(HermJet(center, H.holo_order, H.anti_order, H.rank, coeffs), H.points)
+
+    def split(self, x) -> tuple:
+        """H's part and Ht's part of `x`, an array whose leading axis is the
+        pair's point axis."""
+        halves = np.reshape(x, (2,) + self.points + np.shape(x)[1:])
+        return halves[0], halves[1]
+
+    def split_jet(self, jet: HermJet) -> tuple:
+        """H's part and Ht's part of a jet formed on the pair jet."""
+        return tuple(jet.untiled(2, self.points))
+
+
+# ---------------------------------------------------------------------------
 # point-wise checks
 
 
 def pointwise_verify(
-    H: HermJet, Ht: HermJet, candidate: HoloJet, n: int, tol: float
+    pair: GramPair, candidate: HoloJet, n: int, tol: float
 ) -> tuple[str, dict]:
     """Certificate check: the candidate's jet transition matrix is an isometry
     of the full multi-index jet Grams."""
     lam = multi_lambda_from_jet(candidate.truncate(n), n)
-    g = jet_gram(H, n)
-    gt = jet_gram(Ht, n)
+    g, gt = pair.split(jet_gram(pair.jet, n))
     resid = _rel(g - lam @ gt @ _adjoint(lam), g, gt)
     residuals = {f"jet-gram-isometry(n={n})": resid}
     return classify(resid, tol), residuals
 
 
-def _on_pair(H: HermJet, Ht: HermJet, run) -> list:
-    """`run` on H and Ht stacked on the point axis, once for the two: for
-    each array of the list it returns, with the stacked point axis leading,
-    the pair (H's part, Ht's part).  Per point that is bit for bit what two
-    calls give, with the same error (the first failing point is H's if any
-    is).  The jets share their orders and their center, one point or a grid."""
-    if H.points:
-        center, coeffs = H.center + Ht.center, np.concatenate([H.coeffs, Ht.coeffs])
-    else:
-        center, coeffs = (H.center, Ht.center), np.stack([H.coeffs, Ht.coeffs])
-    values = run(HermJet(center, H.holo_order, H.anti_order, H.rank, coeffs))
-    return [tuple(half.reshape(H.points + half.shape[1:]) for half in np.split(value, 2))
-            for value in values]
+def _normalized_pair(pair: GramPair, n: int) -> GramPair:
+    """The normalized Grams of both bundles from one normalize_frame."""
+    return GramPair(normalize_frame(pair.jet, n)[1], pair.points)
 
 
-def _normalized_pair(H: HermJet, Ht: HermJet, n: int) -> tuple[HermJet, HermJet]:
-    """The normalized Grams of H and Ht from one normalize_frame of the two."""
-    [halves] = _on_pair(H, Ht, lambda both: [normalize_frame(both, n)[1].coeffs])
-    return tuple(HermJet(jet.center, jet.holo_order, jet.anti_order, jet.rank, half)
-                 for jet, half in zip((H, Ht), halves))
-
-
-def pointwise_rank1_decide(H: HermJet, Ht: HermJet, n: int, tol: float) -> tuple[str, dict]:
+def pointwise_rank1_decide(pair: GramPair, n: int, tol: float) -> tuple[str, dict]:
     """Candidate-free decision for line bundles: normalize both frames at the
     center; contact holds iff the normalized jet Grams agree entrywise (the
     remaining scalar freedom is a phase, which cancels)."""
-    if H.rank != 1 or Ht.rank != 1:
+    if pair.jet.rank != 1:
         raise ValueError("rank-1 decision procedure called on higher rank")
-    hn, htn = _normalized_pair(H, Ht, n)
-    g = jet_gram(hn, n)
-    gt = jet_gram(htn, n)
+    g, gt = pair.split(jet_gram(_normalized_pair(pair, n).jet, n))
     resid = _rel(g - gt, g, gt)
     return classify(resid, tol), {f"normalized-jet-gram(n={n})": resid}
 
 
 def pointwise_normalized_decide(
-    H: HermJet, Ht: HermJet, n: int, tol: float, seed: int = 0
+    pair: GramPair, n: int, tol: float, seed: int = 0
 ) -> tuple[str, dict]:
     """Candidate-free decision for any rank: in normalized frames a jet
     isometry must be block diagonal with unitary corner A0, so contact holds
     iff some unitary intertwines all normalized jet-Gram blocks; at P
     centers, a solve, a residual and a verdict per point."""
-    if H.rank == 1:
-        return pointwise_rank1_decide(H, Ht, n, tol)
-    hn, htn = _normalized_pair(H, Ht, n)
+    rank = pair.jet.rank
+    if rank == 1:
+        return pointwise_rank1_decide(pair, n, tol)
+    blocks = _jet_blocks(_normalized_pair(pair, n).jet, n)
     # one solve per point, on that point's blocks
-    mats = [_jet_blocks(jet, n).reshape(int(np.prod(H.points)), -1, H.rank, H.rank)
-            for jet in (hn, htn)]
+    mats = [half.reshape(int(np.prod(pair.points)), -1, rank, rank)
+            for half in pair.split(blocks)]
     resid = np.array([unitary_intertwiner(a, b, seed=seed, refuted_above=REFUTE_FACTOR * tol)[1]
-                      for a, b in zip(*mats)]).reshape(H.points)[()]  # a scalar at one center
+                      for a, b in zip(*mats)]).reshape(pair.points)[()]  # a scalar at one center
     return classify(resid, tol), {f"normalized-block-similarity(n={n})": resid}
 
 
@@ -252,69 +269,67 @@ def pointwise_normalized_decide(
 # the transverse extension along Z
 
 
-def extend_A_sequence(H: HermJet, Ht: HermJet, A0: np.ndarray, n: int) -> list[np.ndarray]:
+def extend_A_sequence(pair: GramPair, A0: np.ndarray, n: int) -> list[np.ndarray]:
     """Values A_1..A_n of the unique candidate extension of the corner map A0:
 
         A_l = d^l H H^-1 A0 - sum_{i=1}^l binom(l,i) A_{l-i} d^i Ht Ht^-1
 
     (all transverse z1-derivatives, evaluated at the common center)."""
-    dim = H.dim
-    h0inv = np.linalg.inv(H.value())
-    ht0inv = np.linalg.inv(Ht.value())
+    jet = pair.jet
+    inverse = np.linalg.inv(jet.value())
     a0 = np.asarray(A0, dtype=np.complex128)
-    b = [H.extract(unit_index(dim, 0, i)) @ h0inv @ a0 for i in range(1, n + 1)]
-    dht = [Ht.extract(unit_index(dim, 0, i)) @ ht0inv for i in range(1, n + 1)]
-    return binomial_solve(b, dht, matmul, x0=a0)
+    # d^i H H^-1 and d^i Ht Ht^-1, both from one product on the pair
+    b, dht = zip(*(pair.split(jet.extract(unit_index(jet.dim, 0, i)) @ inverse)
+                   for i in range(1, n + 1)))
+    return binomial_solve([x @ a0 for x in b], list(dht), matmul, x0=a0)
 
 
-def extend_A_sequence_jets(
-    H: HermJet, Ht: HermJet, A0: HermJet, n: int
-) -> list[HermJet]:
+def extend_A_sequence_jets(pair: GramPair, A0: HermJet, n: int) -> list[HermJet]:
     """Jets on Z = {z1 = 0} of A_0..A_n from the same recursion, the
-    arithmetic done in functions on Z: H, Ht and A0 are restricted to Z
+    arithmetic done in functions on Z: the pair and A0 are restricted to Z
     once, and each transverse derivative d^i/dz1^i is taken on the full jet
     and then restricted.  The results are jets in z2..zm, of dim 0 when
     m = 1 and Z is a point."""
-    on_z = tuple(range(1, H.dim))
-    hzinv = H.restrict(on_z).inv()
-    htzinv = Ht.restrict(on_z).inv()
+    on_z = tuple(range(1, pair.jet.dim))
+    inverse = pair.jet.restrict(on_z).inv()
     a0 = A0.restrict(on_z)
-
-    def transverse(jet, i):
-        for _ in range(i):
-            jet = jet.deriv(0)
-        return jet.restrict(on_z)
-
-    b = [transverse(H, i) * hzinv * a0 for i in range(1, n + 1)]
-    dht = [transverse(Ht, i) * htzinv for i in range(1, n + 1)]
+    b, dht = [], []
+    transverse = pair.jet
+    for _ in range(n):
+        transverse = transverse.deriv(0)
+        # d^i H H^-1 and d^i Ht Ht^-1 on Z, both from one product on the pair
+        h_part, ht_part = pair.split_jet(transverse.restrict(on_z) * inverse)
+        b.append(h_part * a0)
+        dht.append(ht_part)
     return [a0] + binomial_solve(b, dht, mul, x0=a0)
 
 
 def _L_tables(H: HermJet, n: int) -> dict:
-    """{j: [L_j^1, ..., L_j^n]} for the tangential directions j = 2..m."""
+    """{j: [L_j^1, ..., L_j^n]} for the tangential directions j = 2..m; of a
+    pair jet, the tables of both bundles at once."""
     return {j: [L_tensor(H, j, l) for l in range(1, n + 1)] for j in range(2, H.dim + 1)}
 
 
 def holomorphy_conditions(
-    H: HermJet, Ht: HermJet, A_seq: list[np.ndarray], n: int
+    pair: GramPair, A_seq: list[np.ndarray], n: int, tables: dict
 ) -> dict:
     """Residuals of the gluing conditions that make the extension holomorphic:
 
         L_j^l = sum_{i=1}^l binom(l,i) A_{l-i} Lt_j^i A0^-1
 
     for 1 <= l <= n and every tangential direction 2 <= j <= m.  A_seq is
-    (A0, A1, ..., An)."""
-    lh, lht = _L_tables(H, n), _L_tables(Ht, n)
+    (A0, A1, ..., An) and `tables` is ``_L_tables(pair.jet, n)``."""
     a0inv = np.linalg.inv(A_seq[0])
     out = {}
-    for j in lh:
-        rhss = binomial_sums(A_seq, lht[j], lambda a, lt: a @ lt @ a0inv)
-        for l, (lhs, rhs) in enumerate(zip(lh[j], rhss), start=1):
+    for j, ls in tables.items():
+        lh, lht = zip(*(pair.split(l) for l in ls))
+        rhss = binomial_sums(A_seq, list(lht), lambda a, lt: a @ lt @ a0inv)
+        for l, (lhs, rhs) in enumerate(zip(lh, rhss), start=1):
             out[f"holomorphy(l={l},j={j})"] = _rel(lhs - rhs, lhs, rhs)
     return out
 
 
-def geometric_conditions(H: HermJet, Ht: HermJet, A0: np.ndarray, n: int) -> dict:
+def geometric_conditions(pair: GramPair, A0: np.ndarray, n: int, tables: dict) -> dict:
     """Residuals of the curvature conditions intertwined by the corner map:
 
     * isometry of A0 itself: H = A0 Ht A0^*;
@@ -323,35 +338,33 @@ def geometric_conditions(H: HermJet, Ht: HermJet, A0: np.ndarray, n: int) -> dic
     * mixed tower: (K_{1 jbar})_{z1^r} A0 = A0 (Kt_{1 jbar})_{z1^r} for
       r <= n-1 and tangential j >= 2.
 
-    The transverse towers of the two bundles are built in one pass, H and
-    Ht stacked on the point axis; each mixed tower once per bundle.
+    Each tower is built once for both bundles, on the pair jet; `tables` is
+    ``_L_tables(pair.jet, n)``.
     """
-    lh, lht = _L_tables(H, n), _L_tables(Ht, n)
     A0 = np.asarray(A0, dtype=np.complex128)
     out = {}
-    h0, ht0 = H.value(), Ht.value()
+    h0, ht0 = pair.split(pair.jet.value())
     out["isometry"] = _rel(h0 - A0 @ ht0 @ _adjoint(A0), h0, ht0)
-    towers = _on_pair(H, Ht, lambda both: [v for row in transverse_tower(both, n) for v in row])
-    for k, (lhs, rhs) in enumerate(towers):
+    tower = [v for row in transverse_tower(pair.jet, n) for v in row]
+    for k, (lhs, rhs) in enumerate(pair.split(v) for v in tower):
         r, t = divmod(k, n)
         out[f"transverse-curvature(r={r},t={t})"] = _rel(lhs @ A0 - A0 @ rhs, lhs, rhs)
-    for j in lh:
-        mixed, mixed_t = K1j_tower(H, lh[j]), K1j_tower(Ht, lht[j])
-        for r in range(n):
-            lhs, rhs = mixed[r], mixed_t[r]
+    for j, ls in tables.items():
+        for r, value in enumerate(K1j_tower(pair.jet, ls)):
+            lhs, rhs = pair.split(value)
             out[f"mixed-curvature(j={j},r={r})"] = _rel(lhs @ A0 - A0 @ rhs, lhs, rhs)
     return out
 
 
-def tangential_curvature_conditions(H: HermJet, Ht: HermJet) -> dict:
+def tangential_curvature_conditions(pair: GramPair) -> dict:
     """Equality of the purely tangential curvature components (rank 1 only):
     a necessary condition for a holomorphic isometric corner map to exist."""
-    tangential = range(2, H.dim + 1)
-    (_, k), (_, kt) = curvature_table(H, tangential), curvature_table(Ht, tangential)
+    tangential = range(2, pair.jet.dim + 1)
+    _, k = curvature_table(pair.jet, tangential)
     out = {}
     for i in tangential:
         for j in tangential:
-            lhs, rhs = k[i][j].value(), kt[i][j].value()
+            lhs, rhs = pair.split(k[i][j].value())
             out[f"tangential-curvature(i={i},j={j})"] = _rel(lhs - rhs, lhs, rhs)
     return out
 
@@ -487,17 +500,22 @@ class ContactReport:
 # drivers
 
 
+def _gram_pair(problem: ContactProblem, points, n: int) -> GramPair:
+    """Both bundles' Gram jets at the points of `points`, orders (n, n),
+    from one run of their merged program."""
+    return GramPair(problem.bundle_a.gram_jet(points, n, n, problem.bundle_b), (len(points),))
+
+
 def _pointwise_at(problem: ContactProblem, points) -> list[PointReport]:
     """Both point-wise routes at every point of `points`, each as one pass
     over all of them; one report per point."""
     n, tol = problem.order, problem.tolerance
     # both routes read derivatives of orders <= n in z and in zbar only
-    h = problem.bundle_a.gram_jet(points, n, n)
-    ht = problem.bundle_b.gram_jet(points, n, n)
-    routes = {"normalized-decide": pointwise_normalized_decide(h, ht, n, tol, seed=problem.seed)}
+    pair = _gram_pair(problem, points, n)
+    routes = {"normalized-decide": pointwise_normalized_decide(pair, n, tol, seed=problem.seed)}
     cand = problem.candidate_jet(points, n)
     if cand is not None:
-        routes["candidate-verify"] = pointwise_verify(h, ht, cand, n, tol)
+        routes["candidate-verify"] = pointwise_verify(pair, cand, n, tol)
     # a failing candidate does not refute contact itself, but the two routes
     # are still reported and compared
     return _point_reports(points, routes, compared=tuple(routes))
@@ -505,18 +523,20 @@ def _pointwise_at(problem: ContactProblem, points) -> list[PointReport]:
 
 def _alongz_at(problem: ContactProblem, points) -> list[PointReport]:
     """Both routes and the spot check at every point of the grid `points` on
-    Z, each as one pass over the whole grid; one report per point."""
+    Z, each as one pass over the whole grid; one report per point.  Each
+    per-bundle quantity is formed once, on the pair jet; the routes read
+    these shared jets and values, never each other's results."""
     n = problem.order
     tol = problem.tolerance
     # every quantity below reads derivatives of orders <= n in z and in zbar
-    h = problem.bundle_a.gram_jet(points, n, n)
-    ht = problem.bundle_b.gram_jet(points, n, n)
+    pair = _gram_pair(problem, points, n)
 
     shared = {}  # existence conditions for the corner map, counted in both routes
 
     if problem.rank == 1:
-        a0 = np.sqrt(h.value()[..., :1, :1].real / ht.value()[..., :1, :1].real)
-        shared.update(tangential_curvature_conditions(h, ht))
+        h0, ht0 = pair.split(pair.jet.value())
+        a0 = np.sqrt(h0[..., :1, :1].real / ht0[..., :1, :1].real)
+        shared.update(tangential_curvature_conditions(pair))
         cand_jet = None
     else:
         cand_jet = problem.candidate_jet(points, n)
@@ -525,26 +545,27 @@ def _alongz_at(problem: ContactProblem, points) -> list[PointReport]:
                 "a candidate corner map A0 is required for rank >= 2 bundles"
             )
         a0 = cand_jet.value()
+        _check_invertible(a0, points)
+    tables = _L_tables(pair.jet, n)  # read by both routes
 
     # analytic route: unique extension + transverse block-Gram isometry + gluing
-    a_seq = [a0] + extend_A_sequence(h, ht, a0, n)
+    a_seq = [a0] + extend_A_sequence(pair, a0, n)
     lam = pascal_expand(np.stack(a_seq, axis=-3))
-    g = jet_gram(h.restrict((0,)), n)
-    gt = jet_gram(ht.restrict((0,)), n)
+    g, gt = pair.split(jet_gram(pair.jet.restrict((0,)), n))
     analytic = {f"jet-gram-isometry(n={n})": _rel(g - lam @ gt @ _adjoint(lam), g, gt)}
-    analytic.update(holomorphy_conditions(h, ht, a_seq, n))
+    analytic.update(holomorphy_conditions(pair, a_seq, n, tables))
     analytic.update(shared)
 
     # geometric route: curvature towers intertwined by the corner map
-    geometric = geometric_conditions(h, ht, a0, n)
+    geometric = geometric_conditions(pair, a0, n, tables)
     geometric.update(shared)
 
     # spot-check: contact along Z implies point-wise contact here (full jets)
     if problem.rank == 1:
-        spot_verdicts, spot_res = pointwise_rank1_decide(h, ht, n, tol)
+        spot_verdicts, spot_res = pointwise_rank1_decide(pair, n, tol)
     else:
-        full_cand = _full_candidate_from_slice(h, ht, cand_jet, n)
-        spot_verdicts, spot_res = pointwise_verify(h, ht, full_cand, n, tol)
+        full_cand = _full_candidate_from_slice(pair, cand_jet, n)
+        spot_verdicts, spot_res = pointwise_verify(pair, full_cand, n, tol)
     spot = {f"pointwise-spot-check:{k}": v for k, v in spot_res.items()}
 
     routes = {
@@ -553,6 +574,20 @@ def _alongz_at(problem: ContactProblem, points) -> list[PointReport]:
         "pointwise-spot-check": (spot_verdicts, spot),
     }
     return _point_reports(points, routes, compared=("analytic", "geometric"))
+
+
+def _check_invertible(a0: np.ndarray, points) -> None:
+    """Refuse a candidate whose value at some point is a matrix that
+    ``np.linalg.inv`` cannot invert (the gluing conditions divide by it),
+    naming the first such point."""
+    try:
+        np.linalg.inv(a0)
+    except np.linalg.LinAlgError:
+        for point, value in zip(points, a0):
+            try:
+                np.linalg.inv(value)
+            except np.linalg.LinAlgError:
+                raise ValueError(f"candidate value is singular at {point}") from None
 
 
 def _point_reports(points, routes: dict, compared: tuple) -> list[PointReport]:
@@ -570,9 +605,7 @@ def _point_reports(points, routes: dict, compared: tuple) -> list[PointReport]:
     return reports
 
 
-def _full_candidate_from_slice(
-    h: HermJet, ht: HermJet, a0_jet: HoloJet, n: int
-) -> HoloJet:
+def _full_candidate_from_slice(pair: GramPair, a0_jet: HoloJet, n: int) -> HoloJet:
     """Assemble the full multi-index candidate jet at a point of Z from the
     jets on Z of the extension sequence: d^(i1, I') A = d^I' A_{i1}, read
     from the jet of A_{i1} in z2..zm at the multi-index I'.
@@ -582,12 +615,13 @@ def _full_candidate_from_slice(
     depend only on the beta = 0 coefficients of their operands.  The
     sequence therefore runs on the Gram jets truncated to orders (n, 0) and
     on A0 at anti order 0: the same values, at the holomorphic orders read."""
-    a_jets = extend_A_sequence_jets(h.truncate(n, 0), ht.truncate(n, 0), a0_jet, n)
-    table = index_table(h.dim, n)
-    coeffs = np.zeros(h.points + (len(table), 1, h.rank, h.rank), dtype=np.complex128)
+    a_jets = extend_A_sequence_jets(GramPair(pair.jet.truncate(n, 0), pair.points), a0_jet, n)
+    table = index_table(pair.jet.dim, n)
+    rank = a0_jet.rank
+    coeffs = np.zeros(pair.points + (len(table), 1, rank, rank), dtype=np.complex128)
     for k, idx in enumerate(table):
         coeffs[..., k, 0, :, :] = a_jets[idx[0]].extract(idx[1:]) / multi_index_factorial(idx)
-    return HoloJet(h.center, n, h.rank, coeffs)
+    return HoloJet(a0_jet.center, n, rank, coeffs)
 
 
 # Points per pass of every Gram-jet task (pointwise, along-z, curvature,

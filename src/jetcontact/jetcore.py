@@ -487,6 +487,31 @@ class HermJet:
         out.degree = (int(a), int(b))
         return out
 
+    def tiled(self, coeffs) -> "HermJet":
+        """Jets of this one's dim and orders at its centers, k of them in
+        turn on one point axis: `coeffs` is (k * P, Na, Nb, r, r) at P
+        centers, (k, Na, Nb, r, r) at one, and the centers are this jet's, k
+        times over.  Per point, an operation on the result is the operation
+        on the jet at that point alone."""
+        k = len(coeffs) // (self.points[0] if self.points else 1)
+        out = self._like(self.holo_order, self.anti_order, coeffs)
+        out.center = self.center * k if self.points else (self.center,) * k
+        out.rank = coeffs.shape[-1]
+        return out
+
+    def untiled(self, k: int, points: tuple) -> list:
+        """The k jets stacked on this one's point axis, in turn, each at
+        points = (P,) centers, or at one when points is (): the inverse of
+        :meth:`tiled`.  The parts are views of this jet's coefficients."""
+        coeffs = self.coeffs.reshape((k,) + points + self.coeffs.shape[1:])
+        size = points[0] if points else 1
+        parts = []
+        for i in range(k):
+            part = self._like(self.holo_order, self.anti_order, coeffs[i])
+            part.center = self.center[i * size:(i + 1) * size] if points else self.center[i]
+            parts.append(part)
+        return parts
+
     @property
     def points(self) -> tuple:
         """The leading point axis of ``coeffs``: (P,) at P centers, else ()."""

@@ -21,23 +21,35 @@ differences anywhere.  :func:`parse_kernel` reads an expression in one pass
 into an :class:`Expr`: the straight-line jet ops that compute it, children
 before parents, with literals folded, and its canonical text for the config
 echo.  The entries of a Gram matrix (or of a candidate frame change) merge
-into one :class:`JetProgram`, in which every distinct op is computed once,
-and the program runs once per call, at one point or at a whole grid of
-points (jets with a leading point axis, see :mod:`jetcore`).
+into one :class:`JetProgram`, in which every distinct op is computed once;
+the two bundles of a contact question merge into one program too, so the
+kernels they share are computed once for both.
+
+A program is scheduled when it is compiled: its ops are grouped by depth
+in the op graph, op code and the parameters the code's kernel reads (a
+product's factor bounds, a power's exponent and base bound).  A run fills
+one buffer, a row of scalar jet coefficients per op, with one numpy step per
+group: gathers for the linear ops, jetcore's product kernel and HermJet
+methods on the group stacked along the point axis for the others.  It runs
+once per call, at one point or at a whole grid of points (jets with a
+leading point axis, see :mod:`jetcore`), and per op and point gives the
+bits an op-by-op evaluation at that point alone gives.
 :meth:`BundleSpec.gram_jet` checks each Gram jet it makes, at the orders the
-caller asked for, point by point.
+caller asked for, point by point; with a partner bundle it returns the two
+Gram jets as one pair jet, stacked on the point axis.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
 
-from .jetcore import HermJet, point_axis
+from .jetcore import HermJet, _product, point_axis
 
 __all__ = [
     "ParseError",
@@ -305,6 +317,7 @@ def parse_kernel(text: str) -> Expr:
 # op codes that combine two jets; every code but these, "var" and "const"
 # names the HermJet method the op calls, with its parameter if it has one
 _BINARY = ("__add__", "__sub__", "__mul__")
+_ONE = np.eye(1)[0]  # the identity of a rank-1 jet's value, [1.0]
 
 
 def _degree(code: str, a, b, degrees: list):
@@ -329,7 +342,8 @@ def _degree(code: str, a, b, degrees: list):
 
 
 class JetProgram:
-    """Expressions merged into one straight-line jet program.
+    """Expressions merged into one straight-line program of scalar jet ops,
+    run level by level over one buffer.
 
     The ops of the expressions are taken in order and hash-consed: each
     distinct (op, operands, parameter) is one op, so a subexpression shared
@@ -349,10 +363,17 @@ class JetProgram:
     negation, ``+``, ``-``, ``*`` and non-negative integer powers of
     polynomials -- and None otherwise (``exp``, ``log``, ``inv``, real and
     negative powers).  The Taylor coefficients of a bounded op vanish at
-    every center for |alpha| > a or |beta| > b.  :meth:`run` declares the
-    bound on the jet of each bounded op that a product or a power reads
-    (:meth:`HermJet.with_degree`), so that product gathers only the pairs
-    inside the bound; no other op reads a bound.
+    every center for |alpha| > a or |beta| > b.  A product or a power reads
+    the bound of each of its factors (``_declared`` lists the bounds read),
+    so that a product gathers only the pairs inside a bound (see
+    :mod:`jetcore`); no other op reads one.
+
+    The level schedule is made in the same pass as the ops.  An op's level
+    is its depth in the op graph (0 for ``var`` and ``const``).  The ops of
+    one level with the same code -- and, for a product, the same factor
+    bounds; for a power, the same exponent and base bound -- form a group,
+    which reads only lower levels.  :meth:`run` takes one numpy step per
+    group, on the group's ops stacked on a leading axis, in level order.
     """
 
     def __init__(self, exprs):
@@ -362,58 +383,177 @@ class JetProgram:
         self.max_var = 0
         self.conjugated = False
         slots: dict = {}
+        ops, degrees, levels = self.ops, self.degrees, []
+        by_level: list = []  # per level, (code and shared parameters) -> [op]
+        factors: set = set()  # the ops a product or a power reads
         for expr in exprs:
             self.max_var = max(self.max_var, expr.max_var)
             self.conjugated |= expr.conjugated
             merged = []  # the program op of each of the expression's ops
+            push, find = merged.append, slots.get
             for code, a, b in expr.ops:
                 if code != "var" and code != "const":
                     a = merged[a]
                     if code in _BINARY:
                         b = merged[b]
                 key = (code, a, b)
-                slot = slots.get(key)
+                slot = find(key)
                 if slot is None:
-                    slot = slots[key] = len(self.ops)
-                    self.ops.append(key)
-                    self.degrees.append(_degree(code, a, b, self.degrees))
-                merged.append(slot)
+                    slot = slots[key] = len(ops)
+                    ops.append(key)
+                    degrees.append(_degree(code, a, b, degrees))
+                    if code in _BINARY:
+                        level = 1 + (levels[a] if levels[a] > levels[b] else levels[b])
+                        if code == "__mul__":
+                            factors.add(a), factors.add(b)
+                            code = (code, degrees[a], degrees[b])
+                    elif code == "var" or code == "const":
+                        level = 0
+                    else:
+                        level = 1 + levels[a]
+                        if code == "power":
+                            factors.add(a)
+                            code = (code, b, degrees[a])
+                    levels.append(level)
+                    if level == len(by_level):
+                        by_level.append(defaultdict(list))
+                    by_level[level][code].append(slot)
+                push(slot)
             out = expr.output
             self.outputs.append(out if isinstance(out, complex) else merged[out])
-        factors = {x for code, a, b in self.ops if code in ("__mul__", "power")
-                   for x in ((a, b) if code == "__mul__" else (a,))}
-        self._declared = [d if k in factors else None for k, d in enumerate(self.degrees)]
-
-    def run(self, center, holo_order: int, anti_order: int) -> list:
-        """The outputs at `center` (one point, or P points at once): a scalar
-        HermJet of orders (holo_order, anti_order), or a complex for a
-        literal-only expression."""
-        jets = []
-        for (code, a, b), degree in zip(self.ops, self._declared):
+        self._declared = [d if k in factors else None for k, d in enumerate(degrees)]
+        # each literal-only output is a constant op of its own, after the ops,
+        # and the schedule's last group; the other groups are in level order
+        ops, outputs = list(ops), []
+        for out in self.outputs:
+            if isinstance(out, complex):
+                ops.append(("const", out, None))
+                out = len(ops) - 1
+            outputs.append(out)
+        groups = [(group, code[1:] if isinstance(code, tuple) else None)
+                  for level in by_level for code, group in level.items()]
+        if len(ops) > len(self.ops):
+            groups.append((list(range(len(self.ops), len(ops))), None))
+        # buffer rows in schedule order, so that each group fills a block of rows
+        order = [k for group, _ in groups for k in group]
+        rows = [0] * len(ops)
+        for row, k in enumerate(order):
+            rows[k] = row
+        # per row: the operands' rows (a variable's index and conjugation
+        # flag) and the literal of a const, scale or shift
+        first, second, literal = [], [], []
+        for k in order:
+            code, a, b = ops[k]
             if code == "var":
-                make = HermJet.conj_coordinate if b else HermJet.coordinate
-                jet = make(a, center, holo_order, anti_order)
+                first.append(a), second.append(b), literal.append(0j)
             elif code == "const":
-                jet = HermJet.constant(a, center, holo_order, anti_order)
+                first.append(0), second.append(0), literal.append(a)
             elif code in _BINARY:
-                jet = getattr(jets[a], code)(jets[b])
+                first.append(rows[a]), second.append(rows[b]), literal.append(0j)
             else:
-                method = getattr(jets[a], code)
-                jet = method() if b is None else method(b)
-            jets.append(jet if degree is None else jet.with_degree(degree))
-        return [jets[out] if isinstance(out, int) else out for out in self.outputs]
+                first.append(rows[a]), second.append(0)
+                literal.append(b if code == "scale" or code == "shift" else 0j)
+        self._ops, self._rows = ops, rows
+        self._out = np.array([rows[k] for k in outputs], dtype=np.intp)
+        self._columns = (np.array(first, dtype=np.intp), np.array(second, dtype=np.intp),
+                         np.array(literal, dtype=np.complex128))
+        # one step per group, (code, start, stop, shared parameters): it
+        # fills the rows [start, stop)
+        self._schedule, start = [], 0
+        for group, shared in groups:
+            self._schedule.append((ops[group[0]][0], start, start + len(group), shared))
+            start += len(group)
+
+    def _op_by_op(self) -> list:
+        """The steps of a schedule of one op per group, in op order."""
+        return [(code, self._rows[k], self._rows[k] + 1,
+                 (self.degrees[a], self.degrees[b]) if code == "__mul__"
+                 else (b, self.degrees[a]) if code == "power" else None)
+                for k, (code, a, b) in enumerate(self._ops)]
+
+    def run(self, center, holo_order: int, anti_order: int) -> np.ndarray:
+        """Every op's value at `center` (one point, or P points at once) as
+        one buffer ``(rows, *P, Na, Nb)`` of scalar jet coefficients of
+        orders (holo_order, anti_order): op k in row ``_rows[k]``, the rows
+        in schedule order, and after the ops' rows those of the literal-only
+        outputs.
+
+        A failing run is made again one op at a time, in op order, so its
+        error is the one the first failing op raises."""
+        return self._run(HermJet.zero(center, holo_order, anti_order))
+
+    def _run(self, template: HermJet) -> np.ndarray:
+        """:meth:`run` at the centers and orders of the jet `template`."""
+        try:
+            return self._fill(self._schedule, template)
+        except Exception:
+            self._fill(self._op_by_op(), template)
+            raise
+
+    def _fill(self, steps: list, template: HermJet) -> np.ndarray:
+        p, q, dim, points = (template.holo_order, template.anti_order, template.dim,
+                             template.points)
+        na, nb = template.coeffs.shape[-4:-2]
+        buf = np.empty((len(self._rows),) + points + (na, nb), dtype=np.complex128)
+        per_op = (-1,) + (1,) * len(points)  # a per-op scalar over the points
+        first, second, literal = self._columns
+        for code, start, stop, shared in steps:
+            out, a = buf[start:stop], first[start:stop]
+            if code == "var":
+                # the coordinate z_a, or conj(z_a) where flagged, with unit
+                # coefficient at e_a, which graded tables put at position 1 + a
+                conj = second[start:stop] != 0
+                coords = np.moveaxis(np.array(template.center, dtype=np.complex128), -1, 0)[a]
+                out[...] = 0.0
+                out[..., 0, 0] = np.where(conj.reshape(per_op), np.conj(coords), coords)
+                if p >= 1:
+                    out[np.flatnonzero(~conj), ..., 1 + a[~conj], 0] = 1.0
+                if q >= 1:
+                    out[np.flatnonzero(conj), ..., 0, 1 + a[conj]] = 1.0
+            elif code == "const":
+                out[...] = 0.0
+                out[..., 0, 0] = literal[start:stop].reshape(per_op)
+            elif code == "scale":
+                np.multiply(buf[a], literal[start:stop].reshape(per_op + (1, 1)), out=out)
+            elif code == "shift":
+                np.take(buf, a, axis=0, out=out)
+                # f + b * I adds b * 1.0 to the constant term, as HermJet.shift does
+                out[..., 0, 0] += (literal[start:stop] * _ONE).reshape(per_op)
+            elif code == "__neg__":
+                np.negative(buf[a], out=out)
+            elif code in _BINARY:
+                b = second[start:stop]
+                if code == "__add__":
+                    np.add(buf[a], buf[b], out=out)
+                elif code == "__sub__":
+                    np.add(buf[a], -buf[b], out=out)  # as HermJet.__sub__: a + (-b)
+                else:
+                    product = _product(buf[a][..., None, None], buf[b][..., None, None],
+                                       dim, p, q, *shared)
+                    out[...] = product[..., 0, 0]
+            else:  # exp, log, inv, power: the HermJet method on the stacked ops
+                jet = template.tiled(buf[a].reshape((-1, na, nb, 1, 1)))
+                if code == "power":
+                    exponent, bound = shared
+                    jet = (jet if bound is None else jet.with_degree(bound)).power(exponent)
+                else:
+                    jet = getattr(jet, code)()
+                out[...] = jet.coeffs.reshape(out.shape)
+        return buf
 
     def matrix_jet(self, size: int, center, holo_order: int, anti_order: int) -> HermJet:
-        """The outputs, row-major, as the entries of a size x size matrix jet."""
-        zero = HermJet.zero(center, holo_order, anti_order, size)
-        coeffs = np.array(zero.coeffs)
-        for k, out in enumerate(self.run(zero.center, holo_order, anti_order)):
-            p, q = divmod(k, size)
-            if isinstance(out, HermJet):
-                coeffs[..., p, q] = out.coeffs[..., 0, 0]
-            else:
-                coeffs[..., 0, 0, p, q] = out
-        return HermJet(zero.center, holo_order, anti_order, size, coeffs)
+        """The outputs, row-major, as the entries of a size x size matrix
+        jet; when there are k * size^2 of them, the k matrices in turn,
+        stacked on the point axis (k P points at P centers, k at one)."""
+        template = HermJet.zero(center, holo_order, anti_order)
+        buf = self._run(template)
+        k = len(self._out) // (size * size)
+        entries = buf[self._out].reshape((k, size, size) + buf.shape[1:])
+        # (k, size, size, *P, Na, Nb) -> (k, *P, Na, Nb, size, size)
+        coeffs = np.moveaxis(entries, (1, 2), (-2, -1))
+        if k == 1:
+            return HermJet(template.center, holo_order, anti_order, size, coeffs[0])
+        return template.tiled(coeffs.reshape((-1,) + coeffs.shape[-4:]))
 
 
 def check_holomorphic(expr: Expr, dim: int) -> None:
@@ -435,9 +575,11 @@ class BundleSpec:
     """A rank-l Hermitian bundle given by its Gram matrix in a global frame.
 
     Entries are scalar expressions in z1..zm, zb1..zbm (texts or parsed
-    :class:`Expr`), merged into one :class:`JetProgram`.  The grid must be Hermitian-symmetric
-    (entry (q,p) is the conjugate of entry (p,q) under z <-> zb) and
-    positive definite; every Gram jet is checked for both when it is made.
+    :class:`Expr`), merged into one :class:`JetProgram` when a Gram jet is
+    first asked for -- with the entries of a partner bundle, when the two
+    are evaluated together.  The grid must be Hermitian-symmetric (entry
+    (q,p) is the conjugate of entry (p,q) under z <-> zb) and positive
+    definite; every Gram jet is checked for both when it is made.
     """
 
     def __init__(self, label: str, dimension: int, entries):
@@ -453,13 +595,13 @@ class BundleSpec:
         for row in self.entries:
             if len(row) != self.rank:
                 raise ValueError(f"bundle {label!r}: Gram entry grid is not square")
-        self._program = JetProgram([e for row in self.entries for e in row])
-        if self._program.max_var > self.dimension:
+        if max(e.max_var for row in self.entries for e in row) > self.dimension:
             raise ValueError(
                 f"bundle {label!r}: entry uses a variable beyond z{self.dimension}"
             )
+        self._programs: dict = {}  # partner (None: this bundle alone) -> JetProgram
 
-    def gram_jet(self, center, holo_order: int, anti_order: int) -> HermJet:
+    def gram_jet(self, center, holo_order: int, anti_order: int, partner=None) -> HermJet:
         """HermJet of the Gram matrix at `center`, checked before it is
         returned: finite coefficients, the Hermitian defect over all its
         coefficients with a symmetric partner, and a positive definite value.
@@ -467,7 +609,20 @@ class BundleSpec:
         `center` is one point, or a sequence of P points for a jet with a
         leading point axis made by one run of the program.  The checks run
         per point; an error names the first failing point and is the one
-        that point alone would raise."""
+        that point alone would raise.
+
+        With a `partner` bundle of the same dimension and rank, both Grams
+        come from one run of one program merged from the two grids: the
+        pair jet, this bundle's jet and the partner's stacked on the point
+        axis (2P points, or 2 at one center).  Its errors are the ones the
+        two calls would raise in turn: at each point this bundle's check,
+        then the partner's; a failing program, this bundle's program and
+        checks, then the partner's."""
+        specs = (self,) if partner is None else (self, partner)
+        if partner is not None and (partner.dimension, partner.rank) != (self.dimension,
+                                                                          self.rank):
+            raise ValueError(f"bundles {self.label!r} and {partner.label!r} differ in "
+                             "dimension or rank")
         points = list(center) if point_axis(center) else [center]
         for point in points:
             if len(point) != self.dimension:
@@ -475,9 +630,18 @@ class BundleSpec:
                     f"bundle {self.label!r} has dimension {self.dimension}, "
                     f"center has {len(point)}"
                 )
+        program = self._programs.get(partner)
+        if program is None:
+            program = self._programs[partner] = JetProgram(
+                [e for spec in specs for row in spec.entries for e in row])
         # finite inputs can overflow; such a point is refused by name below
         with np.errstate(all="ignore"):
-            jet = self._program.matrix_jet(self.rank, center, holo_order, anti_order)
+            try:
+                jet = program.matrix_jet(self.rank, center, holo_order, anti_order)
+            except Exception:
+                if partner is not None:
+                    self.gram_jet(center, holo_order, anti_order)  # its errors come first
+                raise
             defect = np.ravel(jet.hermitian_defect())
             size = np.ravel(np.max(np.abs(jet.coeffs), axis=(-4, -3, -2, -1)))
             finite = np.isfinite(size)
@@ -485,22 +649,24 @@ class BundleSpec:
             value = jet.value()
             if not finite.all():  # a non-finite point fails whatever its eigenvalues
                 value = np.where(finite[:, None, None], value, 0.0)
-            low = np.linalg.eigvalsh(value).reshape(len(points), -1).min(axis=1)
-        failing = np.flatnonzero(~finite | asymmetric | (low <= 0.0))
+            low = np.linalg.eigvalsh(value).reshape(len(finite), -1).min(axis=1)
+        # (point, bundle) pairs in the order the checks run
+        failing = np.argwhere((~finite | asymmetric | (low <= 0.0)).reshape(len(specs), -1).T)
         if failing.size:
-            k = failing[0]
+            point, which = failing[0]
+            k, label = which * len(points) + point, specs[which].label
             if not finite[k]:
                 raise ValueError(
-                    f"bundle {self.label!r}: Gram jet is not finite at {points[k]}"
+                    f"bundle {label!r}: Gram jet is not finite at {points[point]}"
                 )
             if asymmetric[k]:
                 raise ValueError(
-                    f"bundle {self.label!r}: Gram expression is not Hermitian-symmetric "
-                    f"at {points[k]} (defect {defect[k]:.2e})"
+                    f"bundle {label!r}: Gram expression is not Hermitian-symmetric "
+                    f"at {points[point]} (defect {defect[k]:.2e})"
                 )
             raise ValueError(
-                f"bundle {self.label!r}: Gram matrix not positive definite at "
-                f"{points[k]} (min eigenvalue {low[k]:.2e})"
+                f"bundle {label!r}: Gram matrix not positive definite at "
+                f"{points[point]} (min eigenvalue {low[k]:.2e})"
             )
         return jet
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .contact import (
     REFUTE_FACTOR,
+    GramPair,
     classify,
     combine_verdicts,
     jet_gram,
@@ -34,6 +35,7 @@ from .simeq import unitary_intertwiner
 __all__ = [
     "QuotientModel",
     "quotient_model",
+    "quotient_models",
     "check_direct_size",
     "unitary_equiv_check",
     "EquivReport",
@@ -73,19 +75,48 @@ def quotient_model(kernel: BundleSpec, center, order: int) -> QuotientModel:
     center = tuple(complex(c) for c in center)
     h = kernel.gram_jet(center, order, order)
     gram = jet_gram(h, order)
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs.min() <= 0.0:
-        raise ValueError(
-            f"kernel {kernel.label!r} is not positive definite at {center} "
-            f"(min jet-Gram eigenvalue {eigs.min():.2e})"
-        )
+    _check_jet_grams([kernel], np.linalg.eigvalsh(gram)[None], center)
+    return QuotientModel(kernel, center, order, h, gram, _shifts(kernel, center, order))
+
+
+def quotient_models(a: BundleSpec, b: BundleSpec, center,
+                    order: int) -> tuple[QuotientModel, QuotientModel]:
+    """The quotient models of kernels a and b at `center`: both Gram jets
+    from one run of the merged program, and the jet Grams, their checks and
+    the shifts each formed once for the two.  Per kernel that is bit for bit
+    :func:`quotient_model`.  When the pair fails, the models are made one at
+    a time, so the error is the one a's model, then b's, raises alone."""
+    center = tuple(complex(c) for c in center)
+    try:
+        pair = GramPair(a.gram_jet(center, order, order, b), ())
+        grams = jet_gram(pair.jet, order)
+        _check_jet_grams([a, b], np.linalg.eigvalsh(grams), center)
+    except Exception:
+        return quotient_model(a, center, order), quotient_model(b, center, order)
+    shifts = _shifts(a, center, order)  # the pair shares a's dimension and rank
+    return tuple(QuotientModel(kernel, center, order, jet, gram, shifts)
+                 for kernel, jet, gram in zip((a, b), pair.split_jet(pair.jet),
+                                              pair.split(grams)))
+
+
+def _check_jet_grams(kernels: list, eigs: np.ndarray, center) -> None:
+    """Refuse the first kernel whose jet Gram (eigenvalues `eigs`, one row
+    per kernel) is not positive definite."""
+    for kernel, low in zip(kernels, eigs.min(axis=-1)):
+        if low <= 0.0:
+            raise ValueError(
+                f"kernel {kernel.label!r} is not positive definite at {center} "
+                f"(min jet-Gram eigenvalue {low:.2e})"
+            )
+
+
+def _shifts(kernel: BundleSpec, center: tuple, order: int) -> tuple:
     size = table_size(kernel.dimension, order) * kernel.rank
-    shifts = tuple(
+    return tuple(
         center[j - 1] * np.eye(size)
         + multi_pascal_generator(kernel.dimension, order, j, kernel.rank)
         for j in range(1, kernel.dimension + 1)
     )
-    return QuotientModel(kernel, center, order, h, gram, shifts)
 
 
 @dataclass
@@ -140,7 +171,7 @@ def unitary_equiv_check(a: QuotientModel, b: QuotientModel, tol: float = 1e-8,
         raise ValueError("models sit at different base points")
 
     contact_verdict, contact_res = pointwise_normalized_decide(
-        a.jet, b.jet, a.order, tol, seed
+        GramPair.of(a.jet, b.jet), a.order, tol, seed
     )
     direct_verdict, direct_res = direct_equiv_check(a, b, tol, seed)
 

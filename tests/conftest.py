@@ -69,6 +69,26 @@ def conjugate_expr(expr: Expr) -> Expr:
     return parse_kernel(_CONJUGATED.sub(conjugate, expr.text()))
 
 
+def reference_run(program: JetProgram, center, holo_order: int, anti_order: int) -> list:
+    """The value of every op of `program` at `center`, evaluated one op at a
+    time by the HermJet methods -- the runner the level schedule replaced:
+    a scalar HermJet per op, carrying the bound a product or a power reads."""
+    jets = []
+    for (code, a, b), degree in zip(program.ops, program._declared):
+        if code == "var":
+            make = HermJet.conj_coordinate if b else HermJet.coordinate
+            jet = make(a, center, holo_order, anti_order)
+        elif code == "const":
+            jet = HermJet.constant(a, center, holo_order, anti_order)
+        elif code in ("__add__", "__sub__", "__mul__"):
+            jet = getattr(jets[a], code)(jets[b])
+        else:
+            method = getattr(jets[a], code)
+            jet = method() if b is None else method(b)
+        jets.append(jet if degree is None else jet.with_degree(degree))
+    return jets
+
+
 def eval_herm_jet(expr: Expr, center, holo_order: int, anti_order: int, dim=None) -> HermJet:
     """Jet of the expression at `center` in (z - z0, conj(z) - conj(z0))."""
     dim = len(center) if dim is None else dim

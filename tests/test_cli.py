@@ -284,6 +284,7 @@ class TestShippedConfigs:
         ("curvature-bergman3.yaml", EXIT_VERIFIED),
         ("recursions-rank2-grid.yaml", EXIT_VERIFIED),
         ("pointwise-rank2-candidate.yaml", EXIT_VERIFIED),
+        ("alongz-rank2-grid10.yaml", EXIT_VERIFIED),
     ]
 
     @pytest.mark.parametrize("name,expected", CONFIG_CODES)
@@ -572,7 +573,8 @@ class TestMain:
                          {"along-z": B_FIRST, "pointwise": B_FIRST}, id="b-fails-first"),
             # both Grams hold at the first point, where the corner map is
             # singular (along Z it is inverted); both fail at the last point
-            pytest.param(WIDE, "z2 - 1.5", {"along-z": "Singular matrix"},
+            pytest.param(WIDE, "z2 - 1.5",
+                         {"along-z": "candidate value is singular at (0j, (1.5+0j))"},
                          id="singular-corner"),
         ],
     )
@@ -592,6 +594,22 @@ class TestMain:
         assert main(["--config", path]) == EXIT_INPUT_ERROR
         message = messages.get(task, self.A_LAST)
         assert capsys.readouterr().err == f"jetcontact: input error: {message}\n"
+
+    @pytest.mark.parametrize("points,corner,where", [
+        ([[0, 0.1]], "0", "(0j, (0.1+0j))"),
+        # singular at the second point only: the first point's routes run
+        ([[0, 0.1], [0, 0.2], [0, 0.3]], "z2 - 0.2", "(0j, (0.2+0j))"),
+    ])
+    def test_singular_candidate_names_its_point(self, tmp_path, capsys, points, corner, where):
+        # along Z the gluing conditions invert the candidate's value
+        raw = yaml.safe_load((CONFIG_DIR / "pointwise-rank2-candidate.yaml").read_text())
+        raw.update(task="along-z", points=points, candidate=[[corner, "0"], ["0", corner]])
+        path = write_config(tmp_path, raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", path]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            f"jetcontact: input error: candidate value is singular at {where}\n")
 
     @pytest.mark.parametrize("where", ["gram", "candidate"])
     def test_deeply_nested_entry_is_input_error(self, tmp_path, capsys, where):
@@ -749,9 +767,9 @@ class TestJetOrders:
         asked = []
         real = BundleSpec.gram_jet
 
-        def spy(self, center, holo_order, anti_order):
+        def spy(self, center, holo_order, anti_order, *partner):
             asked.append((holo_order, anti_order))
-            return real(self, center, holo_order, anti_order)
+            return real(self, center, holo_order, anti_order, *partner)
 
         monkeypatch.setattr(BundleSpec, "gram_jet", spy)
         cfg = _task_configs()[name]
@@ -765,6 +783,7 @@ class TestJetOrders:
         want = json.dumps(run(build_config(cfg)), sort_keys=True)
         real = BundleSpec.gram_jet
         monkeypatch.setattr(
-            BundleSpec, "gram_jet", lambda self, c, p, q: real(self, c, p + 1, q + 1)
+            BundleSpec, "gram_jet",
+            lambda self, c, p, q, *partner: real(self, c, p + 1, q + 1, *partner)
         )
         assert json.dumps(run(build_config(cfg)), sort_keys=True) == want

@@ -1,15 +1,18 @@
 """Point-wise and along-slice contact: examples, invariants, route agreement."""
 
+import pathlib
 from math import comb
 
 import numpy as np
 import pytest
+import yaml
 
 from jetcontact.contact import (
     ContactProblem,
+    GramPair,
+    _L_tables,
     _full_candidate_from_slice,
     _normalized_pair,
-    _on_pair,
     alongZ_check,
     check_problem,
     extend_A_sequence,
@@ -29,7 +32,8 @@ from jetcontact.jetcore import (
     multi_index_factorial,
     table_size,
 )
-from jetcontact.kernelexpr import BundleSpec, parse_kernel
+from jetcontact.cli import build_config
+from jetcontact.kernelexpr import BundleSpec, JetProgram, parse_kernel
 
 from conftest import (
     PAIR_CORNERS_M2,
@@ -45,6 +49,8 @@ from conftest import (
     unitriangular_pair,
 )
 
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
 Z_POINTS = [(0.0, 0.12 * k - 0.2) for k in range(5)]
 
 
@@ -52,6 +58,12 @@ def gram_jets(entries_a, entries_b, point, orders, dim=2):
     a = BundleSpec("a", dim, entries_a).gram_jet(point, orders, orders)
     b = BundleSpec("b", dim, entries_b).gram_jet(point, orders, orders)
     return a, b
+
+
+def with_tables(conditions, h, ht, x, n):
+    """A route's conditions on the pair of h and ht, given its L tables."""
+    pair = GramPair.of(h, ht)
+    return conditions(pair, x, n, _L_tables(pair.jet, n))
 
 
 class TestJetGram:
@@ -99,7 +111,7 @@ class TestPointwise:
     def test_same_bundle_identity_candidate(self, rng):
         h = random_herm_jet(2, 2, 3, 3, rng)
         cand = HoloJet.constant(np.eye(2), (0.0, 0.0), 2)
-        verdict, res = pointwise_verify(h, h, cand, 2, 1e-10)
+        verdict, res = pointwise_verify(GramPair.of(h, h), cand, 2, 1e-10)
         assert verdict == "verified"
         assert max(res.values()) == 0.0
 
@@ -111,7 +123,7 @@ class TestPointwise:
             cand = holo_from_entries(
                 [[eval_holo_jet(e, point, 3) for e in row] for row in a_grid]
             )
-            verdict, res = pointwise_verify(h, ht, cand, 3, 1e-8)
+            verdict, res = pointwise_verify(GramPair.of(h, ht), cand, 3, 1e-8)
             assert verdict == "verified", res
 
     def test_one_plus_z_pair_verifies_at_sampled_points(self):
@@ -123,7 +135,7 @@ class TestPointwise:
         for point in [(0.0,), (0.25,), (-0.2 + 0.1j,)]:
             h, ht = gram_jets(h_grid, ht_grid, point, 3, dim=1)
             cand = eval_holo_jet(parse_kernel("1 + z1"), point, 2)
-            verdict, _ = pointwise_verify(h, ht, holo_from_entries([[cand]]), 2, 1e-8)
+            verdict, _ = pointwise_verify(GramPair.of(h, ht), holo_from_entries([[cand]]), 2, 1e-8)
             assert verdict == "verified"
 
     def test_bergman_mismatch_refuted_for_any_phase(self):
@@ -132,19 +144,19 @@ class TestPointwise:
         )
         for phase in (1.0, 1j, np.exp(0.3j)):
             cand = HoloJet.constant(np.array([[phase]]), (0.0,), 1)
-            verdict, _ = pointwise_verify(h, ht, cand, 1, 1e-8)
+            verdict, _ = pointwise_verify(GramPair.of(h, ht), cand, 1, 1e-8)
             assert verdict == "refuted"
 
     def test_rank1_decide_self(self):
         h = BundleSpec("f", 1, [["exp(z1*zb1)"]]).gram_jet((0.3,), 3, 3)
-        verdict, res = pointwise_rank1_decide(h, h, 2, 1e-10)
+        verdict, res = pointwise_rank1_decide(GramPair.of(h, h), 2, 1e-10)
         assert verdict == "verified" and max(res.values()) == 0.0
 
     def test_fock_vs_hardy_flip(self):
         fock = BundleSpec("f", 1, [["exp(z1*zb1)"]]).gram_jet((0.0,), 3, 3)
         hardy = BundleSpec("h", 1, [["pow(1 - z1*zb1, -1)"]]).gram_jet((0.0,), 3, 3)
-        assert pointwise_rank1_decide(fock, hardy, 1, 1e-9)[0] == "verified"
-        assert pointwise_rank1_decide(fock, hardy, 2, 1e-9)[0] == "refuted"
+        assert pointwise_rank1_decide(GramPair.of(fock, hardy), 1, 1e-9)[0] == "verified"
+        assert pointwise_rank1_decide(GramPair.of(fock, hardy), 2, 1e-9)[0] == "refuted"
 
     def test_rank1_decide_agrees_with_candidate_route(self):
         h_grid, ht_grid, cand_grid = constructed_scalar_pair(
@@ -155,23 +167,23 @@ class TestPointwise:
             cand = holo_from_entries(
                 [[eval_holo_jet(cand_grid[0][0], point, 2)]]
             )
-            v1, _ = pointwise_rank1_decide(h, ht, 2, 1e-8)
-            v2, _ = pointwise_verify(h, ht, cand, 2, 1e-8)
+            v1, _ = pointwise_rank1_decide(GramPair.of(h, ht), 2, 1e-8)
+            v2, _ = pointwise_verify(GramPair.of(h, ht), cand, 2, 1e-8)
             assert v1 == v2 == "verified"
 
     def test_normalized_decide_rank2(self):
         a_grid, a_inv = unitriangular_pair(PAIR_CORNERS_M2[1])
         ht_grid = conjugated_gram(PAIR_GRAMS_M2[1], a_inv)
         h, ht = gram_jets(PAIR_GRAMS_M2[1], ht_grid, (0.1, -0.05), 3)
-        verdict, _ = pointwise_normalized_decide(h, ht, 2, 1e-8)
+        verdict, _ = pointwise_normalized_decide(GramPair.of(h, ht), 2, 1e-8)
         assert verdict == "verified"
         other, _ = gram_jets(PAIR_GRAMS_M2[0], PAIR_GRAMS_M2[0], (0.1, -0.05), 3)
-        verdict, _ = pointwise_normalized_decide(h, other, 2, 1e-8)
+        verdict, _ = pointwise_normalized_decide(GramPair.of(h, other), 2, 1e-8)
         assert verdict == "refuted"
 
     def test_normalized_decide_stops_at_certified_refutation(self, simeq_draws):
         h, other = gram_jets(PAIR_GRAMS_M2[1], PAIR_GRAMS_M2[0], (0.1, -0.05), 3)
-        verdict, _ = pointwise_normalized_decide(h, other, 2, 1e-8)
+        verdict, _ = pointwise_normalized_decide(GramPair.of(h, other), 2, 1e-8)
         assert verdict == "refuted"
         assert len(simeq_draws) == 1
 
@@ -185,7 +197,7 @@ class TestPointwise:
         _, a_inv = unitriangular_pair(PAIR_CORNERS_M2[1])
         ht_grid = conjugated_gram(PAIR_GRAMS_M2[1], a_inv)
         h, ht = gram_jets(PAIR_GRAMS_M2[1], ht_grid, (0.1, -0.05), 4)
-        pointwise_normalized_decide(h, ht, 3, 1e-8)
+        pointwise_normalized_decide(GramPair.of(h, ht), 3, 1e-8)
         table = index_table(2, 3)
         for got, jet in zip(seen[0], (h, ht)):
             _, normalized = normalize_frame(jet, 3)
@@ -198,13 +210,13 @@ class TestPointwise:
         # verdict per point: the ones each point gets alone
         points = [(0.1, -0.05), (-0.08, 0.12)]
         h, other = gram_jets(PAIR_GRAMS_M2[1], PAIR_GRAMS_M2[0], points, 3)
-        verdicts, residuals = pointwise_normalized_decide(h, other, 2, 1e-8)
+        verdicts, residuals = pointwise_normalized_decide(GramPair.of(h, other), 2, 1e-8)
         [(name, resid)] = residuals.items()
         assert resid.shape == (2,) and len(verdicts) == 2
         assert len(simeq_draws) == 2
         for k, point in enumerate(points):
             verdict, alone = pointwise_normalized_decide(
-                *gram_jets(PAIR_GRAMS_M2[1], PAIR_GRAMS_M2[0], point, 3), 2, 1e-8)
+                GramPair.of(*gram_jets(PAIR_GRAMS_M2[1], PAIR_GRAMS_M2[0], point, 3)), 2, 1e-8)
             assert np.ndim(alone[name]) == 0
             assert (verdicts[k], resid[k]) == (verdict, alone[name])
 
@@ -219,7 +231,8 @@ class TestPointwise:
             h_grid, ht_grid, _ = constructed_scalar_pair(SCALAR_GRAMS_M2[0],
                                                          SCALAR_FACTORS_M2[0])
             h, ht = gram_jets(h_grid, ht_grid, Z_POINTS, 3)
-        for jet, got in zip((h, ht), _normalized_pair(h, ht, 2)):
+        pair = GramPair.of(h, ht)
+        for jet, got in zip((h, ht), pair.split_jet(_normalized_pair(pair, 2).jet)):
             _, want = normalize_frame(jet, 2)
             assert got.center == want.center
             assert (got.holo_order, got.anti_order) == (want.holo_order, want.anti_order)
@@ -236,7 +249,7 @@ class TestPointwise:
         assert "frame normalization failed" in str(alone.value)
         for pair in ((good, bad), (bad, good)):
             with pytest.raises(ArithmeticError) as stacked:
-                _normalized_pair(*pair, 2)
+                _normalized_pair(GramPair.of(*pair), 2)
             assert str(stacked.value) == str(alone.value)
 
     @pytest.mark.parametrize("corner", PAIR_CORNERS_M2)
@@ -248,8 +261,8 @@ class TestPointwise:
             cand = holo_from_entries(
                 [[eval_holo_jet(e, point, 2) for e in row] for row in a_grid]
             )
-            decided, _ = pointwise_normalized_decide(h, ht, 2, 1e-8)
-            verified, _ = pointwise_verify(h, ht, cand, 2, 1e-8)
+            decided, _ = pointwise_normalized_decide(GramPair.of(h, ht), 2, 1e-8)
+            verified, _ = pointwise_verify(GramPair.of(h, ht), cand, 2, 1e-8)
             assert decided == verified == "verified"
 
     def test_monotonicity_in_order(self):
@@ -259,14 +272,14 @@ class TestPointwise:
         )
         h, ht = gram_jets(h_grid, ht_grid, (0.1, 0.1), 4)
         for n in (3, 2, 1):
-            verdict, _ = pointwise_rank1_decide(h, ht, n, 1e-8)
+            verdict, _ = pointwise_rank1_decide(GramPair.of(h, ht), n, 1e-8)
             assert verdict == "verified"
 
 
 class TestExtension:
     def test_identity_extension_vanishes(self, rng):
         h = random_herm_jet(2, 2, 4, 4, rng)
-        seq = extend_A_sequence(h, h, np.eye(2), 3)
+        seq = extend_A_sequence(GramPair.of(h, h), np.eye(2), 3)
         assert max(np.max(np.abs(a)) for a in seq) < 1e-12
 
     def test_recovers_derivatives_of_global_map(self):
@@ -277,7 +290,7 @@ class TestExtension:
         a_jet = holo_from_entries(
             [[eval_holo_jet(e, point, 3) for e in row] for row in a_grid]
         )
-        seq = extend_A_sequence(h, ht, a_jet.value(), 3)
+        seq = extend_A_sequence(GramPair.of(h, ht), a_jet.value(), 3)
         col = lambda_from_jet(a_jet)
         for l, a_l in enumerate(seq, start=1):
             assert np.max(np.abs(a_l - col[l])) < 1e-9
@@ -285,8 +298,8 @@ class TestExtension:
     def test_rank1_sequence_linear_in_corner(self, rng):
         h = random_herm_jet(1, 1, 4, 4, rng)
         ht = random_herm_jet(1, 1, 4, 4, rng)
-        one = extend_A_sequence(h, ht, np.array([[1.0]]), 3)
-        lam = extend_A_sequence(h, ht, np.array([[2.5 - 1j]]), 3)
+        one = extend_A_sequence(GramPair.of(h, ht), np.array([[1.0]]), 3)
+        lam = extend_A_sequence(GramPair.of(h, ht), np.array([[2.5 - 1j]]), 3)
         for a, b in zip(one, lam):
             assert np.max(np.abs(b - (2.5 - 1j) * a)) < 1e-12
 
@@ -294,9 +307,9 @@ class TestExtension:
 class TestConditions:
     def test_trivial_pair_zero_residuals(self, rng):
         h = random_herm_jet(2, 2, 4, 4, rng)
-        seq = [np.eye(2)] + extend_A_sequence(h, h, np.eye(2), 2)
-        hol = holomorphy_conditions(h, h, seq, 2)
-        geo = geometric_conditions(h, h, np.eye(2), 2)
+        seq = [np.eye(2)] + extend_A_sequence(GramPair.of(h, h), np.eye(2), 2)
+        hol = with_tables(holomorphy_conditions, h, h, seq, 2)
+        geo = with_tables(geometric_conditions, h, h, np.eye(2), 2)
         assert max(hol.values()) < 1e-12
         assert max(geo.values()) < 1e-12
 
@@ -305,8 +318,8 @@ class TestConditions:
         h, ht = gram_jets(
             [["exp(z1*zb1 + z2*zb2)"]], [["exp(z1*zb1 + 2*z2*zb2)"]], (0.0, 0.0), 3
         )
-        seq = [np.array([[1.0]])] + extend_A_sequence(h, ht, np.array([[1.0]]), 1)
-        res = holomorphy_conditions(h, ht, seq, 1)
+        seq = [np.array([[1.0]])] + extend_A_sequence(GramPair.of(h, ht), np.array([[1.0]]), 1)
+        res = with_tables(holomorphy_conditions, h, ht, seq, 1)
         assert res["holomorphy(l=1,j=2)"] < 1e-12
 
     def test_global_map_zero_residuals_on_grid(self):
@@ -317,16 +330,17 @@ class TestConditions:
             a0 = holo_from_entries(
                 [[eval_holo_jet(e, point, 3) for e in row] for row in a_grid]
             ).value()
-            seq = [a0] + extend_A_sequence(h, ht, a0, 3)
-            assert max(holomorphy_conditions(h, ht, seq, 3).values()) < 1e-10
-            assert max(geometric_conditions(h, ht, a0, 3).values()) < 1e-10
+            seq = [a0] + extend_A_sequence(GramPair.of(h, ht), a0, 3)
+            assert max(with_tables(holomorphy_conditions, h, ht, seq, 3).values()) < 1e-10
+            assert max(with_tables(geometric_conditions, h, ht, a0, 3).values()) < 1e-10
 
     @pytest.mark.parametrize("where", ["point", "grid"])
     def test_stacked_transverse_towers_equal_two_calls(self, where):
         _, a_inv = unitriangular_pair(PAIR_CORNERS_M2[2])
         points = (0.0, 0.1) if where == "point" else Z_POINTS
         h, ht = gram_jets(PAIR_GRAMS_M2[0], conjugated_gram(PAIR_GRAMS_M2[0], a_inv), points, 3)
-        got = _on_pair(h, ht, lambda both: [v for row in transverse_tower(both, 3) for v in row])
+        pair = GramPair.of(h, ht)
+        got = [pair.split(v) for row in transverse_tower(pair.jet, 3) for v in row]
         alone = [[v for row in transverse_tower(jet, 3) for v in row] for jet in (h, ht)]
         assert len(got) == 9
         for (lhs, rhs), want_lhs, want_rhs in zip(got, *alone):
@@ -337,9 +351,104 @@ class TestConditions:
         h = random_herm_jet(1, 1, 4, 4, rng)
         ht = h.scale(1.0)  # same bundle
         for phase in (1.0, np.exp(0.7j)):
-            res = geometric_conditions(h, ht, np.array([[phase]]), 2)
+            res = with_tables(geometric_conditions, h, ht, np.array([[phase]]), 2)
             without_iso = {k: v for k, v in res.items() if k != "isometry"}
             assert max(without_iso.values()) < 1e-12
+
+
+class TestGramPair:
+    """Both bundles' Gram jets from one run of one merged program, as one
+    pair jet on which each per-bundle quantity is formed once."""
+
+    # dim 1 bundles that fail at |z1| = 0.5 or 0.9 in their program (log of
+    # a negative number, inverse of zero) or their checks (definiteness)
+    CASES = [
+        ("2 + log(0.5 - z1*zb1)", "1 - 4*z1*zb1"),
+        ("1 - 4*z1*zb1", "2 + log(0.5 - z1*zb1)"),
+        ("1/(0.25 - z1*zb1)", "1 - z1*zb1"),
+        ("exp(z1*zb1)", "1/(0.25 - z1*zb1)"),
+        ("1/(0.25 - z1*zb1)", "1/(0.25 - z1*zb1) + log(0.5 - z1*zb1)"),
+        ("2 + log(0.5 - z1*zb1)", "2 + log(0.5 - z1*zb1)"),
+    ]
+
+    @staticmethod
+    def first_error(calls):
+        for call in calls:
+            try:
+                call()
+            except (ArithmeticError, ValueError) as exc:
+                return type(exc), str(exc)
+        return None
+
+    @pytest.mark.parametrize("a_text,b_text", CASES)
+    @pytest.mark.parametrize("point", [(0.0,), (0.5,), (0.9,)])
+    def test_errors_are_those_of_the_two_bundles_in_turn(self, a_text, b_text, point):
+        a, b = BundleSpec("a", 1, [[a_text]]), BundleSpec("b", 1, [[b_text]])
+        want = self.first_error([lambda: a.gram_jet(point, 2, 2), lambda: b.gram_jet(point, 2, 2)])
+        got = self.first_error([lambda: a.gram_jet(point, 2, 2, b)])
+        assert got == want
+
+    @pytest.mark.parametrize("points,message", [
+        # bundle b fails at the second point, bundle a only at the last
+        ([(0.0,), (0.5,), (1.2,)], "bundle 'b': Gram matrix not positive definite at (0.5,)"),
+        # both fail at the same point: bundle a's check comes first
+        ([(0.0,), (1.2,)], "bundle 'a': Gram matrix not positive definite at (1.2,)"),
+    ])
+    def test_checks_run_point_by_point_bundle_a_first(self, points, message):
+        a = BundleSpec("a", 1, [["1 - z1*zb1"]])
+        b = BundleSpec("b", 1, [["1 - 4*z1*zb1"]])
+        with pytest.raises(ValueError) as raised:
+            a.gram_jet(points, 2, 2, b)
+        assert str(raised.value).startswith(message)
+
+    @pytest.mark.parametrize("points", [(0.1, -0.2),
+                                        [(0.0, 0.1), (0.0, -0.2 + 0.1j), (0.1, 0.3j)]])
+    def test_halves_are_each_bundle_alone(self, points):
+        a_grid, a_inv = unitriangular_pair(PAIR_CORNERS_M2[0])
+        a = BundleSpec("a", 2, PAIR_GRAMS_M2[0])
+        b = BundleSpec("b", 2, conjugated_gram(PAIR_GRAMS_M2[0], a_inv))
+        both = a.gram_jet(points, 3, 2, b)
+        pair = GramPair(both, (len(points),) if isinstance(points, list) else ())
+        for half, spec in zip(pair.split_jet(both), (a, b)):
+            alone = BundleSpec(spec.label, 2, spec.entries).gram_jet(points, 3, 2)
+            assert half.center == alone.center and half.points == alone.points
+            assert half.coeffs.tobytes() == alone.coeffs.tobytes()
+        # a two-bundle evaluation compiles the merged program only
+        assert list(a._programs) == [b] and not b._programs
+
+    def test_identical_bundles_share_every_op(self):
+        cfg = build_config(yaml.safe_load((CONFIG_DIR / "alongz-fock-pair.yaml").read_text()))
+        a, b = cfg.bundle_a, cfg.bundle_b
+        both = a.gram_jet(cfg.points, 2, 2, b)
+        assert len(a._programs[b].ops) == len(JetProgram(a.entries[0]).ops)
+        h, ht = GramPair(both, (len(cfg.points),)).split_jet(both)
+        assert h.coeffs.tobytes() == ht.coeffs.tobytes()
+
+    def test_L_tables_once_per_slice(self, monkeypatch):
+        import jetcontact.contact as contact
+
+        tables, tensors = [], []
+        real_tables, real_tensor = contact._L_tables, contact.L_tensor
+
+        def spy_tables(H, n):
+            tables.append(H.points)
+            return real_tables(H, n)
+
+        def spy_tensor(H, j, l):
+            tensors.append((H.points, j, l))
+            return real_tensor(H, j, l)
+
+        monkeypatch.setattr(contact, "_L_tables", spy_tables)
+        monkeypatch.setattr(contact, "L_tensor", spy_tensor)
+        a_grid, a_inv = unitriangular_pair(PAIR_CORNERS_M2[0])
+        points = [(0.0, 0.05 * k - 0.2) for k in range(10)]
+        prob = ContactProblem(BundleSpec("h", 2, PAIR_GRAMS_M2[0]),
+                              BundleSpec("ht", 2, conjugated_gram(PAIR_GRAMS_M2[0], a_inv)),
+                              2, "along-z", points, candidate=a_grid)
+        assert alongZ_check(prob).verdict == "verified"
+        # one table per pass of 8 and of 2 points, on the pair jet of both bundles
+        assert tables == [(16,), (4,)]
+        assert tensors == [((16,), 2, 1), ((16,), 2, 2), ((4,), 2, 1), ((4,), 2, 2)]
 
 
 class TestAlongZ:
@@ -574,7 +683,7 @@ class TestAlongZ:
         assert report.verdict == "verified"
         for p, point in zip(report.points, Z_POINTS):
             h, ht = gram_jets(h_grid, ht_grid, point, 3)
-            assert pointwise_rank1_decide(h, ht, 2, 1e-8)[0] == "verified"
+            assert pointwise_rank1_decide(GramPair.of(h, ht), 2, 1e-8)[0] == "verified"
             assert p.route_verdicts["pointwise-spot-check"] == "verified"
 
     def test_extension_uniqueness_under_perturbation(self):
@@ -588,7 +697,7 @@ class TestAlongZ:
         a0 = holo_from_entries(
             [[eval_holo_jet(e, point, 2) for e in row] for row in a_grid]
         ).value()
-        seq = [a0] + extend_A_sequence(h, ht, a0, 2)
+        seq = [a0] + extend_A_sequence(GramPair.of(h, ht), a0, 2)
         g, gt = jet_gram(h.restrict((0,)), 2), jet_gram(ht.restrict((0,)), 2)
 
         def isometry_residual(seq_mats):
@@ -672,7 +781,7 @@ class TestSpotCheckCandidate:
     def test_matches_full_order_reference(self, rng, dim, rank, points):
         n = 2 if dim == 3 else 3
         h, ht, a0 = self.slice_jets(dim, rank, n, points, rng)
-        got = _full_candidate_from_slice(h, ht, a0, n)
+        got = _full_candidate_from_slice(GramPair.of(h, ht), a0, n)
         want = reference_full_candidate(h, ht, a0, n)
         assert (got.holo_order, got.rank, got.center) == (want.holo_order, want.rank,
                                                           want.center)
@@ -686,14 +795,14 @@ class TestSpotCheckCandidate:
         seen = []
         real = contact.extend_A_sequence_jets
 
-        def spy(H, Ht, A0, n):
-            seen.append((H.anti_order, Ht.anti_order, A0.anti_order))
-            return real(H, Ht, A0, n)
+        def spy(pair, A0, n):
+            seen.append((pair.jet.anti_order, A0.anti_order))
+            return real(pair, A0, n)
 
         monkeypatch.setattr(contact, "extend_A_sequence_jets", spy)
         h, ht, a0 = self.slice_jets(2, 2, 3, (4,), rng)
-        _full_candidate_from_slice(h, ht, a0, 3)
-        assert seen == [(0, 0, 0)]
+        _full_candidate_from_slice(GramPair.of(h, ht), a0, 3)
+        assert seen == [(0, 0)]
 
 
 class TestVerdictBands:
@@ -754,7 +863,7 @@ class TestVerdictBands:
             2,
             dim=1,
         )
-        verdict, res = pointwise_rank1_decide(h, ht, 1, 1e-8)
+        verdict, res = pointwise_rank1_decide(GramPair.of(h, ht), 1, 1e-8)
         assert verdict == "inconclusive", res
 
     def test_insufficient_jet_order(self, rng):

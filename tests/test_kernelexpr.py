@@ -6,9 +6,10 @@ from math import factorial
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jetcontact import kernelexpr
 from jetcontact.jetcore import HermJet, SingularityError, table_size
 from jetcontact.kernelexpr import (
     BundleSpec,
@@ -18,7 +19,7 @@ from jetcontact.kernelexpr import (
     parse_kernel,
 )
 
-from conftest import conjugate_expr, eval_herm_jet, eval_holo_jet
+from conftest import conjugate_expr, eval_herm_jet, eval_holo_jet, reference_run
 
 
 def program_of(expr) -> tuple:
@@ -445,6 +446,16 @@ class TestJetProgram:
             spec.gram_jet((0.1,), 3, 3)
             assert counts == {"exp": k, "power": k}
 
+    def test_shared_kernels_evaluated_once_per_pair_run(self, monkeypatch):
+        # two bundles on the same kernels: one exp and one pow per pair run
+        e, p = "exp(z1*zb1)", "pow(1 + 0.5*z1*zb1, -1.5)"
+        a = BundleSpec("a", 1, [[f"{e}*{p}", f"0.2*{e}"], [f"0.2*{e}", f"{p} + {e}"]])
+        b = BundleSpec("b", 1, [[f"2*{e}", f"0.1*{p}"], [f"0.1*{p}", f"{p}"]])
+        counts = count_calls(monkeypatch, ["exp", "power"])
+        for k in range(1, 3):
+            a.gram_jet((0.1,), 3, 3, b)
+            assert counts == {"exp": k, "power": k}
+
     def test_literal_coefficient_makes_no_constant_or_product(self, monkeypatch):
         counts = count_calls(monkeypatch, ["constant", "__mul__"])
         plain = eval_herm_jet(parse_kernel("exp(z1*zb1)"), (0.1,), 3, 3)
@@ -454,6 +465,116 @@ class TestJetProgram:
         scaled = eval_herm_jet(parse_kernel(text), (0.1,), 3, 3)
         assert dict(counts) == without
         np.testing.assert_allclose(scaled.coeffs, plain.coeffs, rtol=0, atol=1e-15)
+
+
+def random_program_texts(rng, dim: int) -> list:
+    """Three to six expressions in z1..z`dim` over every op code: variables
+    and their conjugates, literals folded or promoted to constants, scale,
+    shift, negation, +, -, products (of bounded factors too), integer powers
+    of either sign and zero, real powers, exp, log and division; later
+    expressions reuse earlier subexpressions, so the program shares ops."""
+    pool = []
+
+    def leaf():
+        kind = rng.integers(0, 4)
+        if kind == 0 or not pool and kind == 3:
+            return f"z{'b' if rng.integers(0, 2) else ''}{rng.integers(1, dim + 1)}"
+        if kind == 1:
+            return f"({round(float(rng.normal()), 3)} + {round(float(rng.normal()), 3)}i)"
+        if kind == 2:
+            return str(rng.choice(["exp(0.5)", "pow(2, 0.5)", "(1/(3 - 1i))", "log(2)", "(2^-1)"]))
+        return pool[rng.integers(0, len(pool))]
+
+    def node(depth):
+        if depth >= 3 or rng.random() < 0.2:
+            return leaf()
+        x, kind = node(depth + 1), rng.integers(0, 11)
+        if kind < 3:
+            out = f"({x} {'+-*'[kind]} {node(depth + 1)})"
+        elif kind == 3:
+            out = f"(-{x})"
+        elif kind == 4:
+            out = f"({x} ^ {rng.integers(-2, 4)})"
+        elif kind == 5:
+            out = f"pow(1.5 + 0.1*{x}, {rng.choice([0.5, -1.5, 2.5, 2])})"
+        elif kind == 6:
+            out = f"exp(0.3*{x})"
+        elif kind == 7:
+            out = f"log(2 + 0.1*{x})"
+        elif kind == 8:
+            out = f"({x} / (2 + 0.1*{node(depth + 1)}))"
+        elif kind == 9:
+            out = f"(0.5*{x} - 1i)"
+        else:
+            out = f"((1 + 0.2*{leaf()}) * exp({x}))"  # a bounded factor
+        pool.append(out)
+        return out
+
+    return [node(0) for _ in range(rng.integers(3, 7))]
+
+
+class TestLevelSchedule:
+    """The scheduled run against the op-by-op reference (conftest)."""
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 3), st.integers(0, 3), st.integers(0, 3),
+           st.booleans())
+    @settings(max_examples=120, deadline=None)
+    # programs with groups of two or more ops of every code (complex scale
+    # literals among them), at orders (0, 0): a one-element jet per op, where
+    # numpy could round a group apart from the ops one at a time
+    @example(2512, 1, 0, 0, False)
+    @example(1878, 1, 0, 0, False)
+    @example(547, 1, 0, 0, False)
+    @example(2649, 2, 0, 0, False)
+    @example(1117, 2, 0, 0, False)
+    @example(96, 2, 0, 0, False)
+    @example(2512, 1, 0, 0, True)
+    @example(1117, 2, 0, 0, True)
+    def test_scheduled_run_matches_op_by_op_bit_for_bit(self, seed, dim, p, q, grid):
+        rng = np.random.default_rng(seed)
+        if rng.random() < 0.3:  # orders (n, 0) and (0, 0)
+            q = 0
+        program = JetProgram([parse_kernel(t) for t in random_program_texts(rng, dim)])
+        centers = [tuple(complex(*rng.normal(size=2) * 0.3) for _ in range(dim))
+                   for _ in range(8)]
+        center = centers if grid else centers[0]
+        with np.errstate(all="ignore"):
+            try:
+                reference = reference_run(program, center, p, q)
+            except (ArithmeticError, ValueError) as exc:
+                with pytest.raises(type(exc)) as raised:
+                    program.run(center, p, q)
+                assert str(raised.value) == str(exc)
+                return
+            buf = program.run(center, p, q)
+            matrix = program.matrix_jet(1, center, p, q)
+        for k, jet in enumerate(reference):
+            row = buf[program._rows[k]]
+            assert row.tobytes() == jet.coeffs[..., 0, 0].tobytes(), program.ops[k]
+        # every output, each in turn on the point axis
+        outputs = [reference[out].coeffs if isinstance(out, int) else
+                   HermJet.constant(out, center, p, q).coeffs for out in program.outputs]
+        assert matrix.coeffs.tobytes() == np.concatenate(
+            [np.reshape(c, (-1,) + c.shape[-4:]) for c in outputs]).tobytes()
+        assert matrix.points == ((len(outputs) * len(centers),) if grid else
+                                 (len(outputs),) if len(outputs) > 1 else ())
+
+    def test_schedule_groups_by_level_code_and_bounds(self):
+        program = JetProgram([parse_kernel("exp(z1*zb1) * (1 + z1) + (2*z1 - zb1)^2"),
+                              parse_kernel("exp(z1*zb1) * zb1 + 3*zb1")])
+        # ops: 0 z1, 1 zb1, 2 z1*zb1, 3 exp, 4 1 + z1, 5 exp*(1 + z1), 6 2*z1,
+        # 7 2*z1 - zb1, 8 its square, 9 5 + 8, 10 exp*zb1, 11 3*zb1, 12 10 + 11
+        ops_of = {row: k for k, row in enumerate(program._rows)}
+        steps = [(code, [ops_of[row] for row in range(start, stop)], shared)
+                 for code, start, stop, shared in program._schedule]
+        assert [(code, slots) for code, slots, _ in steps] == [
+            ("var", [0, 1]), ("__mul__", [2]), ("shift", [4]), ("scale", [6, 11]),
+            ("exp", [3]), ("__sub__", [7]), ("__mul__", [5]), ("power", [8]),
+            ("__mul__", [10]), ("__add__", [9, 12])]
+        # products of different factor bounds are different steps
+        assert [parameter for code, _, parameter in steps if code == "__mul__"] == [
+            ((1, 0), (0, 1)), (None, (1, 0)), (None, (0, 1))]
+        assert steps[7][2] == (2, (1, 1))  # a power's exponent and its base's bound
 
 
 class TestDegreeBounds:
@@ -488,22 +609,25 @@ class TestDegreeBounds:
         assert None not in program.degrees
         centers = [tuple(complex(*rng.normal(size=2) * 0.4) for _ in range(2)) for _ in range(3)]
         for center in (centers[0], centers):
-            for op, out in zip(program.outputs, program.run(center, 4, 3)):
-                if isinstance(out, complex):
+            buf = program.run(center, 4, 3)
+            for op in program.outputs:
+                if isinstance(op, complex):
                     continue
                 a, b = program.degrees[op]
-                assert not np.any(out.coeffs[..., table_size(2, min(a, 4)):, :, :, :])
-                assert not np.any(out.coeffs[..., :, table_size(2, min(b, 3)):, :, :])
+                row = buf[program._rows[op]]
+                assert not np.any(row[..., table_size(2, min(a, 4)):, :])
+                assert not np.any(row[..., :, table_size(2, min(b, 3)):])
 
-    def test_bounds_leave_gram_jets_unchanged_to_rounding(self):
-        spec = BundleSpec("g", 2, [
+    def test_bounds_leave_gram_jets_unchanged_to_rounding(self, monkeypatch):
+        entries = [
             ["(1 + 0.3*z1*z2)*exp(0.7*z1*zb1 + z2*zb2)*(1 + 0.3*zb1*zb2)", "0.2*z1^2*zb2"],
             ["0.2*z2*zb1^2", "(0.5 - 0.1i*z2)*pow(1 - 0.25*(z1*zb1 + z2*zb2), -2.5)*(0.5 + 0.1i*zb2)"],
-        ])
+        ]
         grid = [(0.0, 0.1), (0.0, -0.2 + 0.1j), (0.1, 0.3j)]
-        bounded = spec.gram_jet(grid, 3, 3)
-        spec._program.degrees = [None] * len(spec._program.ops)
-        full = spec.gram_jet(grid, 3, 3)
+        bounded = BundleSpec("g", 2, entries).gram_jet(grid, 3, 3)
+        # a program compiled without bounds runs the full product plans
+        monkeypatch.setattr(kernelexpr, "_degree", lambda *args: None)
+        full = BundleSpec("g", 2, entries).gram_jet(grid, 3, 3)
         np.testing.assert_allclose(bounded.coeffs, full.coeffs, rtol=0,
                                    atol=1e-14 * np.max(np.abs(full.coeffs)))
 
@@ -521,13 +645,13 @@ class TestDegreeBounds:
         # as a factor of a product, its jet carries the bound
         product = JetProgram([parse_kernel(f"({text}) * exp(z1*zb2)")])
         seen = []
-        mul = HermJet.__mul__
+        kernel = kernelexpr._product
 
-        def spy(left, right):
-            seen.append(left.degree)
-            return mul(left, right)
+        def spy(left, right, dim, p, q, left_degree=None, right_degree=None):
+            seen.append(left_degree)
+            return kernel(left, right, dim, p, q, left_degree, right_degree)
 
-        monkeypatch.setattr(HermJet, "__mul__", spy)
+        monkeypatch.setattr(kernelexpr, "_product", spy)
         product.run((0.1, -0.2j), 3, 3)
         assert seen[-1] == degree
 
@@ -548,6 +672,24 @@ class TestGramJetAtPoints:
         assert grid.points == (3,)
         for k, single in enumerate(singles):
             assert grid.coeffs[k].tobytes() == single.coeffs.tobytes()
+
+    @pytest.mark.parametrize("orders", [(1, 1), (3, 3), (3, 2)])
+    def test_one_program_run_per_pair_and_grid(self, monkeypatch, orders):
+        a = BundleSpec("a", 2, [
+            ["exp(z1*zb1 + z2*zb2)", "0.2*z1*zb2"],
+            ["0.2*z2*zb1", "pow(1 - 0.25*(z1*zb1 + z2*zb2), -2.5)"],
+        ])
+        b = BundleSpec("b", 2, [
+            ["exp(z1*zb1 + z2*zb2) + z1*zb1", "0.1*z1*zb2"],
+            ["0.1*z2*zb1", "2*pow(1 - 0.25*(z1*zb1 + z2*zb2), -2.5)"],
+        ])
+        singles = [[spec.gram_jet(c, *orders) for c in self.GRID] for spec in (a, b)]
+        counts = count_calls(monkeypatch, ["exp", "power"])
+        pair = a.gram_jet(self.GRID, *orders, b)
+        assert counts == {"exp": 1, "power": 1}
+        assert pair.points == (6,)
+        for k, single in enumerate(singles[0] + singles[1]):
+            assert pair.coeffs[k].tobytes() == single.coeffs.tobytes()
 
     def test_failing_point_named_as_alone(self):
         # the Gram [[1, z2], [zb2, 1]] is singular at |z2| = 1 and indefinite beyond

@@ -6,7 +6,12 @@ import pytest
 from jetcontact.contact import jet_gram
 from jetcontact.kernelexpr import BundleSpec
 from jetcontact.pascal import multi_pascal_generator
-from jetcontact.rkhs import direct_equiv_check, quotient_model, unitary_equiv_check
+from jetcontact.rkhs import (
+    direct_equiv_check,
+    quotient_model,
+    quotient_models,
+    unitary_equiv_check,
+)
 
 HARDY = BundleSpec("hardy", 1, [["pow(1 - z1*zb1, -1)"]])
 BERGMAN2 = BundleSpec("bergman2", 1, [["pow(1 - z1*zb1, -2)"]])
@@ -64,6 +69,53 @@ class TestQuotientModel:
         with pytest.raises(ValueError, match="positive definite"):
             quotient_model(bad, (0.0,), 1)
 
+
+
+# kernels at z1 = 1.2, order 2: one fine, and one or two failing at each
+# check quotient_model makes, in turn; the rank-2 kernel cannot pair with the others
+KERNELS = {
+    "fine": FOCK,
+    "program": BundleSpec("program", 1, [["pow(1 - z1*zb1, -1.5)"]]),  # real power of a negative
+    "gram": BundleSpec("gram", 1, [["1 - z1*zb1"]]),  # Gram value negative
+    "jet-gram": BundleSpec("jet-gram", 1, [["1 + z1*zb1"]]),  # no z1^2 term: jet Gram singular
+    "constant": BundleSpec("constant", 1, [["2"]]),  # jet Gram singular too
+    "rank2": BundleSpec("rank2", 1, [["exp(z1*zb1)", "0"], ["0", "exp(2*z1*zb1)"]]),
+}
+
+
+def _models_or_error(make):
+    """The bytes of each model `make` returns, or its error's type and text."""
+    try:
+        models = make()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(m.kernel, m.center, m.order, m.jet.center, m.jet.holo_order, m.jet.anti_order,
+             m.jet.coeffs.shape, m.jet.coeffs.tobytes(), m.gram.tobytes(),
+             [s.tobytes() for s in m.shifts]) for m in models]
+
+
+class TestQuotientModels:
+    """The pair of models from one merged program is the two models made in
+    turn: the same bytes, or the error a's model and then b's raises."""
+
+    @pytest.mark.parametrize("b", list(KERNELS))
+    @pytest.mark.parametrize("a", list(KERNELS))
+    def test_as_the_models_in_turn(self, a, b):
+        a, b, z0 = KERNELS[a], KERNELS[b], (1.2,)
+        expected = _models_or_error(lambda: (quotient_model(a, z0, 2), quotient_model(b, z0, 2)))
+        assert _models_or_error(lambda: quotient_models(a, b, z0, 2)) == expected
+
+    def test_one_program_run_for_the_pair(self, monkeypatch):
+        calls = []
+        gram_jet = BundleSpec.gram_jet
+
+        def spy(spec, center, p, q, partner=None):
+            calls.append((spec.label, p, q, partner and partner.label))
+            return gram_jet(spec, center, p, q, partner)
+
+        monkeypatch.setattr(BundleSpec, "gram_jet", spy)
+        quotient_models(HARDY, FOCK, (0.2,), 2)
+        assert calls == [("hardy", 2, 2, "fock")]
 
 class TestEquivalence:
     def test_model_vs_itself(self):
