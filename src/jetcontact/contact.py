@@ -449,7 +449,7 @@ def _normalize_candidate(cand, dim: int, rank: int):
 
 def _candidate_entry(entry, dim: int, where: str):
     """One candidate entry, parsed and checked holomorphic in z1..z`dim`; a
-    parse, nesting, holomorphy or variable error is prefixed with `where`."""
+    parse, holomorphy or variable error is prefixed with `where`."""
     try:
         expr = parse_kernel(entry) if isinstance(entry, str) else entry
         check_holomorphic(expr, dim)

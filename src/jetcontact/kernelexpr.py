@@ -87,9 +87,7 @@ class Expr:
 
     def text(self) -> str:
         """The canonical text: every operation parenthesized, numbers in
-        shortest positional form.  It parses back to the same expression
-        unless its parentheses nest too deeply for the parser, as those of
-        a sum of some 250 terms do."""
+        shortest positional form.  It parses back to the same expression."""
         return self.canonical
 
 
@@ -103,7 +101,7 @@ def _num(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# tokenizer / recursive-descent parser
+# tokenizer / operator-precedence parser
 
 # One token after optional whitespace.  The lookaheads make every token as
 # long as it can be (the whole number, the whole name), so a string splits
@@ -115,6 +113,8 @@ _TOKEN_RE = re.compile(
     r"|[-+*/^(),])"
 )
 _VAR_RE = re.compile(r"^(zb?)(\d+)$")
+# the binary operators' precedence; any other token ends an expression
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def _tokenize(text: str) -> list:
@@ -135,17 +135,22 @@ def _tokenize(text: str) -> list:
 
 
 class _Parser:
-    """Recursive descent over the token strings, emitting ops as it goes.
+    """One operator-precedence loop (a shunting-yard) over the token
+    strings, emitting ops as it goes.
 
-    Each rule returns ``(value, text)``: the index in ``ops`` of the op that
-    computes what it read, or a complex if that is literal-only, and its
-    canonical text.  Operands are read before the op that combines them, so
-    ``ops`` is in evaluation order.  Literals stay Python scalars: ``+``,
-    ``-``, ``*`` and negation of scalars fold here; a scalar times a jet is a
-    ``scale``, a scalar plus a jet a constant-term ``shift``.  Any other op
-    on a literal-only operand (``/``, ``^``, ``pow``, ``exp``, ``log``)
-    promotes it to a ``const`` jet, so every singularity and branch guard
-    stays in :mod:`jetcore`.
+    Its one stack holds the open parentheses and ``exp``/``log``/``pow``
+    calls, each with the negations in front of it, and the pending binary
+    operators, each with its left operand, all led by their precedence (0
+    for an opening); nesting has no depth limit.  An operand is ``(value,
+    text)``: the index in ``ops`` of the op that computes it, or a complex
+    if literal-only, and its canonical text.  An operator is applied once
+    the token after its right operand binds no tighter, so ``ops`` is in
+    evaluation order.  Literals stay Python scalars: ``+``, ``-``, ``*`` and
+    negation of scalars fold here; a scalar times a jet is a ``scale``, a
+    scalar plus a jet a constant-term ``shift``.  Any other op on a
+    literal-only operand (``/``, ``^``, ``pow``, ``exp``, ``log``) promotes
+    it to a ``const`` jet, so every singularity and branch guard stays in
+    :mod:`jetcore`.
 
     A token is a number if it starts with a digit or '.', a name if it
     starts with a letter or '_', and "" ends the input; its source position
@@ -177,27 +182,51 @@ class _Parser:
         return self.emit("const", x) if isinstance(x, complex) else x
 
     def parse(self) -> tuple:
-        read = self.expr()
-        tok = self.tokens[self.k]
-        if tok:
-            raise self.error(f"trailing input {tok!r}", self.k)
-        return read
-
-    def expr(self) -> tuple:
-        x, text = self.term()
-        while (op := self.tokens[self.k]) in ("+", "-"):
+        tokens, stack = self.tokens, []
+        while True:
+            # an operand: leading '-'s, then an atom or an opening
+            negations = self._minus_run()
+            tok = tokens[self.k]
             self.k += 1
-            y, right = self.term()
-            x, text = self.binary(op, x, y), f"({text} {op} {right})"
-        return x, text
-
-    def term(self) -> tuple:
-        x, text = self.factor()
-        while (op := self.tokens[self.k]) in ("*", "/"):
-            self.k += 1
-            y, right = self.factor()
-            x, text = self.binary(op, x, y), f"({text} {op} {right})"
-        return x, text
+            if tok == "(" or tok in ("exp", "log", "pow"):
+                if tok != "(":
+                    self.expect("(")
+                stack.append((0, tok, negations))
+                continue
+            x, text = self.atom(tok)
+            while True:
+                # the factor ends: '^' signed_int, then the negations
+                if tokens[self.k] == "^":
+                    self.k += 1
+                    x, text = self.power(x, text, self._exponent(real=False))
+                while negations:
+                    x = -x if isinstance(x, complex) else self.emit("__neg__", x)
+                    text, negations = f"(-{text})", negations - 1
+                # apply the pending operators that bind no looser than the
+                # next token; any token but an operator closes an opening
+                tok = tokens[self.k]
+                rank = _PRECEDENCE.get(tok, 1)
+                while stack and stack[-1][0] >= rank:
+                    _, op, y, left = stack.pop()
+                    x, text = self.binary(op, y, x), f"({left} {op} {text})"
+                if tok in _PRECEDENCE:
+                    self.k += 1
+                    stack.append((rank, tok, x, text))
+                    break
+                if not stack:
+                    if tok:
+                        raise self.error(f"trailing input {tok!r}", self.k)
+                    return x, text
+                _, opening, negations = stack.pop()
+                if opening == "pow":
+                    self.expect(",")
+                    exponent = self._exponent(real=True)
+                    self.expect(")")
+                    x, text = self.power(x, text, exponent)
+                else:
+                    self.expect(")")
+                    if opening != "(":
+                        x, text = self.emit(opening, self.as_jet(x)), f"{opening}({text})"
 
     def binary(self, op: str, x, y):
         sx, sy = isinstance(x, complex), isinstance(y, complex)
@@ -216,31 +245,13 @@ class _Parser:
             return self.emit("scale" if op == "*" else "shift", x, y)
         return self.emit("__mul__" if op == "*" else "__add__", x, y)
 
-    def factor(self) -> tuple:
-        """The factor and power rules: leading '-'s, an atom, '^' signed_int;
-        the negations apply after the power."""
-        negations = self._minus_run()
-        x, text = self.atom()
-        if self.tokens[self.k] == "^":
-            self.k += 1
-            sign = -1 if self._minus_run() % 2 else 1
-            tok = self.tokens[self.k]
-            if not tok.isdigit():
-                raise self.error("'^' needs an integer exponent (use pow() for reals)", self.k)
-            self.k += 1
-            x, text = self.power(x, text, sign * int(tok))
-        for _ in range(negations):
-            x, text = -x if isinstance(x, complex) else self.emit("__neg__", x), f"(-{text})"
-        return x, text
-
     def power(self, x, text: str, exponent) -> tuple:
         text = (f"({text} ^ {exponent})" if isinstance(exponent, int)
                 else f"pow({text}, {_num(exponent)})")
         return self.emit("power", self.as_jet(x), exponent), text
 
-    def atom(self) -> tuple:
-        tok = self.tokens[self.k]
-        self.k += 1
+    def atom(self, tok: str) -> tuple:
+        """A number, 'i' or a variable: the token just consumed."""
         head = tok[:1]
         if head.isdigit() or head == ".":
             if tok[-1] == "i":
@@ -248,29 +259,8 @@ class _Parser:
                 return complex(0.0, im), f"{_num(im)}i" if im else "0"
             value = self._real(tok)
             return complex(value, 0.0), _num(value)
-        if tok == "(":
-            read = self.expr()
-            self.expect(")")
-            return read
         if tok == "i":
             return 1j, "1i"
-        if tok in ("exp", "log"):
-            self.expect("(")
-            x, text = self.expr()
-            self.expect(")")
-            return self.emit(tok, self.as_jet(x)), f"{tok}({text})"
-        if tok == "pow":
-            self.expect("(")
-            x, text = self.expr()
-            self.expect(",")
-            sign = -1.0 if self._minus_run() % 2 else 1.0
-            tok = self.tokens[self.k]
-            if not (tok[:1].isdigit() or tok[:1] == ".") or tok[-1] == "i":
-                raise self.error("expected a real exponent", self.k)
-            self.k += 1
-            exponent = sign * self._real(tok)
-            self.expect(")")
-            return self.power(x, text, int(exponent) if exponent.is_integer() else exponent)
         if head.isalpha() or head == "_":
             m = _VAR_RE.match(tok)
             if m is None:
@@ -282,6 +272,22 @@ class _Parser:
             self.conjugated |= conjugated
             return self.emit("var", index - 1, conjugated), f"{m.group(1)}{index}"
         raise self.error(f"unexpected token {tok or 'end of input'!r}", self.k - 1)
+
+    def _exponent(self, real: bool):
+        """Consume a signed exponent: the integer after '^', or with `real`
+        the real one of ``pow``, an int if it is integral."""
+        sign = -1 if self._minus_run() % 2 else 1
+        tok = self.tokens[self.k]
+        if not real:
+            if not tok.isdigit():
+                raise self.error("'^' needs an integer exponent (use pow() for reals)", self.k)
+            self.k += 1
+            return sign * int(tok)
+        if not (tok[:1].isdigit() or tok[:1] == ".") or tok[-1] == "i":
+            raise self.error("expected a real exponent", self.k)
+        self.k += 1
+        exponent = sign * self._real(tok)
+        return int(exponent) if exponent.is_integer() else exponent
 
     def _minus_run(self) -> int:
         """Consume a run of '-' tokens and return its length."""
@@ -303,10 +309,7 @@ class _Parser:
 def parse_kernel(text: str) -> Expr:
     """Parse an expression in z1..zm / zb1..zbm into its ops and text."""
     parser = _Parser(text)
-    try:
-        output, canonical = parser.parse()
-    except RecursionError:
-        raise parser.error("expression nested too deeply", parser.k) from None
+    output, canonical = parser.parse()
     return Expr(canonical, tuple(parser.ops), output, parser.max_var, parser.conjugated)
 
 
@@ -364,9 +367,8 @@ class JetProgram:
     polynomials -- and None otherwise (``exp``, ``log``, ``inv``, real and
     negative powers).  The Taylor coefficients of a bounded op vanish at
     every center for |alpha| > a or |beta| > b.  A product or a power reads
-    the bound of each of its factors (``_declared`` lists the bounds read),
-    so that a product gathers only the pairs inside a bound (see
-    :mod:`jetcore`); no other op reads one.
+    the bound of each of its factors, so that a product gathers only the
+    pairs inside a bound (see :mod:`jetcore`); no other op reads one.
 
     The level schedule is made in the same pass as the ops.  An op's level
     is its depth in the op graph (0 for ``var`` and ``const``).  The ops of
@@ -385,7 +387,6 @@ class JetProgram:
         slots: dict = {}
         ops, degrees, levels = self.ops, self.degrees, []
         by_level: list = []  # per level, (code and shared parameters) -> [op]
-        factors: set = set()  # the ops a product or a power reads
         for expr in exprs:
             self.max_var = max(self.max_var, expr.max_var)
             self.conjugated |= expr.conjugated
@@ -405,14 +406,12 @@ class JetProgram:
                     if code in _BINARY:
                         level = 1 + (levels[a] if levels[a] > levels[b] else levels[b])
                         if code == "__mul__":
-                            factors.add(a), factors.add(b)
                             code = (code, degrees[a], degrees[b])
                     elif code == "var" or code == "const":
                         level = 0
                     else:
                         level = 1 + levels[a]
                         if code == "power":
-                            factors.add(a)
                             code = (code, b, degrees[a])
                     levels.append(level)
                     if level == len(by_level):
@@ -421,7 +420,6 @@ class JetProgram:
                 push(slot)
             out = expr.output
             self.outputs.append(out if isinstance(out, complex) else merged[out])
-        self._declared = [d if k in factors else None for k, d in enumerate(degrees)]
         # each literal-only output is a constant op of its own, after the ops,
         # and the schedule's last group; the other groups are in level order
         ops, outputs = list(ops), []

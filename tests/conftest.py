@@ -72,9 +72,10 @@ def conjugate_expr(expr: Expr) -> Expr:
 def reference_run(program: JetProgram, center, holo_order: int, anti_order: int) -> list:
     """The value of every op of `program` at `center`, evaluated one op at a
     time by the HermJet methods -- the runner the level schedule replaced:
-    a scalar HermJet per op, carrying the bound a product or a power reads."""
+    a scalar HermJet per op, carrying the op's degree bound, which only a
+    product or a power reads."""
     jets = []
-    for (code, a, b), degree in zip(program.ops, program._declared):
+    for (code, a, b), degree in zip(program.ops, program.degrees):
         if code == "var":
             make = HermJet.conj_coordinate if b else HermJet.coordinate
             jet = make(a, center, holo_order, anti_order)

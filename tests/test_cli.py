@@ -285,6 +285,7 @@ class TestShippedConfigs:
         ("recursions-rank2-grid.yaml", EXIT_VERIFIED),
         ("pointwise-rank2-candidate.yaml", EXIT_VERIFIED),
         ("alongz-rank2-grid10.yaml", EXIT_VERIFIED),
+        ("pointwise-long-sum.yaml", EXIT_VERIFIED),
     ]
 
     @pytest.mark.parametrize("name,expected", CONFIG_CODES)
@@ -611,19 +612,31 @@ class TestMain:
         assert capsys.readouterr().err == (
             f"jetcontact: input error: candidate value is singular at {where}\n")
 
-    @pytest.mark.parametrize("where", ["gram", "candidate"])
-    def test_deeply_nested_entry_is_input_error(self, tmp_path, capsys, where):
-        nested = "(" * 5000 + "z1" + ")" * 5000
-        gram = f"exp({nested}*zb1)" if where == "gram" else "exp(z1*zb1)"
-        candidate = f"1 + {nested}" if where == "candidate" else "1"
+    @staticmethod
+    def run_pointwise(tmp_path, gram, candidate):
+        """Exit code and report bytes of a pointwise run on two copies of `gram`."""
         bundle = {"label": "g", "dimension": 1, "gram": gram}
         path = write_config(tmp_path, {"task": "pointwise", "order": 1, "points": [[0.0]],
                                        "bundles": [bundle, bundle], "candidate": candidate})
-        assert main(["--config", path]) == EXIT_INPUT_ERROR
-        err = capsys.readouterr().err
-        prefix = "bundles[0]" if where == "gram" else "candidate[0][0]"
-        assert err.startswith(f"jetcontact: input error: {prefix}: expression nested too deeply")
-        assert "Traceback" not in err
+        out = tmp_path / "r.json"
+        return main(["--config", path, "--out", str(out)]), out.read_bytes()
+
+    def test_deeply_nested_gram_entry_reports_as_flat(self, tmp_path):
+        # the echo prints the canonical text exp((z1 * zb1)) either way
+        nested = "(" * 5000 + "z1" + ")" * 5000
+        flat = self.run_pointwise(tmp_path, "exp(z1*zb1)", "1")
+        assert flat[0] == EXIT_VERIFIED
+        assert self.run_pointwise(tmp_path, f"exp({nested}*zb1)", "1") == flat
+
+    def test_deeply_nested_candidate_decides_as_flat(self, tmp_path):
+        # the candidate echo keeps the raw text, so only the results compare
+        def decision(candidate):
+            code, report = self.run_pointwise(tmp_path, "exp(z1*zb1)", candidate)
+            doc = json.loads(report)
+            return code, doc["verdict"], doc["results"]
+
+        nested = "(" * 5000 + "z1" + ")" * 5000
+        assert decision(f"1 + {nested}") == decision("1 + z1")
 
     def test_long_sum_evaluates(self, tmp_path):
         # the parser reads a sum of many terms in a loop into a flat program

@@ -139,6 +139,20 @@ PARSE_ERRORS = [
     ("pow(z1, 2i)", "expected a real exponent", 8),
     ("pow(z1, z2)", "expected a real exponent", 8),
     ("2*" + "9" * 400, f"number {'9' * 400!r} is out of range", 2),
+    ("exp z1", "expected '(', found 'z1'", 4),
+    ("log", "expected '(', found 'end of input'", 3),
+    ("pow(z1, 2", "expected ')', found 'end of input'", 9),
+    ("(z1 z2)", "expected ')', found 'z2'", 4),
+    ("()", "unexpected token ')'", 1),
+    ("z1)", "trailing input ')'", 2),
+    ("--", "unexpected token 'end of input'", 2),
+    ("z1^", "'^' needs an integer exponent (use pow() for reals)", 3),
+    ("exp(z1, 2)", "expected ')', found ','", 6),
+    ("pow(z1)", "expected ',', found ')'", 6),
+    ("-(z1 + )", "unexpected token ')'", 7),
+    ("((z1) 3)", "expected ')', found '3'", 6),
+    ("z1 ^ 2 ^ 3", "trailing input '^'", 7),
+    ("pow(z1, 1.5i)", "expected a real exponent", 8),
 ]
 
 
@@ -150,11 +164,18 @@ def test_parse_error_message_and_position(text, message, pos):
     assert err.value.pos == pos
 
 
-def test_deep_nesting_is_a_parse_error():
-    text = "(" * 5000 + "z1" + ")" * 5000
-    with pytest.raises(ParseError, match="nested too deeply") as err:
-        parse_kernel(text)
-    assert text[err.value.pos] == "("
+@pytest.mark.parametrize("depth", [5000, 100_000])
+def test_deep_nesting_parses(depth):
+    # the parser keeps its nesting on a stack of its own, with no depth limit
+    assert parse_kernel("(" * depth + "z1" + ")" * depth) == parse_kernel("z1")
+
+
+@pytest.mark.parametrize("terms", [250, 300, 1500])
+def test_echo_of_a_long_sum_parses_back(terms):
+    # the echo parenthesizes each '+', so it nests as deep as the sum is long
+    expr = parse_kernel(" + ".join(["0.01*z1*zb1"] * terms))
+    assert expr.text().startswith("(" * (terms - 1))
+    assert parse_kernel(expr.text()) == expr
 
 
 def test_holomorphic_check_errors():
@@ -350,37 +371,31 @@ PINNED_PROGRAMS = [
         "[('var', 0, False), ('shift', 0, (6+0j))]",
         '[1]',
         '[(1, 0), (1, 0)]',
-        '[None, None]',
     ]),
     (['1 - z1'], [
         "[('var', 0, False), ('__neg__', 0, None), ('shift', 1, (1+0j))]",
         '[2]',
         '[(1, 0), (1, 0), (1, 0)]',
-        '[None, None, None]',
     ]),
     (['-(-2)'], [
         '[]',
         '[(2+0j)]',
-        '[]',
         '[]',
     ]),
     (['z1/2'], [
         "[('var', 0, False), ('const', (2+0j), None), ('inv', 1, None), ('__mul__', 0, 2)]",
         '[3]',
         '[(1, 0), (0, 0), None, None]',
-        '[(1, 0), None, None, None]',
     ]),
     (['pow(2, 0.5)'], [
         "[('const', (2+0j), None), ('power', 0, 0.5)]",
         '[1]',
-        '[(0, 0), None]',
         '[(0, 0), None]',
     ]),
     (['exp(1)'], [
         "[('const', (1+0j), None), ('exp', 0, None)]",
         '[1]',
         '[(0, 0), None]',
-        '[None, None]',
     ]),
     (['z1^3 * zb1^-2 + pow(z2, -1) - (1 + z1)^0'], [
         "[('var', 0, False), ('power', 0, 3), ('var', 0, True), ('power', 2, -2), ('__mul__',"
@@ -388,14 +403,12 @@ PINNED_PROGRAMS = [
         "(1+0j)), ('power', 8, 0), ('__sub__', 7, 9)]",
         '[10]',
         '[(1, 0), (3, 0), (0, 1), None, None, (1, 0), None, None, (1, 0), (0, 0), None]',
-        '[(1, 0), (3, 0), (0, 1), None, None, (1, 0), None, None, (1, 0), None, None]',
     ]),
     (['exp(z1*zb1) * (1 + exp(z1*zb1))'], [
         "[('var', 0, False), ('var', 0, True), ('__mul__', 0, 1), ('exp', 2, None), ('shift',"
         " 3, (1+0j)), ('__mul__', 3, 4)]",
         '[5]',
         '[(1, 0), (0, 1), (1, 1), None, None, None]',
-        '[(1, 0), (0, 1), None, None, None, None]',
     ]),
     (['exp(z1*zb2) * pow(1 + z1*zb2, -1.5)', '2*exp(z1*zb2) - zb1/(3 - z1^2)'], [
         "[('var', 0, False), ('var', 1, True), ('__mul__', 0, 1), ('exp', 2, None), ('shift',"
@@ -405,8 +418,6 @@ PINNED_PROGRAMS = [
         '[6, 14]',
         '[(1, 0), (0, 1), (1, 1), None, (1, 1), None, None, None, (0, 1), (2, 0), (2, 0), (2,'
         ' 0), None, None, None]',
-        '[(1, 0), (0, 1), None, None, (1, 1), None, None, None, (0, 1), None, None, None, '
-        'None, None, None]',
     ]),
     (['(1 + 2i)*z1 - 2 - zb2 + (1+1i)/(2-1i)*z1*zb1 - -log(1 + 0.5*z1*zb1)', '-z1*(-zb1) - 3i'], [
         "[('var', 0, False), ('scale', 0, (1+2j)), ('shift', 1, (-2-0j)), ('var', 1, True), "
@@ -418,8 +429,6 @@ PINNED_PROGRAMS = [
         '[17, 21]',
         '[(1, 0), (1, 0), (1, 0), (0, 1), (1, 1), (0, 0), None, None, None, (0, 1), None, '
         'None, (1, 0), (1, 1), (1, 1), None, None, None, (1, 0), (0, 1), (1, 1), (1, 1)]',
-        '[(1, 0), None, None, None, None, None, None, None, None, (0, 1), None, None, (1, 0),'
-        ' None, None, None, None, None, (1, 0), (0, 1), None, None]',
     ]),
 ]
 
@@ -428,7 +437,7 @@ class TestJetProgram:
     @pytest.mark.parametrize("entries,pinned", PINNED_PROGRAMS)
     def test_program_as_pinned(self, entries, pinned):
         program = JetProgram([parse_kernel(e) for e in entries])
-        got = (program.ops, program.outputs, program.degrees, program._declared)
+        got = (program.ops, program.outputs, program.degrees)
         assert [repr(x) for x in got] == pinned
 
     def test_shared_subtrees_compile_to_one_op(self):
