@@ -27,7 +27,8 @@ from operator import matmul
 
 import numpy as np
 
-from .jetcore import HermJet, HoloJet, OrderError, index_table, unit_index
+from .jetcore import (HermJet, HoloJet, OrderError, index_table, multi_index_factorial,
+                      unit_index)
 from .pascal import binomial_solve
 
 __all__ = [
@@ -198,7 +199,7 @@ def normalize_frame(H: HermJet, n: int) -> tuple[HoloJet, HermJet]:
     Hnorm = A.as_herm(H.anti_order) * H * A.adjoint_as_herm(H.holo_order)
     defect = np.ravel(normalized_defect(Hnorm, n))
     scale = 1.0 + np.ravel(np.max(np.abs(H.coeffs), axis=(-4, -3, -2, -1)))
-    failing = np.flatnonzero(defect > 1e-8 * scale)
+    failing = np.flatnonzero(~(defect <= 1e-8 * scale))  # a NaN defect fails
     if failing.size:
         raise ArithmeticError(
             f"frame normalization failed (defect {defect[failing[0]]:.2e}); "
@@ -209,10 +210,13 @@ def normalize_frame(H: HermJet, n: int) -> tuple[HoloJet, HermJet]:
 
 def normalized_defect(Hnorm: HermJet, n: int) -> float:
     """Max violation of the normalized-frame conditions up to order n (one
-    per point at P centers)."""
-    worst = np.max(np.abs(Hnorm.value() - np.eye(Hnorm.rank)), axis=(-2, -1))
-    for alpha in index_table(Hnorm.dim, min(n, Hnorm.holo_order)):
-        if 0 < sum(alpha):
-            value = np.max(np.abs(Hnorm.extract(alpha)), axis=(-2, -1))
-            worst = np.where(value > worst, value, worst)  # as max(): keeps a NaN
-    return worst
+    per point at P centers): of Hnorm(z0) = I and of d^a Hnorm(z0) = 0 for
+    1 <= |a| <= n.  A NaN in any of them is the result."""
+    table = index_table(Hnorm.dim, min(n, Hnorm.holo_order))
+    # the derivatives of orders 1..n are the holomorphic positions after the
+    # value, in graded order
+    weights = np.array([multi_index_factorial(alpha) for alpha in table[1:]], dtype=float)
+    holo = Hnorm.coeffs[..., 1:len(table), 0, :, :] * weights[:, None, None]
+    parts = (Hnorm.value() - np.eye(Hnorm.rank), holo)
+    return np.max(np.concatenate([np.abs(x).reshape(Hnorm.points + (-1,)) for x in parts],
+                                 axis=-1), axis=-1)

@@ -27,15 +27,17 @@ One graded kernel does all the arithmetic:
   1) written back into the left gather, and the groups are segment-summed.
   A product thus allocates the two gathers plus one block row, not a third
   gather-sized array.
-* Products with a polynomial factor.  A jet may carry a degree bound (a, b)
-  that its maker declares (:meth:`HermJet.with_degree`; the Gram programs
-  of :mod:`kernelexpr` do so for their polynomial ops): its coefficients
-  vanish for |alpha| > a or |beta| > b.  The same plan function then keeps
-  only the pairs whose position in that factor lies inside the bound, so a
-  product costs in proportion to the polynomial factor's support -- at dim
-  2, orders (3, 3), a degree-(1, 0) factor gathers 220 pairs, not 1,225.
-  No operation infers or passes on a bound: every result has none.
-* Inverse, exp, log and real powers.  Each is a forward substitution over
+* Products with a polynomial factor.  The product kernel takes a degree
+  bound (a, b) for each factor, or none: the factor's coefficients vanish
+  for |alpha| > a or |beta| > b.  The plan then keeps only the pairs whose
+  position in that factor lies inside the bound, so a product costs in
+  proportion to the polynomial factor's support -- at dim 2, orders (3, 3),
+  a degree-(1, 0) factor gathers 220 pairs, not 1,225.  The Gram programs
+  of :mod:`kernelexpr` derive the bounds of their ops and pass them; a jet
+  carries none, and its ``*`` runs the full plan.
+* Inverse, exp, log and powers.  An integer power is a chain of products
+  by repeated squaring (:func:`power_by_squaring`, after an inverse for a
+  negative exponent).  The others are each a forward substitution over
   the total degree d = |alpha| + |beta|: the coefficients of degree d follow
   from those of lower degree through the product plan restricted to the
   pairs whose output has degree d and whose left factor is not the constant
@@ -72,6 +74,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product as _cartesian
 from math import comb, factorial
+from operator import mul
 
 import numpy as np
 
@@ -85,6 +88,7 @@ __all__ = [
     "index_positions",
     "unit_index",
     "point_axis",
+    "power_by_squaring",
     "multi_index_order",
     "multi_index_factorial",
     "multi_index_binom",
@@ -298,7 +302,7 @@ def _product(a: np.ndarray, b: np.ndarray, dim: int, p: int, q: int,
              left_degree=None, right_degree=None) -> np.ndarray:
     """Coefficients (*P, Na(p), Nb(q), r, r) of the truncated product of two
     coefficient arrays (*P, Na, Nb, r, r) of orders at least (p, q), with
-    the factors' degree bounds if they have one."""
+    the factors' degree bounds where the caller knows them."""
     I, J, starts = _mul_plan(dim, p, q, a.shape[-3], b.shape[-3], left_degree, right_degree)
     sums = _contract(_pair_last(a), _pair_last(b), I, J, starts)
     return _from_pair_last(sums, table_size(dim, p), table_size(dim, q))
@@ -328,6 +332,20 @@ def _restrict_plan(dim: int, order: int, variables: tuple) -> np.ndarray:
             full[v] = e
         out.append(positions[tuple(full)])
     return np.array(out, dtype=np.intp)
+
+
+def power_by_squaring(x, n: int, product):
+    """x^n for an integer n >= 1 by repeated squaring, with the binary
+    `product`: the odd steps multiply the result so far by the current
+    square, on the left.  Jet powers and the Gram programs' integer powers
+    both take this chain of products."""
+    out = None
+    while n:
+        if n & 1:
+            out = x if out is None else product(out, x)
+        x = product(x, x) if n > 1 else x
+        n >>= 1
+    return out
 
 
 _POINT_TYPES = (tuple, list, np.ndarray)
@@ -390,21 +408,15 @@ class HermJet:
     coeffs : ndarray of shape (Na, Nb, rank, rank) with the normalized
         coefficient of (alpha, beta) at position (pos(alpha), pos(beta));
         (P, Na, Nb, rank, rank) at P centers.
-    degree : None, or a bound (a, b) declared by :meth:`with_degree`: the
-        jet is that of a polynomial whose coefficients vanish for
-        |alpha| > a or |beta| > b at every center.  Every operation returns
-        a jet with no bound.
     """
 
-    __slots__ = ("center", "dim", "holo_order", "anti_order", "rank", "coeffs", "degree",
-                 "_inv_cache")
+    __slots__ = ("center", "dim", "holo_order", "anti_order", "rank", "coeffs", "_inv_cache")
 
     def __init__(self, center, holo_order, anti_order, rank, coeffs):
         self.center, self.dim = _center(center)
         self.holo_order = int(holo_order)
         self.anti_order = int(anti_order)
         self.rank = int(rank)
-        self.degree = None
         self._inv_cache = None
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         expected = point_axis(self.center) + (
@@ -471,20 +483,8 @@ class HermJet:
         out = object.__new__(cls or type(self))
         out.center, out.dim, out.rank = self.center, self.dim, self.rank
         out.holo_order, out.anti_order = holo_order, anti_order
-        out.degree = None
         out._inv_cache = None
         out.coeffs = _freeze(coeffs)
-        return out
-
-    def with_degree(self, degree) -> "HermJet":
-        """This jet, declared that of a polynomial of degree at most
-        degree = (a, b) in (z, conj(z)): its coefficients vanish for
-        |alpha| > a or |beta| > b, at every center.  A product with it then
-        gathers only the pairs whose position in it lies inside the bound.
-        The caller vouches for the bound; nothing here checks or derives one."""
-        a, b = degree
-        out = self._like(self.holo_order, self.anti_order, self.coeffs)
-        out.degree = (int(a), int(b))
         return out
 
     def tiled(self, coeffs) -> "HermJet":
@@ -555,10 +555,9 @@ class HermJet:
         return self._like(self.holo_order, self.anti_order, coeffs)
 
     def __mul__(self, other) -> "HermJet":
-        """Truncated Cauchy product (matrix product on the values); a
-        factor's degree bound narrows the plan to the pairs it can reach."""
+        """Truncated Cauchy product (matrix product on the values)."""
         p, q = self._common_orders(other)
-        coeffs = _product(self.coeffs, other.coeffs, self.dim, p, q, self.degree, other.degree)
+        coeffs = _product(self.coeffs, other.coeffs, self.dim, p, q)
         return self._like(p, q, coeffs)
 
     def _graded_solve(self, x0, solve, weight=None) -> "HermJet":
@@ -649,13 +648,7 @@ class HermJet:
                 return HermJet.identity(
                     self.center, self.holo_order, self.anti_order, self.rank
                 )
-            out, base = None, self
-            while n:
-                if n & 1:
-                    out = base if out is None else out * base
-                base = base * base if n > 1 else base
-                n >>= 1
-            return out
+            return power_by_squaring(self, n, mul)
         u0 = self._scalar_constant("real power", positive=True)
         p = float(exponent)
         # Python's complex power, point by point: numpy's differs in the last bits

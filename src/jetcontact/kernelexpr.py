@@ -13,8 +13,10 @@ Grammar (whitespace insensitive)::
     number  :=  digits ['.' digits] ['i']         ('2', '0.5', '2i', '1.5i')
 
 Complex literals are written as sums, e.g. ``1+2i``.  ``^`` takes an integer
-exponent; arbitrary real exponents go through ``pow(expr, r)`` and use the
-principal branch (the evaluated constant term must have positive real part).
+exponent, and compiles to the products of repeated squaring (after an
+inverse if negative); arbitrary real exponents go through ``pow(expr, r)``
+and use the principal branch (the evaluated constant term must have
+positive real part).
 
 Evaluation is exact truncated Taylor arithmetic; there are no finite
 differences anywhere.  :func:`parse_kernel` reads an expression in one pass
@@ -27,7 +29,7 @@ kernels they share are computed once for both.
 
 A program is scheduled when it is compiled: its ops are grouped by depth
 in the op graph, op code and the parameters the code's kernel reads (a
-product's factor bounds, a power's exponent and base bound).  A run fills
+product's factor bounds, a real power's exponent).  A run fills
 one buffer, a row of scalar jet coefficients per op, with one numpy step per
 group: gathers for the linear ops, jetcore's product kernel and HermJet
 methods on the group stacked along the point axis for the others.  It runs
@@ -49,7 +51,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .jetcore import HermJet, _product, point_axis
+from .jetcore import HermJet, _product, point_axis, power_by_squaring
 
 __all__ = [
     "ParseError",
@@ -150,7 +152,7 @@ class _Parser:
     scalar plus a jet a constant-term ``shift``.  Any other op on a
     literal-only operand (``/``, ``^``, ``pow``, ``exp``, ``log``) promotes
     it to a ``const`` jet, so every singularity and branch guard stays in
-    :mod:`jetcore`.
+    :mod:`jetcore`; a zeroth power is the ``const`` 1.
 
     A token is a number if it starts with a digit or '.', a name if it
     starts with a letter or '_', and "" ends the input; its source position
@@ -246,9 +248,15 @@ class _Parser:
         return self.emit("__mul__" if op == "*" else "__add__", x, y)
 
     def power(self, x, text: str, exponent) -> tuple:
-        text = (f"({text} ^ {exponent})" if isinstance(exponent, int)
-                else f"pow({text}, {_num(exponent)})")
-        return self.emit("power", self.as_jet(x), exponent), text
+        """x ^ exponent: for an int, the products HermJet.power multiplies
+        (after an ``inv`` if negative; the constant 1 if zero), else a ``power`` op."""
+        if not isinstance(exponent, int):
+            return self.emit("power", self.as_jet(x), exponent), f"pow({text}, {_num(exponent)})"
+        text = f"({text} ^ {exponent})"
+        if exponent == 0:
+            return self.emit("const", 1 + 0j), text
+        x = self.as_jet(x) if exponent > 0 else self.emit("inv", self.as_jet(x))
+        return power_by_squaring(x, abs(exponent), lambda u, v: self.emit("__mul__", u, v)), text
 
     def atom(self, tok: str) -> tuple:
         """A number, 'i' or a variable: the token just consumed."""
@@ -324,7 +332,8 @@ _ONE = np.eye(1)[0]  # the identity of a rank-1 jet's value, [1.0]
 
 
 def _degree(code: str, a, b, degrees: list):
-    """The degree bound of op (code, a, b), given the bounds of earlier ops."""
+    """The degree bound of op (code, a, b), given the bounds of earlier ops;
+    integer powers reach a program as products, which the product rule bounds."""
     if code in ("scale", "shift", "__neg__"):
         return degrees[a]
     if code in _BINARY:
@@ -338,10 +347,7 @@ def _degree(code: str, a, b, degrees: list):
         return (0, 1) if b else (1, 0)
     if code == "const":
         return (0, 0)
-    x = degrees[a]
-    if code == "power" and isinstance(b, int) and b >= 0 and x is not None:
-        return (b * x[0], b * x[1])
-    return None  # exp, log, inv, real and negative powers
+    return None  # exp, log, inv and real powers
 
 
 class JetProgram:
@@ -363,19 +369,21 @@ class JetProgram:
 
     ``degrees`` holds, per op, a degree bound (a, b) if the op is a
     polynomial in (z, zb) -- ``var``, ``const``, ``scale``, ``shift``,
-    negation, ``+``, ``-``, ``*`` and non-negative integer powers of
-    polynomials -- and None otherwise (``exp``, ``log``, ``inv``, real and
-    negative powers).  The Taylor coefficients of a bounded op vanish at
-    every center for |alpha| > a or |beta| > b.  A product or a power reads
-    the bound of each of its factors, so that a product gathers only the
-    pairs inside a bound (see :mod:`jetcore`); no other op reads one.
+    negation, ``+``, ``-`` and ``*``, so also the integer powers of
+    polynomials, which the parser emits as products -- and None otherwise
+    (``exp``, ``log``, ``inv`` and real powers).  The Taylor coefficients of
+    a bounded op vanish at every center for |alpha| > a or |beta| > b.  A
+    product passes the bound of each of its factors to jetcore's product
+    kernel, which then gathers only the pairs inside a bound; no other op
+    reads one.
 
-    The level schedule is made in the same pass as the ops.  An op's level
-    is its depth in the op graph (0 for ``var`` and ``const``).  The ops of
-    one level with the same code -- and, for a product, the same factor
-    bounds; for a power, the same exponent and base bound -- form a group,
-    which reads only lower levels.  :meth:`run` takes one numpy step per
-    group, on the group's ops stacked on a leading axis, in level order.
+    The level schedule is made in the same pass as the ops, and so is each
+    op's record of the parameters its kernel reads: a product's two factor
+    bounds, a real power's exponent, none for the other codes.  An op's
+    level is its depth in the op graph (0 for ``var`` and ``const``).  The
+    ops of one level with the same code and parameters form a group, which
+    reads only lower levels.  :meth:`run` takes one numpy step per group,
+    on the group's ops stacked on a leading axis, in level order.
     """
 
     def __init__(self, exprs):
@@ -386,7 +394,8 @@ class JetProgram:
         self.conjugated = False
         slots: dict = {}
         ops, degrees, levels = self.ops, self.degrees, []
-        by_level: list = []  # per level, (code and shared parameters) -> [op]
+        params: list = []  # per op, the parameters its kernel reads
+        by_level: list = []  # per level, (code, parameters) -> [op]
         for expr in exprs:
             self.max_var = max(self.max_var, expr.max_var)
             self.conjugated |= expr.conjugated
@@ -403,20 +412,18 @@ class JetProgram:
                     slot = slots[key] = len(ops)
                     ops.append(key)
                     degrees.append(_degree(code, a, b, degrees))
+                    params.append((degrees[a], degrees[b]) if code == "__mul__"
+                                  else (b,) if code == "power" else ())
                     if code in _BINARY:
                         level = 1 + (levels[a] if levels[a] > levels[b] else levels[b])
-                        if code == "__mul__":
-                            code = (code, degrees[a], degrees[b])
                     elif code == "var" or code == "const":
                         level = 0
                     else:
                         level = 1 + levels[a]
-                        if code == "power":
-                            code = (code, b, degrees[a])
                     levels.append(level)
                     if level == len(by_level):
                         by_level.append(defaultdict(list))
-                    by_level[level][code].append(slot)
+                    by_level[level][code, params[-1]].append(slot)
                 push(slot)
             out = expr.output
             self.outputs.append(out if isinstance(out, complex) else merged[out])
@@ -426,14 +433,14 @@ class JetProgram:
         for out in self.outputs:
             if isinstance(out, complex):
                 ops.append(("const", out, None))
+                params.append(())
                 out = len(ops) - 1
             outputs.append(out)
-        groups = [(group, code[1:] if isinstance(code, tuple) else None)
-                  for level in by_level for code, group in level.items()]
+        groups = [group for level in by_level for group in level.values()]
         if len(ops) > len(self.ops):
-            groups.append((list(range(len(self.ops), len(ops))), None))
+            groups.append(list(range(len(self.ops), len(ops))))
         # buffer rows in schedule order, so that each group fills a block of rows
-        order = [k for group, _ in groups for k in group]
+        order = [k for group in groups for k in group]
         rows = [0] * len(ops)
         for row, k in enumerate(order):
             rows[k] = row
@@ -451,23 +458,22 @@ class JetProgram:
             else:
                 first.append(rows[a]), second.append(0)
                 literal.append(b if code == "scale" or code == "shift" else 0j)
-        self._ops, self._rows = ops, rows
+        self._ops, self._params, self._rows = ops, params, rows
         self._out = np.array([rows[k] for k in outputs], dtype=np.intp)
         self._columns = (np.array(first, dtype=np.intp), np.array(second, dtype=np.intp),
                          np.array(literal, dtype=np.complex128))
-        # one step per group, (code, start, stop, shared parameters): it
-        # fills the rows [start, stop)
+        # one step per group, (code, start, stop, parameters): it fills the
+        # rows [start, stop)
         self._schedule, start = [], 0
-        for group, shared in groups:
-            self._schedule.append((ops[group[0]][0], start, start + len(group), shared))
+        for group in groups:
+            k = group[0]
+            self._schedule.append((ops[k][0], start, start + len(group), params[k]))
             start += len(group)
 
     def _op_by_op(self) -> list:
         """The steps of a schedule of one op per group, in op order."""
-        return [(code, self._rows[k], self._rows[k] + 1,
-                 (self.degrees[a], self.degrees[b]) if code == "__mul__"
-                 else (b, self.degrees[a]) if code == "power" else None)
-                for k, (code, a, b) in enumerate(self._ops)]
+        return [(code, self._rows[k], self._rows[k] + 1, self._params[k])
+                for k, (code, _, _) in enumerate(self._ops)]
 
     def run(self, center, holo_order: int, anti_order: int) -> np.ndarray:
         """Every op's value at `center` (one point, or P points at once) as
@@ -495,7 +501,7 @@ class JetProgram:
         buf = np.empty((len(self._rows),) + points + (na, nb), dtype=np.complex128)
         per_op = (-1,) + (1,) * len(points)  # a per-op scalar over the points
         first, second, literal = self._columns
-        for code, start, stop, shared in steps:
+        for code, start, stop, params in steps:
             out, a = buf[start:stop], first[start:stop]
             if code == "var":
                 # the coordinate z_a, or conj(z_a) where flagged, with unit
@@ -527,16 +533,11 @@ class JetProgram:
                     np.add(buf[a], -buf[b], out=out)  # as HermJet.__sub__: a + (-b)
                 else:
                     product = _product(buf[a][..., None, None], buf[b][..., None, None],
-                                       dim, p, q, *shared)
+                                       dim, p, q, *params)
                     out[...] = product[..., 0, 0]
             else:  # exp, log, inv, power: the HermJet method on the stacked ops
                 jet = template.tiled(buf[a].reshape((-1, na, nb, 1, 1)))
-                if code == "power":
-                    exponent, bound = shared
-                    jet = (jet if bound is None else jet.with_degree(bound)).power(exponent)
-                else:
-                    jet = getattr(jet, code)()
-                out[...] = jet.coeffs.reshape(out.shape)
+                out[...] = getattr(jet, code)(*params).coeffs.reshape(out.shape)
         return buf
 
     def matrix_jet(self, size: int, center, holo_order: int, anti_order: int) -> HermJet:

@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 FAMILIES = ("F", "G", "Ft", "Gt", "Z0", "Z0i")
+# size of the random matrices substituted in the numeric spot checks
+_SIZE = 3
 
 
 def Symbol(family: str, index: int = 0) -> tuple:
@@ -330,15 +332,15 @@ def _relmax(diff, *refs) -> float:
     return float(np.max(np.abs(diff))) / scale
 
 
-def _numeric_equivalence(report: AppendixReport, n: int, size: int, rng, tol: float):
+def _numeric_equivalence(report: AppendixReport, n: int, rng, tol: float):
     """Seeded substitution check of the conjugation equivalence (both
     directions) plus the induction-step split, and its failure under
     perturbation of the F-side."""
-    one = np.eye(size)
-    g = [one] + [_random_matrix(rng, size) for _ in range(n)]
-    gt = [one] + [_random_matrix(rng, size) for _ in range(n)]
-    ft = [one] + [_random_matrix(rng, size) for _ in range(n)]
-    z0 = _conditioned_invertible(rng, size)
+    one = np.eye(_SIZE)
+    g = [one] + [_random_matrix(rng, _SIZE) for _ in range(n)]
+    gt = [one] + [_random_matrix(rng, _SIZE) for _ in range(n)]
+    ft = [one] + [_random_matrix(rng, _SIZE) for _ in range(n)]
+    z0 = _conditioned_invertible(rng, _SIZE)
     z0i = np.linalg.inv(z0)
     zs = [z0] + binomial_solve([g[l] @ z0 for l in range(1, n + 1)], gt[1:], matmul, x0=z0)
 
@@ -352,7 +354,7 @@ def _numeric_equivalence(report: AppendixReport, n: int, size: int, rng, tol: fl
     report.add(
         "numeric-conjugation-forward",
         resid < tol,
-        f"n={n} size={size} max residual {resid:.2e}",
+        f"n={n} size={_SIZE} max residual {resid:.2e}",
     )
 
     # the two halves of the induction step at top weight
@@ -391,7 +393,7 @@ def _numeric_equivalence(report: AppendixReport, n: int, size: int, rng, tol: fl
     )
 
     # direction (ii) => (i): prescribe conjugated H-sequences, recover F
-    hts2 = [_random_matrix(rng, size) for _ in range(n)]
+    hts2 = [_random_matrix(rng, _SIZE) for _ in range(n)]
     hs2 = [z0 @ m @ z0i for m in hts2]
     f2, ft2 = [one], [one]
     for l in range(1, n + 1):
@@ -408,12 +410,12 @@ def _numeric_equivalence(report: AppendixReport, n: int, size: int, rng, tol: fl
     report.add(
         "numeric-conjugation-backward",
         resid2 < tol,
-        f"n={n} size={size} max residual {resid2:.2e}",
+        f"n={n} size={_SIZE} max residual {resid2:.2e}",
     )
 
     # perturbing the F side must break the conjugation
     f_bad = [np.array(m) for m in f]
-    f_bad[1] = f_bad[1] + 0.01 * _random_matrix(rng, size)
+    f_bad[1] = f_bad[1] + 0.01 * _random_matrix(rng, _SIZE)
     hs_bad = _h_from(f_bad, g, n)
     resid_bad = max(
         _relmax(hs_bad[l - 1] - z0 @ hts[l - 1] @ z0i, hs_bad[l - 1])
@@ -426,8 +428,7 @@ def _numeric_equivalence(report: AppendixReport, n: int, size: int, rng, tol: fl
     )
 
 
-def verify_appendix(n_max: int = 6, seed: int = 0, size: int = 3,
-                    tol: float = 1e-8) -> AppendixReport:
+def verify_appendix(n_max: int = 6, seed: int = 0, tol: float = 1e-8) -> AppendixReport:
     """Run the whole identity suite up to weight n_max (symbolic checks are
     exact; the conjugation equivalence is additionally spot-checked numerically
     with seeded random matrices)."""
@@ -504,5 +505,5 @@ def verify_appendix(n_max: int = 6, seed: int = 0, size: int = 3,
     )
 
     rng = np.random.default_rng(seed)
-    _numeric_equivalence(report, min(n_max, 5), size, rng, tol)
+    _numeric_equivalence(report, min(n_max, 5), rng, tol)
     return report

@@ -14,6 +14,7 @@ from jetcontact.jetcore import (
     DimensionError,
     HermJet,
     HoloJet,
+    _product,
     index_positions,
     index_table,
     multi_index_binom,
@@ -71,22 +72,27 @@ def conjugate_expr(expr: Expr) -> Expr:
 
 def reference_run(program: JetProgram, center, holo_order: int, anti_order: int) -> list:
     """The value of every op of `program` at `center`, evaluated one op at a
-    time by the HermJet methods -- the runner the level schedule replaced:
-    a scalar HermJet per op, carrying the op's degree bound, which only a
-    product or a power reads."""
-    jets = []
-    for (code, a, b), degree in zip(program.ops, program.degrees):
+    time -- the runner the level schedule replaced: a scalar HermJet per op,
+    by the HermJet methods, and a product by jetcore's product kernel with
+    its factors' degree bounds from ``program.degrees``."""
+    jets, degrees = [], program.degrees
+    for code, a, b in program.ops:
         if code == "var":
             make = HermJet.conj_coordinate if b else HermJet.coordinate
             jet = make(a, center, holo_order, anti_order)
         elif code == "const":
             jet = HermJet.constant(a, center, holo_order, anti_order)
-        elif code in ("__add__", "__sub__", "__mul__"):
+        elif code == "__mul__":
+            x, y = jets[a], jets[b]
+            coeffs = _product(x.coeffs, y.coeffs, x.dim, holo_order, anti_order, degrees[a],
+                              degrees[b])
+            jet = HermJet(x.center, holo_order, anti_order, 1, coeffs)
+        elif code in ("__add__", "__sub__"):
             jet = getattr(jets[a], code)(jets[b])
         else:
             method = getattr(jets[a], code)
             jet = method() if b is None else method(b)
-        jets.append(jet if degree is None else jet.with_degree(degree))
+        jets.append(jet)
     return jets
 
 

@@ -29,6 +29,11 @@ FOCK_PAIR = {
 }
 
 
+def fock_config(**changes) -> dict:
+    """A dim-2 pointwise Fock pair at one point, with `changes`."""
+    return {"task": "pointwise", "order": 1, "points": [[0.0, 0.1]], **FOCK_PAIR, **changes}
+
+
 def write_config(tmp_path, payload, name="run.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(payload), encoding="utf-8")
@@ -286,6 +291,7 @@ class TestShippedConfigs:
         ("pointwise-rank2-candidate.yaml", EXIT_VERIFIED),
         ("alongz-rank2-grid10.yaml", EXIT_VERIFIED),
         ("pointwise-long-sum.yaml", EXIT_VERIFIED),
+        ("pointwise-integer-powers.yaml", EXIT_VERIFIED),
     ]
 
     @pytest.mark.parametrize("name,expected", CONFIG_CODES)
@@ -402,6 +408,46 @@ class TestMain:
                                        "points": [[0.0, 0.1], [0.0, coordinate]], **FOCK_PAIR})
         assert main(["--config", path, "--out", str(tmp_path / "r.json")]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == f"jetcontact: input error: {message}\n"
+
+    @pytest.mark.parametrize("payload,message", [
+        ([1, 2], "config root must be a mapping"),
+        (fock_config(bundles=["x", "y"]),
+         "bundles[0]: expected a mapping with label/dimension/gram"),
+        (fock_config(bundles=[{"label": "a", "dimension": 2}, FOCK_PAIR["bundles"][1]]),
+         "bundles[0]: missing key 'gram'"),
+        (fock_config(points=[[0.0]]), "points[0]: expected 2 coordinates"),
+        (fock_config(points=[[0.0, "abc"]]), "points[0]: cannot read 'abc' as a number"),
+        (fock_config(task="along-z", grid=[1]), "grid must be a mapping from z2..zm to ranges"),
+        (fock_config(grid={"z2": {"re": [-0.2, 0.2], "count_re": 2}}),
+         "grid specifications only apply to along-z"),
+        (fock_config(order=0), "order must be >= 1"),
+        (fock_config(bundles=[FOCK_PAIR["bundles"][0],
+                              {"label": "b", "dimension": 1, "gram": "exp(z1*zb1)"}]),
+         "bundles must share dimension and rank"),
+        (fock_config(task="rkhs-quotient", points=[[0.0, 0.1], [0.0, 0.2]]),
+         "rkhs-quotient expects exactly one base point"),
+        (fock_config(bundles=[{"label": "a", "dimension": 2, "gram": [["1", "0"], ["0"]]},
+                              FOCK_PAIR["bundles"][1]]),
+         "bundles[0]: bundle 'a': Gram entry grid is not square"),
+        (fock_config(bundles=[{"label": "a", "dimension": 2, "gram": "exp(z3*zb3)"},
+                              FOCK_PAIR["bundles"][1]]),
+         "bundles[0]: bundle 'a': entry uses a variable beyond z2"),
+    ])
+    def test_config_input_errors(self, tmp_path, capsys, payload, message):
+        path = write_config(tmp_path, payload)
+        assert main(["--config", path, "--out", str(tmp_path / "r.json")]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"jetcontact: input error: {message}\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_grid_of_z2_only_sets_z3_to_zero(self, tmp_path):
+        bundle = {"label": "f", "dimension": 3, "gram": "exp(z1*zb1 + z2*zb2 + z3*zb3)"}
+        path = write_config(tmp_path, {
+            "task": "along-z", "order": 1, "bundles": [bundle, dict(bundle, label="g")],
+            "grid": {"z2": {"re": [-0.2, 0.2], "count_re": 3}}})
+        out = tmp_path / "r.json"
+        assert main(["--config", path, "--out", str(out)]) == EXIT_VERIFIED
+        points = json.loads(out.read_text(encoding="utf-8"))["config"]["points"]
+        assert len(points) == 3 and all(point[2] == [0.0, 0.0] for point in points)
 
     def test_overflowing_gram_is_input_error(self, tmp_path, capsys):
         # finite inputs, but exp(800) overflows at z1 = 1

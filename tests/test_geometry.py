@@ -353,6 +353,17 @@ class TestNormalizeFrame:
             plain = hn.deriv(i - 1).deriv(j - 1, conjugate=True).value()
             assert np.max(np.abs(k - plain)) < 1e-10
 
+    def test_nan_in_the_gram_jet_fails_normalization(self):
+        # NaN coefficients at (2, 0) and (0, 2) reach the pure-holomorphic
+        # coefficients of the normalized Gram, and a NaN defect is a failure
+        spec = BundleSpec("n", 1, [["exp(z1*zb1) + 0.1*z1*z1*zb1*zb1"]])
+        h = spec.gram_jet((0.1,), 3, 3)
+        c = np.array(h.coeffs)
+        c[2, 0] = c[0, 2] = np.nan
+        h = HermJet(h.center, 3, 3, 1, c)
+        with pytest.raises(ArithmeticError, match="frame normalization failed"):
+            normalize_frame(h, 3)
+
     def test_off_center_normalization(self):
         spec = BundleSpec("b2", 1, [["pow(1 - z1*zb1, -2)"]])
         h = spec.gram_jet((0.4 - 0.2j,), 3, 3)

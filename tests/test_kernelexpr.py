@@ -36,9 +36,17 @@ class TestParser:
             assert (expr.ops, expr.output, expr.text()) == ((), value, canonical)
 
     def test_power_node(self):
+        # an integer power is the products of repeated squaring, after an
+        # inverse if negative, and the constant 1 if zero; a real one is a power
         expr = parse_kernel("pow(1 - z1*zb1, -2)")
         assert expr.text() == "((1 - (z1 * zb1)) ^ -2)"
-        assert expr.ops[expr.output][::2] == ("power", -2)
+        k = expr.output
+        assert expr.ops[k - 1:] == (("inv", k - 2, None), ("__mul__", k - 1, k - 1))
+        assert parse_kernel("z1^5").ops == (("var", 0, False), ("__mul__", 0, 0),
+                                            ("__mul__", 1, 1), ("__mul__", 0, 2))
+        zero = parse_kernel("(1 + z1)^0")
+        assert zero.ops[zero.output] == ("const", 1 + 0j, None)
+        assert zero.text() == "((1 + z1) ^ 0)"
         real = parse_kernel("pow(1 - z1*zb1, -2.5)")
         assert real.text() == "pow((1 - (z1 * zb1)), -2.5)"
         assert real.ops[real.output][::2] == ("power", -2.5)
@@ -361,11 +369,13 @@ def count_calls(monkeypatch, names) -> Counter:
     return counts
 
 
-# (entries, [repr of ops, outputs, degrees, declared bounds]) of programs
-# recorded from the tree-walking compiler that emitting ops while parsing
-# replaced: literal folding, a literal divisor, literals promoted to constant
-# jets, integer and negative powers, and subexpressions shared inside one
-# entry and across two.  The report bytes rest on these programs.
+# (entries, [repr of ops, outputs, degrees]) of programs recorded from the
+# tree-walking compiler that emitting ops while parsing replaced: literal
+# folding, a literal divisor, literals promoted to constant jets, integer
+# and negative powers, and subexpressions shared inside one entry and across
+# two.  The report bytes rest on these programs.  The integer powers were
+# re-recorded when they became products: each is the chain of products the
+# power method multiplied, after an inverse if negative, or the constant 1.
 PINNED_PROGRAMS = [
     (['2*3 + z1'], [
         "[('var', 0, False), ('shift', 0, (6+0j))]",
@@ -398,11 +408,13 @@ PINNED_PROGRAMS = [
         '[(0, 0), None]',
     ]),
     (['z1^3 * zb1^-2 + pow(z2, -1) - (1 + z1)^0'], [
-        "[('var', 0, False), ('power', 0, 3), ('var', 0, True), ('power', 2, -2), ('__mul__',"
-        " 1, 3), ('var', 1, False), ('power', 5, -1), ('__add__', 4, 6), ('shift', 0, "
-        "(1+0j)), ('power', 8, 0), ('__sub__', 7, 9)]",
-        '[10]',
-        '[(1, 0), (3, 0), (0, 1), None, None, (1, 0), None, None, (1, 0), (0, 0), None]',
+        "[('var', 0, False), ('__mul__', 0, 0), ('__mul__', 0, 1), ('var', 0, True), ('inv',"
+        " 3, None), ('__mul__', 4, 4), ('__mul__', 2, 5), ('var', 1, False), ('inv', 7, None),"
+        " ('__add__', 6, 8), ('shift', 0, (1+0j)), ('const', (1+0j), None), ('__sub__', 9, "
+        "11)]",
+        '[12]',
+        '[(1, 0), (2, 0), (3, 0), (0, 1), None, None, None, (1, 0), None, None, (1, 0), (0, 0),'
+        ' None]',
     ]),
     (['exp(z1*zb1) * (1 + exp(z1*zb1))'], [
         "[('var', 0, False), ('var', 0, True), ('__mul__', 0, 1), ('exp', 2, None), ('shift',"
@@ -413,7 +425,7 @@ PINNED_PROGRAMS = [
     (['exp(z1*zb2) * pow(1 + z1*zb2, -1.5)', '2*exp(z1*zb2) - zb1/(3 - z1^2)'], [
         "[('var', 0, False), ('var', 1, True), ('__mul__', 0, 1), ('exp', 2, None), ('shift',"
         " 2, (1+0j)), ('power', 4, -1.5), ('__mul__', 3, 5), ('scale', 3, (2+0j)), ('var', 0,"
-        " True), ('power', 0, 2), ('__neg__', 9, None), ('shift', 10, (3+0j)), ('inv', 11, "
+        " True), ('__mul__', 0, 0), ('__neg__', 9, None), ('shift', 10, (3+0j)), ('inv', 11, "
         "None), ('__mul__', 8, 12), ('__sub__', 7, 13)]",
         '[6, 14]',
         '[(1, 0), (0, 1), (1, 1), None, (1, 1), None, None, None, (0, 1), (2, 0), (2, 0), (2,'
@@ -439,6 +451,20 @@ class TestJetProgram:
         program = JetProgram([parse_kernel(e) for e in entries])
         got = (program.ops, program.outputs, program.degrees)
         assert [repr(x) for x in got] == pinned
+
+    @pytest.mark.parametrize("base", ["1 + 0.4*z1*zb1 - 0.3i*z2", "exp(0.5*z1 + zb2)"])
+    def test_integer_powers_compile_to_products(self, base):
+        # every integer power is products (after an inverse, or the constant
+        # 1), and its jet is HermJet.power's on the base's jet, to rounding
+        center = (0.1 - 0.2j, 0.3j)
+        x = eval_herm_jet(parse_kernel(base), center, 4, 3)
+        for n in range(-3, 6):
+            for text in (f"({base}) ^ {n}", f"pow({base}, {n}.0)"):
+                program = JetProgram([parse_kernel(text)])
+                assert all(code != "power" for code, _, _ in program.ops)
+                got = program.matrix_jet(1, center, 4, 3).coeffs
+                want = x.power(n).coeffs
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
     def test_shared_subtrees_compile_to_one_op(self):
         text = "exp(z1*zb2) * pow(1 + z1*zb2, -1.5)"
@@ -578,17 +604,17 @@ class TestLevelSchedule:
                  for code, start, stop, shared in program._schedule]
         assert [(code, slots) for code, slots, _ in steps] == [
             ("var", [0, 1]), ("__mul__", [2]), ("shift", [4]), ("scale", [6, 11]),
-            ("exp", [3]), ("__sub__", [7]), ("__mul__", [5]), ("power", [8]),
+            ("exp", [3]), ("__sub__", [7]), ("__mul__", [5]), ("__mul__", [8]),
             ("__mul__", [10]), ("__add__", [9, 12])]
-        # products of different factor bounds are different steps
+        # products of different factor bounds are different steps; the square
+        # is a product of two factors of bound (1, 1)
         assert [parameter for code, _, parameter in steps if code == "__mul__"] == [
-            ((1, 0), (0, 1)), (None, (1, 0)), (None, (0, 1))]
-        assert steps[7][2] == (2, (1, 1))  # a power's exponent and its base's bound
+            ((1, 0), (0, 1)), (None, (1, 0)), ((1, 1), (1, 1)), (None, (0, 1))]
 
 
 class TestDegreeBounds:
-    """Every polynomial op records a degree bound (a, b), declared on its jet:
-    its coefficients vanish beyond it at every center."""
+    """Every polynomial op records a degree bound (a, b): its coefficients
+    vanish beyond it at every center."""
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -651,7 +677,7 @@ class TestDegreeBounds:
         program = JetProgram([parse_kernel(text)])
         [out] = program.outputs
         assert program.degrees[out] == degree
-        # as a factor of a product, its jet carries the bound
+        # as a factor of a product, the product kernel is told its bound
         product = JetProgram([parse_kernel(f"({text}) * exp(z1*zb2)")])
         seen = []
         kernel = kernelexpr._product
