@@ -75,7 +75,6 @@ __all__ = [
     "extend_A_sequence_jets",
     "holomorphy_conditions",
     "geometric_conditions",
-    "alongZ_check",
     "run_in_slices",
     "check_problem",
     "worst_residual",
@@ -579,15 +578,11 @@ def _alongz_at(problem: ContactProblem, points) -> list[PointReport]:
 def _check_invertible(a0: np.ndarray, points) -> None:
     """Refuse a candidate whose value at some point is a matrix that
     ``np.linalg.inv`` cannot invert (the gluing conditions divide by it),
-    naming the first such point."""
-    try:
-        np.linalg.inv(a0)
-    except np.linalg.LinAlgError:
-        for point, value in zip(points, a0):
-            try:
-                np.linalg.inv(value)
-            except np.linalg.LinAlgError:
-                raise ValueError(f"candidate value is singular at {point}") from None
+    naming the first such point.  slogdet's sign is 0 exactly where LU
+    meets the exact zero pivot on which ``inv`` raises."""
+    singular = np.flatnonzero(np.linalg.slogdet(a0)[0] == 0)
+    if singular.size:
+        raise ValueError(f"candidate value is singular at {points[singular[0]]}")
 
 
 def _point_reports(points, routes: dict, compared: tuple) -> list[PointReport]:
@@ -638,7 +633,10 @@ _GRID_SLICE = 8
 def run_in_slices(points, run) -> list:
     """The results of `run(part)`, one per point of `part`, over the slices
     of `points`.  A failing slice runs again a point at a time, so an error
-    is the one the first failing point raises alone."""
+    is the one the first failing point raises alone, whatever the slicing.
+    This is the one place where a failing run is made again: at one point
+    the error is that of the first step that fails, in the order the run
+    takes its steps."""
     results = []
     for start in range(0, len(points), _GRID_SLICE):
         part = points[start : start + _GRID_SLICE]
@@ -658,11 +656,6 @@ def _check(problem: ContactProblem, mode: str) -> ContactReport:
     verdict = combine_verdicts(p.verdict for p in reports)
     agree = all(p.route_agreement for p in reports)
     return ContactReport(mode, problem.order, problem.tolerance, reports, verdict, agree)
-
-
-def alongZ_check(problem: ContactProblem) -> ContactReport:
-    """Run both verification routes at every grid point on Z."""
-    return _check(problem, "along-z")
 
 
 def check_problem(problem: ContactProblem) -> ContactReport:

@@ -370,13 +370,6 @@ def _center(center) -> tuple:
     return center, dims.pop()
 
 
-def _point_values(center, var: int):
-    """Coordinate z_var of the center, or per point as a (P, 1, 1) array."""
-    if point_axis(center):
-        return np.array([point[var] for point in center]).reshape(-1, 1, 1)
-    return center[var]
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=np.complex128)
     arr.flags.writeable = False
@@ -446,35 +439,6 @@ class HermJet:
         coeffs = np.zeros(point_axis(center) + shape, dtype=np.complex128)
         coeffs[..., 0, 0, :, :] = value
         return cls(center, holo_order, anti_order, rank, coeffs)
-
-    @classmethod
-    def zero(cls, center, holo_order, anti_order, rank=1) -> "HermJet":
-        return cls.constant(np.zeros((rank, rank)), center, holo_order, anti_order)
-
-    @classmethod
-    def identity(cls, center, holo_order, anti_order, rank) -> "HermJet":
-        return cls.constant(np.eye(rank), center, holo_order, anti_order)
-
-    @classmethod
-    def coordinate(cls, var: int, center, holo_order, anti_order) -> "HermJet":
-        """Scalar jet of the coordinate function z_var (0-based)."""
-        jet = cls.constant(_point_values(center, var), center, holo_order, anti_order)
-        if holo_order >= 1:
-            c = np.array(jet.coeffs)
-            c[..., index_positions(jet.dim, holo_order)[unit_index(jet.dim, var)], 0, 0, 0] = 1.0
-            return jet._like(holo_order, anti_order, c)
-        return jet
-
-    @classmethod
-    def conj_coordinate(cls, var: int, center, holo_order, anti_order) -> "HermJet":
-        """Scalar jet of conj(z_var)."""
-        value = np.conj(_point_values(center, var))
-        jet = cls.constant(value, center, holo_order, anti_order)
-        if anti_order >= 1:
-            c = np.array(jet.coeffs)
-            c[..., 0, index_positions(jet.dim, anti_order)[unit_index(jet.dim, var)], 0, 0] = 1.0
-            return jet._like(holo_order, anti_order, c)
-        return jet
 
     def _like(self, holo_order: int, anti_order: int, coeffs, cls=None) -> "HermJet":
         """A jet of this one's type, or of `cls`, on its center and rank with
@@ -547,12 +511,6 @@ class HermJet:
         return self._like(self.holo_order, self.anti_order, self.coeffs * complex(scalar))
 
     __rmul__ = scale
-
-    def shift(self, scalar) -> "HermJet":
-        """Jet of f + scalar * I: only the constant term changes."""
-        coeffs = np.array(self.coeffs)
-        coeffs[..., 0, 0, :, :] += complex(scalar) * np.eye(self.rank)
-        return self._like(self.holo_order, self.anti_order, coeffs)
 
     def __mul__(self, other) -> "HermJet":
         """Truncated Cauchy product (matrix product on the values)."""
@@ -645,9 +603,8 @@ class HermJet:
             if n < 0:
                 return self.inv().power(-n)
             if n == 0:
-                return HermJet.identity(
-                    self.center, self.holo_order, self.anti_order, self.rank
-                )
+                return HermJet.constant(np.eye(self.rank), self.center, self.holo_order,
+                                        self.anti_order)
             return power_by_squaring(self, n, mul)
         u0 = self._scalar_constant("real power", positive=True)
         p = float(exponent)

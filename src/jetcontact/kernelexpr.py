@@ -377,13 +377,13 @@ class JetProgram:
     kernel, which then gathers only the pairs inside a bound; no other op
     reads one.
 
-    The level schedule is made in the same pass as the ops, and so is each
-    op's record of the parameters its kernel reads: a product's two factor
-    bounds, a real power's exponent, none for the other codes.  An op's
-    level is its depth in the op graph (0 for ``var`` and ``const``).  The
-    ops of one level with the same code and parameters form a group, which
-    reads only lower levels.  :meth:`run` takes one numpy step per group,
-    on the group's ops stacked on a leading axis, in level order.
+    The level schedule is made in the same pass as the ops.  An op's level
+    is its depth in the op graph (0 for ``var`` and ``const``).  The ops of
+    one level with the same code and the same parameters of its kernel (a
+    product's two factor bounds, a real power's exponent, none for the other
+    codes) form a group, which reads only lower levels.  :meth:`run` takes
+    one numpy step per group, on the group's ops stacked on a leading axis,
+    in level order.
     """
 
     def __init__(self, exprs):
@@ -394,7 +394,6 @@ class JetProgram:
         self.conjugated = False
         slots: dict = {}
         ops, degrees, levels = self.ops, self.degrees, []
-        params: list = []  # per op, the parameters its kernel reads
         by_level: list = []  # per level, (code, parameters) -> [op]
         for expr in exprs:
             self.max_var = max(self.max_var, expr.max_var)
@@ -412,8 +411,6 @@ class JetProgram:
                     slot = slots[key] = len(ops)
                     ops.append(key)
                     degrees.append(_degree(code, a, b, degrees))
-                    params.append((degrees[a], degrees[b]) if code == "__mul__"
-                                  else (b,) if code == "power" else ())
                     if code in _BINARY:
                         level = 1 + (levels[a] if levels[a] > levels[b] else levels[b])
                     elif code == "var" or code == "const":
@@ -423,7 +420,9 @@ class JetProgram:
                     levels.append(level)
                     if level == len(by_level):
                         by_level.append(defaultdict(list))
-                    by_level[level][code, params[-1]].append(slot)
+                    params = ((degrees[a], degrees[b]) if code == "__mul__"
+                              else (b,) if code == "power" else ())
+                    by_level[level][code, params].append(slot)
                 push(slot)
             out = expr.output
             self.outputs.append(out if isinstance(out, complex) else merged[out])
@@ -433,14 +432,13 @@ class JetProgram:
         for out in self.outputs:
             if isinstance(out, complex):
                 ops.append(("const", out, None))
-                params.append(())
                 out = len(ops) - 1
             outputs.append(out)
-        groups = [group for level in by_level for group in level.values()]
+        groups = [(key, group) for level in by_level for key, group in level.items()]
         if len(ops) > len(self.ops):
-            groups.append(list(range(len(self.ops), len(ops))))
+            groups.append((("const", ()), list(range(len(self.ops), len(ops)))))
         # buffer rows in schedule order, so that each group fills a block of rows
-        order = [k for group in groups for k in group]
+        order = [k for _, group in groups for k in group]
         rows = [0] * len(ops)
         for row, k in enumerate(order):
             rows[k] = row
@@ -458,22 +456,16 @@ class JetProgram:
             else:
                 first.append(rows[a]), second.append(0)
                 literal.append(b if code == "scale" or code == "shift" else 0j)
-        self._ops, self._params, self._rows = ops, params, rows
+        self._rows = rows
         self._out = np.array([rows[k] for k in outputs], dtype=np.intp)
         self._columns = (np.array(first, dtype=np.intp), np.array(second, dtype=np.intp),
                          np.array(literal, dtype=np.complex128))
         # one step per group, (code, start, stop, parameters): it fills the
         # rows [start, stop)
         self._schedule, start = [], 0
-        for group in groups:
-            k = group[0]
-            self._schedule.append((ops[k][0], start, start + len(group), params[k]))
+        for (code, params), group in groups:
+            self._schedule.append((code, start, start + len(group), params))
             start += len(group)
-
-    def _op_by_op(self) -> list:
-        """The steps of a schedule of one op per group, in op order."""
-        return [(code, self._rows[k], self._rows[k] + 1, self._params[k])
-                for k, (code, _, _) in enumerate(self._ops)]
 
     def run(self, center, holo_order: int, anti_order: int) -> np.ndarray:
         """Every op's value at `center` (one point, or P points at once) as
@@ -482,26 +474,19 @@ class JetProgram:
         in schedule order, and after the ops' rows those of the literal-only
         outputs.
 
-        A failing run is made again one op at a time, in op order, so its
-        error is the one the first failing op raises."""
-        return self._run(HermJet.zero(center, holo_order, anti_order))
+        The groups run in schedule order, and a failing run raises the
+        error of the first group that fails."""
+        return self._fill(HermJet.constant(0.0, center, holo_order, anti_order))
 
-    def _run(self, template: HermJet) -> np.ndarray:
+    def _fill(self, template: HermJet) -> np.ndarray:
         """:meth:`run` at the centers and orders of the jet `template`."""
-        try:
-            return self._fill(self._schedule, template)
-        except Exception:
-            self._fill(self._op_by_op(), template)
-            raise
-
-    def _fill(self, steps: list, template: HermJet) -> np.ndarray:
         p, q, dim, points = (template.holo_order, template.anti_order, template.dim,
                              template.points)
         na, nb = template.coeffs.shape[-4:-2]
         buf = np.empty((len(self._rows),) + points + (na, nb), dtype=np.complex128)
         per_op = (-1,) + (1,) * len(points)  # a per-op scalar over the points
         first, second, literal = self._columns
-        for code, start, stop, params in steps:
+        for code, start, stop, params in self._schedule:
             out, a = buf[start:stop], first[start:stop]
             if code == "var":
                 # the coordinate z_a, or conj(z_a) where flagged, with unit
@@ -521,7 +506,7 @@ class JetProgram:
                 np.multiply(buf[a], literal[start:stop].reshape(per_op + (1, 1)), out=out)
             elif code == "shift":
                 np.take(buf, a, axis=0, out=out)
-                # f + b * I adds b * 1.0 to the constant term, as HermJet.shift does
+                # f + b * I: b times the value's identity, 1.0, added to the constant term
                 out[..., 0, 0] += (literal[start:stop] * _ONE).reshape(per_op)
             elif code == "__neg__":
                 np.negative(buf[a], out=out)
@@ -544,8 +529,8 @@ class JetProgram:
         """The outputs, row-major, as the entries of a size x size matrix
         jet; when there are k * size^2 of them, the k matrices in turn,
         stacked on the point axis (k P points at P centers, k at one)."""
-        template = HermJet.zero(center, holo_order, anti_order)
-        buf = self._run(template)
+        template = HermJet.constant(0.0, center, holo_order, anti_order)
+        buf = self._fill(template)
         k = len(self._out) // (size * size)
         entries = buf[self._out].reshape((k, size, size) + buf.shape[1:])
         # (k, size, size, *P, Na, Nb) -> (k, *P, Na, Nb, size, size)
@@ -613,10 +598,9 @@ class BundleSpec:
         With a `partner` bundle of the same dimension and rank, both Grams
         come from one run of one program merged from the two grids: the
         pair jet, this bundle's jet and the partner's stacked on the point
-        axis (2P points, or 2 at one center).  Its errors are the ones the
-        two calls would raise in turn: at each point this bundle's check,
-        then the partner's; a failing program, this bundle's program and
-        checks, then the partner's."""
+        axis (2P points, or 2 at one center).  A failing program raises its
+        own error first; after it come the checks, at each point this
+        bundle's, then the partner's."""
         specs = (self,) if partner is None else (self, partner)
         if partner is not None and (partner.dimension, partner.rank) != (self.dimension,
                                                                           self.rank):
@@ -635,12 +619,7 @@ class BundleSpec:
                 [e for spec in specs for row in spec.entries for e in row])
         # finite inputs can overflow; such a point is refused by name below
         with np.errstate(all="ignore"):
-            try:
-                jet = program.matrix_jet(self.rank, center, holo_order, anti_order)
-            except Exception:
-                if partner is not None:
-                    self.gram_jet(center, holo_order, anti_order)  # its errors come first
-                raise
+            jet = program.matrix_jet(self.rank, center, holo_order, anti_order)
             defect = np.ravel(jet.hermitian_defect())
             size = np.ravel(np.max(np.abs(jet.coeffs), axis=(-4, -3, -2, -1)))
             finite = np.isfinite(size)

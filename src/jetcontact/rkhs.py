@@ -81,18 +81,16 @@ def quotient_model(kernel: BundleSpec, center, order: int) -> QuotientModel:
 
 def quotient_models(a: BundleSpec, b: BundleSpec, center,
                     order: int) -> tuple[QuotientModel, QuotientModel]:
-    """The quotient models of kernels a and b at `center`: both Gram jets
-    from one run of the merged program, and the jet Grams, their checks and
-    the shifts each formed once for the two.  Per kernel that is bit for bit
-    :func:`quotient_model`.  When the pair fails, the models are made one at
-    a time, so the error is the one a's model, then b's, raises alone."""
+    """The quotient models of kernels a and b, of one dimension and rank, at
+    `center`: both Gram jets from one run of the merged program, and the jet
+    Grams, their checks and the shifts each formed once for the two.  Per
+    kernel that is bit for bit :func:`quotient_model`.  An error is that of
+    the first failing stage (the program, the Gram checks, the jet-Gram
+    checks), and within a stage of kernel a before b's."""
     center = tuple(complex(c) for c in center)
-    try:
-        pair = GramPair(a.gram_jet(center, order, order, b), ())
-        grams = jet_gram(pair.jet, order)
-        _check_jet_grams([a, b], np.linalg.eigvalsh(grams), center)
-    except Exception:
-        return quotient_model(a, center, order), quotient_model(b, center, order)
+    pair = GramPair(a.gram_jet(center, order, order, b), ())
+    grams = jet_gram(pair.jet, order)
+    _check_jet_grams([a, b], np.linalg.eigvalsh(grams), center)
     shifts = _shifts(a, center, order)  # the pair shares a's dimension and rank
     return tuple(QuotientModel(kernel, center, order, jet, gram, shifts)
                  for kernel, jet, gram in zip((a, b), pair.split_jet(pair.jet),

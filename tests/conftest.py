@@ -18,7 +18,9 @@ from jetcontact.jetcore import (
     index_positions,
     index_table,
     multi_index_binom,
+    point_axis,
     table_size,
+    unit_index,
 )
 from jetcontact.kernelexpr import Expr, JetProgram, ParseError, check_holomorphic, parse_kernel
 from jetcontact.pascal import pascal_expand
@@ -70,16 +72,54 @@ def conjugate_expr(expr: Expr) -> Expr:
     return parse_kernel(_CONJUGATED.sub(conjugate, expr.text()))
 
 
+def _point_values(center, var: int):
+    """Coordinate z_var of the center, or per point as a (P, 1, 1) array."""
+    if point_axis(center):
+        return np.array([point[var] for point in center]).reshape(-1, 1, 1)
+    return center[var]
+
+
+def coordinate(var: int, center, holo_order: int, anti_order: int) -> HermJet:
+    """Scalar jet of the coordinate function z_var (0-based)."""
+    jet = HermJet.constant(_point_values(center, var), center, holo_order, anti_order)
+    if holo_order >= 1:
+        c = np.array(jet.coeffs)
+        c[..., index_positions(jet.dim, holo_order)[unit_index(jet.dim, var)], 0, 0, 0] = 1.0
+        return HermJet(jet.center, holo_order, anti_order, 1, c)
+    return jet
+
+
+def conj_coordinate(var: int, center, holo_order: int, anti_order: int) -> HermJet:
+    """Scalar jet of conj(z_var)."""
+    value = np.conj(_point_values(center, var))
+    jet = HermJet.constant(value, center, holo_order, anti_order)
+    if anti_order >= 1:
+        c = np.array(jet.coeffs)
+        c[..., 0, index_positions(jet.dim, anti_order)[unit_index(jet.dim, var)], 0, 0] = 1.0
+        return HermJet(jet.center, holo_order, anti_order, 1, c)
+    return jet
+
+
+def shift(jet: HermJet, scalar) -> HermJet:
+    """Jet of f + scalar * I: only the constant term changes."""
+    coeffs = np.array(jet.coeffs)
+    coeffs[..., 0, 0, :, :] += complex(scalar) * np.eye(jet.rank)
+    return HermJet(jet.center, jet.holo_order, jet.anti_order, jet.rank, coeffs)
+
+
 def reference_run(program: JetProgram, center, holo_order: int, anti_order: int) -> list:
     """The value of every op of `program` at `center`, evaluated one op at a
-    time -- the runner the level schedule replaced: a scalar HermJet per op,
-    by the HermJet methods, and a product by jetcore's product kernel with
-    its factors' degree bounds from ``program.degrees``."""
+    time in op order -- the runner the level schedule replaced: a scalar
+    HermJet per op, by the HermJet methods or the helpers above, and a
+    product by jetcore's product kernel with its factors' degree bounds from
+    ``program.degrees``."""
     jets, degrees = [], program.degrees
     for code, a, b in program.ops:
         if code == "var":
-            make = HermJet.conj_coordinate if b else HermJet.coordinate
+            make = conj_coordinate if b else coordinate
             jet = make(a, center, holo_order, anti_order)
+        elif code == "shift":
+            jet = shift(jets[a], b)
         elif code == "const":
             jet = HermJet.constant(a, center, holo_order, anti_order)
         elif code == "__mul__":

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from jetcontact.contact import ContactProblem, alongZ_check
+from jetcontact.contact import ContactProblem, check_problem as alongZ_check
 from jetcontact.geometry import (
     K1j_recursion,
     Q_jet,

@@ -409,6 +409,13 @@ class TestMain:
         assert main(["--config", path, "--out", str(tmp_path / "r.json")]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == f"jetcontact: input error: {message}\n"
 
+    # a tie at one point: bundle a fails its Gram check, b's program its log
+    TIE = [{"label": "a", "dimension": 1, "gram": [["1 - 4*z1*zb1"]]},
+           {"label": "b", "dimension": 1, "gram": [["2 + log(0.5 - z1*zb1)"]]}]
+    LOG = "log needs a constant term with positive real part"
+    # x^0 is 1, but its base is still evaluated and must be defined
+    DEAD = {"label": "g", "dimension": 1, "gram": [["2 + (log(z1*zb1 - 1))^0"]]}
+
     @pytest.mark.parametrize("payload,message", [
         ([1, 2], "config root must be a mapping"),
         (fock_config(bundles=["x", "y"]),
@@ -432,6 +439,17 @@ class TestMain:
         (fock_config(bundles=[{"label": "a", "dimension": 2, "gram": "exp(z3*zb3)"},
                               FOCK_PAIR["bundles"][1]]),
          "bundles[0]: bundle 'a': entry uses a variable beyond z2"),
+        # at one point the error is the first failing step's: the merged
+        # program's groups in schedule order, the Gram checks of a then b,
+        # then the later stages
+        ({"task": "pointwise", "order": 2, "points": [[0.9]], "bundles": TIE}, LOG),
+        ({"task": "rkhs-quotient", "order": 2, "points": [[0.9]], "bundles": TIE}, LOG),
+        # the inverse of z1*zb1 is scheduled before the log, which comes first in op order
+        ({"task": "curvature", "order": 1, "points": [[0.0]],
+          "bundles": [{"label": "g", "dimension": 1,
+                       "gram": [["log(exp(z1*zb1) - 3)", "0"], ["0", "1/(z1*zb1)"]]}]},
+         "constant term is singular"),
+        (fock_config(order=1, points=[[0.0]], bundles=[DEAD, DEAD]), LOG),
     ])
     def test_config_input_errors(self, tmp_path, capsys, payload, message):
         path = write_config(tmp_path, payload)

@@ -13,7 +13,6 @@ from jetcontact.contact import (
     _L_tables,
     _full_candidate_from_slice,
     _normalized_pair,
-    alongZ_check,
     check_problem,
     extend_A_sequence,
     geometric_conditions,
@@ -383,8 +382,13 @@ class TestGramPair:
     @pytest.mark.parametrize("a_text,b_text", CASES)
     @pytest.mark.parametrize("point", [(0.0,), (0.5,), (0.9,)])
     def test_errors_are_those_of_the_two_bundles_in_turn(self, a_text, b_text, point):
+        # the merged program's error first, then bundle a's checks, then b's
         a, b = BundleSpec("a", 1, [[a_text]]), BundleSpec("b", 1, [[b_text]])
-        want = self.first_error([lambda: a.gram_jet(point, 2, 2), lambda: b.gram_jet(point, 2, 2)])
+        program = JetProgram([a.entries[0][0], b.entries[0][0]])
+        with np.errstate(all="ignore"):
+            want = self.first_error([lambda: program.run(point, 2, 2),
+                                     lambda: a.gram_jet(point, 2, 2),
+                                     lambda: b.gram_jet(point, 2, 2)])
         got = self.first_error([lambda: a.gram_jet(point, 2, 2, b)])
         assert got == want
 
@@ -445,7 +449,7 @@ class TestGramPair:
         prob = ContactProblem(BundleSpec("h", 2, PAIR_GRAMS_M2[0]),
                               BundleSpec("ht", 2, conjugated_gram(PAIR_GRAMS_M2[0], a_inv)),
                               2, "along-z", points, candidate=a_grid)
-        assert alongZ_check(prob).verdict == "verified"
+        assert check_problem(prob).verdict == "verified"
         # one table per pass of 8 and of 2 points, on the pair jet of both bundles
         assert tables == [(16,), (4,)]
         assert tensors == [((16,), 2, 1), ((16,), 2, 2), ((4,), 2, 1), ((4,), 2, 2)]
@@ -457,7 +461,7 @@ class TestAlongZ:
         prob = ContactProblem(
             BundleSpec("a", 2, spec), BundleSpec("b", 2, spec), 2, "along-z", Z_POINTS
         )
-        report = alongZ_check(prob)
+        report = check_problem(prob)
         assert report.verdict == "verified"
         assert report.route_agreement
         assert all(max(p.residuals.values()) < 1e-12 for p in report.points)
@@ -483,7 +487,7 @@ class TestAlongZ:
             "along-z",
             Z_POINTS,
         )
-        report = alongZ_check(prob)
+        report = check_problem(prob)
         assert report.verdict == "verified", [p.residuals for p in report.points]
         assert report.route_agreement
 
@@ -499,7 +503,7 @@ class TestAlongZ:
             Z_POINTS,
             candidate=a_grid,
         )
-        report = alongZ_check(prob)
+        report = check_problem(prob)
         assert report.verdict == "verified"
         assert report.route_agreement
 
@@ -573,10 +577,27 @@ class TestAlongZ:
         monkeypatch.setattr(
             contact, "_alongz_at", lambda prob, pts: passes.append(len(pts)) or real(prob, pts)
         )
-        report = alongZ_check(prob)
+        report = check_problem(prob)
         assert passes == [8]
         assert report.verdict == "verified"
         assert len(report.points) == 8
+
+    @pytest.mark.parametrize("failing", ["a", "b"])
+    def test_failing_run_costs_one_program_run_per_point(self, monkeypatch, failing):
+        # b's log fails at the 7th point (0.3 - 0.36 < 0): one program run for
+        # the slice, then one per point alone up to the failing one
+        grams = ["1 + 0.01*log(1 - z2*zb2)", "1 + 0.01*log(0.3 - z2*zb2)"]
+        if failing == "a":
+            grams.reverse()
+        prob = ContactProblem(BundleSpec("a", 2, [[grams[0]]]), BundleSpec("b", 2, [[grams[1]]]),
+                              2, "along-z", [(0.0, 0.1 * k) for k in range(8)])
+        runs = []
+        fill = JetProgram._fill
+        monkeypatch.setattr(JetProgram, "_fill",
+                            lambda program, template: runs.append(None) or fill(program, template))
+        with pytest.raises(ArithmeticError, match="^log needs a constant term"):
+            check_problem(prob)
+        assert len(runs) == 8
 
     def test_rank2_requires_candidate(self):
         prob = ContactProblem(
@@ -587,7 +608,7 @@ class TestAlongZ:
             Z_POINTS[:1],
         )
         with pytest.raises(ValueError, match="candidate"):
-            alongZ_check(prob)
+            check_problem(prob)
 
     def test_bergman_weight_mismatch_refuted_everywhere(self):
         prob = ContactProblem(
@@ -597,7 +618,7 @@ class TestAlongZ:
             "along-z",
             Z_POINTS,
         )
-        report = alongZ_check(prob)
+        report = check_problem(prob)
         assert report.verdict == "refuted"
         assert report.route_agreement
         assert all(p.verdict == "refuted" for p in report.points)
@@ -614,7 +635,7 @@ class TestAlongZ:
             "along-z",
             Z_POINTS,
         )
-        report = alongZ_check(prob)
+        report = check_problem(prob)
         assert report.verdict == "refuted"
         for p in report.points:
             assert p.route_verdicts["analytic"] == "refuted"
@@ -632,7 +653,7 @@ class TestAlongZ:
             "along-z",
             Z_POINTS,
         )
-        report = alongZ_check(prob)
+        report = check_problem(prob)
         assert report.verdict == "refuted"
         assert report.route_agreement
         point = report.points[0]
@@ -652,7 +673,7 @@ class TestAlongZ:
             "along-z",
             Z_POINTS[:2],
         )
-        assert alongZ_check(prob).verdict == "verified"
+        assert check_problem(prob).verdict == "verified"
 
     def test_along_z_monotone_in_order(self):
         h_grid, ht_grid, _ = constructed_scalar_pair(
@@ -666,7 +687,7 @@ class TestAlongZ:
                 "along-z",
                 Z_POINTS[:3],
             )
-            assert alongZ_check(prob).verdict == "verified", n
+            assert check_problem(prob).verdict == "verified", n
 
     def test_along_implies_pointwise_on_grid(self):
         h_grid, ht_grid, _ = constructed_scalar_pair(
@@ -679,7 +700,7 @@ class TestAlongZ:
             "along-z",
             Z_POINTS,
         )
-        report = alongZ_check(prob)
+        report = check_problem(prob)
         assert report.verdict == "verified"
         for p, point in zip(report.points, Z_POINTS):
             h, ht = gram_jets(h_grid, ht_grid, point, 3)
@@ -848,7 +869,7 @@ class TestVerdictBands:
         prob = ContactProblem(
             BundleSpec("a", 2, spec), BundleSpec("b", 2, spec), 2, "along-z", Z_POINTS[:1]
         )
-        point = alongZ_check(prob).points[0]
+        point = check_problem(prob).points[0]
         assert point.route_verdicts["analytic"] == "verified"
         assert point.route_verdicts["geometric"] == "inconclusive"
         assert point.verdict == "inconclusive"
@@ -885,7 +906,7 @@ class TestDegenerateSlice:
             "along-z",
             [(0.0,)],
         )
-        assert alongZ_check(same).verdict == "verified"
+        assert check_problem(same).verdict == "verified"
         crossed = ContactProblem(
             BundleSpec("a", 1, [["pow(1 - z1*zb1, -1)"]]),
             BundleSpec("b", 1, [["pow(1 - z1*zb1, -2)"]]),
@@ -893,7 +914,7 @@ class TestDegenerateSlice:
             "along-z",
             [(0.0,)],
         )
-        report = alongZ_check(crossed)
+        report = check_problem(crossed)
         assert report.verdict == "refuted"
         assert report.route_agreement
 

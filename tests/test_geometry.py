@@ -145,7 +145,7 @@ class TestCurvature:
 class TestCovDeriv:
     def test_identity_map_is_parallel(self, rng):
         h = random_herm_jet(2, 3, 3, 3, rng)
-        ident = HermJet.identity((0.0, 0.0), 3, 3, 3)
+        ident = HermJet.constant(np.eye(3), (0.0, 0.0), 3, 3)
         for i in (1, 2):
             assert np.max(np.abs(cov_deriv(ident, h, i).coeffs)) < 1e-12
             assert np.max(np.abs(cov_deriv(ident, h, i, conjugate=True).coeffs)) == 0.0
@@ -184,7 +184,7 @@ class TestAdjoint:
     def test_identity_metric(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
         phi = HermJet.constant(m, (0.0,), 1, 1)
-        ident = HermJet.identity((0.0,), 1, 1, 2)
+        ident = HermJet.constant(np.eye(2), (0.0,), 1, 1)
         np.testing.assert_array_equal(map_adjoint_jet(phi, ident).value(), m.T.conj())
 
     def test_curvature_adjoint_symmetry(self, rng):

@@ -18,7 +18,7 @@ from jetcontact.jetcore import (
     table_size,
 )
 
-from conftest import random_herm_jet
+from conftest import conj_coordinate, coordinate, random_herm_jet, shift
 
 
 def random_jet(dim, rank, p, q, rng, scale=0.3):
@@ -49,23 +49,23 @@ def naive_product(a, b):
 
 def geometric_jet(order=4, sign=-1.0, power=-1.0):
     """Jet of (1 + sign*z*zb)^power at 0 via explicit coefficients."""
-    z = HermJet.coordinate(0, (0.0,), order, order)
-    zb = HermJet.conj_coordinate(0, (0.0,), order, order)
+    z = coordinate(0, (0.0,), order, order)
+    zb = conj_coordinate(0, (0.0,), order, order)
     base = HermJet.constant(1.0, (0.0,), order, order) + (z * zb).scale(sign)
     return base.power(power)
 
 
 class TestMul:
     def test_identity_factor_truncates(self, rng):
-        a = HermJet.identity((0.0, 0.0), 2, 2, 2)
+        a = HermJet.constant(np.eye(2), (0.0, 0.0), 2, 2)
         b = random_herm_jet(2, 2, 4, 3, rng)
         prod = a * b
         assert prod.holo_order == 2 and prod.anti_order == 2
         np.testing.assert_array_equal(prod.coeffs, b.truncate(2, 2).coeffs)
 
     def test_z_times_zbar(self):
-        z = HermJet.coordinate(0, (0.0,), 2, 2)
-        zb = HermJet.conj_coordinate(0, (0.0,), 2, 2)
+        z = coordinate(0, (0.0,), 2, 2)
+        zb = conj_coordinate(0, (0.0,), 2, 2)
         prod = z * zb
         expect = np.zeros_like(prod.coeffs)
         expect[1, 1, 0, 0] = 1.0
@@ -80,7 +80,7 @@ class TestMul:
 
     def test_center_mismatch_raises(self, rng):
         a = random_herm_jet(1, 1, 2, 2, rng)
-        b = HermJet.identity((1.0,), 2, 2, 1)
+        b = HermJet.constant(np.eye(1), (1.0,), 2, 2)
         with pytest.raises(DimensionError):
             a * b
 
@@ -143,7 +143,7 @@ class TestInv:
         np.testing.assert_allclose(inv.coeffs, expect, atol=1e-13)
 
     def test_singular_constant_raises(self):
-        z = HermJet.coordinate(0, (0.0,), 2, 2)
+        z = coordinate(0, (0.0,), 2, 2)
         with pytest.raises(SingularityError):
             z.inv()
 
@@ -151,7 +151,7 @@ class TestInv:
     @pytest.mark.parametrize("orders", [(3, 3), (4, 2), (0, 3)])
     def test_two_sided_inverse(self, rng, rank, orders):
         a = random_jet(2, rank, *orders, rng)
-        ident = HermJet.identity(a.center, *orders, rank)
+        ident = HermJet.constant(np.eye(rank), a.center, *orders)
         for prod in (a * a.inv(), a.inv() * a):
             assert np.max(np.abs((prod - ident).coeffs)) < 1e-12
 
@@ -171,13 +171,13 @@ class TestInv:
     def test_mul_inv_is_identity(self, seed):
         rng = np.random.default_rng(seed)
         a = random_herm_jet(2, 3, 3, 3, rng)
-        resid = a * a.inv() - HermJet.identity(a.center, 3, 3, 3)
+        resid = a * a.inv() - HermJet.constant(np.eye(3), a.center, 3, 3)
         assert np.max(np.abs(resid.coeffs)) < 1e-12
 
 
 class TestFunc:
     def test_exp_of_zero(self):
-        out = HermJet.zero((0.0,), 3, 3).exp()
+        out = HermJet.constant(0.0, (0.0,), 3, 3).exp()
         expect = np.zeros_like(out.coeffs)
         expect[0, 0, 0, 0] = 1.0
         np.testing.assert_allclose(out.coeffs, expect, atol=1e-15)
@@ -189,8 +189,8 @@ class TestFunc:
             assert out.coeffs[k, k, 0, 0] == pytest.approx(k + 1)
 
     def test_log_exp_roundtrip(self):
-        z = HermJet.coordinate(0, (0.0,), 3, 3)
-        zb = HermJet.conj_coordinate(0, (0.0,), 3, 3)
+        z = coordinate(0, (0.0,), 3, 3)
+        zb = conj_coordinate(0, (0.0,), 3, 3)
         out = (z * zb).exp().log()
         expect = np.zeros_like(out.coeffs)
         expect[1, 1, 0, 0] = 1.0
@@ -202,7 +202,7 @@ class TestFunc:
             bad.log()
         with pytest.raises(SingularityError):
             bad.power(0.5)
-        z = HermJet.coordinate(0, (0.0,), 2, 2)  # constant term 0
+        z = coordinate(0, (0.0,), 2, 2)  # constant term 0
         with pytest.raises(SingularityError):
             z.log()
         with pytest.raises(SingularityError):
@@ -251,8 +251,8 @@ class TestExtract:
             assert val[0, 0] == pytest.approx(factorial(k) ** 2)
 
     def test_exp_derivatives(self):
-        z = HermJet.coordinate(0, (0.0,), 4, 4)
-        zb = HermJet.conj_coordinate(0, (0.0,), 4, 4)
+        z = coordinate(0, (0.0,), 4, 4)
+        zb = conj_coordinate(0, (0.0,), 4, 4)
         e = (z * zb).exp()
         for p in range(5):
             for q in range(5):
@@ -436,9 +436,9 @@ class TestPointAxis:
             assert inv.coeffs[k].tobytes() == single.inv().coeffs.tobytes()
 
     def test_constructors_broadcast_over_points(self):
-        grid = HermJet.coordinate(1, self.CENTERS, 2, 1)
+        grid = coordinate(1, self.CENTERS, 2, 1)
         for k, c in enumerate(self.CENTERS):
-            single = HermJet.coordinate(1, c, 2, 1)
+            single = coordinate(1, c, 2, 1)
             assert grid.coeffs[k].tobytes() == single.coeffs.tobytes()
         const = HoloJet.constant(np.eye(2), self.CENTERS, 2)
         assert const.points == (4,) and const.dim == 2
@@ -658,8 +658,8 @@ class TestBoundedProduct:
         c = np.array(dense.coeffs)
         c[7, 4] = value
         dense = HermJet(dense.center, 3, 3, 1, c)
-        z1 = HermJet.coordinate(0, dense.center, 3, 3)  # constant term 0
-        for poly in (z1, z1.shift(1.0)):
+        z1 = coordinate(0, dense.center, 3, 3)  # constant term 0
+        for poly in (z1, shift(z1, 1.0)):
             with np.errstate(invalid="ignore"):  # inf * 0
                 products = (bounded_product(dense, poly, None, (1, 0)),
                             bounded_product(poly, dense, (1, 0), None))

@@ -577,9 +577,10 @@ class TestLevelSchedule:
             try:
                 reference = reference_run(program, center, p, q)
             except (ArithmeticError, ValueError) as exc:
-                with pytest.raises(type(exc)) as raised:
+                # the run raises too, of the same type: the error of the first
+                # failing group in schedule order, not of the first op
+                with pytest.raises(type(exc)):
                     program.run(center, p, q)
-                assert str(raised.value) == str(exc)
                 return
             buf = program.run(center, p, q)
             matrix = program.matrix_jet(1, center, p, q)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jetcontact.contact import jet_gram
-from jetcontact.kernelexpr import BundleSpec
+from jetcontact.kernelexpr import BundleSpec, JetProgram
 from jetcontact.pascal import multi_pascal_generator
 from jetcontact.rkhs import (
     direct_equiv_check,
@@ -72,7 +72,7 @@ class TestQuotientModel:
 
 
 # kernels at z1 = 1.2, order 2: one fine, and one or two failing at each
-# check quotient_model makes, in turn; the rank-2 kernel cannot pair with the others
+# check quotient_model makes, in turn; a pair of the rank-2 kernel and another is refused
 KERNELS = {
     "fine": FOCK,
     "program": BundleSpec("program", 1, [["pow(1 - z1*zb1, -1.5)"]]),  # real power of a negative
@@ -96,14 +96,29 @@ def _models_or_error(make):
 
 class TestQuotientModels:
     """The pair of models from one merged program is the two models made in
-    turn: the same bytes, or the error a's model and then b's raises."""
+    turn: the same bytes, or the error of the first failing stage (program,
+    Gram checks, jet-Gram checks), within a stage kernel a's before b's."""
 
     @pytest.mark.parametrize("b", list(KERNELS))
     @pytest.mark.parametrize("a", list(KERNELS))
     def test_as_the_models_in_turn(self, a, b):
         a, b, z0 = KERNELS[a], KERNELS[b], (1.2,)
-        expected = _models_or_error(lambda: (quotient_model(a, z0, 2), quotient_model(b, z0, 2)))
-        assert _models_or_error(lambda: quotient_models(a, b, z0, 2)) == expected
+        got = _models_or_error(lambda: quotient_models(a, b, z0, 2))
+        if a.rank != b.rank:
+            assert got == (ValueError, f"bundles {a.label!r} and {b.label!r} differ in "
+                                       "dimension or rank")
+            return
+
+        def by_stage():
+            with np.errstate(all="ignore"):
+                for kernel in (a, b):  # the programs
+                    JetProgram([e for row in kernel.entries for e in row]).run(z0, 2, 2)
+            for kernel in (a, b):  # the Gram checks, at the center the models read
+                kernel.gram_jet(tuple(map(complex, z0)), 2, 2)
+            # the jet-Gram checks, and the models
+            return quotient_model(a, z0, 2), quotient_model(b, z0, 2)
+
+        assert got == _models_or_error(by_stage)
 
     def test_one_program_run_for_the_pair(self, monkeypatch):
         calls = []
