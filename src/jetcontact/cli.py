@@ -41,7 +41,7 @@ from .geometry import (
     map_adjoint_jet,
     transverse_tower,
 )
-from .kernelexpr import BundleSpec, ParseError
+from .kernelexpr import BundleSpec
 from .rkhs import check_direct_size, quotient_models, unitary_equiv_check
 from .wordcalc import verify_appendix
 
@@ -142,7 +142,7 @@ def _parse_bundle(node, where: str) -> BundleSpec:
         raise ConfigError(f"{where}: missing key {exc.args[0]!r}") from exc
     try:
         return BundleSpec(label, dim, gram)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -494,10 +494,7 @@ def main(argv=None) -> int:
             "seed": args.seed, "out": args.out,
         })
         document = run(cfg)
-    except (ConfigError, ParseError) as exc:
-        print(f"jetcontact: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ValueError, ArithmeticError) as exc:  # ConfigError, ParseError, LinAlgError too
         print(f"jetcontact: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

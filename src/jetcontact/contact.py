@@ -20,10 +20,12 @@ Two settings are covered, both driven by Gram jets:
     covariant derivatives (orders r, t <= n-1) and the mixed components
     (K_{1 jbar})_{z1^r} for the tangential directions j >= 2.
 
-Both settings run once per slice of points (:func:`run_in_slices`), on
-Gram jets with a leading point axis (see :mod:`jetcore`); every residual
-below is then an array with one value per point, and a verdict list has one
-entry per point.
+A candidate frame change, once it is rank x rank, is read by
+:func:`kernelexpr.read_grid` under a Gram grid's rules, and holomorphic.
+:func:`check_problem` runs either setting once per slice of points
+(:func:`run_in_slices`), on Gram jets with a leading point axis (see
+:mod:`jetcore`); every residual below is then an array with one value per
+point, and a verdict list has one entry per point.
 
 Verdicts are grid-based: "verified" means every residual is below tolerance
 at every requested point, "refuted" means some residual exceeds 10x the
@@ -53,7 +55,7 @@ from .jetcore import (
     multi_index_factorial,
     unit_index,
 )
-from .kernelexpr import BundleSpec, JetProgram, ParseError, check_holomorphic, parse_kernel
+from .kernelexpr import BundleSpec, JetProgram, read_grid
 from .pascal import (
     binomial_solve,
     binomial_sums,
@@ -403,12 +405,18 @@ class ContactProblem:
             for p in self.points:
                 if abs(p[0]) > 1e-12:
                     raise ValueError(f"point {p} does not lie on the slice z1 = 0")
-        object.__setattr__(
-            self, "candidate", _normalize_candidate(self.candidate, self.dim, self.rank)
-        )
-        if isinstance(self.candidate, list):
-            program = JetProgram([e for row in self.candidate for e in row])
-            object.__setattr__(self, "_candidate_program", program)
+        cand, rank = self.candidate, self.rank
+        if cand is None:
+            return
+        if not isinstance(cand, list):
+            raise TypeError("candidate must be None or a grid (list of rows) of expressions")
+        if len(cand) != rank or any(len(row) != rank for row in cand):
+            raise ValueError(f"candidate must be a {rank} x {rank} grid (the bundles' rank is "
+                             f"{rank}); got rows of lengths {[len(row) for row in cand]}")
+        cand = read_grid(cand, self.dim, "candidate", holomorphic=True)
+        object.__setattr__(self, "candidate", cand)
+        program = JetProgram([e for row in cand for e in row])
+        object.__setattr__(self, "_candidate_program", program)
 
     @property
     def dim(self) -> int:
@@ -430,31 +438,6 @@ class ContactProblem:
         if failing.size:
             raise ValueError(f"candidate jet is not finite at {points[failing[0]]}")
         return jet.holo_part()
-
-
-def _normalize_candidate(cand, dim: int, rank: int):
-    if cand is None:
-        return None
-    if not isinstance(cand, list):
-        raise TypeError("candidate must be None or a grid (list of rows) of expressions")
-    if len(cand) != rank or any(len(row) != rank for row in cand):
-        raise ValueError(f"candidate must be a {rank} x {rank} grid (the bundles' rank is "
-                         f"{rank}); got rows of lengths {[len(row) for row in cand]}")
-    return [
-        [_candidate_entry(e, dim, f"candidate[{i}][{j}]") for j, e in enumerate(row)]
-        for i, row in enumerate(cand)
-    ]
-
-
-def _candidate_entry(entry, dim: int, where: str):
-    """One candidate entry, parsed and checked holomorphic in z1..z`dim`; a
-    parse, holomorphy or variable error is prefixed with `where`."""
-    try:
-        expr = parse_kernel(entry) if isinstance(entry, str) else entry
-        check_holomorphic(expr, dim)
-    except ParseError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-    return expr
 
 
 @dataclass
@@ -649,14 +632,10 @@ def run_in_slices(points, run) -> list:
     return results
 
 
-def _check(problem: ContactProblem, mode: str) -> ContactReport:
-    """The routes of `mode` at the problem's points, a slice of points per pass."""
-    at = _alongz_at if mode == "along-z" else _pointwise_at
+def check_problem(problem: ContactProblem) -> ContactReport:
+    """The routes of the problem's mode at its points, a slice of points per pass."""
+    at = _alongz_at if problem.mode == "along-z" else _pointwise_at
     reports = run_in_slices(problem.points, lambda part: at(problem, part))
     verdict = combine_verdicts(p.verdict for p in reports)
     agree = all(p.route_agreement for p in reports)
-    return ContactReport(mode, problem.order, problem.tolerance, reports, verdict, agree)
-
-
-def check_problem(problem: ContactProblem) -> ContactReport:
-    return _check(problem, problem.mode)
+    return ContactReport(problem.mode, problem.order, problem.tolerance, reports, verdict, agree)

@@ -22,7 +22,9 @@ Evaluation is exact truncated Taylor arithmetic; there are no finite
 differences anywhere.  :func:`parse_kernel` reads an expression in one pass
 into an :class:`Expr`: the straight-line jet ops that compute it, children
 before parents, with literals folded, and its canonical text for the config
-echo.  The entries of a Gram matrix (or of a candidate frame change) merge
+echo.  :func:`read_grid` is the one reader of a grid of expressions, a
+Gram matrix or a candidate frame change: its shape, each entry's parse and
+variables, an error naming the entry.  The entries of a grid merge
 into one :class:`JetProgram`, in which every distinct op is computed once;
 the two bundles of a contact question merge into one program too, so the
 kernels they share are computed once for both.
@@ -57,6 +59,7 @@ __all__ = [
     "ParseError",
     "Expr",
     "parse_kernel",
+    "read_grid",
     "JetProgram",
     "BundleSpec",
 ]
@@ -130,6 +133,7 @@ def _tokenize(text: str) -> list:
             if match.start() != pos:
                 break
             pos = match.end()
+        pos = len(text) - len(text[pos:].lstrip())  # the stray one, not whitespace
         raise ParseError(f"unexpected character {text[pos]!r}", pos)
     tokens = parts[1::2]
     tokens.append("")
@@ -319,6 +323,37 @@ def parse_kernel(text: str) -> Expr:
     parser = _Parser(text)
     output, canonical = parser.parse()
     return Expr(canonical, tuple(parser.ops), output, parser.max_var, parser.conjugated)
+
+
+def read_grid(grid, dimension: int, where: str, holomorphic: bool = False) -> list:
+    """The rows of `grid`, a non-empty square grid of expressions (texts or
+    :class:`Expr`), each entry parsed: the one reader of a Gram matrix and
+    of a candidate frame change.  Entries are read row by row, each in full
+    before the next: it parses, and uses no variable beyond z`dimension`
+    and, if `holomorphic`, no ``zb``.  An entry's error starts with
+    ``where[i][j]``."""
+    if not grid:
+        raise ValueError(f"{where} is empty")
+    if any(len(row) != len(grid) for row in grid):
+        raise ValueError(f"{where} is not square")
+    rows = []
+    for i, row in enumerate(grid):
+        rows.append([])
+        for j, entry in enumerate(row):
+            here = f"{where}[{i}][{j}]"
+            if isinstance(entry, str):
+                try:
+                    entry = parse_kernel(entry)
+                except ParseError as exc:
+                    raise ValueError(f"{here}: {exc}") from exc
+            elif not isinstance(entry, Expr):
+                raise TypeError(f"{here}: expected an expression, got {type(entry).__name__}")
+            if holomorphic and entry.conjugated:
+                raise ValueError(f"{here}: conjugated variable in a holomorphic expression")
+            if entry.max_var > dimension:
+                raise ValueError(f"{here}: uses a variable beyond z{dimension}")
+            rows[-1].append(entry)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -540,14 +575,6 @@ class JetProgram:
         return template.tiled(coeffs.reshape((-1,) + coeffs.shape[-4:]))
 
 
-def check_holomorphic(expr: Expr, dim: int) -> None:
-    """Reject an expression with conjugated variables or variables beyond z`dim`."""
-    if expr.conjugated:
-        raise ParseError("conjugated variable in a holomorphic expression", 0)
-    if expr.max_var > dim:
-        raise ParseError(f"variable index exceeds dimension {dim}", 0)
-
-
 # ---------------------------------------------------------------------------
 # bundle specifications
 
@@ -559,30 +586,19 @@ class BundleSpec:
     """A rank-l Hermitian bundle given by its Gram matrix in a global frame.
 
     Entries are scalar expressions in z1..zm, zb1..zbm (texts or parsed
-    :class:`Expr`), merged into one :class:`JetProgram` when a Gram jet is
-    first asked for -- with the entries of a partner bundle, when the two
-    are evaluated together.  The grid must be Hermitian-symmetric (entry
-    (q,p) is the conjugate of entry (p,q) under z <-> zb) and positive
-    definite; every Gram jet is checked for both when it is made.
+    :class:`Expr`), read by :func:`read_grid` and merged into one
+    :class:`JetProgram` when a Gram jet is first asked for -- with the
+    entries of a partner bundle, when the two are evaluated together.  The
+    grid must be Hermitian-symmetric (entry (q,p) is the conjugate of entry
+    (p,q) under z <-> zb) and positive definite; every Gram jet is checked
+    for both when it is made.
     """
 
     def __init__(self, label: str, dimension: int, entries):
         self.label = str(label)
         self.dimension = int(dimension)
-        self.entries = [
-            [e if not isinstance(e, str) else parse_kernel(e) for e in row]
-            for row in entries
-        ]
+        self.entries = read_grid(entries, self.dimension, f"bundle {label!r}: gram")
         self.rank = len(self.entries)
-        if not self.rank:
-            raise ValueError(f"bundle {label!r}: Gram entry grid is empty")
-        for row in self.entries:
-            if len(row) != self.rank:
-                raise ValueError(f"bundle {label!r}: Gram entry grid is not square")
-        if max(e.max_var for row in self.entries for e in row) > self.dimension:
-            raise ValueError(
-                f"bundle {label!r}: entry uses a variable beyond z{self.dimension}"
-            )
         self._programs: dict = {}  # partner (None: this bundle alone) -> JetProgram
 
     def gram_jet(self, center, holo_order: int, anti_order: int, partner=None) -> HermJet:

@@ -22,7 +22,7 @@ from jetcontact.jetcore import (
     table_size,
     unit_index,
 )
-from jetcontact.kernelexpr import Expr, JetProgram, ParseError, check_holomorphic, parse_kernel
+from jetcontact.kernelexpr import Expr, JetProgram, parse_kernel, read_grid
 from jetcontact.pascal import pascal_expand
 
 
@@ -139,15 +139,14 @@ def reference_run(program: JetProgram, center, holo_order: int, anti_order: int)
 def eval_herm_jet(expr: Expr, center, holo_order: int, anti_order: int, dim=None) -> HermJet:
     """Jet of the expression at `center` in (z - z0, conj(z) - conj(z0))."""
     dim = len(center) if dim is None else dim
-    if expr.max_var > dim:
-        raise ParseError(f"variable index exceeds dimension {dim}", 0)
+    [[expr]] = read_grid([[expr]], dim, "expression")
     return JetProgram([expr]).matrix_jet(1, center, holo_order, anti_order)
 
 
 def eval_holo_jet(expr: Expr, center, order: int, dim=None) -> HoloJet:
     """Jet of a purely holomorphic expression (no zb variables allowed)."""
     dim = len(center) if dim is None else dim
-    check_holomorphic(expr, dim)
+    [[expr]] = read_grid([[expr]], dim, "expression", holomorphic=True)
     return JetProgram([expr]).matrix_jet(1, center, order, 0).holo_part()
 
 

@@ -435,10 +435,10 @@ class TestMain:
          "rkhs-quotient expects exactly one base point"),
         (fock_config(bundles=[{"label": "a", "dimension": 2, "gram": [["1", "0"], ["0"]]},
                               FOCK_PAIR["bundles"][1]]),
-         "bundles[0]: bundle 'a': Gram entry grid is not square"),
+         "bundles[0]: bundle 'a': gram is not square"),
         (fock_config(bundles=[{"label": "a", "dimension": 2, "gram": "exp(z3*zb3)"},
                               FOCK_PAIR["bundles"][1]]),
-         "bundles[0]: bundle 'a': entry uses a variable beyond z2"),
+         "bundles[0]: bundle 'a': gram[0][0]: uses a variable beyond z2"),
         # at one point the error is the first failing step's: the merged
         # program's groups in schedule order, the Gram checks of a then b,
         # then the later stages
@@ -725,7 +725,7 @@ class TestMain:
         [
             ("zb1", "conjugated variable in a holomorphic expression"),
             ("z1 +* 2", "unexpected token '*' (at position 4)"),
-            ("z7", "variable index exceeds dimension 2"),
+            ("z7", "uses a variable beyond z2"),
         ],
     )
     def test_candidate_error_names_its_entry(self, tmp_path, capsys, entry, message):
@@ -737,6 +737,25 @@ class TestMain:
         assert main(["--config", path]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
         assert err.startswith(f"jetcontact: input error: candidate[0][1]: {message}")
+
+    @pytest.mark.parametrize(
+        "which,entry,message",
+        [
+            (0, "1 + z1*zb1 + $",
+             "bundles[0]: bundle 'a': gram[1][0]: unexpected character '$' (at position 13)"),
+            (1, "z3*zb3", "bundles[1]: bundle 'b': gram[1][0]: uses a variable beyond z2"),
+        ],
+    )
+    def test_gram_error_names_its_entry(self, tmp_path, capsys, which, entry, message):
+        # Gram and candidate entries are read under one set of rules
+        bundles = [{"label": label, "dimension": 2,
+                    "gram": [["exp(z1*zb1 + z2*zb2)", "0"], ["0", "exp(z1*zb1)"]]}
+                   for label in "ab"]
+        bundles[which]["gram"][1][0] = entry
+        path = write_config(tmp_path, {"task": "pointwise", "order": 1,
+                                       "points": [[0.0, 0.0]], "bundles": bundles})
+        assert main(["--config", path]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"jetcontact: input error: {message}\n"
 
     @pytest.mark.parametrize(
         "candidate,lengths",
@@ -761,7 +780,7 @@ class TestMain:
                                        "bundles": bundles})
         assert main(["--config", path]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == (
-            "jetcontact: input error: bundles[0]: bundle 'a': Gram entry grid is empty\n")
+            "jetcontact: input error: bundles[0]: bundle 'a': gram is empty\n")
 
     @pytest.mark.parametrize(
         "expr,message",

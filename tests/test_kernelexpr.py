@@ -15,8 +15,8 @@ from jetcontact.kernelexpr import (
     BundleSpec,
     JetProgram,
     ParseError,
-    check_holomorphic,
     parse_kernel,
+    read_grid,
 )
 
 from conftest import conjugate_expr, eval_herm_jet, eval_holo_jet, reference_run
@@ -133,7 +133,7 @@ class TestParser:
 # every ParseError the parser raises: (text, message, position)
 PARSE_ERRORS = [
     ("z1*$", "unexpected character '$'", 3),
-    ("z1 $", "unexpected character ' '", 2),  # where the last token ended
+    ("z1 $", "unexpected character '$'", 3),  # the character, not the space before it
     ("2.", "unexpected character '.'", 1),
     ("exp(z1", "expected ')', found 'end of input'", 6),
     ("pow(z1 2)", "expected ',', found '2'", 7),
@@ -187,14 +187,35 @@ def test_echo_of_a_long_sum_parses_back(terms):
 
 
 def test_holomorphic_check_errors():
-    with pytest.raises(ParseError) as err:
-        check_holomorphic(parse_kernel("z1*zb1"), 1)
-    assert (str(err.value), err.value.pos) == (
-        "conjugated variable in a holomorphic expression (at position 0)", 0)
-    with pytest.raises(ParseError) as err:
-        check_holomorphic(parse_kernel("z2"), 1)
-    assert (str(err.value), err.value.pos) == (
-        "variable index exceeds dimension 1 (at position 0)", 0)
+    # an error names its entry, and a holomorphic grid refuses zb first
+    with pytest.raises(ValueError) as err:
+        read_grid([["1", "0"], ["z1*zb1", "z2"]], 1, "a", holomorphic=True)
+    assert str(err.value) == "a[1][0]: conjugated variable in a holomorphic expression"
+    with pytest.raises(ValueError) as err:
+        read_grid([["zb2"]], 1, "a", holomorphic=True)
+    assert str(err.value) == "a[0][0]: conjugated variable in a holomorphic expression"
+    with pytest.raises(ValueError) as err:
+        read_grid([[parse_kernel("z1"), parse_kernel("z2")], ["0", "1"]], 1, "a",
+                  holomorphic=True)
+    assert str(err.value) == "a[0][1]: uses a variable beyond z1"
+    # without `holomorphic`, zb is an entry's variable like any other
+    assert read_grid([["z1*zb1"]], 1, "a") == [[parse_kernel("z1*zb1")]]
+
+
+@pytest.mark.parametrize("grid,error,message", [
+    ([], ValueError, "g is empty"),
+    ([["1", "0"], ["0"]], ValueError, "g is not square"),
+    ([["1"], ["0"]], ValueError, "g is not square"),
+    ([["1", "0"], ["z1 $", "1"]], ValueError,
+     "g[1][0]: unexpected character '$' (at position 3)"),
+    # entries are read in turn, each in full
+    ([["z2", "$"], ["0", "1"]], ValueError, "g[0][0]: uses a variable beyond z1"),
+    ([["1", 0], ["0", "1"]], TypeError, "g[0][1]: expected an expression, got int"),
+])
+def test_read_grid_errors(grid, error, message):
+    with pytest.raises(error) as err:
+        read_grid(grid, 1, "g")
+    assert str(err.value) == message
 
 
 # the grammar's characters and words, and characters outside it
@@ -260,7 +281,7 @@ class TestEval:
         np.testing.assert_allclose(jet.coeffs[:, 0, 0, 0], np.ones(5), atol=1e-13)
 
     def test_holo_rejects_conjugates(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValueError, match="conjugated variable in a holomorphic expression"):
             eval_holo_jet(parse_kernel("zb1"), (0.0,), 2)
 
     def test_singular_center(self):
@@ -327,7 +348,7 @@ class TestBundleSpec:
             spec.validate([(0.0,)])
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError, match="bundle 'e': Gram entry grid is empty"):
+        with pytest.raises(ValueError, match="bundle 'e': gram is empty"):
             BundleSpec("e", 1, [])
 
     def test_asymmetry_checked_at_requested_orders(self):
