@@ -217,13 +217,8 @@ def _tolerance(raw: dict) -> float:
         value, key = raw["tolerance"], "tolerance"
     else:
         value, key = os.environ.get(TOLERANCE_ENV, 1e-8), f"tolerance (from {TOLERANCE_ENV})"
-    try:
-        tol = float(value)
-    except (TypeError, ValueError):
-        tol = None
-    if tol is None or isinstance(value, bool):
-        raise ConfigError(f"{key}: cannot read {value!r} as a number")
-    if not (math.isfinite(tol) and tol > 0):
+    tol = _finite(value, key)
+    if tol <= 0:
         raise ConfigError(f"{key} must be positive and finite; got {tol!r}")
     return tol
 
@@ -242,6 +237,8 @@ def build_config(raw: dict) -> RunConfig:
     )
     if cfg.order < 1 and task != "verify-appendix":
         raise ConfigError("order must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer; got {cfg.seed}")
 
     bundles = raw.get("bundles", [])
     cfg.bundles = [

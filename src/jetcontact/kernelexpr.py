@@ -22,22 +22,24 @@ Evaluation is exact truncated Taylor arithmetic; there are no finite
 differences anywhere.  :func:`parse_kernel` reads an expression in one pass
 into an :class:`Expr`: the straight-line jet ops that compute it, children
 before parents, with literals folded, and its canonical text for the config
-echo.  :func:`read_grid` is the one reader of a grid of expressions, a
-Gram matrix or a candidate frame change: its shape, each entry's parse and
-variables, an error naming the entry.  The entries of a grid merge
-into one :class:`JetProgram`, in which every distinct op is computed once;
-the two bundles of a contact question merge into one program too, so the
-kernels they share are computed once for both.
+echo; its output is always an op, a ``const`` for a literal-only expression.
+:func:`read_grid` is the one reader of a grid of expressions, a Gram matrix
+or a candidate frame change: its shape, each entry's parse and variables, an
+error naming the entry.  The entries of a grid merge into one
+:class:`JetProgram`, in which every distinct op is computed once; the two
+bundles of a contact question merge into one program too, so the kernels
+they share are computed once for both.
 
-A program is scheduled when it is compiled: its ops are grouped by depth
-in the op graph, op code and the parameters the code's kernel reads (a
-product's factor bounds, a real power's exponent).  A run fills
-one buffer, a row of scalar jet coefficients per op, with one numpy step per
-group: gathers for the linear ops, jetcore's product kernel and HermJet
+A program is scheduled when it is compiled: its ops are grouped by depth in
+the op graph, op code and the parameters the code's kernel reads (a
+product's factor bounds, a real power's exponent), and numbered group by
+group, so op k is row k of the one buffer a run fills, a row of scalar jet
+coefficients per op, and every output is an op.  A run takes one numpy step
+per group: gathers for the linear ops, jetcore's product kernel and HermJet
 methods on the group stacked along the point axis for the others.  It runs
 once per call, at one point or at a whole grid of points (jets with a
-leading point axis, see :mod:`jetcore`), and per op and point gives the
-bits an op-by-op evaluation at that point alone gives.
+leading point axis, see :mod:`jetcore`), and per op and point gives the bits
+an op-by-op evaluation at that point alone gives.
 :meth:`BundleSpec.gram_jet` checks each Gram jet it makes, at the orders the
 caller asked for, point by point; with a partner bundle it returns the two
 Gram jets as one pair jet, stacked on the point axis.
@@ -79,14 +81,14 @@ class Expr:
 
     ``ops`` holds ``(code, a, b)`` in evaluation order, as in
     :class:`JetProgram`, with operands indexing this expression's own ops;
-    ``output`` is the index of the op that computes the expression, or a
-    complex for a literal-only one.  ``max_var`` is the largest variable
-    index (0 if none) and ``conjugated`` says whether some ``zb`` occurs.
+    ``output`` is the index of the op that computes it, a ``const`` for a
+    literal-only one.  ``max_var`` is the largest variable index (0 if
+    none) and ``conjugated`` says whether some ``zb`` occurs.
     """
 
     canonical: str
     ops: tuple
-    output: object
+    output: int
     max_var: int
     conjugated: bool
 
@@ -151,12 +153,13 @@ class _Parser:
     text)``: the index in ``ops`` of the op that computes it, or a complex
     if literal-only, and its canonical text.  An operator is applied once
     the token after its right operand binds no tighter, so ``ops`` is in
-    evaluation order.  Literals stay Python scalars: ``+``, ``-``, ``*`` and
-    negation of scalars fold here; a scalar times a jet is a ``scale``, a
-    scalar plus a jet a constant-term ``shift``.  Any other op on a
-    literal-only operand (``/``, ``^``, ``pow``, ``exp``, ``log``) promotes
-    it to a ``const`` jet, so every singularity and branch guard stays in
-    :mod:`jetcore`; a zeroth power is the ``const`` 1.
+    evaluation order.  A variable is one op, emitted where it first occurs,
+    so a merge meets it once per expression.  Literals stay Python scalars:
+    ``+``, ``-``, ``*`` and negation of scalars fold here; a scalar times a
+    jet is a ``scale``, a scalar plus a jet a constant-term ``shift``.  Any
+    other op on a literal-only operand (``/``, ``^``, ``pow``, ``exp``,
+    ``log``) promotes it to a ``const`` jet, so every singularity and branch
+    guard stays in :mod:`jetcore`; a zeroth power is the ``const`` 1.
 
     A token is a number if it starts with a digit or '.', a name if it
     starts with a letter or '_', and "" ends the input; its source position
@@ -167,8 +170,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.k = 0
         self.ops: list = []
-        self.max_var = 0
-        self.conjugated = False
+        self.variables: dict = {}  # (index, conjugated) -> its op
 
     def error(self, message: str, k: int) -> ParseError:
         starts = [match.start(1) for match in _TOKEN_RE.finditer(self.text)]
@@ -280,9 +282,11 @@ class _Parser:
             index, conjugated = int(m.group(2)), m.group(1) == "zb"
             if index == 0:
                 raise self.error(f"variable {tok!r}: variable indices start at 1", self.k - 1)
-            self.max_var = max(self.max_var, index)
-            self.conjugated |= conjugated
-            return self.emit("var", index - 1, conjugated), f"{m.group(1)}{index}"
+            key = (index - 1, conjugated)
+            op = self.variables.get(key)
+            if op is None:
+                op = self.variables[key] = self.emit("var", *key)
+            return op, f"{m.group(1)}{index}"
         raise self.error(f"unexpected token {tok or 'end of input'!r}", self.k - 1)
 
     def _exponent(self, real: bool):
@@ -322,7 +326,10 @@ def parse_kernel(text: str) -> Expr:
     """Parse an expression in z1..zm / zb1..zbm into its ops and text."""
     parser = _Parser(text)
     output, canonical = parser.parse()
-    return Expr(canonical, tuple(parser.ops), output, parser.max_var, parser.conjugated)
+    output = parser.as_jet(output)  # a literal-only expression ends with its const
+    variables = parser.variables
+    return Expr(canonical, tuple(parser.ops), output, max(variables)[0] + 1 if variables else 0,
+                any(conjugated for _, conjugated in variables))
 
 
 def read_grid(grid, dimension: int, where: str, holomorphic: bool = False) -> list:
@@ -377,7 +384,7 @@ def _degree(code: str, a, b, degrees: list):
             return None
         if code == "__mul__":
             return (x[0] + y[0], x[1] + y[1])
-        return (max(x[0], y[0]), max(x[1], y[1]))
+        return (x[0] if x[0] > y[0] else y[0], x[1] if x[1] > y[1] else y[1])
     if code == "var":
         return (0, 1) if b else (1, 0)
     if code == "const":
@@ -387,20 +394,20 @@ def _degree(code: str, a, b, degrees: list):
 
 class JetProgram:
     """Expressions merged into one straight-line program of scalar jet ops,
-    run level by level over one buffer.
+    numbered in the order a run computes them: op k fills row k of the run's
+    buffer.
 
     The ops of the expressions are taken in order and hash-consed: each
     distinct (op, operands, parameter) is one op, so a subexpression shared
     by several expressions, or repeated inside one, is evaluated once per
-    :meth:`run`.
+    :meth:`run`.  A literal counts by its bits, signs of zero included, so
+    ops on 0 and on -0 stay apart.
 
-    ``ops`` holds ``(code, a, b)`` in evaluation order: for ``var`` the
-    0-based variable index and the conjugation flag, for ``const`` the
-    value, otherwise ``a`` indexes an earlier op and ``b`` is a second one
-    (``__add__``, ``__sub__``, ``__mul__``), a parameter or None.
-    ``outputs`` holds, per expression, an op index (int) or a complex
-    scalar.  ``max_var`` (largest variable index, 0 if none) and
-    ``conjugated`` (some ``zb`` occurs) are facts of the expressions.
+    ``ops`` holds ``(code, a, b)``: for ``var`` the 0-based variable index
+    and the conjugation flag, for ``const`` the value, otherwise ``a`` is an
+    earlier op and ``b`` is a second one (``__add__``, ``__sub__``,
+    ``__mul__``), a parameter or None.  ``outputs`` holds the op of each
+    expression.
 
     ``degrees`` holds, per op, a degree bound (a, b) if the op is a
     polynomial in (z, zb) -- ``var``, ``const``, ``scale``, ``shift``,
@@ -412,39 +419,45 @@ class JetProgram:
     kernel, which then gathers only the pairs inside a bound; no other op
     reads one.
 
-    The level schedule is made in the same pass as the ops.  An op's level
-    is its depth in the op graph (0 for ``var`` and ``const``).  The ops of
-    one level with the same code and the same parameters of its kernel (a
+    The level schedule is made while the ops are merged.  An op's level is
+    its depth in the op graph (0 for ``var`` and ``const``).  The ops of one
+    level with the same code and the same parameters of its kernel (a
     product's two factor bounds, a real power's exponent, none for the other
-    codes) form a group, which reads only lower levels.  :meth:`run` takes
-    one numpy step per group, on the group's ops stacked on a leading axis,
-    in level order.
+    codes) form a group; the ops are numbered group by group, the groups in
+    level order, so each group is a block of ops that reads only earlier
+    blocks.  :meth:`run` takes one numpy step per group, on the group's ops
+    stacked on a leading axis.
     """
 
     def __init__(self, exprs):
-        self.ops: list = []
-        self.degrees: list = []
-        self.outputs: list = []
-        self.max_var = 0
-        self.conjugated = False
+        # merge the ops in expression order; a literal's key adds the sign bits
+        # its value leaves open: the imaginary part's, the real part's if zero
         slots: dict = {}
-        ops, degrees, levels = self.ops, self.degrees, []
-        by_level: list = []  # per level, (code, parameters) -> [op]
+        merged_ops, degrees, levels, outputs = [], [], [], []
+        by_level: list = []  # per level, (code, parameters) -> [merged op]
+        copysign = math.copysign
         for expr in exprs:
-            self.max_var = max(self.max_var, expr.max_var)
-            self.conjugated |= expr.conjugated
-            merged = []  # the program op of each of the expression's ops
+            merged = []  # the merged op of each of the expression's ops
             push, find = merged.append, slots.get
             for code, a, b in expr.ops:
-                if code != "var" and code != "const":
+                if code == "scale" or code == "shift":
                     a = merged[a]
-                    if code in _BINARY:
-                        b = merged[b]
-                key = (code, a, b)
+                    key = (code, a, b, copysign(1.0, b.imag) if b.real else
+                           (copysign(1.0, b.real), copysign(1.0, b.imag)))
+                elif code in _BINARY:
+                    a, b = merged[a], merged[b]
+                    key = (code, a, b)
+                elif code == "const":
+                    key = (code, a, b, copysign(1.0, a.imag) if a.real else
+                           (copysign(1.0, a.real), copysign(1.0, a.imag)))
+                else:
+                    if code != "var":
+                        a = merged[a]
+                    key = (code, a, b)
                 slot = find(key)
                 if slot is None:
-                    slot = slots[key] = len(ops)
-                    ops.append(key)
+                    slot = slots[key] = len(merged_ops)
+                    merged_ops.append((code, a, b))
                     degrees.append(_degree(code, a, b, degrees))
                     if code in _BINARY:
                         level = 1 + (levels[a] if levels[a] > levels[b] else levels[b])
@@ -459,58 +472,46 @@ class JetProgram:
                               else (b,) if code == "power" else ())
                     by_level[level][code, params].append(slot)
                 push(slot)
-            out = expr.output
-            self.outputs.append(out if isinstance(out, complex) else merged[out])
-        # each literal-only output is a constant op of its own, after the ops,
-        # and the schedule's last group; the other groups are in level order
-        ops, outputs = list(ops), []
-        for out in self.outputs:
-            if isinstance(out, complex):
-                ops.append(("const", out, None))
-                out = len(ops) - 1
-            outputs.append(out)
-        groups = [(key, group) for level in by_level for key, group in level.items()]
-        if len(ops) > len(self.ops):
-            groups.append((("const", ()), list(range(len(self.ops), len(ops)))))
-        # buffer rows in schedule order, so that each group fills a block of rows
-        order = [k for _, group in groups for k in group]
-        rows = [0] * len(ops)
-        for row, k in enumerate(order):
-            rows[k] = row
-        # per row: the operands' rows (a variable's index and conjugation
-        # flag) and the literal of a const, scale or shift
+            outputs.append(merged[expr.output])
+        # number the ops group by group; a step (code, start, stop, parameters)
+        # fills the rows [start, stop) of its group
+        order, self._schedule = [], []
+        for level in by_level:
+            for (code, params), group in level.items():
+                self._schedule.append((code, len(order), len(order) + len(group), params))
+                order += group
+        number = [0] * len(order)
+        for k, m in enumerate(order):
+            number[m] = k
+        self.ops, self.degrees = [], [degrees[m] for m in order]
+        self.outputs = [number[m] for m in outputs]
+        # per op: its operands (a variable's index and conjugation flag) and
+        # the literal of a const, scale or shift
         first, second, literal = [], [], []
-        for k in order:
-            code, a, b = ops[k]
+        for m in order:
+            code, a, b = merged_ops[m]
             if code == "var":
                 first.append(a), second.append(b), literal.append(0j)
             elif code == "const":
                 first.append(0), second.append(0), literal.append(a)
             elif code in _BINARY:
-                first.append(rows[a]), second.append(rows[b]), literal.append(0j)
+                a, b = number[a], number[b]
+                first.append(a), second.append(b), literal.append(0j)
             else:
-                first.append(rows[a]), second.append(0)
+                a = number[a]
+                first.append(a), second.append(0)
                 literal.append(b if code == "scale" or code == "shift" else 0j)
-        self._rows = rows
-        self._out = np.array([rows[k] for k in outputs], dtype=np.intp)
+            self.ops.append((code, a, b))
         self._columns = (np.array(first, dtype=np.intp), np.array(second, dtype=np.intp),
                          np.array(literal, dtype=np.complex128))
-        # one step per group, (code, start, stop, parameters): it fills the
-        # rows [start, stop)
-        self._schedule, start = [], 0
-        for (code, params), group in groups:
-            self._schedule.append((code, start, start + len(group), params))
-            start += len(group)
 
     def run(self, center, holo_order: int, anti_order: int) -> np.ndarray:
         """Every op's value at `center` (one point, or P points at once) as
-        one buffer ``(rows, *P, Na, Nb)`` of scalar jet coefficients of
-        orders (holo_order, anti_order): op k in row ``_rows[k]``, the rows
-        in schedule order, and after the ops' rows those of the literal-only
-        outputs.
+        one buffer ``(ops, *P, Na, Nb)`` of scalar jet coefficients of
+        orders (holo_order, anti_order): op k in row k.
 
-        The groups run in schedule order, and a failing run raises the
-        error of the first group that fails."""
+        The groups run in order, and a failing run raises the error of the
+        first group that fails."""
         return self._fill(HermJet.constant(0.0, center, holo_order, anti_order))
 
     def _fill(self, template: HermJet) -> np.ndarray:
@@ -518,7 +519,7 @@ class JetProgram:
         p, q, dim, points = (template.holo_order, template.anti_order, template.dim,
                              template.points)
         na, nb = template.coeffs.shape[-4:-2]
-        buf = np.empty((len(self._rows),) + points + (na, nb), dtype=np.complex128)
+        buf = np.empty((len(self.ops),) + points + (na, nb), dtype=np.complex128)
         per_op = (-1,) + (1,) * len(points)  # a per-op scalar over the points
         first, second, literal = self._columns
         for code, start, stop, params in self._schedule:
@@ -566,8 +567,8 @@ class JetProgram:
         stacked on the point axis (k P points at P centers, k at one)."""
         template = HermJet.constant(0.0, center, holo_order, anti_order)
         buf = self._fill(template)
-        k = len(self._out) // (size * size)
-        entries = buf[self._out].reshape((k, size, size) + buf.shape[1:])
+        k = len(self.outputs) // (size * size)
+        entries = buf[self.outputs].reshape((k, size, size) + buf.shape[1:])
         # (k, size, size, *P, Na, Nb) -> (k, *P, Na, Nb, size, size)
         coeffs = np.moveaxis(entries, (1, 2), (-2, -1))
         if k == 1:

@@ -359,8 +359,12 @@ class TestMain:
         ("alongz-fock-pair.yaml", "order: null", "order must be an integer; got None"),
         ("alongz-fock-pair.yaml", "seed: 1.0", "seed must be an integer; got 1.0"),
         ("alongz-fock-pair.yaml", "seed: false", "seed must be an integer; got False"),
-        ("alongz-fock-pair.yaml", "tolerance: .inf", "tolerance must be positive and finite"),
-        ("alongz-fock-pair.yaml", "tolerance: .nan", "tolerance must be positive and finite"),
+        ("alongz-fock-pair.yaml", "seed: -1", "seed must be a non-negative integer; got -1"),
+        ("alongz-fock-pair.yaml", "tolerance: .inf", "tolerance must be finite; got inf"),
+        ("alongz-fock-pair.yaml", "tolerance: .nan", "tolerance must be finite; got nan"),
+        pytest.param("alongz-fock-pair.yaml", f"tolerance: {'9' * 400}",
+                     f"tolerance: cannot read {'9' * 400} as a number",
+                     id="alongz-fock-pair.yaml-tolerance: 400 digits"),
         ("alongz-fock-pair.yaml", "tolerance: true", "tolerance: cannot read True"),
         ("alongz-fock-pair.yaml", "tolerance: null", "tolerance: cannot read None"),
         ("verify-appendix.yaml", "appendix_bound: 6.0", "appendix_bound must be an integer"),
@@ -492,11 +496,23 @@ class TestMain:
     def test_tolerance_override_must_be_finite(self, capsys, value):
         config = str(CONFIG_DIR / "alongz-fock-pair.yaml")
         assert main(["--config", config, f"--tolerance={value}"]) == EXIT_INPUT_ERROR
-        assert "tolerance must be positive and finite" in capsys.readouterr().err
+        message = (f"tolerance must be finite; got {float(value)!r}" if value != "0" else
+                   "tolerance must be positive and finite; got 0.0")
+        assert capsys.readouterr().err == f"jetcontact: input error: {message}\n"
+
+    @pytest.mark.parametrize("config", sorted(path.name for path in CONFIG_DIR.glob("*.yaml")))
+    def test_negative_seed_is_refused_by_name(self, tmp_path, capsys, config):
+        # refused while the config is read, whatever the task
+        out = tmp_path / "r.json"
+        assert main(["--config", str(CONFIG_DIR / config), "--seed", "-1",
+                     "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            "jetcontact: input error: seed must be a non-negative integer; got -1\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("value,message", [
-        ("nan", "tolerance (from JETCONTACT_TOLERANCE) must be positive and finite"),
-        ("inf", "tolerance (from JETCONTACT_TOLERANCE) must be positive and finite"),
+        ("nan", "tolerance (from JETCONTACT_TOLERANCE) must be finite; got 'nan'"),
+        ("inf", "tolerance (from JETCONTACT_TOLERANCE) must be finite; got 'inf'"),
         ("tiny", "tolerance (from JETCONTACT_TOLERANCE): cannot read 'tiny' as a number"),
     ])
     def test_tolerance_from_the_environment_is_checked(self, tmp_path, capsys, monkeypatch,

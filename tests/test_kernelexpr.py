@@ -1,5 +1,6 @@
 """Expression grammar, evaluation, and bundle specifications."""
 
+import itertools
 from collections import Counter
 from math import factorial
 
@@ -33,7 +34,8 @@ class TestParser:
         for text, value, canonical in [("1", 1.0 + 0j, "1"), ("2.5i", 2.5j, "2.5i"),
                                        ("1+2i", 1 + 2j, "(1 + 2i)"), ("0i", 0j, "0")]:
             expr = parse_kernel(text)
-            assert (expr.ops, expr.output, expr.text()) == ((), value, canonical)
+            assert (expr.ops, expr.output, expr.text()) == ((("const", value, None),), 0,
+                                                            canonical)
 
     def test_power_node(self):
         # an integer power is the products of repeated squaring, after an
@@ -56,6 +58,9 @@ class TestParser:
         assert expr.text() == "exp(((z1 * zb1) + (z2 * zb2)))"
         assert expr.ops[expr.output][0] == "exp"
         assert (expr.max_var, expr.conjugated) == (2, True)
+        # a variable is one op, however often it occurs
+        assert [op for op in parse_kernel("z1*zb1 + zb1*z1^2").ops if op[0] == "var"] == [
+            ("var", 0, False), ("var", 0, True)]
 
     def test_caret_power(self):
         assert parse_kernel("z1^3") == parse_kernel("pow(z1, 3)")
@@ -397,6 +402,9 @@ def count_calls(monkeypatch, names) -> Counter:
 # two.  The report bytes rest on these programs.  The integer powers were
 # re-recorded when they became products: each is the chain of products the
 # power method multiplied, after an inverse if negative, or the constant 1.
+# They were re-recorded once more when ops came to be numbered in schedule
+# order: each is the earlier program permuted, with a literal-only output
+# now a const op of its own.
 PINNED_PROGRAMS = [
     (['2*3 + z1'], [
         "[('var', 0, False), ('shift', 0, (6+0j))]",
@@ -409,9 +417,9 @@ PINNED_PROGRAMS = [
         '[(1, 0), (1, 0), (1, 0)]',
     ]),
     (['-(-2)'], [
-        '[]',
-        '[(2+0j)]',
-        '[]',
+        "[('const', (2+0j), None)]",
+        '[0]',
+        '[(0, 0)]',
     ]),
     (['z1/2'], [
         "[('var', 0, False), ('const', (2+0j), None), ('inv', 1, None), ('__mul__', 0, 2)]",
@@ -429,39 +437,39 @@ PINNED_PROGRAMS = [
         '[(0, 0), None]',
     ]),
     (['z1^3 * zb1^-2 + pow(z2, -1) - (1 + z1)^0'], [
-        "[('var', 0, False), ('__mul__', 0, 0), ('__mul__', 0, 1), ('var', 0, True), ('inv',"
-        " 3, None), ('__mul__', 4, 4), ('__mul__', 2, 5), ('var', 1, False), ('inv', 7, None),"
-        " ('__add__', 6, 8), ('shift', 0, (1+0j)), ('const', (1+0j), None), ('__sub__', 9, "
-        "11)]",
+        "[('var', 0, False), ('var', 0, True), ('var', 1, False), ('const', (1+0j), None),"
+        " ('__mul__', 0, 0), ('inv', 1, None), ('inv', 2, None), ('shift', 0, (1+0j)),"
+        " ('__mul__', 0, 4), ('__mul__', 5, 5), ('__mul__', 8, 9), ('__add__', 10, 6),"
+        " ('__sub__', 11, 3)]",
         '[12]',
-        '[(1, 0), (2, 0), (3, 0), (0, 1), None, None, None, (1, 0), None, None, (1, 0), (0, 0),'
+        '[(1, 0), (0, 1), (1, 0), (0, 0), (2, 0), None, None, (1, 0), (3, 0), None, None, None,'
         ' None]',
     ]),
     (['exp(z1*zb1) * (1 + exp(z1*zb1))'], [
-        "[('var', 0, False), ('var', 0, True), ('__mul__', 0, 1), ('exp', 2, None), ('shift',"
-        " 3, (1+0j)), ('__mul__', 3, 4)]",
+        "[('var', 0, False), ('var', 0, True), ('__mul__', 0, 1), ('exp', 2, None), ('shift', 3,"
+        " (1+0j)), ('__mul__', 3, 4)]",
         '[5]',
         '[(1, 0), (0, 1), (1, 1), None, None, None]',
     ]),
     (['exp(z1*zb2) * pow(1 + z1*zb2, -1.5)', '2*exp(z1*zb2) - zb1/(3 - z1^2)'], [
-        "[('var', 0, False), ('var', 1, True), ('__mul__', 0, 1), ('exp', 2, None), ('shift',"
-        " 2, (1+0j)), ('power', 4, -1.5), ('__mul__', 3, 5), ('scale', 3, (2+0j)), ('var', 0,"
-        " True), ('__mul__', 0, 0), ('__neg__', 9, None), ('shift', 10, (3+0j)), ('inv', 11, "
-        "None), ('__mul__', 8, 12), ('__sub__', 7, 13)]",
-        '[6, 14]',
-        '[(1, 0), (0, 1), (1, 1), None, (1, 1), None, None, None, (0, 1), (2, 0), (2, 0), (2,'
-        ' 0), None, None, None]',
+        "[('var', 0, False), ('var', 1, True), ('var', 0, True), ('__mul__', 0, 1), ('__mul__',"
+        " 0, 0), ('exp', 3, None), ('shift', 3, (1+0j)), ('__neg__', 4, None), ('power', 6,"
+        " -1.5), ('scale', 5, (2+0j)), ('shift', 7, (3+0j)), ('__mul__', 5, 8), ('inv', 10,"
+        " None), ('__mul__', 2, 12), ('__sub__', 9, 13)]",
+        '[11, 14]',
+        '[(1, 0), (0, 1), (0, 1), (1, 1), (2, 0), None, (1, 1), (2, 0), None, None, (2, 0), None,'
+        ' None, None, None]',
     ]),
     (['(1 + 2i)*z1 - 2 - zb2 + (1+1i)/(2-1i)*z1*zb1 - -log(1 + 0.5*z1*zb1)', '-z1*(-zb1) - 3i'], [
-        "[('var', 0, False), ('scale', 0, (1+2j)), ('shift', 1, (-2-0j)), ('var', 1, True), "
-        "('__sub__', 2, 3), ('const', (2-1j), None), ('inv', 5, None), ('scale', 6, (1+1j)), "
-        "('__mul__', 7, 0), ('var', 0, True), ('__mul__', 8, 9), ('__add__', 4, 10), "
-        "('scale', 0, (0.5+0j)), ('__mul__', 12, 9), ('shift', 13, (1+0j)), ('log', 14, "
-        "None), ('__neg__', 15, None), ('__sub__', 11, 16), ('__neg__', 0, None), ('__neg__',"
-        " 9, None), ('__mul__', 18, 19), ('shift', 20, (-0-3j))]",
-        '[17, 21]',
-        '[(1, 0), (1, 0), (1, 0), (0, 1), (1, 1), (0, 0), None, None, None, (0, 1), None, '
-        'None, (1, 0), (1, 1), (1, 1), None, None, None, (1, 0), (0, 1), (1, 1), (1, 1)]',
+        "[('var', 0, False), ('var', 1, True), ('var', 0, True), ('const', (2-1j), None),"
+        " ('scale', 0, (1+2j)), ('scale', 0, (0.5+0j)), ('inv', 3, None), ('__neg__', 0, None),"
+        " ('__neg__', 2, None), ('shift', 4, (-2-0j)), ('scale', 6, (1+1j)), ('__mul__', 5, 2),"
+        " ('__mul__', 7, 8), ('__sub__', 9, 1), ('__mul__', 10, 0), ('shift', 11, (1+0j)),"
+        " ('shift', 12, (-0-3j)), ('__mul__', 14, 2), ('log', 15, None), ('__add__', 13, 17),"
+        " ('__neg__', 18, None), ('__sub__', 19, 20)]",
+        '[21, 16]',
+        '[(1, 0), (0, 1), (0, 1), (0, 0), (1, 0), (1, 0), None, (1, 0), (0, 1), (1, 0), None, (1,'
+        ' 1), (1, 1), (1, 1), None, (1, 1), (1, 1), None, None, None, None, None]',
     ]),
 ]
 
@@ -491,8 +499,18 @@ class TestJetProgram:
         text = "exp(z1*zb2) * pow(1 + z1*zb2, -1.5)"
         program = JetProgram([parse_kernel(text), parse_kernel(f"2*{text} + exp(z1*zb2)")])
         assert [code for code, _, _ in program.ops].count("exp") == 1
-        assert program.max_var == 2 and program.conjugated
-        assert not JetProgram([parse_kernel("z1 + 1")]).conjugated
+
+    def test_literal_ops_merge_exactly_when_their_bits_agree(self):
+        # zeros of every sign in either part, and equal values written apart;
+        # a literal-only output is an op and merges the same way
+        texts = ["0", "-0", "0 - 0", "0*(-1)", "-(0*(-1))", "2", "-(-2)", "-2", "0 - 2", "2i",
+                 "-(0 - 2i)", "1 + 2i", "-(-1 - 2i)"]
+        values = [parse_kernel(text).ops[-1][1] for text in texts]
+        for form in ("{}", "z1*({})", "z1 + ({})"):
+            for (s, x), (t, y) in itertools.product(zip(texts, values), repeat=2):
+                program = JetProgram([parse_kernel(form.format(s)), parse_kernel(form.format(t))])
+                merged = program.outputs[0] == program.outputs[1]
+                assert merged == (repr(x) == repr(y)), (form, s, t)
 
     def test_shared_kernels_evaluated_once_per_gram_jet(self, monkeypatch):
         e, p = "exp(z1*zb1)", "pow(1 + 0.5*z1*zb1, -1.5)"
@@ -606,11 +624,9 @@ class TestLevelSchedule:
             buf = program.run(center, p, q)
             matrix = program.matrix_jet(1, center, p, q)
         for k, jet in enumerate(reference):
-            row = buf[program._rows[k]]
-            assert row.tobytes() == jet.coeffs[..., 0, 0].tobytes(), program.ops[k]
+            assert buf[k].tobytes() == jet.coeffs[..., 0, 0].tobytes(), program.ops[k]
         # every output, each in turn on the point axis
-        outputs = [reference[out].coeffs if isinstance(out, int) else
-                   HermJet.constant(out, center, p, q).coeffs for out in program.outputs]
+        outputs = [reference[out].coeffs for out in program.outputs]
         assert matrix.coeffs.tobytes() == np.concatenate(
             [np.reshape(c, (-1,) + c.shape[-4:]) for c in outputs]).tobytes()
         assert matrix.points == ((len(outputs) * len(centers),) if grid else
@@ -619,15 +635,21 @@ class TestLevelSchedule:
     def test_schedule_groups_by_level_code_and_bounds(self):
         program = JetProgram([parse_kernel("exp(z1*zb1) * (1 + z1) + (2*z1 - zb1)^2"),
                               parse_kernel("exp(z1*zb1) * zb1 + 3*zb1")])
-        # ops: 0 z1, 1 zb1, 2 z1*zb1, 3 exp, 4 1 + z1, 5 exp*(1 + z1), 6 2*z1,
-        # 7 2*z1 - zb1, 8 its square, 9 5 + 8, 10 exp*zb1, 11 3*zb1, 12 10 + 11
-        ops_of = {row: k for k, row in enumerate(program._rows)}
-        steps = [(code, [ops_of[row] for row in range(start, stop)], shared)
+        # ops in schedule order: 0 z1, 1 zb1, 2 z1*zb1, 3 1 + z1, 4 2*z1, 5 3*zb1,
+        # 6 exp, 7 2*z1 - zb1, 8 exp*(1 + z1), 9 the square of 7, 10 exp*zb1,
+        # 11 8 + 9, 12 10 + 5
+        assert program.ops == [
+            ("var", 0, False), ("var", 0, True), ("__mul__", 0, 1), ("shift", 0, 1 + 0j),
+            ("scale", 0, 2 + 0j), ("scale", 1, 3 + 0j), ("exp", 2, None), ("__sub__", 4, 1),
+            ("__mul__", 6, 3), ("__mul__", 7, 7), ("__mul__", 6, 1), ("__add__", 8, 9),
+            ("__add__", 10, 5)]
+        assert program.outputs == [11, 12]
+        steps = [(code, list(range(start, stop)), shared)
                  for code, start, stop, shared in program._schedule]
-        assert [(code, slots) for code, slots, _ in steps] == [
-            ("var", [0, 1]), ("__mul__", [2]), ("shift", [4]), ("scale", [6, 11]),
-            ("exp", [3]), ("__sub__", [7]), ("__mul__", [5]), ("__mul__", [8]),
-            ("__mul__", [10]), ("__add__", [9, 12])]
+        assert [(code, ops) for code, ops, _ in steps] == [
+            ("var", [0, 1]), ("__mul__", [2]), ("shift", [3]), ("scale", [4, 5]),
+            ("exp", [6]), ("__sub__", [7]), ("__mul__", [8]), ("__mul__", [9]),
+            ("__mul__", [10]), ("__add__", [11, 12])]
         # products of different factor bounds are different steps; the square
         # is a product of two factors of bound (1, 1)
         assert [parameter for code, _, parameter in steps if code == "__mul__"] == [
@@ -668,10 +690,8 @@ class TestDegreeBounds:
         for center in (centers[0], centers):
             buf = program.run(center, 4, 3)
             for op in program.outputs:
-                if isinstance(op, complex):
-                    continue
                 a, b = program.degrees[op]
-                row = buf[program._rows[op]]
+                row = buf[op]
                 assert not np.any(row[..., table_size(2, min(a, 4)):, :])
                 assert not np.any(row[..., :, table_size(2, min(b, 3)):])
 
@@ -747,6 +767,16 @@ class TestGramJetAtPoints:
         assert pair.points == (6,)
         for k, single in enumerate(singles[0] + singles[1]):
             assert pair.coeffs[k].tobytes() == single.coeffs.tobytes()
+
+    @pytest.mark.parametrize("center", [(0.3 - 0.2j,), [(0.3 - 0.2j,), (-0.1 + 0.4j,)]])
+    def test_pair_halves_keep_the_sign_of_a_zero_literal(self, center):
+        # 0 and -0 compare equal but scale to zeros of other signs, so they are
+        # two ops and each half of the pair is bit for bit its bundle alone
+        a = BundleSpec("a", 1, [["1 + z1*zb1*0"]])
+        b = BundleSpec("b", 1, [["1 + z1*zb1*(-0)"]])
+        pair = a.gram_jet(center, 2, 2, b).coeffs.reshape((2, -1))
+        for half, spec in zip(pair, (a, b)):
+            assert half.tobytes() == spec.gram_jet(center, 2, 2).coeffs.tobytes()
 
     def test_failing_point_named_as_alone(self):
         # the Gram [[1, z2], [zb2, 1]] is singular at |z2| = 1 and indefinite beyond
