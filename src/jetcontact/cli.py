@@ -47,14 +47,6 @@ from .wordcalc import verify_appendix
 
 SCHEMA_VERSION = "1"
 TOLERANCE_ENV = "JETCONTACT_TOLERANCE"
-TASKS = (
-    "pointwise",
-    "along-z",
-    "curvature",
-    "verify-recursions",
-    "verify-appendix",
-    "rkhs-quotient",
-)
 
 EXIT_VERIFIED = 0
 EXIT_REFUTED = 1
@@ -78,41 +70,63 @@ class RunConfig:
     out: str = None
     appendix_bound: int = None
 
-    @property
-    def bundle_a(self) -> BundleSpec:
-        return self.bundles[0]
 
-    @property
-    def bundle_b(self) -> BundleSpec:
-        return self.bundles[1]
-
-
-def _finite(value, where: str) -> float:
-    """A finite real number from a number or a numeric string (not a bool)."""
+def _finite(value, where: str, read=float):
+    """`read(value)`, a finite real (or, with `read=complex`, complex) number
+    from a number or a numeric string (not a bool)."""
     try:
         if isinstance(value, bool):
             raise TypeError
-        x = float(value)
+        x = read(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: cannot read {value!r} as a number") from None
-    if not math.isfinite(x):
+    if not (math.isfinite(x.real) and math.isfinite(x.imag)):
         raise ConfigError(f"{where} must be finite; got {value!r}")
     return x
 
 
+def _integer(value, where: str, least: int = None) -> int:
+    """`value`, an integer (not a bool or a float) of at least `least`, 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer; got {value!r}")
+    if least is not None and value < least:
+        kind = "a positive" if least == 1 else "a non-negative"
+        raise ConfigError(f"{where} must be {kind} integer; got {value}")
+    return value
+
+
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string; got {value!r}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list; got {value!r}")
+    return value
+
+
+def _optional(raw: dict, key: str, read):
+    """`read` of the value at `key`, or None where it is absent or null."""
+    value = raw.get(key)
+    return None if value is None else read(value, key)
+
+
+def _known(node: dict, keys, where: str) -> None:
+    """Refuse any key of the mapping `node` that is not among `keys`."""
+    for key in node:
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+
+
 def _parse_scalar(value, where: str) -> complex:
     if isinstance(value, str):
-        try:
-            z = complex(value.replace(" ", "").replace("i", "j"))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: cannot read {value!r} as a number") from exc
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ConfigError(f"{where} must be finite; got {value!r}")
-        return z
+        return _finite(value, where, lambda s: complex(s.replace(" ", "").replace("i", "j")))
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_finite(value[0], where), _finite(value[1], where))
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(_finite(value, where))
+        return _finite(value, where, complex)
     raise ConfigError(f"{where}: expected a number, 'a+bi' string, or [re, im] pair")
 
 
@@ -134,22 +148,29 @@ def _expression_grid(value, where: str) -> list:
 def _parse_bundle(node, where: str) -> BundleSpec:
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: expected a mapping with label/dimension/gram")
+    _known(node, ("label", "dimension", "rank", "gram"), where)
+    for key in ("dimension", "gram"):
+        if key not in node:
+            raise ConfigError(f"{where}: missing key {key!r}")
+    label = _text(node.get("label", where), f"{where}.label")
+    dim = _integer(node["dimension"], f"{where}.dimension", 1)
+    gram = _expression_grid(node["gram"], f"{where}: gram")
     try:
-        label = node.get("label", where)
-        dim = int(node["dimension"])
-        gram = _expression_grid(node["gram"], f"{where}: gram")
-    except KeyError as exc:
-        raise ConfigError(f"{where}: missing key {exc.args[0]!r}") from exc
-    try:
-        return BundleSpec(label, dim, gram)
+        spec = BundleSpec(label, dim, gram)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    # the config echo writes the rank, so it is read back as a check
+    if "rank" in node and _integer(node["rank"], f"{where}.rank") != spec.rank:
+        raise ConfigError(f"{where}.rank must be {spec.rank}, the size of its gram; "
+                          f"got {node['rank']}")
+    return spec
 
 
 def _expand_grid(node, dim: int) -> list:
     """Rectangular grid on Z: per-coordinate ranges for z2..zm (z1 stays 0)."""
     if not isinstance(node, dict):
         raise ConfigError("grid must be a mapping from z2..zm to ranges")
+    _known(node, [f"z{j}" for j in range(2, dim + 1)], "grid")
     axes = []
     for j in range(2, dim + 1):
         key = f"z{j}"
@@ -160,11 +181,10 @@ def _expand_grid(node, dim: int) -> list:
         where = f"grid.{key}"
         if not isinstance(spec, dict):
             raise ConfigError(f"{where} must be a mapping with re, im, count_re, count_im")
+        _known(spec, ("re", "im", "count_re", "count_im"), where)
         (re_lo, re_hi), (im_lo, im_hi) = (_range(spec, k, where) for k in ("re", "im"))
-        n_re, n_im = (_integer(spec, k, 1, f"{where}.{k}") for k in ("count_re", "count_im"))
-        for k, n in (("count_re", n_re), ("count_im", n_im)):
-            if n < 1:
-                raise ConfigError(f"{where}.{k} must be positive; got {n}")
+        n_re, n_im = (_integer(spec.get(k, 1), f"{where}.{k}", 1)
+                      for k in ("count_re", "count_im"))
         res = np.linspace(re_lo, re_hi, n_re)
         ims = np.linspace(im_lo, im_hi, n_im)
         axes.append([complex(r, i) for r in res for i in ims])
@@ -198,18 +218,6 @@ def load_config(path: str, overrides: dict = None) -> RunConfig:
     return build_config(raw)
 
 
-def _integer(raw: dict, key: str, default, name: str = None):
-    """The integer at `key`, `default` if absent (or null where the default
-    is None); a bool, a float or any other type is an error naming the key
-    (as `name`, if given)."""
-    value = raw.get(key, default)
-    if value is None and default is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name or key} must be an integer; got {value!r}")
-    return value
-
-
 def _tolerance(raw: dict) -> float:
     """The tolerance from the config (or its override), else from the
     environment, else 1e-8: a finite positive number wherever it comes from."""
@@ -224,54 +232,39 @@ def _tolerance(raw: dict) -> float:
 
 
 def build_config(raw: dict) -> RunConfig:
+    _known(raw, ("task", "order", "tolerance", "seed", "bundles", "points", "grid",
+                 "candidate", "out", "appendix_bound"), "config")
     task = raw.get("task")
-    if task not in TASKS:
+    if not (isinstance(task, str) and task in TASKS):
         raise ConfigError(f"task must be one of {', '.join(TASKS)}; got {task!r}")
+    needed = TASKS[task][0]
     cfg = RunConfig(
         task=task,
-        order=_integer(raw, "order", 1),
+        # verify-appendix reads the order only as the default of its bound
+        order=_integer(raw.get("order", 1), "order", 1 if needed else None),
         tolerance=_tolerance(raw),
-        seed=_integer(raw, "seed", 0),
-        out=raw.get("out"),
-        appendix_bound=_integer(raw, "appendix_bound", None),
+        seed=_integer(raw.get("seed", 0), "seed", 0),
+        out=_optional(raw, "out", _text),
+        appendix_bound=_optional(raw, "appendix_bound", _integer),
+        bundles=[_parse_bundle(node, f"bundles[{k}]")
+                 for k, node in enumerate(_list(raw.get("bundles", []), "bundles"))],
+        candidate=_optional(raw, "candidate", _expression_grid),
     )
-    if cfg.order < 1 and task != "verify-appendix":
-        raise ConfigError("order must be >= 1")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer; got {cfg.seed}")
-
-    bundles = raw.get("bundles", [])
-    cfg.bundles = [
-        _parse_bundle(node, f"bundles[{k}]") for k, node in enumerate(bundles)
-    ]
-    needed = {"pointwise": 2, "along-z": 2, "rkhs-quotient": 2,
-              "curvature": 1, "verify-recursions": 1}.get(task, 0)
     if len(cfg.bundles) < needed:
         raise ConfigError(f"task {task!r} needs {needed} bundle(s)")
     for a in cfg.bundles[1:]:
         if a.dimension != cfg.bundles[0].dimension or a.rank != cfg.bundles[0].rank:
             raise ConfigError("bundles must share dimension and rank")
-
+    if "grid" in raw and task != "along-z":
+        raise ConfigError("grid specifications only apply to along-z")
+    points = _list(raw.get("points", []), "points")
     if needed:
         dim = cfg.bundles[0].dimension
-        pts = [
-            _parse_point(p, dim, f"points[{k}]")
-            for k, p in enumerate(raw.get("points", []))
-        ]
+        cfg.points = [_parse_point(p, dim, f"points[{k}]") for k, p in enumerate(points)]
         if "grid" in raw:
-            if task != "along-z":
-                raise ConfigError("grid specifications only apply to along-z")
-            pts.extend(_expand_grid(raw["grid"], dim))
-        if not pts:
+            cfg.points.extend(_expand_grid(raw["grid"], dim))
+        if not cfg.points:
             raise ConfigError("no evaluation points given (points or grid)")
-        if task == "along-z":
-            for p in pts:
-                if abs(p[0]) > 1e-12:
-                    raise ConfigError(f"along-z point {p} has z1 != 0")
-        cfg.points = pts
-
-    if raw.get("candidate") is not None:
-        cfg.candidate = _expression_grid(raw["candidate"], "candidate")
     return cfg
 
 
@@ -289,8 +282,8 @@ def _cmat(mat: np.ndarray) -> list:
 
 def _run_contact(cfg: RunConfig) -> tuple[dict, str]:
     problem = ContactProblem(
-        bundle_a=cfg.bundle_a,
-        bundle_b=cfg.bundle_b,
+        bundle_a=cfg.bundles[0],
+        bundle_b=cfg.bundles[1],
         order=cfg.order,
         mode=cfg.task,
         points=cfg.points,
@@ -310,7 +303,7 @@ def _run_curvature(cfg: RunConfig) -> tuple[dict, str]:
 def _curvature_at(cfg: RunConfig, points) -> list:
     """The curvature values and towers at every point of `points`; one entry
     per point."""
-    spec, n = cfg.bundle_a, cfg.order
+    spec, n = cfg.bundles[0], cfg.order
     dims = range(1, spec.dimension + 1)
     # the towers read derivatives of orders <= n in z and in zbar
     h = spec.gram_jet(points, n, n)
@@ -336,7 +329,7 @@ def _run_recursions(cfg: RunConfig) -> tuple[dict, str]:
 def _recursions_at(cfg: RunConfig, points) -> list:
     """The recursions against the direct jets of one table of connection and
     curvature jets, at every point of `points`; one entry per point."""
-    spec, n = cfg.bundle_a, cfg.order
+    spec, n = cfg.bundles[0], cfg.order
     dims = range(1, spec.dimension + 1)
     # orders (n+1, n+1): the adjoint-derivative check takes a z-derivative
     # of the curvature, which is one order short of the jet
@@ -383,9 +376,9 @@ def _run_appendix(cfg: RunConfig) -> tuple[dict, str]:
 def _run_rkhs(cfg: RunConfig) -> tuple[dict, str]:
     if len(cfg.points) != 1:
         raise ConfigError("rkhs-quotient expects exactly one base point")
-    check_direct_size(cfg.bundle_a, cfg.order)
+    check_direct_size(cfg.bundles[0], cfg.order)
     z0 = cfg.points[0]
-    a, b = quotient_models(cfg.bundle_a, cfg.bundle_b, z0, cfg.order)
+    a, b = quotient_models(cfg.bundles[0], cfg.bundles[1], z0, cfg.order)
     rep = unitary_equiv_check(a, b, cfg.tolerance, cfg.seed)
     body = rep.as_dict()
     body["point"] = [_cnum(c) for c in z0]
@@ -393,16 +386,20 @@ def _run_rkhs(cfg: RunConfig) -> tuple[dict, str]:
     return body, verdict
 
 
+# every task: the bundles it reads (with none, no points) and its runner
+TASKS = {
+    "pointwise": (2, _run_contact),
+    "along-z": (2, _run_contact),
+    "curvature": (1, _run_curvature),
+    "verify-recursions": (1, _run_recursions),
+    "verify-appendix": (0, _run_appendix),
+    "rkhs-quotient": (2, _run_rkhs),
+}
+
+
 def run(cfg: RunConfig) -> dict:
     """Dispatch a validated config; returns the report document."""
-    results, verdict = {  # the task is one of TASKS, checked by build_config
-        "pointwise": _run_contact,
-        "along-z": _run_contact,
-        "curvature": _run_curvature,
-        "verify-recursions": _run_recursions,
-        "verify-appendix": _run_appendix,
-        "rkhs-quotient": _run_rkhs,
-    }[cfg.task](cfg)
+    results, verdict = TASKS[cfg.task][1](cfg)
     exit_code = {
         VERIFIED: EXIT_VERIFIED,
         "completed": EXIT_VERIFIED,
@@ -461,8 +458,11 @@ def _emit(document: dict, out_path) -> None:
     text = json.dumps(_strict_json(document), indent=2, sort_keys=True,
                       allow_nan=False)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write report {out_path!r}: {exc}") from exc
     else:
         print(text)
 
@@ -491,11 +491,10 @@ def main(argv=None) -> int:
             "seed": args.seed, "out": args.out,
         })
         document = run(cfg)
+        _emit(document, cfg.out)
     except (ValueError, ArithmeticError) as exc:  # ConfigError, ParseError, LinAlgError too
         print(f"jetcontact: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-
-    _emit(document, cfg.out)
     return document["exit_code"]
 
 

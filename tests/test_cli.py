@@ -1,12 +1,19 @@
 """Config ingestion, report emission, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import math
+import os
 import pathlib
+import tempfile
 import warnings
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jetcontact.cli import (
     ConfigError,
@@ -69,10 +76,10 @@ class TestConfig:
         assert cfg.points[1][0] == 0.0
 
     def test_off_slice_point_rejected(self):
-        with pytest.raises(ConfigError, match="z1"):
-            build_config(
-                {"task": "along-z", "order": 1, "points": [[0.2, 0.0]], **FOCK_PAIR}
-            )
+        # refused by the contact problem, before any Gram is evaluated
+        cfg = build_config({"task": "along-z", "order": 1, "points": [[0.2, 0.0]], **FOCK_PAIR})
+        with pytest.raises(ValueError, match="does not lie on the slice z1 = 0"):
+            run(cfg)
 
     def test_grid_expansion(self):
         cfg = build_config(
@@ -110,7 +117,7 @@ class TestConfig:
         bundle = {"label": "g", "dimension": 1, "gram": "exp(z1*zb1)"}
         cfg = build_config({"task": "pointwise", "points": [[0.1]], "candidate": "1 + z1",
                             "bundles": [bundle, dict(bundle)]})
-        assert cfg.bundle_a.entries == [[parse_kernel("exp(z1*zb1)")]]
+        assert cfg.bundles[0].entries == [[parse_kernel("exp(z1*zb1)")]]
         assert cfg.candidate == [["1 + z1"]]
 
     def test_env_var_default_tolerance(self, monkeypatch):
@@ -383,8 +390,8 @@ class TestMain:
     @pytest.mark.parametrize("z2,message", [
         ({"re": [-0.2, 0.2], "count_re": 2.5}, "grid.z2.count_re must be an integer; got 2.5"),
         ({"re": [-0.2, 0.2], "count_re": True}, "grid.z2.count_re must be an integer; got True"),
-        ({"re": [-0.2, 0.2], "count_re": -1}, "grid.z2.count_re must be positive; got -1"),
-        ({"im": [0.0, 0.1], "count_im": 0}, "grid.z2.count_im must be positive; got 0"),
+        ({"re": [-0.2, 0.2], "count_re": -1}, "grid.z2.count_re must be a positive integer; got -1"),
+        ({"im": [0.0, 0.1], "count_im": 0}, "grid.z2.count_im must be a positive integer; got 0"),
         ({"re": [-0.2, math.inf], "count_re": 2}, "grid.z2.re must be finite; got inf"),
         ({"im": [math.nan, 0.1], "count_im": 2}, "grid.z2.im must be finite; got nan"),
         ({"re": [-0.2, True], "count_re": 2}, "grid.z2.re: cannot read True as a number"),
@@ -431,7 +438,7 @@ class TestMain:
         (fock_config(task="along-z", grid=[1]), "grid must be a mapping from z2..zm to ranges"),
         (fock_config(grid={"z2": {"re": [-0.2, 0.2], "count_re": 2}}),
          "grid specifications only apply to along-z"),
-        (fock_config(order=0), "order must be >= 1"),
+        (fock_config(order=0), "order must be a positive integer; got 0"),
         (fock_config(bundles=[FOCK_PAIR["bundles"][0],
                               {"label": "b", "dimension": 1, "gram": "exp(z1*zb1)"}]),
          "bundles must share dimension and rank"),
@@ -454,12 +461,56 @@ class TestMain:
                        "gram": [["log(exp(z1*zb1) - 3)", "0"], ["0", "1/(z1*zb1)"]]}]},
          "constant term is singular"),
         (fock_config(order=1, points=[[0.0]], bundles=[DEAD, DEAD]), LOG),
+        # every key is read by name: a value of the wrong type or out of
+        # bounds, and a key the config does not have, are refused
+        (fock_config(bundles=[dict(FOCK_PAIR["bundles"][0], dimension=2.7),
+                              FOCK_PAIR["bundles"][1]]),
+         "bundles[0].dimension must be an integer; got 2.7"),
+        (fock_config(bundles=[dict(FOCK_PAIR["bundles"][0], dimension=True),
+                              FOCK_PAIR["bundles"][1]]),
+         "bundles[0].dimension must be an integer; got True"),
+        (fock_config(task="along-z", points=[[]],
+                     bundles=[{"label": label, "dimension": 0, "gram": "1"} for label in "ab"]),
+         "bundles[0].dimension must be a positive integer; got 0"),
+        (fock_config(bundles=[dict(FOCK_PAIR["bundles"][0], dimension=-1),
+                              FOCK_PAIR["bundles"][1]]),
+         "bundles[0].dimension must be a positive integer; got -1"),
+        (fock_config(bundles=5), "bundles must be a list; got 5"),
+        (fock_config(points=5), "points must be a list; got 5"),
+        (fock_config(task="along-z", points=None, grid={"z2": {"re": [0.0, 0.1], "count_re": 2}}),
+         "points must be a list; got None"),
+        (fock_config(tolerence=1e-30), "config: unknown key 'tolerence'"),
+        (fock_config(task="along-z", points=[], grid={"z3": {"re": [0.0, 0.1], "count_re": 2}}),
+         "grid: unknown key 'z3'"),
+        (fock_config(task="along-z", grid={"z2": {"re": [0.0, 0.1], "count": 2}}),
+         "grid.z2: unknown key 'count'"),
+        (fock_config(bundles=[dict(FOCK_PAIR["bundles"][0], rank=7), FOCK_PAIR["bundles"][1]]),
+         "bundles[0].rank must be 1, the size of its gram; got 7"),
+        (fock_config(bundles=[FOCK_PAIR["bundles"][0], dict(FOCK_PAIR["bundles"][1], ranks=1)]),
+         "bundles[1]: unknown key 'ranks'"),
+        (fock_config(bundles=[dict(FOCK_PAIR["bundles"][0], label=5), FOCK_PAIR["bundles"][1]]),
+         "bundles[0].label must be a string; got 5"),
     ])
     def test_config_input_errors(self, tmp_path, capsys, payload, message):
         path = write_config(tmp_path, payload)
         assert main(["--config", path, "--out", str(tmp_path / "r.json")]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == f"jetcontact: input error: {message}\n"
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("out,flags,message", [
+        (5, [], "out must be a string; got 5"),
+        (None, ["--out", "missing/r.json"], "cannot write report 'missing/r.json': "
+         "[Errno 2] No such file or directory: 'missing/r.json'"),
+        (None, ["--out", "."], "cannot write report '.': [Errno 21] Is a directory: '.'"),
+    ])
+    def test_report_that_cannot_be_written_is_input_error(self, tmp_path, capsys, monkeypatch,
+                                                          out, flags, message):
+        # the whole task runs first; then writing the report fails
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, fock_config(out=out))
+        assert main(["--config", "run.yaml", *flags]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", f"jetcontact: input error: {message}\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["run.yaml"]
 
     def test_grid_of_z2_only_sets_z3_to_zero(self, tmp_path):
         bundle = {"label": "f", "dimension": 3, "gram": "exp(z1*zb1 + z2*zb2 + z3*zb3)"}
@@ -817,6 +868,53 @@ class TestMain:
         )
         assert main(["--config", path]) == EXIT_INPUT_ERROR
         assert f"input error: {message}" in capsys.readouterr().err
+
+
+# a small along-z config that holds every key and is verified; the property
+# below puts a value of any type at one of its keys, bundle or grid fields, or
+# point coordinates
+SMALL = {
+    "task": "along-z", "order": 1, "tolerance": 1e-8, "seed": 0, "appendix_bound": 3,
+    "bundles": [{"label": label, "dimension": 2, "rank": 1, "gram": "exp(z1*zb1 + z2*zb2)"}
+                for label in "ab"],
+    "points": [[0.0, 0.1]],
+    "grid": {"z2": {"re": [-0.1, 0.1], "im": [0.0, 0.0], "count_re": 2, "count_im": 1}},
+    "candidate": [["1"]], "out": "r.json",
+}
+SMALL_PATHS = ([(key,) for key in SMALL]
+               + [("bundles", k, key) for k in (0, 1) for key in SMALL["bundles"][0]]
+               + [("grid", "z2")] + [("grid", "z2", key) for key in SMALL["grid"]["z2"]]
+               + [("points", 0, 0), ("points", 0, 1)])
+# YAML values of every type; integers stay small, so no order or count makes
+# a large computation, and texts hold no path separator
+YAML_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.text("az01.+-i ", max_size=4), st.lists(st.integers(-1, 2), max_size=2),
+    st.dictionaries(st.sampled_from(["re", "z2", "label"]), st.integers(-1, 2), max_size=2))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(path=st.sampled_from(SMALL_PATHS), value=YAML_VALUES)
+@example(path=("seed",), value=0)  # SMALL itself
+def test_any_value_gives_a_verdict_or_one_input_error(path, value):
+    raw = copy.deepcopy(SMALL)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        pathlib.Path("run.yaml").write_text(yaml.safe_dump(raw), encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--config", "run.yaml"])
+        left = sorted(os.listdir())
+    if code == EXIT_INPUT_ERROR:
+        assert err.getvalue().startswith("jetcontact: input error: ")
+        assert err.getvalue().count("\n") == 1 and left == ["run.yaml"]
+    else:
+        assert code in (0, 1, 2) and err.getvalue() == ""
+    if yaml.safe_dump(raw) == yaml.safe_dump(SMALL):  # == would take False for 0
+        assert code == EXIT_VERIFIED and left == ["r.json", "run.yaml"]
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.yaml")))

@@ -422,7 +422,7 @@ class TestGramPair:
 
     def test_identical_bundles_share_every_op(self):
         cfg = build_config(yaml.safe_load((CONFIG_DIR / "alongz-fock-pair.yaml").read_text()))
-        a, b = cfg.bundle_a, cfg.bundle_b
+        a, b = cfg.bundles
         both = a.gram_jet(cfg.points, 2, 2, b)
         assert len(a._programs[b].ops) == len(JetProgram(a.entries[0]).ops)
         h, ht = GramPair(both, (len(cfg.points),)).split_jet(both)
