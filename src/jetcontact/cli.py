@@ -250,8 +250,11 @@ def build_config(raw: dict) -> RunConfig:
                  for k, node in enumerate(_list(raw.get("bundles", []), "bundles"))],
         candidate=_optional(raw, "candidate", _expression_grid),
     )
-    if len(cfg.bundles) < needed:
-        raise ConfigError(f"task {task!r} needs {needed} bundle(s)")
+    # a value the task does not read is refused, not echoed unread
+    if len(cfg.bundles) != needed:
+        raise ConfigError(f"task {task!r} needs {needed} bundle(s); got {len(cfg.bundles)}")
+    if cfg.candidate is not None and TASKS[task][1] is not _run_contact:
+        raise ConfigError(f"task {task!r} reads no candidate")
     for a in cfg.bundles[1:]:
         if a.dimension != cfg.bundles[0].dimension or a.rank != cfg.bundles[0].rank:
             raise ConfigError("bundles must share dimension and rank")
@@ -265,6 +268,8 @@ def build_config(raw: dict) -> RunConfig:
             cfg.points.extend(_expand_grid(raw["grid"], dim))
         if not cfg.points:
             raise ConfigError("no evaluation points given (points or grid)")
+    elif points:
+        raise ConfigError(f"task {task!r} reads no points")
     return cfg
 
 
@@ -377,11 +382,11 @@ def _run_rkhs(cfg: RunConfig) -> tuple[dict, str]:
     if len(cfg.points) != 1:
         raise ConfigError("rkhs-quotient expects exactly one base point")
     check_direct_size(cfg.bundles[0], cfg.order)
-    z0 = cfg.points[0]
-    a, b = quotient_models(cfg.bundles[0], cfg.bundles[1], z0, cfg.order)
-    rep = unitary_equiv_check(a, b, cfg.tolerance, cfg.seed)
+    # the base point is a slice of one point, so an error there is named by it
+    [rep] = run_in_slices(cfg.points, lambda part: [unitary_equiv_check(
+        *quotient_models(*cfg.bundles, part[0], cfg.order), cfg.tolerance, cfg.seed)])
     body = rep.as_dict()
-    body["point"] = [_cnum(c) for c in z0]
+    body["point"] = [_cnum(c) for c in cfg.points[0]]
     verdict = combine_verdicts([rep.contact_verdict, rep.direct_verdict])
     return body, verdict
 
@@ -467,9 +472,18 @@ def _emit(document: dict, out_path) -> None:
         print(text)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser whose usage errors exit 3, an input error: its own
+    exit status 2 is the code for inconclusive."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 # built once at import, not per call: building it takes about ten times as
 # long as parsing a command line with it
-_PARSER = argparse.ArgumentParser(
+_PARSER = _ArgumentParser(
     prog="jetcontact",
     description="Decide and verify order-n contact between Hermitian "
     "holomorphic vector bundles given by Gram expressions.",

@@ -407,6 +407,8 @@ class ContactProblem:
                     raise ValueError(f"point {p} does not lie on the slice z1 = 0")
         cand, rank = self.candidate, self.rank
         if cand is None:
+            if self.mode == "along-z" and rank >= 2:
+                raise ValueError("a candidate corner map A0 is required for rank >= 2 bundles")
             return
         if not isinstance(cand, list):
             raise TypeError("candidate must be None or a grid (list of rows) of expressions")
@@ -428,15 +430,14 @@ class ContactProblem:
 
     def candidate_jet(self, points, order: int) -> HoloJet | None:
         """The candidate's jet at the P points of `points`, checked for finite
-        coefficients; an error names the first failing point."""
+        coefficients."""
         if self.candidate is None:
             return None
-        # finite inputs can overflow; such a point is refused by name below
+        # finite inputs can overflow; such a jet is refused below
         with np.errstate(all="ignore"):
             jet = self._candidate_program.matrix_jet(len(self.candidate), points, order, 0)
-            failing = np.flatnonzero(~np.isfinite(jet.coeffs).all(axis=(-4, -3, -2, -1)))
-        if failing.size:
-            raise ValueError(f"candidate jet is not finite at {points[failing[0]]}")
+        if not np.isfinite(jet.coeffs).all():
+            raise ValueError("candidate jet is not finite")
         return jet.holo_part()
 
 
@@ -522,12 +523,11 @@ def _alongz_at(problem: ContactProblem, points) -> list[PointReport]:
         cand_jet = None
     else:
         cand_jet = problem.candidate_jet(points, n)
-        if cand_jet is None:
-            raise ValueError(
-                "a candidate corner map A0 is required for rank >= 2 bundles"
-            )
         a0 = cand_jet.value()
-        _check_invertible(a0, points)
+        # the gluing conditions invert A0; slogdet's sign is 0 exactly where
+        # LU meets the exact zero pivot on which ``inv`` raises
+        if (np.linalg.slogdet(a0)[0] == 0).any():
+            raise ValueError("candidate value is singular")
     tables = _L_tables(pair.jet, n)  # read by both routes
 
     # analytic route: unique extension + transverse block-Gram isometry + gluing
@@ -556,16 +556,6 @@ def _alongz_at(problem: ContactProblem, points) -> list[PointReport]:
         "pointwise-spot-check": (spot_verdicts, spot),
     }
     return _point_reports(points, routes, compared=("analytic", "geometric"))
-
-
-def _check_invertible(a0: np.ndarray, points) -> None:
-    """Refuse a candidate whose value at some point is a matrix that
-    ``np.linalg.inv`` cannot invert (the gluing conditions divide by it),
-    naming the first such point.  slogdet's sign is 0 exactly where LU
-    meets the exact zero pivot on which ``inv`` raises."""
-    singular = np.flatnonzero(np.linalg.slogdet(a0)[0] == 0)
-    if singular.size:
-        raise ValueError(f"candidate value is singular at {points[singular[0]]}")
 
 
 def _point_reports(points, routes: dict, compared: tuple) -> list[PointReport]:
@@ -616,10 +606,11 @@ _GRID_SLICE = 8
 def run_in_slices(points, run) -> list:
     """The results of `run(part)`, one per point of `part`, over the slices
     of `points`.  A failing slice runs again a point at a time, so an error
-    is the one the first failing point raises alone, whatever the slicing.
-    This is the one place where a failing run is made again: at one point
-    the error is that of the first step that fails, in the order the run
-    takes its steps."""
+    is the one the first failing point raises alone, whatever the slicing,
+    its message ending in " at <point>".  This is the one place where a
+    failing run is made again, and the one that names a point: the checks
+    say what failed, this says where.  At one point the error is that of
+    the first step that fails, in the order the run takes its steps."""
     results = []
     for start in range(0, len(points), _GRID_SLICE):
         part = points[start : start + _GRID_SLICE]
@@ -627,7 +618,11 @@ def run_in_slices(points, run) -> list:
             results += run(part)
         except Exception:
             for point in part:
-                run((point,))
+                try:
+                    run((point,))
+                except Exception as alone:
+                    alone.args = (f"{alone} at {point}",)  # same type, same exit code
+                    raise
             raise
     return results
 

@@ -197,12 +197,11 @@ def normalize_frame(H: HermJet, n: int) -> tuple[HoloJet, HermJet]:
     frozen = H.holo_part()  # H(z, zbar0) as a holomorphic jet
     A = HoloJet.constant(root, H.center, frozen.holo_order) * frozen.inv()
     Hnorm = A.as_herm(H.anti_order) * H * A.adjoint_as_herm(H.holo_order)
-    defect = np.ravel(normalized_defect(Hnorm, n))
-    scale = 1.0 + np.ravel(np.max(np.abs(H.coeffs), axis=(-4, -3, -2, -1)))
-    failing = np.flatnonzero(~(defect <= 1e-8 * scale))  # a NaN defect fails
-    if failing.size:
+    defect = normalized_defect(Hnorm, n)
+    scale = 1.0 + np.max(np.abs(H.coeffs), axis=(-4, -3, -2, -1))
+    if not (defect <= 1e-8 * scale).all():  # a NaN defect fails
         raise ArithmeticError(
-            f"frame normalization failed (defect {defect[failing[0]]:.2e}); "
+            f"frame normalization failed (defect {np.max(defect):.2e}); "
             "Gram jet is likely ill-conditioned"
         )
     return A, Hnorm

@@ -608,16 +608,16 @@ class BundleSpec:
         coefficients with a symmetric partner, and a positive definite value.
 
         `center` is one point, or a sequence of P points for a jet with a
-        leading point axis made by one run of the program.  The checks run
-        per point; an error names the first failing point and is the one
-        that point alone would raise.
+        leading point axis made by one run of the program.  An error says
+        what failed, not where: :func:`contact.run_in_slices` names the
+        point.
 
         With a `partner` bundle of the same dimension and rank, both Grams
         come from one run of one program merged from the two grids: the
         pair jet, this bundle's jet and the partner's stacked on the point
         axis (2P points, or 2 at one center).  A failing program raises its
-        own error first; after it come the checks, at each point this
-        bundle's, then the partner's."""
+        own error first; after it come the checks, this bundle's, then the
+        partner's, each over all points."""
         specs = (self,) if partner is None else (self, partner)
         if partner is not None and (partner.dimension, partner.rank) != (self.dimension,
                                                                           self.rank):
@@ -634,35 +634,22 @@ class BundleSpec:
         if program is None:
             program = self._programs[partner] = JetProgram(
                 [e for spec in specs for row in spec.entries for e in row])
-        # finite inputs can overflow; such a point is refused by name below
+        # finite inputs can overflow; such a jet is refused below
         with np.errstate(all="ignore"):
             jet = program.matrix_jet(self.rank, center, holo_order, anti_order)
-            defect = np.ravel(jet.hermitian_defect())
-            size = np.ravel(np.max(np.abs(jet.coeffs), axis=(-4, -3, -2, -1)))
-            finite = np.isfinite(size)
-            asymmetric = defect > _SYMMETRY_TOL * (1.0 + size)
-            value = jet.value()
-            if not finite.all():  # a non-finite point fails whatever its eigenvalues
-                value = np.where(finite[:, None, None], value, 0.0)
-            low = np.linalg.eigvalsh(value).reshape(len(finite), -1).min(axis=1)
-        # (point, bundle) pairs in the order the checks run
-        failing = np.argwhere((~finite | asymmetric | (low <= 0.0)).reshape(len(specs), -1).T)
-        if failing.size:
-            point, which = failing[0]
-            k, label = which * len(points) + point, specs[which].label
-            if not finite[k]:
-                raise ValueError(
-                    f"bundle {label!r}: Gram jet is not finite at {points[point]}"
-                )
-            if asymmetric[k]:
-                raise ValueError(
-                    f"bundle {label!r}: Gram expression is not Hermitian-symmetric "
-                    f"at {points[point]} (defect {defect[k]:.2e})"
-                )
-            raise ValueError(
-                f"bundle {label!r}: Gram matrix not positive definite at "
-                f"{points[point]} (min eigenvalue {low[k]:.2e})"
-            )
+            defects = np.reshape(jet.hermitian_defect(), (len(specs), -1))
+            sizes = np.max(np.abs(jet.coeffs), axis=(-4, -3, -2, -1)).reshape(len(specs), -1)
+        values = np.reshape(jet.value(), (len(specs), -1, self.rank, self.rank))
+        for spec, defect, size, value in zip(specs, defects, sizes, values):
+            if not np.isfinite(size).all():
+                raise ValueError(f"bundle {spec.label!r}: Gram jet is not finite")
+            if (defect > _SYMMETRY_TOL * (1.0 + size)).any():
+                raise ValueError(f"bundle {spec.label!r}: Gram expression is not "
+                                 f"Hermitian-symmetric (defect {defect.max():.2e})")
+            low = np.linalg.eigvalsh(value).min()
+            if low <= 0.0:
+                raise ValueError(f"bundle {spec.label!r}: Gram matrix not positive definite "
+                                 f"(min eigenvalue {low:.2e})")
         return jet
 
     def validate(self, centers) -> None:

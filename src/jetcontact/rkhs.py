@@ -75,7 +75,7 @@ def quotient_model(kernel: BundleSpec, center, order: int) -> QuotientModel:
     center = tuple(complex(c) for c in center)
     h = kernel.gram_jet(center, order, order)
     gram = jet_gram(h, order)
-    _check_jet_grams([kernel], np.linalg.eigvalsh(gram)[None], center)
+    _check_jet_grams([kernel], np.linalg.eigvalsh(gram)[None])
     return QuotientModel(kernel, center, order, h, gram, _shifts(kernel, center, order))
 
 
@@ -90,22 +90,20 @@ def quotient_models(a: BundleSpec, b: BundleSpec, center,
     center = tuple(complex(c) for c in center)
     pair = GramPair(a.gram_jet(center, order, order, b), ())
     grams = jet_gram(pair.jet, order)
-    _check_jet_grams([a, b], np.linalg.eigvalsh(grams), center)
+    _check_jet_grams([a, b], np.linalg.eigvalsh(grams))
     shifts = _shifts(a, center, order)  # the pair shares a's dimension and rank
     return tuple(QuotientModel(kernel, center, order, jet, gram, shifts)
                  for kernel, jet, gram in zip((a, b), pair.split_jet(pair.jet),
                                               pair.split(grams)))
 
 
-def _check_jet_grams(kernels: list, eigs: np.ndarray, center) -> None:
+def _check_jet_grams(kernels: list, eigs: np.ndarray) -> None:
     """Refuse the first kernel whose jet Gram (eigenvalues `eigs`, one row
     per kernel) is not positive definite."""
     for kernel, low in zip(kernels, eigs.min(axis=-1)):
         if low <= 0.0:
-            raise ValueError(
-                f"kernel {kernel.label!r} is not positive definite at {center} "
-                f"(min jet-Gram eigenvalue {low:.2e})"
-            )
+            raise ValueError(f"kernel {kernel.label!r} is not positive definite "
+                             f"(min jet-Gram eigenvalue {low:.2e})")
 
 
 def _shifts(kernel: BundleSpec, center: tuple, order: int) -> tuple:

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import tempfile
 import warnings
 
@@ -340,16 +341,25 @@ class TestMain:
         assert main(["--config", path, "--order", "2", "--out", str(out)]) == EXIT_REFUTED
 
     def test_help_and_bad_flags_exit_from_argparse(self, capsys):
-        # the flag parser is built once and shared by every call
+        # the flag parser is built once and shared by every call; a usage
+        # error is an input error (exit 3), never the 2 of inconclusive
         for _ in range(2):
             with pytest.raises(SystemExit) as stop:
                 main(["--help"])
             assert stop.value.code == 0
             assert capsys.readouterr().out.startswith("usage: jetcontact [-h] --config CONFIG")
-            with pytest.raises(SystemExit) as stop:
-                main(["--config", "run.yaml", "--bogus"])
-            assert stop.value.code == 2
-            assert "jetcontact: error: unrecognized arguments: --bogus" in capsys.readouterr().err
+            for argv, message in (
+                    (["--config", "run.yaml", "--bogus"], "unrecognized arguments: --bogus"),
+                    (["--config", "run.yaml", "--order", "x"],
+                     "argument --order: invalid int value: 'x'"),
+                    ([], "the following arguments are required: --config")):
+                with pytest.raises(SystemExit) as stop:
+                    main(argv)
+                assert stop.value.code == EXIT_INPUT_ERROR
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err.startswith("usage: jetcontact [-h] --config CONFIG")
+                assert err.endswith(f"jetcontact: error: {message}\n")
 
     @pytest.mark.parametrize("config,flags,message", [
         ("verify-appendix.yaml", ["--task", "pointwise"], "needs 2 bundle(s)"),
@@ -453,14 +463,16 @@ class TestMain:
         # at one point the error is the first failing step's: the merged
         # program's groups in schedule order, the Gram checks of a then b,
         # then the later stages
-        ({"task": "pointwise", "order": 2, "points": [[0.9]], "bundles": TIE}, LOG),
-        ({"task": "rkhs-quotient", "order": 2, "points": [[0.9]], "bundles": TIE}, LOG),
+        ({"task": "pointwise", "order": 2, "points": [[0.9]], "bundles": TIE},
+         f"{LOG} at ((0.9+0j),)"),
+        ({"task": "rkhs-quotient", "order": 2, "points": [[0.9]], "bundles": TIE},
+         f"{LOG} at ((0.9+0j),)"),
         # the inverse of z1*zb1 is scheduled before the log, which comes first in op order
         ({"task": "curvature", "order": 1, "points": [[0.0]],
           "bundles": [{"label": "g", "dimension": 1,
                        "gram": [["log(exp(z1*zb1) - 3)", "0"], ["0", "1/(z1*zb1)"]]}]},
-         "constant term is singular"),
-        (fock_config(order=1, points=[[0.0]], bundles=[DEAD, DEAD]), LOG),
+         "constant term is singular at (0j,)"),
+        (fock_config(order=1, points=[[0.0]], bundles=[DEAD, DEAD]), f"{LOG} at (0j,)"),
         # every key is read by name: a value of the wrong type or out of
         # bounds, and a key the config does not have, are refused
         (fock_config(bundles=[dict(FOCK_PAIR["bundles"][0], dimension=2.7),
@@ -490,6 +502,23 @@ class TestMain:
          "bundles[1]: unknown key 'ranks'"),
         (fock_config(bundles=[dict(FOCK_PAIR["bundles"][0], label=5), FOCK_PAIR["bundles"][1]]),
          "bundles[0].label must be a string; got 5"),
+        # a value the task does not read is refused, not echoed unread
+        (fock_config(bundles=FOCK_PAIR["bundles"] * 2), "task 'pointwise' needs 2 bundle(s); got 4"),
+        (fock_config(task="curvature"), "task 'curvature' needs 1 bundle(s); got 2"),
+        (fock_config(task="verify-recursions", bundles=FOCK_PAIR["bundles"][:1], candidate="1"),
+         "task 'verify-recursions' reads no candidate"),
+        (fock_config(task="rkhs-quotient", candidate="1"), "task 'rkhs-quotient' reads no candidate"),
+        ({"task": "verify-appendix", "candidate": "zz"}, "task 'verify-appendix' reads no candidate"),
+        ({"task": "verify-appendix", "points": [[0.3]]}, "task 'verify-appendix' reads no points"),
+        ({"task": "verify-appendix", "grid": {}}, "grid specifications only apply to along-z"),
+        ({"task": "verify-appendix", **FOCK_PAIR},
+         "task 'verify-appendix' needs 0 bundle(s); got 2"),
+        # rank 2 along Z needs a candidate whatever the Grams: refused before
+        # any of them runs, so bundle a's indefinite Gram is never seen
+        ({"task": "along-z", "order": 1, "points": [[0.0, 0.9]],
+          "bundles": [{"label": "a", "dimension": 2, "gram": [["1", "0"], ["0", "1 - 4*z2*zb2"]]},
+                      {"label": "b", "dimension": 2, "gram": [["1", "0"], ["0", "1"]]}]},
+         "a candidate corner map A0 is required for rank >= 2 bundles"),
     ])
     def test_config_input_errors(self, tmp_path, capsys, payload, message):
         path = write_config(tmp_path, payload)
@@ -690,11 +719,11 @@ class TestMain:
 
     # positive definite for |z2| < 5: fails at the last grid point only
     WIDE = [["1", "0.2*z2"], ["0.2*zb2", "1"]]
-    B_FIRST = ("bundle 'b': Gram matrix not positive definite at (0j, (1.5+0j)) "
-               "(min eigenvalue -5.00e-01)")
+    B_FIRST = ("bundle 'b': Gram matrix not positive definite (min eigenvalue -5.00e-01) "
+               "at (0j, (1.5+0j))")
     # the tasks of one bundle read bundle a alone, which fails at the last point
-    A_LAST = ("bundle 'a': Gram matrix not positive definite at (0j, (6+0j)) "
-              "(min eigenvalue -2.00e-01)")
+    A_LAST = ("bundle 'a': Gram matrix not positive definite (min eigenvalue -2.00e-01) "
+              "at (0j, (6+0j))")
 
     @pytest.mark.parametrize("task", ["along-z", "pointwise", "curvature", "verify-recursions"])
     @pytest.mark.parametrize(
@@ -714,15 +743,12 @@ class TestMain:
                                                       b_gram, corner, messages):
         # the error is the one the points give one at a time, in order: at a
         # point, bundle a's Gram, then bundle b's, then the routes
-        bundles = [
-            {"label": "a", "dimension": 2, "gram": self.WIDE},
-            {"label": "b", "dimension": 2, "gram": b_gram},
-        ]
-        path = write_config(
-            tmp_path,
-            {"task": task, "order": 1, "points": [[0.0, 1.5], [0.0, 0.5], [0.0, 6.0]],
-             "bundles": bundles, "candidate": [[corner, "0"], ["0", "1"]]},
-        )
+        payload = {"task": task, "order": 1, "points": [[0.0, 1.5], [0.0, 0.5], [0.0, 6.0]],
+                   "bundles": [{"label": "a", "dimension": 2, "gram": self.WIDE}]}
+        if task in ("along-z", "pointwise"):
+            payload["bundles"].append({"label": "b", "dimension": 2, "gram": b_gram})
+            payload["candidate"] = [[corner, "0"], ["0", "1"]]
+        path = write_config(tmp_path, payload)
         assert main(["--config", path]) == EXIT_INPUT_ERROR
         message = messages.get(task, self.A_LAST)
         assert capsys.readouterr().err == f"jetcontact: input error: {message}\n"
@@ -742,6 +768,44 @@ class TestMain:
             assert main(["--config", path]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == (
             f"jetcontact: input error: candidate value is singular at {where}\n")
+
+    @pytest.mark.parametrize("payload,message", [
+        pytest.param({"task": "along-z", "points": [[0, 0.1], [0, 0.5], [0, 1.2], [0, 0.3]],
+                      "bundles": [{"label": label, "dimension": 2, "gram": "2 + log(1 - z2*zb2)"}
+                                  for label in "ab"]},
+                     "log needs a constant term with positive real part at (0j, (1.2+0j))",
+                     id="log-guard"),
+        pytest.param({"task": "verify-recursions", "points": [[0.1], [0.5], [1.5]],
+                      "bundles": [{"label": "g", "dimension": 1,
+                                   "gram": "pow(1 - z1*zb1, -0.5)"}]},
+                     "real power needs a constant term with positive real part at ((1.5+0j),)",
+                     id="real-power-guard"),
+        pytest.param({"task": "curvature", "points": [[0, 0.9], [0, 0.7], [0, 0.5]],
+                      "bundles": [{"label": "g", "dimension": 2, "gram": "1/(z2*zb2 - 0.25)"}]},
+                     "constant term is singular at (0j, (0.5+0j))", id="singular-constant-term"),
+        # the Gram [[1, z1], [zb1, 1]] is positive definite for |z1| < 1 but
+        # too ill-conditioned near 1 for its frame to normalize
+        pytest.param({"task": "pointwise", "points": [[0.1], [0.5], [0.9999999]], "order": 2,
+                      "bundles": [{"label": label, "dimension": 1,
+                                   "gram": [["1", "z1"], ["zb1", "1"]]} for label in "ab"]},
+                     "frame normalization failed (defect D); Gram jet is likely "
+                     "ill-conditioned at ((0.9999999+0j),)", id="frame-normalization"),
+        # the jet Gram of a constant kernel is singular: its derivatives vanish
+        pytest.param({"task": "rkhs-quotient", "points": [[0.0]],
+                      "bundles": [{"label": label, "dimension": 1, "gram": "1"}
+                                  for label in "ab"]},
+                     "kernel 'a' is not positive definite (min jet-Gram eigenvalue 0.00e+00) "
+                     "at (0j,)", id="quotient-base-point"),
+    ])
+    def test_error_inside_a_run_names_its_first_failing_point(self, tmp_path, capsys,
+                                                               payload, message):
+        # the check says what failed; the replay of the failing slice appends
+        # where, the first point that fails alone
+        path = write_config(tmp_path, {"order": 1, **payload})
+        assert main(["--config", path]) == EXIT_INPUT_ERROR
+        # a normalization defect is rounding error: its digits are not pinned
+        err = re.sub(r"\(defect \S+\)", "(defect D)", capsys.readouterr().err)
+        assert err == f"jetcontact: input error: {message}\n"
 
     @staticmethod
     def run_pointwise(tmp_path, gram, candidate):
