@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 import yaml
@@ -21,6 +21,7 @@ import yaml
 from . import __version__
 from .contact import (
     ContactProblem,
+    ContactReport,
     _adjoint,
     _rel,
     check_problem,
@@ -253,8 +254,9 @@ def build_config(raw: dict) -> RunConfig:
     # a value the task does not read is refused, not echoed unread
     if len(cfg.bundles) != needed:
         raise ConfigError(f"task {task!r} needs {needed} bundle(s); got {len(cfg.bundles)}")
-    if cfg.candidate is not None and TASKS[task][1] is not _run_contact:
-        raise ConfigError(f"task {task!r} reads no candidate")
+    for key, runner in (("candidate", _run_contact), ("appendix_bound", _run_appendix)):
+        if getattr(cfg, key) is not None and TASKS[task][1] is not runner:
+            raise ConfigError(f"task {task!r} reads no {key}")
     for a in cfg.bundles[1:]:
         if a.dimension != cfg.bundles[0].dimension or a.rank != cfg.bundles[0].rank:
             raise ConfigError("bundles must share dimension and rank")
@@ -277,15 +279,7 @@ def build_config(raw: dict) -> RunConfig:
 # task runners
 
 
-def _cnum(value: complex) -> list:
-    return [float(np.real(value)), float(np.imag(value))]
-
-
-def _cmat(mat: np.ndarray) -> list:
-    return [[_cnum(v) for v in row] for row in np.atleast_2d(mat)]
-
-
-def _run_contact(cfg: RunConfig) -> tuple[dict, str]:
+def _run_contact(cfg: RunConfig) -> tuple[ContactReport, str]:
     problem = ContactProblem(
         bundle_a=cfg.bundles[0],
         bundle_b=cfg.bundles[1],
@@ -297,7 +291,7 @@ def _run_contact(cfg: RunConfig) -> tuple[dict, str]:
         seed=cfg.seed,
     )
     report = check_problem(problem)
-    return report.as_dict(), report.verdict
+    return report, report.verdict
 
 
 def _run_curvature(cfg: RunConfig) -> tuple[dict, str]:
@@ -319,9 +313,9 @@ def _curvature_at(cfg: RunConfig, points) -> list:
     for j in dims[1:]:
         mixed = K1j_tower(h, [L_tensor(h, j, l) for l in range(1, n + 1)])
         cov.update((f"K(1,{j}bar)_z1^{r}", value) for r, value in enumerate(mixed))
-    return [{"point": [_cnum(c) for c in point],
-             "curvature": {name: _cmat(value[k]) for name, value in curv.items()},
-             "covariant": {name: _cmat(value[k]) for name, value in cov.items()}}
+    return [{"point": point,
+             "curvature": {name: value[k] for name, value in curv.items()},
+             "covariant": {name: value[k] for name, value in cov.items()}}
             for k, point in enumerate(points)]
 
 
@@ -367,15 +361,14 @@ def _recursions_at(cfg: RunConfig, points) -> list:
         lhs = map_adjoint_jet(cov_step(phi, conn[i], i), h).value()
         rhs = phi_adjoint.deriv(i - 1, conjugate=True).value()
         residuals[f"adjoint-derivative(i={i})"] = _rel(lhs - rhs, lhs, rhs)
-    return [{"point": [_cnum(c) for c in point],
-             "residuals": {name: float(value[k]) for name, value in residuals.items()}}
+    return [{"point": point, "residuals": {name: value[k] for name, value in residuals.items()}}
             for k, point in enumerate(points)]
 
 
 def _run_appendix(cfg: RunConfig) -> tuple[dict, str]:
     bound = cfg.appendix_bound if cfg.appendix_bound is not None else min(cfg.order + 3, 6)
     report = verify_appendix(n_max=bound, seed=cfg.seed, tol=cfg.tolerance)
-    return report.as_dict(), VERIFIED if report.passed else REFUTED
+    return dict(vars(report), passed=report.passed), VERIFIED if report.passed else REFUTED
 
 
 def _run_rkhs(cfg: RunConfig) -> tuple[dict, str]:
@@ -385,10 +378,8 @@ def _run_rkhs(cfg: RunConfig) -> tuple[dict, str]:
     # the base point is a slice of one point, so an error there is named by it
     [rep] = run_in_slices(cfg.points, lambda part: [unitary_equiv_check(
         *quotient_models(*cfg.bundles, part[0], cfg.order), cfg.tolerance, cfg.seed)])
-    body = rep.as_dict()
-    body["point"] = [_cnum(c) for c in cfg.points[0]]
     verdict = combine_verdicts([rep.contact_verdict, rep.direct_verdict])
-    return body, verdict
+    return dict(vars(rep), point=cfg.points[0]), verdict
 
 
 # every task: the bundles it reads (with none, no points) and its runner
@@ -403,7 +394,7 @@ TASKS = {
 
 
 def run(cfg: RunConfig) -> dict:
-    """Dispatch a validated config; returns the report document."""
+    """Dispatch a validated config; returns the report document as JSON data."""
     results, verdict = TASKS[cfg.task][1](cfg)
     exit_code = {
         VERIFIED: EXIT_VERIFIED,
@@ -411,7 +402,7 @@ def run(cfg: RunConfig) -> dict:
         REFUTED: EXIT_REFUTED,
         INCONCLUSIVE: EXIT_INCONCLUSIVE,
     }[verdict]
-    return {
+    return _strict_json({
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "jetcontact", "version": __version__},
         "task": cfg.task,
@@ -420,48 +411,47 @@ def run(cfg: RunConfig) -> dict:
         "results": results,
         "verdict": verdict,
         "exit_code": exit_code,
-    }
+    })
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    echo = {
-        "task": cfg.task,
-        "order": cfg.order,
-        "tolerance": cfg.tolerance,
-        "seed": cfg.seed,
-        "bundles": [
-            {
-                "label": b.label,
-                "dimension": b.dimension,
-                "rank": b.rank,
-                "gram": [[e.text() for e in row] for row in b.entries],
-            }
-            for b in cfg.bundles
-        ],
-        "points": [[_cnum(c) for c in p] for p in cfg.points],
-    }
-    if cfg.candidate is not None:
-        echo["candidate"] = cfg.candidate
-    if cfg.appendix_bound is not None:
-        echo["appendix_bound"] = cfg.appendix_bound
+    """Every value of `cfg` that is set, but `out`; a bundle as the keys that
+    read it back."""
+    echo = {key: value for key, value in vars(cfg).items()
+            if value is not None and key != "out"}
+    echo["bundles"] = [{"label": b.label, "dimension": b.dimension, "rank": b.rank,
+                        "gram": [[e.text() for e in row] for row in b.entries]}
+                       for b in cfg.bundles]
     return echo
 
 
 def _strict_json(value):
-    """The document with every non-finite float written as the string "nan",
-    "inf" or "-inf": strict JSON has no token for them."""
+    """`value` as JSON data, the one conversion of results into a report: a
+    complex number as [re, im], a numpy array as nested lists, a numpy scalar
+    as the Python one, a dataclass as its fields, and a non-finite float as
+    the string "nan", "inf" or "-inf" (strict JSON has no token for them)."""
+    # the common leaves first: most of a report is floats and strings
+    if isinstance(value, float):  # np.float64 too, which json writes alike
+        return value if math.isfinite(value) else repr(float(value))
+    if isinstance(value, (str, int)):
+        return value
     if isinstance(value, dict):
         return {key: _strict_json(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_strict_json(item) for item in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(float(value))
-    return value
+    if isinstance(value, complex):
+        return [_strict_json(value.real), _strict_json(value.imag)]
+    if isinstance(value, np.ndarray):
+        return _strict_json(value.tolist())
+    if isinstance(value, np.generic):
+        return _strict_json(value.item())
+    if is_dataclass(value):
+        return _strict_json(vars(value))
+    return value  # None
 
 
 def _emit(document: dict, out_path) -> None:
-    text = json.dumps(_strict_json(document), indent=2, sort_keys=True,
-                      allow_nan=False)
+    text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -508,6 +498,9 @@ def main(argv=None) -> int:
         _emit(document, cfg.out)
     except (ValueError, ArithmeticError) as exc:  # ConfigError, ParseError, LinAlgError too
         print(f"jetcontact: input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError as exc:
+        print(f"jetcontact: input error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return document["exit_code"]
 

@@ -449,15 +449,6 @@ class PointReport:
     route_verdicts: dict = field(default_factory=dict)
     route_agreement: bool = True
 
-    def as_dict(self) -> dict:
-        return {
-            "point": [[c.real, c.imag] for c in self.point],
-            "verdict": self.verdict,
-            "residuals": {k: float(v) for k, v in sorted(self.residuals.items())},
-            "route_verdicts": dict(sorted(self.route_verdicts.items())),
-            "route_agreement": self.route_agreement,
-        }
-
 
 @dataclass
 class ContactReport:
@@ -467,16 +458,6 @@ class ContactReport:
     points: list
     verdict: str
     route_agreement: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "order": self.order,
-            "tolerance": self.tolerance,
-            "points": [p.as_dict() for p in self.points],
-            "verdict": self.verdict,
-            "route_agreement": self.route_agreement,
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -123,15 +123,6 @@ class EquivReport:
     agreement: bool
     residuals: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "equivalent": self.equivalent,
-            "contact_verdict": self.contact_verdict,
-            "direct_verdict": self.direct_verdict,
-            "agreement": self.agreement,
-            "residuals": {k: float(v) for k, v in sorted(self.residuals.items())},
-        }
-
 
 def check_direct_size(kernel: BundleSpec, order: int) -> None:
     """Refuse a direct check on more than _MAX_DIRECT_DIM basis jets.  The

@@ -279,17 +279,6 @@ class AppendixReport:
         bad = next(iter(failures), None)
         self.add(name, bad is None, passed_detail if bad is None else bad)
 
-    def as_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "seed": self.seed,
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
-
 
 def _word_of_g(indices) -> tuple:
     return tuple(Symbol("G", i) for i in indices)

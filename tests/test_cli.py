@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from jetcontact.cli import (
     ConfigError,
+    EXIT_INCONCLUSIVE,
     EXIT_INPUT_ERROR,
     EXIT_REFUTED,
     EXIT_VERIFIED,
@@ -519,6 +520,7 @@ class TestMain:
           "bundles": [{"label": "a", "dimension": 2, "gram": [["1", "0"], ["0", "1 - 4*z2*zb2"]]},
                       {"label": "b", "dimension": 2, "gram": [["1", "0"], ["0", "1"]]}]},
          "a candidate corner map A0 is required for rank >= 2 bundles"),
+        (fock_config(appendix_bound=3), "task 'pointwise' reads no appendix_bound"),
     ])
     def test_config_input_errors(self, tmp_path, capsys, payload, message):
         path = write_config(tmp_path, payload)
@@ -661,6 +663,20 @@ class TestMain:
         main(["--config", config, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def _strict_report(self, tmp_path, name):
+        """The report of a run of the shipped config `name`, read by a JSON
+        parser that refuses NaN and Infinity tokens; its exit code is the
+        run's."""
+        out = tmp_path / "report.json"
+        code = main(["--config", str(CONFIG_DIR / name), "--out", str(out)])
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)
+        assert code == doc["exit_code"]
+        return doc
+
     def test_non_finite_residual_is_named_in_strict_json(self, tmp_path, monkeypatch):
         import math
 
@@ -668,17 +684,70 @@ class TestMain:
 
         monkeypatch.setattr(rkhs, "unitary_intertwiner",
                             lambda a, b, seed, **kw: (None, math.inf))
-        out = tmp_path / "report.json"
-        code = main(["--config", str(CONFIG_DIR / "rkhs-hardy-vs-fock.yaml"),
-                     "--out", str(out)])
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
-        doc = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)
+        doc = self._strict_report(tmp_path, "rkhs-hardy-vs-fock.yaml")
         assert doc["results"]["residuals"]["shift-intertwiner"] == "inf"
         assert doc["results"]["direct_verdict"] == "inconclusive"
-        assert code == doc["exit_code"]
+
+    def test_nan_along_z_residual_in_strict_json(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        import jetcontact.contact as contact
+
+        real = contact.geometric_conditions
+        monkeypatch.setattr(contact, "geometric_conditions", lambda *args: {
+            name: value * np.nan for name, value in real(*args).items()})
+        doc = self._strict_report(tmp_path, "alongz-fock-pair.yaml")
+        point = doc["results"]["points"][0]
+        assert point["route_verdicts"]["geometric"] == "inconclusive"
+        assert "nan" in point["residuals"].values()
+        assert doc["exit_code"] == EXIT_INCONCLUSIVE
+
+    def test_nan_max_residual_in_strict_json(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        import jetcontact.cli as cli
+
+        real = cli.Q_recursion
+        monkeypatch.setattr(cli, "Q_recursion",
+                            lambda h, j, order: real(h, j, order) * np.nan)
+        doc = self._strict_report(tmp_path, "recursions-rank2-grid.yaml")
+        assert doc["results"]["max_residual"] == "nan"
+        assert doc["results"]["points"][0]["residuals"]["conjugate-tower(j=1,n=0)"] == "nan"
+        assert doc["exit_code"] == EXIT_INCONCLUSIVE
+
+    def test_infinite_curvature_entry_in_strict_json(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        import jetcontact.cli as cli
+
+        real = cli.transverse_tower
+
+        def with_inf(h, n):
+            tower = real(h, n)
+            tower[0][0] = np.full_like(tower[0][0], np.inf)  # inf + 0j
+            return tower
+
+        monkeypatch.setattr(cli, "transverse_tower", with_inf)
+        doc = self._strict_report(tmp_path, "curvature-bergman3.yaml")
+        covariant = doc["results"]["points"][0]["covariant"]
+        assert covariant["K(1,1bar)_z1^0_zb1^0"] == [[["inf", 0.0]]]
+        assert doc["exit_code"] == EXIT_VERIFIED
+
+    def test_out_of_memory_is_an_input_error(self, capsys, monkeypatch):
+        import numpy as np
+
+        def too_large(*args):
+            # larger than any address space: numpy refuses it at once, with
+            # the MemoryError subclass of a run that outgrows memory
+            return np.empty(2**58, dtype=np.complex128)
+
+        with pytest.raises(MemoryError) as raised:
+            too_large()
+        monkeypatch.setattr(BundleSpec, "gram_jet", too_large)
+        code = main(["--config", str(CONFIG_DIR / "curvature-bergman3.yaml")])
+        # numpy's message ignores the point that run_in_slices adds to its args
+        assert (code, capsys.readouterr()) == (
+            EXIT_INPUT_ERROR, ("", f"jetcontact: input error: out of memory: {raised.value}\n"))
 
     def test_direct_check_size_refused_before_evaluation(self, tmp_path, capsys,
                                                          monkeypatch):
@@ -938,7 +1007,7 @@ class TestMain:
 # below puts a value of any type at one of its keys, bundle or grid fields, or
 # point coordinates
 SMALL = {
-    "task": "along-z", "order": 1, "tolerance": 1e-8, "seed": 0, "appendix_bound": 3,
+    "task": "along-z", "order": 1, "tolerance": 1e-8, "seed": 0, "appendix_bound": None,
     "bundles": [{"label": label, "dimension": 2, "rank": 1, "gram": "exp(z1*zb1 + z2*zb2)"}
                 for label in "ab"],
     "points": [[0.0, 0.1]],

@@ -1,5 +1,6 @@
 """Point-wise and along-slice contact: examples, invariants, route agreement."""
 
+import json
 import pathlib
 from math import comb
 
@@ -32,7 +33,7 @@ from jetcontact.jetcore import (
     multi_index_factorial,
     table_size,
 )
-from jetcontact.cli import build_config
+from jetcontact.cli import _strict_json, build_config
 from jetcontact.kernelexpr import BundleSpec, JetProgram, parse_kernel
 
 from conftest import (
@@ -962,7 +963,8 @@ class TestDispatch:
         prob = ContactProblem(
             BundleSpec("a", 2, spec), BundleSpec("b", 2, spec), 1, "along-z", Z_POINTS[:2]
         )
-        doc = check_problem(prob).as_dict()
+        doc = _strict_json(check_problem(prob))
+        json.dumps(doc, allow_nan=False)
         assert doc["verdict"] == "verified"
         assert len(doc["points"]) == 2
         assert all(isinstance(v, float) for v in doc["points"][0]["residuals"].values())

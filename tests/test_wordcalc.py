@@ -149,8 +149,8 @@ class TestVerifySuite:
         assert "numeric-perturbation-detected" in names
 
     def test_seed_determinism(self):
-        a = verify_appendix(n_max=3, seed=5).as_dict()
-        b = verify_appendix(n_max=3, seed=5).as_dict()
+        a = verify_appendix(n_max=3, seed=5)
+        b = verify_appendix(n_max=3, seed=5)
         assert a == b
 
     def test_bound_guard(self):
@@ -163,16 +163,16 @@ class TestVerifySuite:
     def test_a_failing_identity_reports_its_first_failure(self, monkeypatch):
         # a wrong closed form for every word of weight >= 3; the first such
         # word the check meets is (1, 1, 1)
-        want = verify_appendix(n_max=4, seed=2).as_dict()
+        want = verify_appendix(n_max=4, seed=2)
         closed = wordcalc.coefficient_of_word
         monkeypatch.setattr(wordcalc, "coefficient_of_word",
                             lambda idx: closed(idx) + (sum(idx) >= 3))
-        got = verify_appendix(n_max=4, seed=2).as_dict()
-        assert not got["passed"]
-        failed = [c for c in got["checks"] if not c["passed"]]
-        assert failed == [{"name": "word-coefficients", "passed": False,
-                           "detail": "mismatch at word (1, 1, 1)"}]
-        assert ([c for c in got["checks"] if c["passed"]]
-                == [c for c in want["checks"] if c["name"] != "word-coefficients"])
+        got = verify_appendix(n_max=4, seed=2)
+        assert not got.passed
+        failed = [c for c in got.checks if not c.passed]
+        assert failed == [wordcalc.AppendixCheck("word-coefficients", False,
+                                                 "mismatch at word (1, 1, 1)")]
+        assert ([c for c in got.checks if c.passed]
+                == [c for c in want.checks if c.name != "word-coefficients"])
         config = Path(__file__).resolve().parent.parent / "configs" / "verify-appendix.yaml"
         assert main(["--config", str(config), "--out", os.devnull]) == EXIT_REFUTED
